@@ -7,8 +7,10 @@
     risklab checks
     risklab anchors
 
-Every subcommand except ``anchors`` writes results.csv, manifest.txt, and
-plotdata/ under --out (default runs/<experiment>).  Flags override the
+The experiment subcommands come from ``experiments.EXPERIMENTS``; each one
+offers a flag for every key in ``_FLAGS`` that its family accepts.  Every
+subcommand except ``anchors`` writes results.csv, manifest.txt, config.txt,
+and plotdata/ under --out (default runs/<experiment>).  Flags override the
 config file; without --config the built-in default config for the family
 is used.
 """
@@ -21,15 +23,18 @@ from dataclasses import replace
 
 from . import experiments
 
-_SUBCOMMANDS = ("thm1", "thm2", "cru", "prop3-thm4", "checks", "anchors")
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="path to a key = value config file")
-    sub.add_argument("--seed", type=int, help="master seed (overrides config)")
-    sub.add_argument("--trials", type=int, help="Monte Carlo draws per cell")
-    sub.add_argument("--out", help="output directory (default runs/<experiment>)")
-    sub.add_argument("--dims", help="comma-separated dimension sweep")
+# config key -> add_argument options of the flag that sets it
+_FLAGS = {
+    "seed": {"type": int, "help": "master seed (overrides config)"},
+    "trials": {"type": int, "help": "Monte Carlo draws per cell"},
+    "out": {"help": "output directory (default runs/<experiment>)"},
+    "dims": {"help": "comma-separated dimension sweep"},
+    "condition_positive_price": {
+        "action": "store_true",
+        "default": None,
+        "help": "condition draws on a positive price move (doubles the bound)",
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,50 +46,36 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"risklab {experiments.__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("thm1", "thm2", "cru", "prop3-thm4", "checks"):
-        help_text = {
-            "thm1": "individual eps-improvement probability vs its tail bound",
-            "thm2": "aggregate (Scitovsky) improvement probability vs its tail bound",
-            "cru": "resource-utilization coefficient and the waste-detection bound",
-            "prop3-thm4": "belief-extension emptiness and belief-volume splits",
-            "checks": "support invariants: bm, lemma1, kappa, prop7, economy wiring",
-        }[name]
-        sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name == "thm2":
-            sub.add_argument(
-                "--condition-positive-price", action="store_true",
-                help="condition draws on a positive price move (doubles the bound)",
-            )
+    for exp in experiments.EXPERIMENTS.values():
+        sub = subs.add_parser(exp.subcommand, help=exp.help)
+        sub.set_defaults(experiment=exp)
+        sub.add_argument("--config", help="path to a key = value config file")
+        for key, options in _FLAGS.items():
+            if key in exp.keys:
+                sub.add_argument("--" + key.replace("_", "-"), dest=key, **options)
 
     subs.add_parser("anchors", help="print the closed-form anchor values and exit")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> experiments.ExperimentConfig:
-    experiment_id = args.command.replace("prop3-thm4", "prop3")
+    exp = args.experiment
     if args.config:
         config = experiments.load_config(args.config)
-        if config.experiment_id != experiment_id and not (
-            experiment_id == "checks"
-            and config.experiment_id in experiments.CHECK_FAMILIES
-        ):
+        if experiments.experiment_for(config.experiment_id) is not exp:
             raise ValueError(
                 f"config is for experiment {config.experiment_id!r}, "
                 f"but the {args.command} subcommand was invoked"
             )
     else:
-        config = experiments.default_config(experiment_id)
+        config = experiments.default_config(exp.id)
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.dims is not None:
-        overrides["dims"] = tuple(int(x) for x in args.dims.split(","))
-    if getattr(args, "condition_positive_price", False):
-        overrides["condition_positive_price"] = True
-    overrides["out_dir"] = args.out or config.out_dir or f"runs/{config.experiment_id}"
+    for key in _FLAGS.keys() & exp.keys:
+        value = getattr(args, key)
+        if value is not None:
+            field = experiments.CONFIG_FIELDS[key]
+            overrides[field.attr] = field.parse(value) if isinstance(value, str) else value
+    overrides.setdefault("out_dir", config.out_dir or f"runs/{config.experiment_id}")
     return replace(config, **overrides)
 
 

@@ -1,27 +1,31 @@
 """Named, reproducible experiments with manifests, CSV results, and plot data.
 
-Each experiment family has a short id — ``thm1``, ``thm2``, ``cru``,
-``prop3``/``thm4`` (one combined runner), and the support-check families
-``prop7``, ``lemma1``, ``kappa``, ``bm`` — used consistently as the CLI
-subcommand, the config `experiment` value, and the CSV row tag.
+Each experiment family is one :class:`Experiment` record in ``EXPERIMENTS``:
+its config id and aliases (``thm4`` configs run the combined ``prop3``
+runner; ``prop7``, ``lemma1``, ``kappa``, ``bm`` select one family of the
+support ``checks``), its CLI subcommand and help text, its CSV columns, its
+runner, the config keys it accepts, and its built-in default config.
 
 Configs are flat ``key = value`` text files with repeated ``agent.`` blocks
-(one block per agent, started by ``agent.preference``).  Numbers in
-``results.csv`` are printed with 17 significant digits, and all randomness
-flows through seeded block substreams, so re-running a config byte-for-byte
-reproduces ``results.csv`` regardless of thread count.  ``manifest.txt``
-records the config hash, schema and tool versions, and the results hash; its
-wall-time line is the only part allowed to differ between runs.
+(one block per agent, started by ``agent.preference``); the field table
+``CONFIG_FIELDS`` parses and renders every key.  Numbers in ``results.csv``
+are printed with 17 significant digits, and all randomness flows through
+seeded block substreams, so re-running a config byte-for-byte reproduces
+``results.csv`` regardless of thread count.  ``manifest.txt`` records the
+config hash, schema and tool versions, and the results hash; its wall-time
+line is the only part allowed to differ between runs.  ``config.txt`` holds
+the canonical config text the hash is taken over, ready to be run again.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -29,33 +33,9 @@ from . import bounds, economy, geometry, preferences, sampling
 from ._version import __version__
 
 SCHEMA_VERSION = "risklab-results-v1"
-EXPERIMENT_IDS = (
-    "thm1", "thm2", "cru", "prop3", "thm4", "prop7", "lemma1", "kappa", "bm", "checks",
-)
 CHECK_FAMILIES = ("bm", "lemma1", "kappa", "prop7", "economy")
 _LEMMA1_DIMS = (2, 8, 32, 128, 512)
 _LEMMA1_DELTAS = (0.1, 0.2, 0.4)
-
-_COLUMNS = {
-    "thm1": [
-        "experiment", "d", "eps", "tau", "r", "kappa", "n", "hits",
-        "p_hat", "ci_low", "ci_high", "bound", "within_bound", "error",
-    ],
-    "thm2": [
-        "experiment", "d", "eps", "r", "kappa", "n", "n_accepted", "hits",
-        "indeterminate", "conditioned", "p_hat", "ci_low", "ci_high",
-        "bound", "within_bound", "error",
-    ],
-    "cru": [
-        "experiment", "d", "beta", "improvement", "r", "n", "n_accepted", "hits",
-        "indeterminate", "p_hat", "ci_low", "ci_high", "bound", "within_bound", "error",
-    ],
-    "prop3": [
-        "experiment", "phase", "d", "eps", "rho_mode", "rho", "delta", "dist",
-        "empty_intersection", "vol_J", "vol_Jc", "min_rel_vol", "within_bound", "error",
-    ],
-    "checks": ["family", "check", "passed", "detail"],
-}
 
 
 # ---------------------------------------------------------------------------
@@ -126,35 +106,6 @@ class AgentTemplate:
         return economy.Agent(self._preference(d), w)
 
 
-_GLOBAL_KEYS = {
-    "experiment", "seed", "trials", "dims", "eps", "radius", "law", "threads",
-    "out", "allocation", "condition_positive_price", "max_dim", "n_economies",
-    "family_trials", "cap_high", "cap_low", "c_values",
-}
-_AGENT_KEYS = {"preference", "prior", "gamma", "bernoulli", "endowment"}
-
-_ALLOWED_KEYS = {
-    "thm1": {"experiment", "seed", "trials", "dims", "eps", "radius", "law",
-             "threads", "out", "allocation"},
-    "thm2": {"experiment", "seed", "trials", "dims", "eps", "radius", "law",
-             "threads", "out", "allocation", "condition_positive_price", "max_dim"},
-    "cru": {"experiment", "seed", "trials", "dims", "radius", "law", "threads",
-            "out", "allocation"},
-    "prop3": {"experiment", "seed", "trials", "dims", "threads", "out",
-              "n_economies", "family_trials", "cap_high", "cap_low", "c_values"},
-    "checks": {"experiment", "seed", "trials", "threads", "out"},
-}
-_ALLOWED_KEYS["thm4"] = _ALLOWED_KEYS["prop3"]
-for _fam in ("prop7", "lemma1", "kappa", "bm"):
-    _ALLOWED_KEYS[_fam] = _ALLOWED_KEYS["checks"]
-
-_DEFAULT_TRIALS = {
-    "thm1": 100_000, "thm2": 10_000, "cru": 100_000, "prop3": 100_000,
-    "thm4": 100_000, "checks": 1_000_000, "prop7": 1_000_000,
-    "lemma1": 1_000_000, "kappa": 1_000_000, "bm": 1_000_000,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_id: str
@@ -177,8 +128,7 @@ class ExperimentConfig:
     agents: tuple = ()
 
     def __post_init__(self):
-        if self.experiment_id not in EXPERIMENT_IDS:
-            raise ValueError(f"unknown experiment id {self.experiment_id!r}")
+        experiment_for(self.experiment_id)
         if self.trials < 100:
             raise ValueError("trials must be >= 100")
         if self.threads < 1:
@@ -189,28 +139,22 @@ class ExperimentConfig:
         return sampling.SeedSpec(self.seed)
 
     def canonical_text(self) -> str:
-        """Normalized config rendering; its hash identifies the run."""
-        lines = [f"experiment = {self.experiment_id}", f"seed = {self.seed}",
-                 f"trials = {self.trials}"]
-        lines.append("dims = " + ",".join(str(d) for d in self.dims))
-        lines.append("eps = " + ",".join(f"{e:g}" for e in self.eps_list))
-        lines.append(f"radius = {self.radius:g}")
-        lines.append(f"law = {self.law_kind}")
-        lines.append(f"threads = {self.threads}")
-        lines.append(f"allocation = {self.allocation}")
-        lines.append(f"condition_positive_price = {str(self.condition_positive_price).lower()}")
-        lines.append(f"max_dim = {self.max_dim}")
-        lines.append(f"n_economies = {self.n_economies}")
-        lines.append(f"family_trials = {self.family_trials}")
-        lines.append(f"cap_high = {self.cap_high:g}")
-        lines.append(f"cap_low = {self.cap_low:g}")
-        lines.append("c_values = " + ",".join(f"{c:g}" for c in self.c_values))
-        for a in self.agents:
-            lines.append(f"agent.preference = {a.kind}")
-            lines.append(f"agent.prior = {a.prior}")
-            lines.append(f"agent.gamma = {a.gamma:g}")
-            lines.append(f"agent.bernoulli = {a.bernoulli}")
-            lines.append(f"agent.endowment = {a.endowment}")
+        """The experiment's own keys, then the agent blocks; its hash identifies the run.
+
+        Floats are written at round-trip precision, so ``parse_config_text``
+        gives this config back, less its output directory (where a run is
+        written is not part of what it computes).
+        """
+        keys = experiment_for(self.experiment_id).keys
+        lines = [
+            f"{key} = {f.render(getattr(self, f.attr))}"
+            for key, f in CONFIG_FIELDS.items() if key in keys and f.render
+        ]
+        for agent in self.agents:
+            lines += [
+                f"agent.{key} = {f.render(getattr(agent, f.attr))}"
+                for key, f in _AGENT_FIELDS.items()
+            ]
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
@@ -225,10 +169,63 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"expected a boolean, got {v!r}")
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat key=value format (agent blocks start at agent.preference)."""
+@dataclass(frozen=True)
+class ConfigField:
+    """A config key: the attribute it sets, its parser, and its renderer.
+
+    ``render`` is None for a key that is not part of the run's identity.
+    """
+
+    attr: str
+    parse: Callable[[str], object]
+    render: Callable[[object], str] | None
+
+
+_TEXT = (str, str)
+_INT = (int, str)
+_FLOAT = (float, lambda v: repr(float(v)))
+_BOOL = (_parse_bool, lambda v: str(v).lower())
+
+
+def _csv(kind):
+    """A comma-separated list of ``kind`` values, held as a tuple."""
+    parse, render = kind
+    return (lambda v: tuple(parse(x) for x in v.split(",")),
+            lambda v: ",".join(render(x) for x in v))
+
+
+CONFIG_FIELDS = {
+    "experiment": ConfigField("experiment_id", *_TEXT),
+    "seed": ConfigField("seed", *_INT),
+    "trials": ConfigField("trials", *_INT),
+    "dims": ConfigField("dims", *_csv(_INT)),
+    "eps": ConfigField("eps_list", *_csv(_FLOAT)),
+    "radius": ConfigField("radius", *_FLOAT),
+    "law": ConfigField("law_kind", *_TEXT),
+    "threads": ConfigField("threads", *_INT),
+    "out": ConfigField("out_dir", str, None),
+    "allocation": ConfigField("allocation", *_TEXT),
+    "condition_positive_price": ConfigField("condition_positive_price", *_BOOL),
+    "max_dim": ConfigField("max_dim", *_INT),
+    "n_economies": ConfigField("n_economies", *_INT),
+    "family_trials": ConfigField("family_trials", *_INT),
+    "cap_high": ConfigField("cap_high", *_FLOAT),
+    "cap_low": ConfigField("cap_low", *_FLOAT),
+    "c_values": ConfigField("c_values", *_csv(_FLOAT)),
+}
+_AGENT_FIELDS = {
+    "preference": ConfigField("kind", *_TEXT),
+    "prior": ConfigField("prior", *_TEXT),
+    "gamma": ConfigField("gamma", *_FLOAT),
+    "bernoulli": ConfigField("bernoulli", *_TEXT),
+    "endowment": ConfigField("endowment", *_TEXT),
+}
+
+
+def _read_lines(text: str) -> tuple[dict, list]:
+    """The global ``key = value`` pairs of a config text and its agent blocks, unparsed."""
     flat: dict[str, str] = {}
-    agent_dicts: list[dict] = []
+    agent_blocks: list[dict] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -238,159 +235,51 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = (s.strip() for s in line.split("=", 1))
         if key.startswith("agent."):
             akey = key[len("agent."):]
-            if akey not in _AGENT_KEYS:
+            if akey not in _AGENT_FIELDS:
                 raise ValueError(f"config line {ln}: unknown agent key {akey!r}")
             if akey == "preference":
-                agent_dicts.append({"preference": value})
-            elif not agent_dicts:
+                agent_blocks.append({})
+            elif not agent_blocks:
                 raise ValueError(f"config line {ln}: agent.{akey} before agent.preference")
-            else:
-                agent_dicts[-1][akey] = value
+            agent_blocks[-1][akey] = value
         else:
-            if key not in _GLOBAL_KEYS:
+            if key not in CONFIG_FIELDS:
                 raise ValueError(f"config line {ln}: unknown key {key!r}")
             if key in flat:
                 raise ValueError(f"config line {ln}: duplicate key {key!r}")
             flat[key] = value
+    return flat, agent_blocks
 
+
+def _parsed(fields: dict, raw: dict) -> dict:
+    return {fields[key].attr: fields[key].parse(value) for key, value in raw.items()}
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse the flat key=value format (agent blocks start at agent.preference)."""
+    flat, agent_blocks = _read_lines(text)
     if "experiment" not in flat:
         raise ValueError("config must set experiment = <id>")
-    exp = flat["experiment"]
-    if exp not in EXPERIMENT_IDS:
-        raise ValueError(f"unknown experiment id {exp!r}")
+    exp_id = flat["experiment"]
+    exp = experiment_for(exp_id)
     if "seed" not in flat:
         raise ValueError("config must set an explicit seed (no wall-clock default)")
-    allowed = _ALLOWED_KEYS[exp]
     for key in flat:
-        if key not in allowed:
-            raise ValueError(f"experiment {exp!r} does not recognize key {key!r}")
-    if agent_dicts and exp in ("prop3", "thm4", "checks", "prop7", "lemma1", "kappa", "bm"):
-        raise ValueError(f"experiment {exp!r} constructs its own agents; drop agent blocks")
-
-    agents = tuple(
-        AgentTemplate(
-            kind=a["preference"],
-            prior=a.get("prior", "uniform"),
-            gamma=float(a.get("gamma", 1.0)),
-            bernoulli=a.get("bernoulli", "linear"),
-            endowment=a.get("endowment", "ones"),
-        )
-        for a in agent_dicts
-    )
-
-    kwargs = dict(
-        experiment_id=exp,
-        seed=int(flat["seed"]),
-        trials=int(flat.get("trials", _DEFAULT_TRIALS[exp])),
-        agents=agents,
-    )
-    if "dims" in flat:
-        kwargs["dims"] = tuple(int(x) for x in flat["dims"].split(","))
-    if "eps" in flat:
-        kwargs["eps_list"] = tuple(float(x) for x in flat["eps"].split(","))
-    if "radius" in flat:
-        kwargs["radius"] = float(flat["radius"])
-    if "law" in flat:
-        kwargs["law_kind"] = flat["law"]
-    if "threads" in flat:
-        kwargs["threads"] = int(flat["threads"])
-    if "out" in flat:
-        kwargs["out_dir"] = flat["out"]
-    if "allocation" in flat:
-        kwargs["allocation"] = flat["allocation"]
-    if "condition_positive_price" in flat:
-        kwargs["condition_positive_price"] = _parse_bool(flat["condition_positive_price"])
-    if "max_dim" in flat:
-        kwargs["max_dim"] = int(flat["max_dim"])
-    if "n_economies" in flat:
-        kwargs["n_economies"] = int(flat["n_economies"])
-    if "family_trials" in flat:
-        kwargs["family_trials"] = int(flat["family_trials"])
-    if "cap_high" in flat:
-        kwargs["cap_high"] = float(flat["cap_high"])
-    if "cap_low" in flat:
-        kwargs["cap_low"] = float(flat["cap_low"])
-    if "c_values" in flat:
-        kwargs["c_values"] = tuple(float(x) for x in flat["c_values"].split(","))
-    return ExperimentConfig(**kwargs)
+        if key not in exp.keys:
+            raise ValueError(f"experiment {exp_id!r} does not recognize key {key!r}")
+    if agent_blocks and not exp.agents:
+        raise ValueError(f"experiment {exp_id!r} constructs its own agents; drop agent blocks")
+    flat.setdefault("trials", _read_lines(exp.default_text)[0]["trials"])
+    agents = tuple(AgentTemplate(**_parsed(_AGENT_FIELDS, a)) for a in agent_blocks)
+    return ExperimentConfig(**_parsed(CONFIG_FIELDS, flat), agents=agents)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(Path(path).read_text())
 
 
-DEFAULT_CONFIG_TEXT = {
-    "thm1": """\
-experiment = thm1
-seed = 1733
-trials = 100000
-dims = 2,8,32,128,512
-eps = 0.1
-radius = 1.0
-law = uniform-ball
-allocation = equilibrium
-agent.preference = cobb-douglas
-agent.prior = spike:0:0.9
-agent.endowment = ones
-agent.preference = cobb-douglas
-agent.prior = spike:0:0.85
-agent.endowment = ones
-agent.preference = cobb-douglas
-agent.prior = spike:0:0.8
-agent.endowment = ones
-""",
-    "thm2": """\
-experiment = thm2
-seed = 744
-trials = 10000
-dims = 2,8,32
-eps = 0.05,0.2
-radius = 1.0
-law = uniform-ball
-allocation = planner
-agent.preference = cobb-douglas
-agent.prior = spike:0:0.7
-agent.endowment = equal-share
-agent.preference = cobb-douglas
-agent.prior = uniform
-agent.endowment = equal-share
-""",
-    "cru": """\
-experiment = cru
-seed = 55
-trials = 100000
-dims = 2
-radius = 1.0
-law = uniform-ball
-allocation = literal:0.8,0.2|0.2,0.8
-agent.preference = cobb-douglas
-agent.prior = uniform
-agent.endowment = equal-share
-agent.preference = cobb-douglas
-agent.prior = uniform
-agent.endowment = equal-share
-""",
-    "prop3": """\
-experiment = prop3
-seed = 99
-trials = 100000
-dims = 3,4,5,6,7,8,9,10,11,12
-n_economies = 100
-family_trials = 1000000
-cap_high = 0.6
-cap_low = 0.2
-c_values = 0.5,1,2
-""",
-    "checks": """\
-experiment = checks
-seed = 7
-trials = 1000000
-""",
-}
-
-
 def default_config(experiment_id: str) -> ExperimentConfig:
-    return parse_config_text(DEFAULT_CONFIG_TEXT[experiment_id])
+    return parse_config_text(EXPERIMENTS[experiment_id].default_text)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +288,7 @@ def default_config(experiment_id: str) -> ExperimentConfig:
 
 
 def _fmt(v) -> str:
+    """One CSV field: text has commas mapped to ';' and newlines to spaces."""
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -407,7 +297,7 @@ def _fmt(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.17g}"
-    return str(v)
+    return str(v).replace(",", ";").replace("\n", " ")
 
 
 def rows_to_csv(columns: list[str], rows: list[dict]) -> str:
@@ -451,6 +341,8 @@ class RunResult:
         out.mkdir(parents=True, exist_ok=True)
         (out / "results.csv").write_text(self.csv_text)
         (out / "manifest.txt").write_text(self.manifest_text())
+        if self.config:
+            (out / "config.txt").write_text(self.config.canonical_text())
         if self.plotdata:
             pd = out / "plotdata"
             pd.mkdir(exist_ok=True)
@@ -465,6 +357,17 @@ def _two_column(pairs) -> str:
 
 def _within(est: sampling.MCEstimate, bound: float) -> bool:
     return est.ci_low <= bound or est.p_hat <= bound
+
+
+def _estimate_columns(est: sampling.MCEstimate, bound: float) -> dict:
+    return {"hits": est.hits, "p_hat": est.p_hat, "ci_low": est.ci_low,
+            "ci_high": est.ci_high, "bound": bound, "within_bound": _within(est, bound)}
+
+
+def _series(rows, prefix: str, ys) -> dict:
+    """Plot files ``<prefix>_<y>.csv`` of (d, y) over the rows without an error."""
+    ok = [r for r in rows if r["error"] is None]
+    return {f"{prefix}_{y}.csv": _two_column((r["d"], r[y]) for r in ok) for y in ys}
 
 
 # ---------------------------------------------------------------------------
@@ -507,63 +410,64 @@ def resolve_allocation(config: ExperimentConfig, econ: economy.EconomySpec):
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: each returns (rows, plotdata)
 # ---------------------------------------------------------------------------
 
 
-def run_thm1(config: ExperimentConfig) -> RunResult:
+def _sweep(config: ExperimentConfig, measure, **fixed) -> list[dict]:
+    """One row per (eps, d) cell, each with its own law and seed stream.
+
+    ``measure(law, eps, seed)`` returns the cell's measured columns; a cell
+    whose economy or solver fails gets the message in its ``error`` column.
+    """
+    rows = []
+    cells = itertools.product(config.eps_list, config.dims)
+    for cell, (eps, d) in enumerate(cells):
+        law = sampling.PerturbationLaw(config.law_kind, d, config.radius)
+        row = {**fixed, "d": d, "eps": eps, "r": config.radius, "n": config.trials,
+               "error": None}
+        try:
+            row.update(measure(law, eps, config.seed_spec.stream(cell)))
+        except (ValueError, geometry.ConvergenceError) as exc:
+            row["error"] = str(exc)
+        rows.append(row)
+    return rows
+
+
+def run_thm1(config: ExperimentConfig):
     """Individual-improvement probability vs its tail bound across the d sweep."""
-    t0 = time.perf_counter()
     if len(config.eps_list) != 1:
         raise ValueError("this experiment takes a single eps")
-    eps = config.eps_list[0]
-    seed = config.seed_spec
-    rows = []
-    for cell, d in enumerate(config.dims):
-        law = sampling.PerturbationLaw(config.law_kind, d, config.radius)
-        row = {"experiment": "thm1", "d": d, "eps": eps, "r": config.radius,
-               "n": config.trials, "error": None}
-        try:
-            econ = build_economy(config, d)
-            f, _ = resolve_allocation(config, econ)
-            tau = min(float(a.endowment.min()) for a in econ.agents)
-            if tau <= 0:
-                raise ValueError("the tail bound needs strictly positive endowments (tau > 0)")
-            kappa = law.kappa
 
-            def event(Z):
-                return economy.individual_improvement_event(econ, f, Z, eps)
+    def measure(law, eps, seed):
+        econ = build_economy(config, law.dim)
+        f, _ = resolve_allocation(config, econ)
+        tau = min(float(a.endowment.min()) for a in econ.agents)
+        if tau <= 0:
+            raise ValueError("the tail bound needs strictly positive endowments (tau > 0)")
 
-            est = sampling.mc_probability(
-                event, law, config.trials, seed.stream(cell), config.threads
-            )
-            b = bounds.bound_thm1(eps, tau, config.radius, d, kappa)
-            row.update(
-                tau=tau, kappa=kappa, hits=est.hits, p_hat=est.p_hat,
-                ci_low=est.ci_low, ci_high=est.ci_high, bound=b.value,
-                within_bound=_within(est, b.value),
-            )
-        except (ValueError, geometry.ConvergenceError) as exc:
-            row["error"] = str(exc).replace(",", ";").replace("\n", " ")
-        rows.append(row)
-    plot = {
-        "thm1_p_hat.csv": _two_column((r["d"], r["p_hat"]) for r in rows if r["error"] is None),
-        "thm1_ci_high.csv": _two_column((r["d"], r["ci_high"]) for r in rows if r["error"] is None),
-        "thm1_bound.csv": _two_column((r["d"], r["bound"]) for r in rows if r["error"] is None),
-    }
-    return RunResult("thm1", _COLUMNS["thm1"], rows, plot, config, time.perf_counter() - t0)
+        def event(Z):
+            return economy.individual_improvement_event(econ, f, Z, eps)
+
+        est = sampling.mc_probability(event, law, config.trials, seed, config.threads)
+        b = bounds.bound_thm1(eps, tau, config.radius, law.dim, law.kappa)
+        return {"tau": tau, "kappa": law.kappa, **_estimate_columns(est, b.value)}
+
+    rows = _sweep(config, measure, experiment="thm1")
+    return rows, _series(rows, "thm1", ("p_hat", "ci_high", "bound"))
 
 
 def _membership_counts(econ, f, law, eps, n, seed_spec, threads, price=None):
-    """Blockwise (accepted, hits, indeterminate) counts for aggregate membership.
+    """Blockwise aggregate membership: the estimate over accepted draws, and indeterminates.
 
     When a price is given, only draws with p . z > 0 are counted (rejection
-    conditioning); the accepted count is what CIs must be computed from.
+    conditioning), so the estimate's trials are the accepted draws.  More
+    than 1% boundary-indeterminate draws raise ConvergenceError, and a
+    conditioning that rejects every draw raises ValueError.
     """
     w = econ.aggregate
 
-    def work(spec):
-        b, m = spec
+    def work(b, m):
         Z = law.sample_block(b, m, seed_spec)
         if price is not None:
             Z = Z[Z @ price > 0.0]
@@ -575,73 +479,48 @@ def _membership_counts(econ, f, law, eps, n, seed_spec, threads, price=None):
         indet = int(np.count_nonzero(np.abs(margins) <= economy.MEMBER_TOL))
         return acc, hits, indet
 
-    specs = list(sampling._blocks(n))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, specs))
-    else:
-        parts = [work(s) for s in specs]
-    acc = sum(p[0] for p in parts)
-    hits = sum(p[1] for p in parts)
-    indet = sum(p[2] for p in parts)
-    return acc, hits, indet
+    acc, hits, indet = (sum(col) for col in zip(*sampling.map_blocks(work, n, threads)))
+    if indet > 0.01 * n:
+        raise geometry.ConvergenceError(
+            f"{indet} boundary-indeterminate draws (> 1% of {n})", value=indet, gap=indet / n,
+        )
+    if acc == 0:
+        raise ValueError("conditioning rejected every draw")
+    return sampling.MCEstimate(hits=hits, trials=acc), indet
 
 
-def run_thm2(config: ExperimentConfig) -> RunResult:
+def run_thm2(config: ExperimentConfig):
     """Aggregate-improvement (Scitovsky membership) probability vs its bound."""
-    t0 = time.perf_counter()
     if any(d > config.max_dim for d in config.dims):
         raise ValueError(
             f"dims beyond the solver budget (max_dim = {config.max_dim}); raise max_dim to override"
         )
-    seed = config.seed_spec
     conditioned = config.condition_positive_price
-    rows = []
-    cells = [(eps, d) for eps in config.eps_list for d in config.dims]
-    for cell, (eps, d) in enumerate(cells):
-        law = sampling.PerturbationLaw(config.law_kind, d, config.radius)
-        row = {"experiment": "thm2", "d": d, "eps": eps, "r": config.radius,
-               "n": config.trials, "conditioned": conditioned, "error": None}
-        try:
-            econ = build_economy(config, d, no_agg=True)
-            f, price = resolve_allocation(config, econ)
-            if conditioned and price is None:
-                raise ValueError("conditioning needs an allocation with a supporting price")
-            kappa = law.kappa
-            acc, hits, indet = _membership_counts(
-                econ, f, law, eps, config.trials, seed.stream(cell), config.threads,
-                price if conditioned else None,
-            )
-            if indet > 0.01 * config.trials:
-                raise geometry.ConvergenceError(
-                    f"{indet} boundary-indeterminate draws (> 1% of {config.trials})",
-                    value=indet, gap=indet / config.trials,
-                )
-            if acc == 0:
-                raise ValueError("conditioning rejected every draw")
-            est = sampling.MCEstimate(hits=hits, trials=acc)
-            b = bounds.bound_thm2(eps, config.radius, d, kappa)
-            bound_cmp = 2.0 * b.value if conditioned else b.value
-            row.update(
-                kappa=kappa, n_accepted=acc, hits=hits, indeterminate=indet,
-                p_hat=est.p_hat, ci_low=est.ci_low, ci_high=est.ci_high,
-                bound=bound_cmp, within_bound=_within(est, bound_cmp),
-            )
-        except (ValueError, geometry.ConvergenceError) as exc:
-            row["error"] = str(exc).replace(",", ";").replace("\n", " ")
-        rows.append(row)
+
+    def measure(law, eps, seed):
+        econ = build_economy(config, law.dim, no_agg=True)
+        f, price = resolve_allocation(config, econ)
+        if conditioned and price is None:
+            raise ValueError("conditioning needs an allocation with a supporting price")
+        est, indet = _membership_counts(
+            econ, f, law, eps, config.trials, seed, config.threads,
+            price if conditioned else None,
+        )
+        b = bounds.bound_thm2(eps, config.radius, law.dim, law.kappa)
+        bound = 2.0 * b.value if conditioned else b.value
+        return {"kappa": law.kappa, "n_accepted": est.trials, "indeterminate": indet,
+                **_estimate_columns(est, bound)}
+
+    rows = _sweep(config, measure, experiment="thm2", conditioned=conditioned)
     plot = {}
     for eps in config.eps_list:
-        ok = [r for r in rows if r["error"] is None and r["eps"] == eps]
-        plot[f"thm2_eps{eps:g}_p_hat.csv"] = _two_column((r["d"], r["p_hat"]) for r in ok)
-        plot[f"thm2_eps{eps:g}_bound.csv"] = _two_column((r["d"], r["bound"]) for r in ok)
-    return RunResult("thm2", _COLUMNS["thm2"], rows, plot, config, time.perf_counter() - t0)
+        plot.update(_series([r for r in rows if r["eps"] == eps], f"thm2_eps{eps:g}",
+                            ("p_hat", "bound")))
+    return rows, plot
 
 
-def run_cru(config: ExperimentConfig) -> RunResult:
+def run_cru(config: ExperimentConfig):
     """Resource-utilization coefficient, its improvement level, and the tail bound."""
-    t0 = time.perf_counter()
-    seed = config.seed_spec
     d = config.dims[0]
     econ = build_economy(config, d, no_agg=True)
     f, _ = resolve_allocation(config, econ)
@@ -652,22 +531,14 @@ def run_cru(config: ExperimentConfig) -> RunResult:
         )
     improvement = 1.0 - beta * beta
     law = sampling.PerturbationLaw(config.law_kind, d, config.radius)
-    acc, hits, indet = _membership_counts(
-        econ, f, law, improvement, config.trials, seed.stream(0), config.threads
+    est, indet = _membership_counts(
+        econ, f, law, improvement, config.trials, config.seed_spec.stream(0), config.threads
     )
-    if indet > 0.01 * config.trials:
-        raise geometry.ConvergenceError(
-            f"{indet} boundary-indeterminate draws (> 1% of {config.trials})",
-            value=indet, gap=indet / config.trials,
-        )
-    est = sampling.MCEstimate(hits=hits, trials=acc)
     b = bounds.bound_cru(beta, config.radius, d)
     row = {
         "experiment": "cru", "d": d, "beta": beta, "improvement": improvement,
-        "r": config.radius, "n": config.trials, "n_accepted": acc, "hits": hits,
-        "indeterminate": indet, "p_hat": est.p_hat, "ci_low": est.ci_low,
-        "ci_high": est.ci_high, "bound": b.value, "within_bound": _within(est, b.value),
-        "error": None,
+        "r": config.radius, "n": config.trials, "n_accepted": est.trials,
+        "indeterminate": indet, **_estimate_columns(est, b.value), "error": None,
     }
     plot = {
         "cru_bound_vs_d.csv": _two_column(
@@ -675,7 +546,7 @@ def run_cru(config: ExperimentConfig) -> RunResult:
             for dd in sorted(set(config.dims) | {2, 8, 32, 128, 512, 4000})
         )
     }
-    return RunResult("cru", _COLUMNS["cru"], [row], plot, config, time.perf_counter() - t0)
+    return [row], plot
 
 
 # -- the two-agent ambiguity construction ------------------------------------
@@ -748,53 +619,43 @@ def _ambiguity_instance(d: int, a: float, b: float, x: float | None = None) -> A
 
 def _prop3_rows(inst: AmbiguityInstance, c_values, vol_seed, vol_trials, constant_phase: bool):
     """Emptiness rows (both rho modes) at the traded acts, plus an optional volume row."""
-    rows = []
+    bound_columns = {f"bound_c{c:g}": bounds.bound_thm4(inst.eps, inst.d, c).value
+                     for c in c_values}
+    mid_bound = bound_columns[f"bound_c{c_values[len(c_values) // 2]:g}"]
+
+    def row(experiment, phase, acts, **fields):
+        vols = economy.belief_volume_split(inst.econ, acts, [0], n=vol_trials, seed=vol_seed)
+        return {
+            "experiment": experiment, "phase": phase, "d": inst.d, "eps": inst.eps,
+            "vol_J": vols.vol_J.p_hat, "vol_Jc": vols.vol_Jc.p_hat,
+            "min_rel_vol": vols.min_rel_vol, **bound_columns,
+            "within_bound": vols.min_rel_vol <= mid_bound, "error": None, **fields,
+        }
+
     B = [
         preferences.belief_set(inst.econ.agents[i].preference, inst.traded.acts[i])
         for i in range(2)
     ]
     dist = geometry.polytope_distance(B[0], B[1]).value
-    vols_traded = economy.belief_volume_split(
-        inst.econ, inst.traded, [0], n=vol_trials, seed=vol_seed
-    )
+    traded = row("prop3", "dominated", inst.traded, dist=dist)
+    rows = []
     for mode in ("definitional", "paper"):
         rho_v = economy.rho(inst.econ, mode=mode)
         delta = inst.eps / rho_v
-        row = {
-            "experiment": "prop3", "phase": "dominated", "d": inst.d, "eps": inst.eps,
-            "rho_mode": mode, "rho": rho_v, "delta": delta, "dist": dist,
-            "vol_J": vols_traded.vol_J.p_hat, "vol_Jc": vols_traded.vol_Jc.p_hat,
-            "min_rel_vol": vols_traded.min_rel_vol, "error": None,
-        }
+        r = {**traded, "rho_mode": mode, "rho": rho_v, "delta": delta}
         try:
-            row["empty_intersection"] = preferences.belief_set_extension_empty(B, delta)
+            r["empty_intersection"] = preferences.belief_set_extension_empty(B, delta)
         except geometry.ConvergenceError as exc:
-            row["empty_intersection"] = None
-            row["error"] = str(exc).replace(",", ";")
-        for c in c_values:
-            row[f"bound_c{c:g}"] = bounds.bound_thm4(inst.eps, inst.d, c).value
-        mid_c = c_values[len(c_values) // 2]
-        row["within_bound"] = row["min_rel_vol"] <= row[f"bound_c{mid_c:g}"]
-        rows.append(row)
+            r["empty_intersection"] = None
+            r["error"] = str(exc)
+        rows.append(r)
     if constant_phase:
-        vols = economy.belief_volume_split(
-            inst.econ, inst.constant, [0], n=vol_trials, seed=vol_seed
-        )
-        row = {
-            "experiment": "thm4", "phase": "constant", "d": inst.d, "eps": inst.eps,
-            "rho_mode": None, "rho": None, "delta": None, "dist": None,
-            "empty_intersection": None, "vol_J": vols.vol_J.p_hat,
-            "vol_Jc": vols.vol_Jc.p_hat, "min_rel_vol": vols.min_rel_vol, "error": None,
-        }
-        for c in c_values:
-            row[f"bound_c{c:g}"] = bounds.bound_thm4(inst.eps, inst.d, c).value
-        mid_c = c_values[len(c_values) // 2]
-        row["within_bound"] = row["min_rel_vol"] <= row[f"bound_c{mid_c:g}"]
-        rows.append(row)
+        rows.append(row("thm4", "constant", inst.constant, rho_mode=None, rho=None,
+                        delta=None, dist=None, empty_intersection=None))
     return rows
 
 
-def run_prop3_thm4(config: ExperimentConfig) -> RunResult:
+def run_prop3_thm4(config: ExperimentConfig):
     """Joint belief-extension emptiness and belief-volume splits.
 
     Two phases: a batch of random overlapping-cap economies at the first
@@ -803,35 +664,22 @@ def run_prop3_thm4(config: ExperimentConfig) -> RunResult:
     and a fixed disjoint-cap family across the dimension sweep whose
     constant-act belief volumes trace the min-relative-volume trend.
     """
-    t0 = time.perf_counter()
     seed = config.seed_spec
-    columns = list(_COLUMNS["prop3"])
-    at = columns.index("min_rel_vol") + 1
-    columns[at:at] = [f"bound_c{c:g}" for c in config.c_values]
     rows = []
-    d0 = config.dims[0]
     for e in range(config.n_economies):
         gen = sampling.generator_for_block(seed.stream(1000 + e), 0)
         a = 0.15 + 0.20 * gen.random()
         b = 0.55 + 0.25 * gen.random()
-        inst = _ambiguity_instance(d0, a, b)
-        rows.extend(
-            _prop3_rows(inst, config.c_values, seed.stream(3000 + e), config.trials, False)
-        )
+        inst = _ambiguity_instance(config.dims[0], a, b)
+        rows += _prop3_rows(inst, config.c_values, seed.stream(3000 + e), config.trials, False)
     for k, d in enumerate(config.dims):
         inst = _ambiguity_instance(d, config.cap_high, config.cap_low)
-        rows.extend(
-            _prop3_rows(inst, config.c_values, seed.stream(5000 + k), config.family_trials, True)
+        rows += _prop3_rows(
+            inst, config.c_values, seed.stream(5000 + k), config.family_trials, True
         )
     const = [r for r in rows if r["phase"] == "constant"]
     mid_c = config.c_values[len(config.c_values) // 2]
-    plot = {
-        "thm4_min_rel_vol.csv": _two_column((r["d"], r["min_rel_vol"]) for r in const),
-        f"thm4_bound_c{mid_c:g}.csv": _two_column(
-            (r["d"], r[f"bound_c{mid_c:g}"]) for r in const
-        ),
-    }
-    return RunResult("prop3", columns, rows, plot, config, time.perf_counter() - t0)
+    return rows, _series(const, "thm4", ("min_rel_vol", f"bound_c{mid_c:g}"))
 
 
 # -- support checks ----------------------------------------------------------
@@ -871,34 +719,30 @@ def _bm_checks(seed: sampling.SeedSpec):
     return rows
 
 
-def _lemma1_checks(seed: sampling.SeedSpec, trials: int):
+def _lemma1_checks(seed: sampling.SeedSpec, trials: int, threads: int, plot: dict):
+    """The separated-halfspace rows; their exact-fraction curves are added to ``plot``."""
     rows = []
     plot_pairs = {delta: [] for delta in _LEMMA1_DELTAS}
-    cell = 0
-    for delta in _LEMMA1_DELTAS:
-        for d in _LEMMA1_DIMS:
-            u = np.zeros(d)
-            u[0] = 1.0
-            upper = geometry.HalfSpace(u, delta / 2.0, "upper")
-            lower = geometry.HalfSpace(u, -delta / 2.0, "lower")
-            ball = geometry.Ball(np.zeros(d), 1.0)
-            chk = geometry.separation_bound_check(upper, lower, delta, ball)
-            law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
-            est = sampling.mc_probability(
-                lambda Z: Z[:, 0] >= delta / 2.0, law, trials, seed.stream(100 + cell)
-            )
-            ok = chk.holds and _within(est, chk.bound)
-            rows.append(_check_row(
-                "lemma1", f"separated-halfspaces-delta{delta:g}-d{d}", ok,
-                f"exact={chk.min_fraction:.6g} mc={est.p_hat:.6g} bound={chk.bound:.6g}",
-            ))
-            plot_pairs[delta].append((d, chk.min_fraction))
-            cell += 1
-    plot = {
-        f"lemma1_fraction_delta{delta:g}.csv": _two_column(pairs)
-        for delta, pairs in plot_pairs.items()
-    }
-    return rows, plot
+    for cell, (delta, d) in enumerate(itertools.product(_LEMMA1_DELTAS, _LEMMA1_DIMS)):
+        u = np.zeros(d)
+        u[0] = 1.0
+        upper = geometry.HalfSpace(u, delta / 2.0, "upper")
+        lower = geometry.HalfSpace(u, -delta / 2.0, "lower")
+        ball = geometry.Ball(np.zeros(d), 1.0)
+        chk = geometry.separation_bound_check(upper, lower, delta, ball)
+        law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
+        est = sampling.mc_probability(
+            lambda Z: Z[:, 0] >= delta / 2.0, law, trials, seed.stream(100 + cell), threads
+        )
+        ok = chk.holds and _within(est, chk.bound)
+        rows.append(_check_row(
+            "lemma1", f"separated-halfspaces-delta{delta:g}-d{d}", ok,
+            f"exact={chk.min_fraction:.6g} mc={est.p_hat:.6g} bound={chk.bound:.6g}",
+        ))
+        plot_pairs[delta].append((d, chk.min_fraction))
+    for delta, pairs in plot_pairs.items():
+        plot[f"lemma1_fraction_delta{delta:g}.csv"] = _two_column(pairs)
+    return rows
 
 
 def _kappa_checks():
@@ -1008,28 +852,20 @@ def _economy_checks(seed: sampling.SeedSpec):
     return rows
 
 
-def run_support_checks(config: ExperimentConfig) -> RunResult:
+def run_support_checks(config: ExperimentConfig):
     """Invariant suites over geometry, sampling, bounds, and economy wiring."""
-    t0 = time.perf_counter()
     seed = config.seed_spec
+    plot = {}
+    suites = {
+        "bm": lambda: _bm_checks(seed),
+        "lemma1": lambda: _lemma1_checks(seed, config.trials, config.threads, plot),
+        "kappa": _kappa_checks,
+        "prop7": _prop7_checks,
+        "economy": lambda: _economy_checks(seed),
+    }
     fam = config.experiment_id
     families = CHECK_FAMILIES if fam == "checks" else (fam,)
-    rows = []
-    plot = {}
-    if "bm" in families:
-        rows += _bm_checks(seed)
-    if "lemma1" in families:
-        lr, plot_l = _lemma1_checks(seed, config.trials)
-        rows += lr
-        plot.update(plot_l)
-    if "kappa" in families:
-        rows += _kappa_checks()
-    if "prop7" in families:
-        rows += _prop7_checks()
-    if "economy" in families:
-        rows += _economy_checks(seed)
-    return RunResult(config.experiment_id, _COLUMNS["checks"], rows, plot, config,
-                     time.perf_counter() - t0)
+    return [row for name in families for row in suites[name]()], plot
 
 
 def reproduce_paper_anchors() -> list[tuple[str, float, str]]:
@@ -1054,22 +890,148 @@ def format_anchor_table() -> str:
     return "\n".join(lines) + "\n"
 
 
-_RUNNERS = {
-    "thm1": run_thm1,
-    "thm2": run_thm2,
-    "cru": run_cru,
-    "prop3": run_prop3_thm4,
-    "thm4": run_prop3_thm4,
-    "checks": run_support_checks,
-    "prop7": run_support_checks,
-    "lemma1": run_support_checks,
-    "kappa": run_support_checks,
-    "bm": run_support_checks,
-}
+# ---------------------------------------------------------------------------
+# the experiment registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment family: its ids, CLI subcommand, columns, runner, keys, defaults."""
+
+    id: str
+    # further config ``experiment`` values this family runs
+    aliases: tuple
+    subcommand: str
+    help: str
+    # "bound_c*" stands for one bound_c<c> column per configured c value
+    columns: tuple
+    # (config) -> (rows, plotdata)
+    runner: Callable
+    # the config keys the family accepts
+    keys: frozenset
+    default_text: str
+    # whether configs carry agent.* blocks
+    agents: bool = False
+
+    def columns_for(self, config: ExperimentConfig) -> list[str]:
+        out = []
+        for c in self.columns:
+            out += [f"bound_c{v:g}" for v in config.c_values] if c == "bound_c*" else [c]
+        return out
+
+
+_COMMON_KEYS = frozenset({"experiment", "seed", "trials", "threads", "out"})
+_ECONOMY_KEYS = _COMMON_KEYS | {"dims", "radius", "law", "allocation"}
+
+EXPERIMENTS = {e.id: e for e in (
+    Experiment(
+        "thm1", (), "thm1", "individual eps-improvement probability vs its tail bound",
+        ("experiment", "d", "eps", "tau", "r", "kappa", "n", "hits",
+         "p_hat", "ci_low", "ci_high", "bound", "within_bound", "error"),
+        run_thm1, _ECONOMY_KEYS | {"eps"}, """\
+experiment = thm1
+seed = 1733
+trials = 100000
+dims = 2,8,32,128,512
+eps = 0.1
+radius = 1.0
+law = uniform-ball
+allocation = equilibrium
+agent.preference = cobb-douglas
+agent.prior = spike:0:0.9
+agent.endowment = ones
+agent.preference = cobb-douglas
+agent.prior = spike:0:0.85
+agent.endowment = ones
+agent.preference = cobb-douglas
+agent.prior = spike:0:0.8
+agent.endowment = ones
+""", agents=True),
+    Experiment(
+        "thm2", (), "thm2", "aggregate (Scitovsky) improvement probability vs its tail bound",
+        ("experiment", "d", "eps", "r", "kappa", "n", "n_accepted", "hits",
+         "indeterminate", "conditioned", "p_hat", "ci_low", "ci_high",
+         "bound", "within_bound", "error"),
+        run_thm2, _ECONOMY_KEYS | {"eps", "condition_positive_price", "max_dim"}, """\
+experiment = thm2
+seed = 744
+trials = 10000
+dims = 2,8,32
+eps = 0.05,0.2
+radius = 1.0
+law = uniform-ball
+allocation = planner
+agent.preference = cobb-douglas
+agent.prior = spike:0:0.7
+agent.endowment = equal-share
+agent.preference = cobb-douglas
+agent.prior = uniform
+agent.endowment = equal-share
+""", agents=True),
+    Experiment(
+        "cru", (), "cru", "resource-utilization coefficient and the waste-detection bound",
+        ("experiment", "d", "beta", "improvement", "r", "n", "n_accepted", "hits",
+         "indeterminate", "p_hat", "ci_low", "ci_high", "bound", "within_bound", "error"),
+        run_cru, _ECONOMY_KEYS, """\
+experiment = cru
+seed = 55
+trials = 100000
+dims = 2
+radius = 1.0
+law = uniform-ball
+allocation = literal:0.8,0.2|0.2,0.8
+agent.preference = cobb-douglas
+agent.prior = uniform
+agent.endowment = equal-share
+agent.preference = cobb-douglas
+agent.prior = uniform
+agent.endowment = equal-share
+""", agents=True),
+    Experiment(
+        "prop3", ("thm4",), "prop3-thm4", "belief-extension emptiness and belief-volume splits",
+        ("experiment", "phase", "d", "eps", "rho_mode", "rho", "delta", "dist",
+         "empty_intersection", "vol_J", "vol_Jc", "min_rel_vol", "bound_c*",
+         "within_bound", "error"),
+        run_prop3_thm4,
+        _COMMON_KEYS | {"dims", "n_economies", "family_trials", "cap_high", "cap_low",
+                        "c_values"}, """\
+experiment = prop3
+seed = 99
+trials = 100000
+dims = 3,4,5,6,7,8,9,10,11,12
+n_economies = 100
+family_trials = 1000000
+cap_high = 0.6
+cap_low = 0.2
+c_values = 0.5,1,2
+"""),
+    Experiment(
+        "checks", ("prop7", "lemma1", "kappa", "bm"), "checks",
+        "support invariants: bm, lemma1, kappa, prop7, economy wiring",
+        ("family", "check", "passed", "detail"),
+        run_support_checks, _COMMON_KEYS, """\
+experiment = checks
+seed = 7
+trials = 1000000
+"""),
+)}
+
+
+def experiment_for(config_id: str) -> Experiment:
+    """The family that runs configs with ``experiment = config_id``."""
+    for exp in EXPERIMENTS.values():
+        if config_id == exp.id or config_id in exp.aliases:
+            return exp
+    raise ValueError(f"unknown experiment id {config_id!r}")
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    result = _RUNNERS[config.experiment_id](config)
+    exp = experiment_for(config.experiment_id)
+    t0 = time.perf_counter()
+    rows, plot = exp.runner(config)
+    result = RunResult(config.experiment_id, exp.columns_for(config), rows, plot, config,
+                       time.perf_counter() - t0)
     if config.out_dir:
         result.write(config.out_dir)
     return result

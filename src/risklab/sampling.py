@@ -9,7 +9,9 @@ keyed by ``SeedSequence((master_seed, stream_id))`` and advanced by
 ``b * 2**64`` counters.  Block boundaries, and the draw order inside a block,
 are frozen constants of the implementation, so the resulting sample stream is
 bit-identical no matter how blocks are scheduled across threads or runs.
-Estimator accumulation is exact integer counting and therefore associative.
+:func:`map_blocks` is the one scheduler every sampler and estimator goes
+through.  Estimator accumulation is exact integer counting and therefore
+associative.
 
 Laws
 ----
@@ -83,6 +85,32 @@ def _blocks(n: int):
         yield full, rem
 
 
+def map_blocks(fn: Callable[[int, int], object], n: int, threads: int = 1) -> list:
+    """``[fn(b, m) for (b, m) in _blocks(n)]`` in block order.
+
+    The blocks run on a pool of ``threads`` workers when ``threads > 1``;
+    the result list is in block order either way.
+    """
+    specs = list(_blocks(n))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda spec: fn(*spec), specs))
+    return [fn(b, m) for b, m in specs]
+
+
+def _fill_rows(n: int, d: int, block: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """The (n, d) array whose rows from ``b * BLOCK_DRAWS`` on are ``block(b, m)``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out = np.empty((n, d))
+
+    def fill(b: int, m: int) -> None:
+        out[b * BLOCK_DRAWS : b * BLOCK_DRAWS + m] = block(b, m)
+
+    map_blocks(fill, n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
@@ -101,24 +129,28 @@ def sample_uniform_ball(d: int, r: float, n: int, seed: SeedSpec | int) -> np.nd
     Gaussian direction times the U^(1/d)-scaled radius, blockwise per the
     module determinism contract.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    seed = as_seed(seed)
-    out = np.empty((n, d))
-    pos = 0
-    for b, m in _blocks(n):
-        out[pos : pos + m] = _ball_block(generator_for_block(seed, b), m, d, r)
-        pos += m
-    return out
+    return PerturbationLaw("uniform-ball", d, r).sample(n, seed)
 
 
 def restricted_gaussian_acceptance(d: int, r: float) -> float:
     """Rejection acceptance probability P(||N(0, I_d)|| <= r) = gammainc(d/2, r^2/2)."""
     return float(gammainc(0.5 * d, 0.5 * r * r))
+
+
+def _restricted_gaussian_mode(d: int, r: float, method: str = "auto") -> tuple[str, float]:
+    """The sampling mode ``method`` resolves to at (d, r), and the rejection acceptance."""
+    acceptance = restricted_gaussian_acceptance(d, r)
+    if method == "auto":
+        method = "rejection" if acceptance >= _REJECTION_FALLBACK_ACCEPTANCE else "radial"
+    elif method == "rejection":
+        if acceptance < _REJECTION_ERROR_ACCEPTANCE:
+            raise ValueError(
+                f"rejection acceptance {acceptance:.2e} below 1e-6; "
+                "use method='radial' (exact inverse CDF) instead"
+            )
+    elif method != "radial":
+        raise ValueError("method must be 'auto', 'rejection', or 'radial'")
+    return method, acceptance
 
 
 def _restricted_gaussian_block(
@@ -159,47 +191,23 @@ def sample_restricted_gaussian(
         raise ValueError("d must be >= 1")
     if r <= 0:
         raise ValueError("r must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    acceptance = restricted_gaussian_acceptance(d, r)
-    if method == "auto":
-        mode = "rejection" if acceptance >= _REJECTION_FALLBACK_ACCEPTANCE else "radial"
-    elif method == "rejection":
-        if acceptance < _REJECTION_ERROR_ACCEPTANCE:
-            raise ValueError(
-                f"rejection acceptance {acceptance:.2e} below 1e-6; "
-                "use method='radial' (exact inverse CDF) instead"
-            )
-        mode = "rejection"
-    elif method == "radial":
-        mode = "radial"
-    else:
-        raise ValueError("method must be 'auto', 'rejection', or 'radial'")
+    mode, acceptance = _restricted_gaussian_mode(d, r, method)
     seed = as_seed(seed)
-    out = np.empty((n, d))
-    pos = 0
-    for b, m in _blocks(n):
-        gen = generator_for_block(seed, b)
-        out[pos : pos + m] = _restricted_gaussian_block(gen, m, d, r, mode, acceptance)
-        pos += m
-    return out
+    return _fill_rows(n, d, lambda b, m: _restricted_gaussian_block(
+        generator_for_block(seed, b), m, d, r, mode, acceptance))
 
 
 def sample_uniform_simplex(d: int, n: int, seed: SeedSpec | int) -> np.ndarray:
     """n i.i.d. uniform points of Delta_d via normalized exponential spacings."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     seed = as_seed(seed)
-    out = np.empty((n, d))
-    pos = 0
-    for b, m in _blocks(n):
-        gen = generator_for_block(seed, b)
-        e = gen.standard_exponential((m, d))
-        out[pos : pos + m] = e / e.sum(axis=1, keepdims=True)
-        pos += m
-    return out
+
+    def block(b: int, m: int) -> np.ndarray:
+        e = generator_for_block(seed, b).standard_exponential((m, d))
+        return e / e.sum(axis=1, keepdims=True)
+
+    return _fill_rows(n, d, block)
 
 
 @lru_cache(maxsize=4096)
@@ -254,17 +262,16 @@ class PerturbationLaw:
         return PerturbationLaw(self.kind, d, self.radius)
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
-        if self.kind == "uniform-ball":
-            return sample_uniform_ball(self.dim, self.radius, n, seed)
-        return sample_restricted_gaussian(self.dim, self.radius, n, seed)
+        seed = as_seed(seed)
+        return _fill_rows(n, self.dim, lambda b, m: self.sample_block(b, m, seed))
 
     def sample_block(self, block: int, m: int, seed: SeedSpec | int) -> np.ndarray:
         gen = generator_for_block(seed, block)
         if self.kind == "uniform-ball":
             return _ball_block(gen, m, self.dim, self.radius)
-        acceptance = restricted_gaussian_acceptance(self.dim, self.radius)
-        mode = "rejection" if acceptance >= _REJECTION_FALLBACK_ACCEPTANCE else "radial"
-        return _restricted_gaussian_block(gen, m, self.dim, self.radius, mode, acceptance)
+        return _restricted_gaussian_block(
+            gen, m, self.dim, self.radius, *_restricted_gaussian_mode(self.dim, self.radius)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +346,7 @@ def mc_probability(
         raise ValueError("n must be >= 100 for a meaningful estimate")
     seed = as_seed(seed)
 
-    def run_block(spec: tuple[int, int]) -> int:
-        b, m = spec
+    def run_block(b: int, m: int) -> int:
         z = law.sample_block(b, m, seed)
         try:
             flags = np.asarray(event(z), dtype=bool)
@@ -352,10 +358,4 @@ def mc_probability(
             raise RuntimeError(f"event predicate returned shape {flags.shape}, wanted ({m},)")
         return int(np.count_nonzero(flags))
 
-    specs = list(_blocks(n))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run_block, specs))
-    else:
-        hits = sum(map(run_block, specs))
-    return MCEstimate(hits=hits, trials=n)
+    return MCEstimate(hits=sum(map_blocks(run_block, n, threads)), trials=n)

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from risklab import cli, economy, experiments
 
@@ -65,13 +67,84 @@ def test_default_configs_parse(experiment_id, seed):
 
 
 def test_parse_is_deterministic_and_sha_tracks_content():
-    text = experiments.DEFAULT_CONFIG_TEXT["thm1"]
+    text = experiments.EXPERIMENTS["thm1"].default_text
     a = experiments.parse_config_text(text)
     b = experiments.parse_config_text(text)
     assert a == b
     assert a.sha256() == b.sha256()
     c = replace(a, seed=a.seed + 1)
     assert c.sha256() != a.sha256()
+
+
+@pytest.mark.parametrize("experiment_id", sorted(experiments.EXPERIMENTS))
+def test_default_canonical_text_parses_back(experiment_id):
+    cfg = experiments.default_config(experiment_id)
+    assert experiments.parse_config_text(cfg.canonical_text()) == cfg
+
+
+def test_sha_distinguishes_nearby_floats():
+    a = experiments.default_config("thm1")
+    assert replace(a, eps_list=(0.1000001,)).sha256() != a.sha256()
+    assert replace(a, radius=1.0000004).sha256() != a.sha256()
+
+
+# values for every key a family may set, other than experiment and out
+_FLOATS = st.floats(min_value=1e-9, max_value=1e6, allow_nan=False)
+_KEY_VALUES = {
+    "seed": st.integers(0, 2**64 - 1),
+    "trials": st.integers(100, 10**8),
+    "dims": st.lists(st.integers(1, 4096), min_size=1, max_size=5).map(tuple),
+    "eps": st.lists(_FLOATS, min_size=1, max_size=3).map(tuple),
+    "radius": _FLOATS,
+    "law": st.sampled_from(["uniform-ball", "restricted-gaussian"]),
+    "threads": st.integers(1, 64),
+    "allocation": st.sampled_from(
+        ["equilibrium", "planner", "equal-split", "literal:0.8,0.2|0.2,0.8"]),
+    "condition_positive_price": st.booleans(),
+    "max_dim": st.integers(1, 4096),
+    "n_economies": st.integers(1, 10**4),
+    "family_trials": st.integers(100, 10**8),
+    "cap_high": _FLOATS,
+    "cap_low": _FLOATS,
+    "c_values": st.lists(_FLOATS, min_size=1, max_size=4).map(tuple),
+}
+_AGENTS = st.lists(st.builds(
+    experiments.AgentTemplate,
+    kind=st.sampled_from(["cobb-douglas", "crra", "maxmin"]),
+    prior=st.sampled_from(["uniform", "spike:0:0.9", "0.25,0.75", "cap:ge:0:0.4"]),
+    gamma=_FLOATS,
+    bernoulli=st.sampled_from(["linear", "log"]),
+    endowment=st.sampled_from(["ones", "equal-share", "1,2"]),
+), max_size=3).map(tuple)
+
+
+@st.composite
+def _configs(draw, experiment_id):
+    """A config of one family that sets only that family's own keys."""
+    exp = experiments.EXPERIMENTS[experiment_id]
+    values = draw(st.fixed_dictionaries(
+        {key: _KEY_VALUES[key] for key in sorted(exp.keys - {"experiment", "out"})}))
+    return experiments.ExperimentConfig(
+        experiment_id=draw(st.sampled_from((exp.id, *exp.aliases))),
+        agents=draw(_AGENTS) if exp.agents else (),
+        **{experiments.CONFIG_FIELDS[key].attr: value for key, value in values.items()},
+    )
+
+
+_FAMILY_CONFIGS = st.sampled_from(sorted(experiments.EXPERIMENTS)).flatmap(_configs)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(_FAMILY_CONFIGS)
+def test_canonical_text_round_trips(cfg):
+    assert experiments.parse_config_text(cfg.canonical_text()) == cfg
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(_FAMILY_CONFIGS, _FAMILY_CONFIGS)
+def test_distinct_configs_have_distinct_hashes(a, b):
+    assume(a != b)
+    assert a.sha256() != b.sha256()
 
 
 def test_canonical_text_covers_agents():
@@ -129,6 +202,11 @@ def test_csv_formatting_rules():
     assert experiments.rows_to_csv(["a"], [{"b": 1}]) == "a\n\n"
 
 
+def test_csv_text_with_comma_and_newline_stays_one_field():
+    text = experiments.rows_to_csv(["i", "s", "j"], [{"i": 1, "s": "a, b\nc", "j": 2}])
+    assert text == "i,s,j\n1,a; b c,2\n"
+
+
 def test_manifest_hashes_and_layout(tmp_path):
     cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(2,))
     res = experiments.run_experiment(cfg)
@@ -148,6 +226,19 @@ def test_manifest_hashes_and_layout(tmp_path):
     written = sorted(p.name for p in (out / "plotdata").iterdir())
     assert written == sorted(res.plotdata)
     assert written == ["thm1_bound.csv", "thm1_ci_high.csv", "thm1_p_hat.csv"]
+
+
+def test_config_txt_replays_the_run(tmp_path):
+    cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(2,), eps_list=(0.1000001,),
+                 out_dir=str(tmp_path / "a"))
+    first = experiments.run_experiment(cfg)
+    text = (tmp_path / "a" / "config.txt").read_text()
+    assert text == cfg.canonical_text()
+    man = _manifest_dict((tmp_path / "a" / "manifest.txt").read_text())
+    assert man["config_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    replayed = experiments.load_config(tmp_path / "a" / "config.txt")
+    assert replayed == replace(cfg, out_dir=None)
+    assert experiments.run_experiment(replayed).csv_text == first.csv_text
 
 
 def test_run_experiment_writes_when_out_dir_set(tmp_path):
@@ -351,6 +442,39 @@ def test_cli_checks_accepts_single_family_config(tmp_path):
     rc = cli.main(["checks", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0
     assert (tmp_path / "o" / "results.csv").exists()
+
+
+def test_cli_prop3_accepts_thm4_config(tmp_path):
+    path = tmp_path / "thm4.cfg"
+    path.write_text("experiment = thm4\nseed = 3\ntrials = 200\ndims = 3\n"
+                    "n_economies = 1\nfamily_trials = 200\n")
+    out = tmp_path / "o"
+    rc = cli.main(["prop3-thm4", "--config", str(path), "--out", str(out)])
+    assert rc == 0
+    assert _manifest_dict((out / "manifest.txt").read_text())["experiment"] == "thm4"
+    tags = [line.split(",")[0] for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert tags == ["prop3", "prop3", "prop3", "prop3", "thm4"]
+
+
+@pytest.mark.parametrize("key", sorted(cli._FLAGS))
+@pytest.mark.parametrize("experiment_id", sorted(experiments.EXPERIMENTS))
+def test_cli_offers_a_flag_only_for_the_family_keys(experiment_id, key):
+    exp = experiments.EXPERIMENTS[experiment_id]
+    argv = [exp.subcommand, "--" + key.replace("_", "-")]
+    if cli._FLAGS[key].get("action") != "store_true":
+        argv.append("3")
+    if key in exp.keys:
+        cli.build_parser().parse_args(argv)
+    else:
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+
+
+def test_cli_checks_rejects_dims_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["checks", "--dims", "2"])
+    assert exc.value.code == 2
+    assert "--dims" in capsys.readouterr().err
 
 
 def test_cli_anchors_prints_table(capsys):

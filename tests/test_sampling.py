@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc, gammainc
 
 from risklab import sampling
@@ -288,3 +290,64 @@ def test_mc_probability_echoes_predicate_failure():
 
     with pytest.raises(RuntimeError, match="block"):
         sampling.mc_probability(bad, law, 200, SEED)
+
+
+# ---------------------------------------------------------------------------
+# the block map
+# ---------------------------------------------------------------------------
+
+
+def _block_specs(n):
+    """(block, draws) pairs covering n draws, written out independently of the package."""
+    B = sampling.BLOCK_DRAWS
+    return [(b, min(B, n - b * B)) for b in range(-(-n // B))]
+
+
+def test_map_blocks_returns_block_order():
+    n = 2 * sampling.BLOCK_DRAWS + 5
+    for threads in (1, 3):
+        assert sampling.map_blocks(lambda b, m: (b, m), n, threads) == _block_specs(n)
+
+
+def _simplex_block(d, seed, b, m):
+    e = sampling.generator_for_block(seed, b).standard_exponential((m, d))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+_BLOCK_N = st.integers(100, 3 * sampling.BLOCK_DRAWS + 17)
+_THREADS = st.sampled_from([1, 2, 3])
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=_BLOCK_N, threads=_THREADS)
+def test_samplers_are_their_blocks_stacked_under_any_thread_count(n, threads):
+    seed = sampling.SeedSpec(SEED, 5)
+    # (sampler output, its per-block draws); d = 2 and 8 reject, d = 32 is radial
+    laws = [sampling.PerturbationLaw("uniform-ball", 6, 1.5),
+            sampling.PerturbationLaw("restricted-gaussian", 2, 1.0),
+            sampling.PerturbationLaw("restricted-gaussian", 8, 2.0),
+            sampling.PerturbationLaw("restricted-gaussian", 32, 1.0)]
+    cases = [(sampling.sample_uniform_ball(6, 1.5, n, seed), laws[0].sample_block)]
+    cases += [(sampling.sample_restricted_gaussian(law.dim, law.radius, n, seed),
+               law.sample_block) for law in laws[1:]]
+    cases += [(law.sample(n, seed), law.sample_block) for law in laws]
+    cases.append((sampling.sample_uniform_simplex(5, n, seed),
+                  lambda b, m, s: _simplex_block(5, s, b, m)))
+    for out, block in cases:
+        expected = np.vstack([block(b, m, seed) for b, m in _block_specs(n)])
+        mapped = np.vstack(sampling.map_blocks(lambda b, m: block(b, m, seed), n, threads))
+        assert out.tobytes() == expected.tobytes() == mapped.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=_BLOCK_N, threads=_THREADS)
+def test_mc_probability_counts_its_blocks_under_any_thread_count(n, threads):
+    seed = sampling.SeedSpec(SEED, 6)
+    law = sampling.PerturbationLaw("uniform-ball", 3, 1.0)
+
+    def event(Z):
+        return Z[:, 0] > 0.3
+
+    hits = sum(int(event(law.sample_block(b, m, seed)).sum()) for b, m in _block_specs(n))
+    assert sampling.mc_probability(event, law, n, seed, threads) == sampling.MCEstimate(hits, n)
+    assert sampling.mc_probability(event, law, n, seed, 1) == sampling.MCEstimate(hits, n)
