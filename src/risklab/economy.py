@@ -16,9 +16,10 @@ module provides:
 
 Aggregate membership is decided on the utility-possibility frontier: for two
 agents with common CRRA curvature the frontier is a one-parameter family and
-the max-min margin is found by bisection (exact up to float tolerance);
-otherwise a projected supergradient ascent on the concave min-margin
-objective is used, with the decision rule "member iff optimum > 1e-9".
+the max-min margin is found by a safeguarded Newton iteration on the logit of
+the planner weight (exact up to float tolerance); otherwise a projected
+supergradient ascent on the concave min-margin objective is used, with the
+decision rule "member iff optimum > 1e-9".
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ FEASIBILITY_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 MEMBER_TOL = 1e-9
 _TATONNEMENT_CAP = 10**5
+# the frontier solver's planner-weight bracket, as weights and as logits
+_LAM_LO, _LAM_HI = 1e-12, 1.0 - 1e-12
+_X_LO = math.log(_LAM_LO) - math.log1p(-_LAM_LO)
+_X_HI = math.log(_LAM_HI) - math.log1p(-_LAM_HI)
+_NEWTON_CAP = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +280,11 @@ def _margins_on_frontier(M, logM, F_w, base, lam, q, eps):
     lam is an (n,) array of planner weights; F_w an (n, d) array of candidate
     aggregates.  The frontier share of agent 1 in state s is
     expit(q [logit(lam) + log mu_1s - log mu_2s]), which keeps the algebra
-    stable for extreme weights and curvatures.
+    stable for extreme weights and curvatures.  The third value is
+    d(m1 - m2)/dx at x = logit(lam): the share s has ds/dx = q s (1 - s), so
+    agent 1's margin rises at q sum_s mu_1s ((1-eps) g_1s)^(1-gamma) (1 - s)
+    and agent 2's falls at q sum_s mu_2s ((1-eps) g_2s)^(1-gamma) s (the
+    powers are 1 under log curvature).
     """
     llam = np.log(lam) - np.log1p(-lam)
     t = q * (llam[:, None] + logM[0][None, :] - logM[1][None, :])
@@ -288,26 +298,66 @@ def _margins_on_frontier(M, logM, F_w, base, lam, q, eps):
         u2 = np.where(np.all(g2 > 0, axis=1), np.log(np.maximum(g2, 1e-300)) @ M[1], -np.inf)
         u1 = u1 + math.log(scale)
         u2 = u2 + math.log(scale)
+        slope = q * ((1.0 - share) @ M[0] + share @ M[1])
     else:
         p_ = 1.0 - gamma
         with np.errstate(divide="ignore"):
-            u1 = (np.maximum(scale * g1, 0.0) ** p_ @ M[0]) / p_
-            u2 = (np.maximum(scale * g2, 0.0) ** p_ @ M[1]) / p_
+            U1 = np.maximum(scale * g1, 0.0) ** p_
+            U2 = np.maximum(scale * g2, 0.0) ** p_
+        u1 = (U1 @ M[0]) / p_
+        u2 = (U2 @ M[1]) / p_
         if gamma > 1:
             u1 = np.where(np.all(g1 > 0, axis=1), u1, -np.inf)
             u2 = np.where(np.all(g2 > 0, axis=1), u2, -np.inf)
-    return u1 - base[0], u2 - base[1]
+        slope = q * ((U1 * (1.0 - share)) @ M[0] + (U2 * share) @ M[1])
+    return u1 - base[0], u2 - base[1], slope
+
+
+def _frontier_crossing(M, logM, F_w, base, q, eps):
+    """The planner weight at which m1 = m2, per row of F_w.
+
+    Every row must have m1 - m2 < 0 at lam = _LAM_LO and > 0 at _LAM_HI.
+    Safeguarded Newton on x = logit(lam): each evaluation narrows the row's
+    bracket [x_lo, x_hi] to the side its sign shows, and a Newton step that
+    leaves the bracket or is not finite is replaced by the bracket midpoint.
+    Only rows still moving are evaluated; a row stops once its step is
+    within 1e-14 (1 + |x|) or its difference is exactly 0.
+    """
+    n = len(F_w)
+    x_lo = np.full(n, _X_LO)
+    x_hi = np.full(n, _X_HI)
+    x = np.zeros(n)
+    live = np.arange(n)
+    for _ in range(_NEWTON_CAP):
+        xl = x[live]
+        m1, m2, slope = _margins_on_frontier(M, logM, F_w[live], base, expit(xl), q, eps)
+        diff = m1 - m2
+        below = diff < 0
+        lo = np.where(below, xl, x_lo[live])
+        hi = np.where(below, x_hi[live], xl)
+        x_new = xl - diff / slope
+        x_new = np.where((x_new > lo) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        done = (np.abs(x_new - xl) <= 1e-14 * (1.0 + np.abs(xl))) | (diff == 0)
+        x[live] = np.where(diff == 0, xl, x_new)
+        x_lo[live], x_hi[live] = lo, hi
+        live = live[~done]
+        if not len(live):
+            break
+    return expit(x)
 
 
 def scitovsky_margins_batch(
-    econ: EconomySpec, f: Allocation, W: np.ndarray, eps: float, bisection_steps: int = 70
+    econ: EconomySpec, f: Allocation, W: np.ndarray, eps: float
 ) -> np.ndarray:
     """Max-min improvement margin for each candidate aggregate row of W.
 
     Exact two-agent path: the utility-possibility frontier of a common-
     curvature economy is a one-parameter planner family along which agent 1's
-    margin rises and agent 2's falls, so the max-min sits at their crossing —
-    found by vectorized bisection on the planner weight.
+    margin rises and agent 2's falls, so the max-min sits at their crossing.
+    Planner weights live in [1e-12, 1 - 1e-12].  A row whose margin
+    difference is already >= 0 at the low edge (or <= 0 at the high edge)
+    takes that edge's margins; a row that crosses inside is solved by a
+    safeguarded Newton iteration on logit(lam) (:func:`_frontier_crossing`).
     """
     q = _common_crra_exponent(econ.preferences)
     if q is None or econ.n_agents != 2:
@@ -322,26 +372,24 @@ def scitovsky_margins_batch(
     )
     n = len(W)
 
-    lo = np.full(n, 1e-12)
-    hi = np.full(n, 1.0 - 1e-12)
-    # inf margins (a -inf base act) make diff = inf - inf = nan; nan
-    # comparisons are all False, which leaves such rows at min(m1, m2) = inf.
-    with np.errstate(invalid="ignore"):
-        m1_lo, m2_lo = _margins_on_frontier(M, logM, W, base, lo, q, eps)
-        m1_hi, m2_hi = _margins_on_frontier(M, logM, W, base, hi, q, eps)
-        # diff = m1 - m2 is increasing in lam; bracket the sign change.
-        all_low = (m1_lo - m2_lo) >= 0  # already above: min is m2 at lam -> 0
-        all_high = (m1_hi - m2_hi) <= 0  # min is m1 throughout, best lam -> 1
-        for _ in range(bisection_steps):
-            mid = 0.5 * (lo + hi)
-            m1, m2 = _margins_on_frontier(M, logM, W, base, mid, q, eps)
-            go_up = (m1 - m2) < 0
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
-        mid = 0.5 * (lo + hi)
-        m1, m2 = _margins_on_frontier(M, logM, W, base, mid, q, eps)
-    margins = np.minimum(m1, m2)
-    margins = np.where(all_low, np.minimum(m1_lo, m2_lo), margins)
+    # A -inf base act (or a zero entry under gamma >= 1) makes both margins
+    # infinite at every weight and diff = m1 - m2 nan.  nan comparisons are
+    # all False, so such rows neither take an edge rule nor cross, and their
+    # weight-free margin is read at the low edge.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        m1_lo, m2_lo, _ = _margins_on_frontier(M, logM, W, base, np.full(n, _LAM_LO), q, eps)
+        m1_hi, m2_hi, _ = _margins_on_frontier(M, logM, W, base, np.full(n, _LAM_HI), q, eps)
+        # diff = m1 - m2 is increasing in lam.
+        diff_lo, diff_hi = m1_lo - m2_lo, m1_hi - m2_hi
+        all_low = diff_lo >= 0  # already above: min is m2 at lam -> 0
+        all_high = diff_hi <= 0  # min is m1 throughout, best lam -> 1
+        margins = np.minimum(m1_lo, m2_lo)
+        cross = np.flatnonzero((diff_lo < 0) & (diff_hi > 0) & ~bad)
+        if len(cross):
+            Wc = W[cross]
+            lam = _frontier_crossing(M, logM, Wc, base, q, eps)
+            m1, m2, _ = _margins_on_frontier(M, logM, Wc, base, lam, q, eps)
+            margins[cross] = np.minimum(m1, m2)
     margins = np.where(all_high, np.minimum(m1_hi, m2_hi), margins)
     return np.where(bad, -np.inf, margins)
 
@@ -379,8 +427,9 @@ def scitovsky_margin(
     Positive margin means w can be divided so that every agent strictly
     prefers the shaved share (1-eps) g_i to f_i — i.e. w lies in the
     aggregate improvement contour.  The two-agent common-curvature path is
-    exact (frontier bisection); otherwise projected supergradient ascent on
-    the concave min-margin objective, multistart, step step_scale/sqrt(k).
+    exact (the frontier Newton solver of :func:`scitovsky_margins_batch`);
+    otherwise projected supergradient ascent on the concave min-margin
+    objective, multistart, step step_scale/sqrt(k).
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")

@@ -160,13 +160,14 @@ def _restricted_gaussian_block(
         out = np.empty((m, d))
         k = 0
         while k < m:
-            want = m - k
-            chunk = int(math.ceil(want / max(acceptance, 1e-9) * 1.1)) + 16
-            g = gen.standard_normal((chunk, d))
-            keep = g[(g * g).sum(axis=1) <= r * r]
-            take = min(len(keep), want)
-            out[k : k + take] = keep[:take]
-            k += take
+            chunk = int(math.ceil((m - k) / max(acceptance, 1e-9) * 1.1)) + 16
+            while chunk and k < m:
+                g = gen.standard_normal((min(chunk, BLOCK_DRAWS), d))
+                chunk -= len(g)
+                keep = g[(g * g).sum(axis=1) <= r * r]
+                take = min(len(keep), m - k)
+                out[k : k + take] = keep[:take]
+                k += take
         return out
     # radial mode: exact inverse CDF of the radial law through the
     # regularized lower incomplete gamma in rho^2/2.
@@ -186,6 +187,14 @@ def sample_restricted_gaussian(
     the acceptance probability drops below 1e-6; ``'radial'`` inverts the
     radial CDF exactly; ``'auto'`` (default) switches to radial mode once
     acceptance falls below 1e-3.
+
+    Rejection fills each block of m rows from logical chunks of
+    ceil(want / acceptance * 1.1) + 16 Gaussian rows, want being the rows
+    still missing.  A chunk is drawn in slabs of at most ``BLOCK_DRAWS`` rows,
+    and drawing stops as soon as m rows are accepted, so memory stays at a few
+    slabs whatever the acceptance.  Philox yields the same normals in one call
+    or several, and the block's generator is discarded afterwards, so the
+    accepted rows are those of drawing every chunk whole.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

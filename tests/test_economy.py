@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from risklab import economy, geometry, preferences, sampling
 from risklab.preferences import CRRASEU, CobbDouglasEU, MaxMinEU, cap_prior_polytope
@@ -200,6 +201,102 @@ def test_scitovsky_more_of_everything_is_member():
     assert economy.scitovsky_member(econ, f, np.array([1.5, 1.5]), eps=0.1)
     assert not economy.scitovsky_member(econ, f, np.array([0.9, 0.9]), eps=0.1)
 
+
+def _bisection_frontier(M, logM, F_w, base, lam, q, eps):
+    # reference copy of the frontier margins the bisection solver evaluated
+    llam = np.log(lam) - np.log1p(-lam)
+    t = q * (llam[:, None] + logM[0][None, :] - logM[1][None, :])
+    share = expit(t)
+    g1 = F_w * share
+    g2 = F_w - g1
+    gamma = 1.0 / q
+    scale = 1.0 - eps
+    if abs(gamma - 1.0) < 1e-14:
+        u1 = np.where(np.all(g1 > 0, axis=1), np.log(np.maximum(g1, 1e-300)) @ M[0], -np.inf)
+        u2 = np.where(np.all(g2 > 0, axis=1), np.log(np.maximum(g2, 1e-300)) @ M[1], -np.inf)
+        u1 = u1 + math.log(scale)
+        u2 = u2 + math.log(scale)
+    else:
+        p_ = 1.0 - gamma
+        with np.errstate(divide="ignore"):
+            u1 = (np.maximum(scale * g1, 0.0) ** p_ @ M[0]) / p_
+            u2 = (np.maximum(scale * g2, 0.0) ** p_ @ M[1]) / p_
+        if gamma > 1:
+            u1 = np.where(np.all(g1 > 0, axis=1), u1, -np.inf)
+            u2 = np.where(np.all(g2 > 0, axis=1), u2, -np.inf)
+    return u1 - base[0], u2 - base[1]
+
+
+def _bisection_margins(econ, f, W, eps):
+    """Reference: the 70-step frontier bisection the Newton solver replaced.
+
+    Returns the margins and the rows the low and high edge rules settled.
+    """
+    q = economy._common_crra_exponent(econ.preferences)
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    bad = np.any(W < 0, axis=1)
+    W = np.where(bad[:, None], 1.0, W)
+    M = np.array([a.preference.prior for a in econ.agents])
+    logM = np.log(M)
+    base = np.array(
+        [preferences.utility_extended(a.preference, f.acts[i]) for i, a in enumerate(econ.agents)]
+    )
+    n = len(W)
+    lo = np.full(n, 1e-12)
+    hi = np.full(n, 1.0 - 1e-12)
+    with np.errstate(invalid="ignore"):
+        m1_lo, m2_lo = _bisection_frontier(M, logM, W, base, lo, q, eps)
+        m1_hi, m2_hi = _bisection_frontier(M, logM, W, base, hi, q, eps)
+        all_low = (m1_lo - m2_lo) >= 0
+        all_high = (m1_hi - m2_hi) <= 0
+        for _ in range(70):
+            mid = 0.5 * (lo + hi)
+            m1, m2 = _bisection_frontier(M, logM, W, base, mid, q, eps)
+            go_up = (m1 - m2) < 0
+            lo = np.where(go_up, mid, lo)
+            hi = np.where(go_up, hi, mid)
+        mid = 0.5 * (lo + hi)
+        m1, m2 = _bisection_frontier(M, logM, W, base, mid, q, eps)
+    margins = np.minimum(m1, m2)
+    margins = np.where(all_low, np.minimum(m1_lo, m2_lo), margins)
+    margins = np.where(all_high, np.minimum(m1_hi, m2_hi), margins)
+    return np.where(bad, -np.inf, margins), all_low & ~bad, all_high & ~bad
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5])
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_scitovsky_newton_matches_reference_bisection(gamma, d):
+    gen = np.random.default_rng(d)
+    mu1, mu2 = gen.dirichlet(np.full(d, 0.5)), gen.dirichlet(np.full(d, 0.5))
+    pref = (lambda mu: CobbDouglasEU(mu)) if gamma == 1.0 else (lambda mu: CRRASEU(mu, gamma))
+    econ = economy.EconomySpec(
+        (economy.Agent(pref(mu1), np.full(d, 0.5)), economy.Agent(pref(mu2), np.full(d, 0.5))),
+        no_aggregate_uncertainty=True,
+    )
+    ones = np.ones(d)
+    # log margins reach an edge only along the prior tilt; CRRA ones where
+    # utilities vanish (tiny aggregates for gamma < 1, huge for gamma > 1)
+    tilt = (mu1 - mu2) / np.abs(mu1 - mu2).max()
+    extremes = [np.exp(k * tilt) for k in (-600, -300, -100, 100, 300, 600)]
+    extremes += [1e-30 * ones, 1e30 * ones, np.zeros(d), np.where(np.arange(d) == 0, 0.0, 1.0)]
+    extremes += [np.where(np.arange(d) == d - 1, -0.1, 1.0), -ones]
+    W = np.vstack([ones + sampling.sample_uniform_ball(d, 0.8, 400, SEED), *extremes])
+    edges = []
+    for weights in ((0.8, 0.2), (0.2, 0.8)):
+        f, _ = economy.planner_allocation(econ, np.array(weights))
+        for eps in (0.0, 0.05, 0.2):
+            ref, low, high = _bisection_margins(econ, f, W, eps)
+            new = economy.scitovsky_margins_batch(econ, f, W, eps)
+            edges.append((low.any(), high.any()))
+            finite = np.isfinite(ref)
+            assert np.array_equal(finite, np.isfinite(new))
+            assert np.array_equal(ref[~finite], new[~finite])
+            # 1e-12 absolute; relative where the utility level exceeds 1
+            tol = 1e-12 * np.maximum(1.0, np.abs(ref[finite]))
+            assert np.all(np.abs(new[finite] - ref[finite]) <= tol)
+            assert np.array_equal(new > economy.MEMBER_TOL, ref > economy.MEMBER_TOL)
+    low_seen, high_seen = np.any(edges, axis=0)
+    assert low_seen and high_seen
 
 def test_pareto_dominated_eps_on_wasteful_allocation():
     # each agent holds the act the *other* one values: undoing the swap helps both

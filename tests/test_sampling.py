@@ -5,7 +5,9 @@ Distributional tests compare empirical statistics against closed forms
 determinism tests require byte-identical arrays, not approximate ones.
 """
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +62,53 @@ def test_restricted_gaussian_deterministic_both_methods():
         a = sampling.sample_restricted_gaussian(3, 1.0, 500, SEED, method=method)
         b = sampling.sample_restricted_gaussian(3, 1.0, 500, SEED, method=method)
         assert np.array_equal(a, b)
+
+
+# SHA-256 of the little-endian float64 bytes of each sampler's output at
+# SEED with BLOCK_DRAWS + 17 draws (two blocks, the second partial).  They
+# were computed while rejection still drew each chunk in one call, so they
+# also pin the slab drawing to that stream.  A change that moves any draw
+# must update them on purpose.
+_GOLDEN = {
+    ("rg", 2): "2f0f586e70a5015359c34ce1aa2ddca0825a4904e47d9fe47909d0d9649a02a3",
+    ("rg", 8): "e57c7bbafaffb4efa1b23b88621963335b7fe7322e6b99810ffafd2adb8302ce",
+    ("rg", 32): "8ba2a8bd9fdc59b3cba8050980274b28303fc187f5feaf7507debd1b0cd44736",
+    ("ball", 2): "7a0b5b1dae56ad7cea99c399075220dff51d210631630e9d367a65fc2919f1b1",
+    ("ball", 8): "c4b99ae797a4d87ad6ff252c656249128c044bbf79da7a27ae7654932a43b7d8",
+    ("ball", 32): "9ce5cdc54c698262e1e64491905614194d4f453db9a69793e0aae48324a9843e",
+    ("simplex", 2): "43780529e04efb442e0ebd07fe83af3a2b425e0f92b78e6929eb53718b5f7537",
+    ("simplex", 8): "9b2a91f0d08e0c930674d4bb9e4bee72864a297fa47c7ef53572638dd1935026",
+    ("simplex", 32): "e65a94c482586ed98a78b23f6808160eba91df1c3e762ebba58d33c47c2a2e14",
+}
+
+
+@pytest.mark.parametrize("law,d", sorted(_GOLDEN))
+def test_sample_streams_match_golden_hashes(law, d):
+    # r = 1: rejection at d = 2 and 8 (acceptance 0.39 and 0.0018), radial at d = 32
+    n = sampling.BLOCK_DRAWS + 17
+    if law == "rg":
+        Z = sampling.sample_restricted_gaussian(d, 1.0, n, SEED)
+    elif law == "ball":
+        Z = sampling.sample_uniform_ball(d, 1.0, n, SEED)
+    else:
+        Z = sampling.sample_uniform_simplex(d, n, SEED)
+    digest = hashlib.sha256(np.ascontiguousarray(Z, dtype="<f8").tobytes()).hexdigest()
+    assert digest == _GOLDEN[law, d]
+
+
+def test_rejection_sampler_memory_ceiling():
+    # acceptance 0.0018 needs ~9.4e6 x 8 normals for one block: drawn as one
+    # chunk they peak at 1.4 GB, in BLOCK_DRAWS-row slabs at a few MB
+    tracemalloc.start()
+    try:
+        Z = sampling.sample_restricted_gaussian(
+            8, 1.0, sampling.BLOCK_DRAWS, SEED, method="rejection"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Z.shape == (sampling.BLOCK_DRAWS, 8)
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
