@@ -11,10 +11,8 @@ runners behind the ``risklab`` CLI (``experiments``).
 from ._version import __version__
 from .bounds import (
     BoundReport,
-    bound_cor16,
     bound_cru,
     bound_lemma1,
-    bound_prop7,
     bound_thm1,
     bound_thm2,
     bound_thm4,
@@ -31,13 +29,9 @@ from .economy import (
     cru,
     equal_split,
     individual_improvement_event,
-    pareto_dominated_eps,
     planner_allocation,
     rho,
-    scitovsky_margin,
-    scitovsky_member,
     tatonnement_equilibrium,
-    width_report,
 )
 from .experiments import (
     ExperimentConfig,
@@ -69,7 +63,6 @@ from .preferences import (
     belief_set,
     belief_set_extension_empty,
     cap_prior_polytope,
-    eps_ucs_contains,
 )
 from .sampling import (
     MCEstimate,
@@ -94,16 +87,14 @@ __all__ = [
     "gaussian_kappa_ratio",
     # bounds
     "BoundReport", "bound_thm1", "bound_thm2", "bound_cru", "bound_thm4",
-    "bound_prop7", "bound_lemma1", "bound_cor16", "prop7_prefactor",
-    "width_volume_floor", "width_floor_ball_instance",
+    "bound_lemma1", "prop7_prefactor", "width_volume_floor", "width_floor_ball_instance",
     # preferences
     "CobbDouglasEU", "CRRASEU", "MaxMinEU", "belief_set",
-    "belief_set_extension_empty", "cap_prior_polytope", "eps_ucs_contains",
+    "belief_set_extension_empty", "cap_prior_polytope",
     # economy
     "Agent", "EconomySpec", "Allocation", "EquilibriumResult", "equal_split",
     "tatonnement_equilibrium", "planner_allocation", "individual_improvement_event",
-    "scitovsky_margin", "scitovsky_member", "pareto_dominated_eps", "cru", "rho",
-    "belief_volume_split", "width_report",
+    "cru", "rho", "belief_volume_split",
     # experiments
     "ExperimentConfig", "RunResult", "parse_config_text", "load_config",
     "default_config", "run_experiment", "reproduce_paper_anchors",

@@ -2,15 +2,15 @@
 
 Each bound evaluator returns a :class:`BoundReport` carrying the experiment
 family id (the same short ids the CLI and the CSV outputs use: ``thm1``,
-``thm2``, ``cru``, ``thm4``, ``prop7``, ``lemma1``, ``cor16``), the parameter
-values used, and the bound evaluated in log space so that large dimensions
-underflow gracefully to 0 instead of losing the exponent.
+``thm2``, ``cru``, ``thm4``, ``lemma1``), the parameter values used, and the
+bound evaluated in log space so that large dimensions underflow gracefully to
+0 instead of losing the exponent.  The ``prop7`` family's width-bound
+prefactor and constant-width volume floor are evaluated below them.
 
-The decay-rate constant ``c`` appearing in the ``thm4``/``prop7``/``cor16``
-families is a universal constant with no known numeric value; it is a named
-configuration parameter defaulting to 1.0, and every report records the value
-used.  Experiments involving it validate decay shape and c-independent
-statements only.
+The decay-rate constant ``c`` appearing in the ``thm4`` family is a universal
+constant with no known numeric value; it is a named configuration parameter
+defaulting to 1.0, and every report records the value used.  Experiments
+involving it validate decay shape and c-independent statements only.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ class BoundReport:
     log_value: float
     value: float
     clipped_value: float
-
-    def describe(self) -> str:
-        ps = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
-        return f"{self.theorem_id}({ps}) = {self.value:.6g} [clipped {self.clipped_value:.6g}]"
-
-    def csv_row(self) -> str:
-        ps = ";".join(f"{k}={v!r}" for k, v in self.params.items())
-        return f"{self.theorem_id},{self.value!r},{self.clipped_value!r},{ps}"
 
 
 def _report(theorem_id: str, log_value: float, **params) -> BoundReport:
@@ -119,19 +111,6 @@ def bound_thm4(eps: float, d: int, c: float = DEFAULT_C) -> BoundReport:
     return _report("thm4", log_value, eps=eps, d=d, c=c)
 
 
-def bound_prop7(eps: float, d: int, c: float = DEFAULT_C) -> BoundReport:
-    """4 * exp(-c eps / sqrt(d)) * (d!)^(-1/(2d)): width bound for constant-width prior sets.
-
-    The factorial root is evaluated through log-Gamma, so there is no
-    overflow at any d.
-    """
-    _check(c > 0, "c must be positive")
-    _check(eps >= 0, "eps must be nonnegative")
-    _check(d >= 1, "d must be >= 1")
-    log_value = math.log(4.0) - c * eps / math.sqrt(d) - gammaln(d + 1) / (2.0 * d)
-    return _report("prop7", log_value, eps=eps, d=d, c=c)
-
-
 def bound_lemma1(delta: float, r: float, d: int) -> BoundReport:
     """exp(-delta^2 d / (8 r^2)): mass bound for the less likely of two delta-separated sets."""
     _check(delta >= 0, "delta must be nonnegative")
@@ -139,20 +118,6 @@ def bound_lemma1(delta: float, r: float, d: int) -> BoundReport:
     _check(d >= 1, "d must be >= 1")
     log_value = -delta * delta * d / (8.0 * r * r)
     return _report("lemma1", log_value, delta=delta, r=r, d=d)
-
-
-def bound_cor16(delta: float, d: int, c: float = DEFAULT_C) -> BoundReport:
-    """1 - 0.5 * exp(-c delta d): lower bound on the mass of a delta-extension.
-
-    Applies to delta-extensions of sets holding at least half the mass;
-    at delta = 0 it reproduces that hypothesis, value 0.5.
-    """
-    _check(c > 0, "c must be positive")
-    _check(delta >= 0, "delta must be nonnegative")
-    _check(d >= 1, "d must be >= 1")
-    value = 1.0 - 0.5 * math.exp(-c * delta * d)
-    log_value = math.log1p(-0.5 * math.exp(-c * delta * d))
-    return _report("cor16", log_value, delta=delta, d=d, c=c)
 
 
 # ---------------------------------------------------------------------------

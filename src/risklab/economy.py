@@ -8,24 +8,21 @@ module provides:
 * planner (Pareto-optimal) allocations with supporting prices for smooth
   common-curvature economies;
 * the event deciders the Monte Carlo experiments evaluate per draw —
-  individual improvement, aggregate (Scitovsky-contour) membership,
-  eps-Pareto domination;
+  individual improvement and aggregate (Scitovsky-contour) membership;
 * scalar diagnostics: the coefficient of resource utilization (bisection),
-  the split-norm constant rho, belief-set volume splits, and width reports
-  for prior polytopes.
+  the split-norm constant rho, and belief-set volume splits.
 
-Aggregate membership is decided on the utility-possibility frontier: for two
-agents with common CRRA curvature the frontier is a one-parameter family and
-the max-min margin is found by a safeguarded Newton iteration on the logit of
-the planner weight (exact up to float tolerance); otherwise a projected
-supergradient ascent on the concave min-margin objective is used, with the
-decision rule "member iff optimum > 1e-9".
+Aggregate membership is decided on the utility-possibility frontier of a
+two-agent economy with common CRRA curvature: the frontier is a one-parameter
+family and the max-min margin is found by a safeguarded Newton iteration on
+the logit of the planner weight (exact up to float tolerance), with the
+decision rule "member iff margin > 1e-9".  Other economies are refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -34,7 +31,6 @@ from . import geometry, preferences, sampling
 from .preferences import (
     CobbDouglasEU,
     CRRASEU,
-    MaxMinEU,
     Preference,
     utility_extended,
 )
@@ -146,12 +142,6 @@ class EquilibriumResult:
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "price", p)
-
-    def budget_gaps(self, econ: EconomySpec) -> np.ndarray:
-        F = self.allocation.acts
-        return np.array(
-            [abs(self.price @ F[i] - self.price @ a.endowment) for i, a in enumerate(econ.agents)]
-        )
 
 
 def equal_split(econ: EconomySpec) -> Allocation:
@@ -394,129 +384,6 @@ def scitovsky_margins_batch(
     return np.where(bad, -np.inf, margins)
 
 
-def _project_split(G: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Project per-agent acts onto the split polytope {G >= 0, column sums = w}.
-
-    Each state is an independent scaled-simplex projection; the standard
-    sort/threshold rule is vectorized across states.
-    """
-    I, d = G.shape
-    Y = G.T  # (d, I): each row projects onto the simplex scaled by w_s
-    srt = -np.sort(-Y, axis=1)
-    css = np.cumsum(srt, axis=1) - w[:, None]
-    ks = np.arange(1, I + 1)
-    cond = srt - css / ks > 0
-    k = np.maximum(cond.sum(axis=1), 1)  # k = 0 only when w_s = 0; clamp maps that column to 0
-    theta = css[np.arange(d), k - 1] / k
-    return np.maximum(Y - theta[:, None], 0.0).T
-
-
-def scitovsky_margin(
-    econ: EconomySpec,
-    f: Allocation,
-    w: np.ndarray,
-    eps: float,
-    method: str = "auto",
-    restarts: int = 8,
-    iterations: int = 2000,
-    step_scale: float = 1.0,
-    seed: int = 0,
-) -> float:
-    """Best worst-agent improvement margin over all nonnegative splits of w.
-
-    Positive margin means w can be divided so that every agent strictly
-    prefers the shaved share (1-eps) g_i to f_i — i.e. w lies in the
-    aggregate improvement contour.  The two-agent common-curvature path is
-    exact (the frontier Newton solver of :func:`scitovsky_margins_batch`);
-    otherwise projected supergradient ascent on the concave min-margin
-    objective, multistart, step step_scale/sqrt(k).
-    """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (econ.dim,):
-        raise ValueError("candidate aggregate has the wrong dimension")
-    if np.any(w < 0):
-        return -np.inf
-    exact_ok = econ.n_agents == 2 and _common_crra_exponent(econ.preferences) is not None
-    if method == "auto":
-        method = "exact" if exact_ok else "subgradient"
-    if method == "exact":
-        if not exact_ok:
-            raise ValueError("exact path needs 2 agents with common CRRA curvature")
-        return float(scitovsky_margins_batch(econ, f, w[None, :], eps)[0])
-    if method != "subgradient":
-        raise ValueError("method must be 'auto', 'exact', or 'subgradient'")
-
-    prefs = econ.preferences
-    base = np.array([utility_extended(p, f.acts[i]) for i, p in enumerate(prefs)])
-    scale = 1.0 - eps
-    I = econ.n_agents
-
-    def margins(G):
-        return np.array(
-            [utility_extended(prefs[i], scale * G[i]) - base[i] for i in range(I)]
-        )
-
-    def gradient_row(i, gi):
-        # supergradient of g -> u_i((1 - eps) g) at gi, clamped into the domain
-        p = prefs[i]
-        x = np.maximum(scale * gi, 1e-12)
-        if isinstance(p, MaxMinEU):
-            mu = p.worst_case_face(x).mean(axis=0)
-            return scale * (mu if p.bernoulli == "linear" else mu / x)
-        return scale * p.gradient(x)
-
-    even = np.tile(w / I, (I, 1))
-    gen = np.random.default_rng(seed)
-    starts = [even]
-    total = f.acts.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        prop = np.where(total > 0, f.acts / total, 1.0 / I) * w
-    starts.append(_project_split(prop, w))
-    while len(starts) < restarts:
-        R = gen.random((I, econ.dim))
-        starts.append(_project_split(R / R.sum(axis=0, keepdims=True) * w, w))
-
-    best = -np.inf
-    for G0 in starts:
-        G = G0.copy()
-        for k in range(1, iterations + 1):
-            m = margins(G)
-            j = int(np.argmin(m))
-            best = max(best, float(m[j]))
-            if not np.isfinite(m[j]):
-                G = 0.5 * (G + even)
-                continue
-            step = min(step_scale / math.sqrt(k), 1.0)
-            G = G.copy()
-            G[j] = G[j] + step * gradient_row(j, G[j])
-            G = _project_split(G, w)
-        best = max(best, float(margins(G).min()))
-    return best
-
-
-def scitovsky_member(
-    econ: EconomySpec, f: Allocation, w: np.ndarray, eps: float, **solver_kwargs
-) -> bool:
-    """Whether w splits so every agent improves by eps over f (margin > 1e-9).
-
-    On the uncertified supergradient path a margin within 1e-9 of zero
-    raises a boundary-indeterminate error (the optimizer cannot distinguish
-    a zero optimum from non-convergence); the exact frontier path decides
-    boundaries as non-membership.
-    """
-    exact_ok = econ.n_agents == 2 and _common_crra_exponent(econ.preferences) is not None
-    margin = scitovsky_margin(econ, f, w, eps, **solver_kwargs)
-    if not exact_ok and abs(margin) <= MEMBER_TOL:
-        raise geometry.ConvergenceError(
-            "boundary-indeterminate: optimized margin within 1e-9 of zero",
-            value=margin,
-            gap=abs(margin),
-        )
-    return margin > MEMBER_TOL
-
-
 def scitovsky_member_grid(
     econ: EconomySpec, f: Allocation, w: np.ndarray, eps: float, grid: int = 200
 ) -> bool:
@@ -536,13 +403,6 @@ def scitovsky_member_grid(
     return bool(np.any(np.minimum(m1, m2) > MEMBER_TOL))
 
 
-def pareto_dominated_eps(econ: EconomySpec, f: Allocation, eps: float, **kw) -> bool:
-    """Whether some feasible reallocation improves every agent by eps."""
-    if not econ.no_aggregate_uncertainty:
-        raise ValueError("eps-Pareto domination decider assumes no aggregate uncertainty")
-    return scitovsky_member(econ, f, econ.aggregate, eps, **kw)
-
-
 # ---------------------------------------------------------------------------
 # scalar diagnostics
 # ---------------------------------------------------------------------------
@@ -551,17 +411,19 @@ def pareto_dominated_eps(econ: EconomySpec, f: Allocation, eps: float, **kw) -> 
 def cru(econ: EconomySpec, f: Allocation, tol: float = 1e-6) -> float:
     """Coefficient of resource utilization: smallest beta with beta*1 still improving f.
 
-    Requires aggregate endowment exactly 1 in every state.  Bisection on the
-    membership threshold along the symmetric ray; Pareto-optimal allocations
-    return exactly 1.0.  Allocations dominated by arbitrarily small aggregate
-    scalings are degenerate and raise an error.
+    Requires aggregate endowment exactly 1 in every state, and the two-agent
+    common-curvature economy that :func:`scitovsky_margins_batch` decides
+    (other economies raise its ValueError at the first membership test).
+    Bisection on the membership threshold along the symmetric ray;
+    Pareto-optimal allocations return exactly 1.0.  Allocations dominated by
+    arbitrarily small aggregate scalings are degenerate and raise an error.
     """
     if not econ.no_aggregate_uncertainty or np.abs(econ.aggregate - 1.0).max() > FEASIBILITY_TOL:
         raise ValueError("resource-utilization decider needs aggregate endowment = 1 per state")
     ones = np.ones(econ.dim)
 
     def member(beta: float) -> bool:
-        return scitovsky_margin(econ, f, beta * ones, 0.0) > MEMBER_TOL
+        return scitovsky_margins_batch(econ, f, (beta * ones)[None, :], 0.0)[0] > MEMBER_TOL
 
     if not member(1.0):
         return 1.0
@@ -667,36 +529,3 @@ def belief_volume_split(
         empty_J=vol_J.hits == 0,
         empty_Jc=vol_Jc.hits == 0,
     )
-
-
-@dataclass(frozen=True)
-class WidthReport:
-    theta_min: float
-    theta_max: float
-    constant_width: bool
-    n_directions: int
-
-
-def width_report(
-    Pi: geometry.Polytope, n_directions: int = 256, seed: sampling.SeedSpec | int = 0
-) -> WidthReport:
-    """Support-function width of a prior polytope along random simplex directions.
-
-    Directions are unit vectors in the simplex hyperplane (coordinates sum
-    to zero).  Width along u is max_vertices u.v minus min; the set counts
-    as constant-width when the spread over directions is at most 1e-8.
-    """
-    if not Pi.has_vrep():
-        raise ValueError("width report needs a V-represented polytope")
-    V = Pi.vertices
-    if len(V) == 1:
-        return WidthReport(0.0, 0.0, True, n_directions)
-    gen = sampling.generator_for_block(sampling.as_seed(seed), 0)
-    U = gen.standard_normal((n_directions, V.shape[1]))
-    U -= U.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(U, axis=1)
-    U = U[norms > 1e-12] / norms[norms > 1e-12, None]
-    S = U @ V.T
-    widths = S.max(axis=1) - S.min(axis=1)
-    tmin, tmax = float(widths.min()), float(widths.max())
-    return WidthReport(tmin, tmax, tmax - tmin <= 1e-8, len(U))

@@ -1,7 +1,7 @@
 """Convex-geometry primitives used throughout the laboratory.
 
-Distances to convex bodies, strict delta-extensions, Minkowski combinations,
-exact and Monte Carlo volumes, spherical-cap fractions, and the two checkers
+Distances to convex bodies, Minkowski combinations of boxes and balls,
+exact volumes, spherical-cap fractions, and the two checkers
 (Brunn-Minkowski, half-space separation) that the concentration experiments
 lean on.
 
@@ -15,10 +15,7 @@ Conventions
   sum(mu) = 1 are implied and do not need to be listed.
 * Simplex volumes follow the surface-measure convention
   Vol(Delta_d) = sqrt(d)/Gamma(d), the (d-1)-dimensional Hausdorff measure of
-  the standard simplex embedded in R^d.  Relative simplex volumes are always
-  measured inside the simplex hyperplane.
-* Delta-extensions A^delta = {x : dist(x, A) < delta} are *strict*; boundary
-  points within 1e-12 of delta classify as outside.
+  the standard simplex embedded in R^d.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import betainc, gammaln
 
-from . import sampling
+from . import bounds
 
 BOUNDARY_TOL = 1e-12
 DISTANCE_TOL = 1e-8
@@ -183,17 +180,14 @@ class Polytope:
 
 @dataclass(frozen=True)
 class VolumeResult:
-    """A volume value with its provenance: exact formula or hit-or-miss MC."""
+    """A volume value with its provenance (the closed form it came from)."""
 
     value: float
     method: str
-    ci_halfwidth: float = 0.0
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("volume cannot be negative")
-        if self.method == "exact" and self.ci_halfwidth != 0.0:
-            raise ValueError("exact volumes carry no CI")
 
 
 class DistanceCertificate(NamedTuple):
@@ -335,7 +329,7 @@ def project_point(x: np.ndarray, S) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# distances and extensions
+# distances
 # ---------------------------------------------------------------------------
 
 
@@ -347,17 +341,6 @@ def distance_point_to_convex(x: np.ndarray, S) -> float:
     if isinstance(S, HalfSpace):
         return max(0.0, -float(S.signed_slack(x)))
     return float(np.linalg.norm(x - project_point(x, S)))
-
-
-def delta_extension_contains(S, delta: float, x: np.ndarray) -> bool:
-    """Strict delta-extension membership: dist(x, S) < delta.
-
-    Boundary points within BOUNDARY_TOL of delta classify as outside,
-    matching the strict inequality in the definition.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return distance_point_to_convex(x, S) < delta - BOUNDARY_TOL
 
 
 def halfspace_gap(upper: HalfSpace, lower: HalfSpace) -> float:
@@ -454,27 +437,15 @@ def contains(S, x: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
 # Minkowski combination
 # ---------------------------------------------------------------------------
 
-_HULL_DIM_CAP = 6
-
 
 def minkowski_combine(A, B, lam: float):
-    """The Minkowski combination lam*A + (1-lam)*B.
-
-    Exact for boxes and balls in any dimension; V-representation polytopes
-    return the pairwise vertex-sum set (a superset of the true vertex set,
-    same hull) and are restricted to dimension <= 6.
-    """
+    """The Minkowski combination lam*A + (1-lam)*B of two boxes or two balls."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     if isinstance(A, Box) and isinstance(B, Box):
         return Box(lam * A.lower + (1 - lam) * B.lower, lam * A.upper + (1 - lam) * B.upper)
     if isinstance(A, Ball) and isinstance(B, Ball):
         return Ball(lam * A.center + (1 - lam) * B.center, lam * A.radius + (1 - lam) * B.radius)
-    if isinstance(A, Polytope) and isinstance(B, Polytope) and A.has_vrep() and B.has_vrep():
-        if A.dim > _HULL_DIM_CAP:
-            raise ValueError(f"V-rep Minkowski combination restricted to d <= {_HULL_DIM_CAP}")
-        pts = lam * A.vertices[:, None, :] + (1 - lam) * B.vertices[None, :, :]
-        return Polytope(vertices=pts.reshape(-1, A.dim))
     raise ValueError("unsupported representation combination for Minkowski sum")
 
 
@@ -493,72 +464,18 @@ def log_simplex_volume(d: int, scale: float = 1.0) -> float:
     return (d - 1) * np.log(scale) + 0.5 * np.log(d) - gammaln(d)
 
 
-def volume(
-    S,
-    method: str = "exact",
-    n: int = 0,
-    seed: sampling.SeedSpec | int | None = None,
-    relative: bool = False,
-) -> VolumeResult:
-    """Volume of a body: exact formulas where supported, hit-or-miss MC otherwise.
+def volume(S) -> VolumeResult:
+    """Exact volume of a Box (side product), Ball (Gamma formula) or Simplex.
 
-    Exact shapes: Box (side product), Ball (Gamma formula), Simplex
-    (surface-measure convention).  MC supports polytopes on the simplex
-    (sampling uniformly from Delta_d) and bounded V-rep polytopes (sampling
-    the bounding box).  ``relative=True`` reports the hit fraction instead of
-    the absolute measure; for on-simplex bodies that is the volume relative
-    to Vol(Delta_d).
+    Simplex volumes follow the surface-measure convention; other bodies raise.
     """
-    if method == "exact":
-        if isinstance(S, Box):
-            return VolumeResult(float(np.prod(S.sides)), "exact")
-        if isinstance(S, Ball):
-            return VolumeResult(float(np.exp(log_ball_volume(S.dim, S.radius))), "exact")
-        if isinstance(S, Simplex):
-            return VolumeResult(float(np.exp(log_simplex_volume(S.dim, S.scale))), "exact")
-        raise ValueError(f"no exact volume for {type(S).__name__}; use method='mc'")
-    if method != "mc":
-        raise ValueError("method must be 'exact' or 'mc'")
-    if n <= 0:
-        raise ValueError("mc volume needs n >= 1")
-    seed = sampling.as_seed(seed)
-    if isinstance(S, Polytope) and S.on_simplex:
-        d = S.dim
-        pts = sampling.sample_uniform_simplex(d, n, seed)
-        est = sampling.MCEstimate(hits=int(np.count_nonzero(contains(S, pts))), trials=n)
-        base = 1.0 if relative else float(np.exp(log_simplex_volume(d)))
-        half = 0.5 * (est.ci_high - est.ci_low) * base
-        return VolumeResult(est.p_hat * base, "monte-carlo", half)
-    if isinstance(S, (Polytope, Box, Ball, Simplex)):
-        box = bounding_box(S)
-        width = box.sides
-        gen = sampling.generator_for_block(seed, 0)
-        pts = box.lower + gen.random((n, box.dim)) * width
-        hits = int(np.count_nonzero(contains(S, pts)))
-        est = sampling.MCEstimate(hits=hits, trials=n)
-        base = float(np.prod(width))
-        value = est.p_hat * base
-        if relative:
-            base, value = 1.0, est.p_hat
-        half = 0.5 * (est.ci_high - est.ci_low) * base
-        return VolumeResult(value, "monte-carlo", half)
-    raise ValueError(f"no MC sampler available for {type(S).__name__}")
-
-
-def bounding_box(S) -> Box:
-    """A finite axis-aligned box enclosing the body."""
     if isinstance(S, Box):
-        return S
+        return VolumeResult(float(np.prod(S.sides)), "exact")
     if isinstance(S, Ball):
-        return Box(S.center - S.radius, S.center + S.radius)
+        return VolumeResult(float(np.exp(log_ball_volume(S.dim, S.radius))), "exact")
     if isinstance(S, Simplex):
-        d = S.dim
-        return Box(np.zeros(d), np.full(d, S.scale))
-    if isinstance(S, Polytope) and S.has_vrep():
-        return Box(S.vertices.min(axis=0), S.vertices.max(axis=0))
-    if isinstance(S, Polytope) and S.on_simplex:
-        return Box(np.zeros(S.dim), np.ones(S.dim))
-    raise ValueError("cannot bound an unbounded H-representation body")
+        return VolumeResult(float(np.exp(log_simplex_volume(S.dim, S.scale))), "exact")
+    raise ValueError(f"no exact volume for {type(S).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -645,47 +562,29 @@ class SeparationCheck:
 
 
 def separation_bound_check(
-    A,
-    B,
-    delta: float,
-    ball: Ball,
-    n: int = 10**6,
-    seed: sampling.SeedSpec | int | None = None,
+    A: HalfSpace, B: HalfSpace, delta: float, ball: Ball
 ) -> SeparationCheck:
     """Check the separation volume bound min-fraction <= exp(-delta^2 d / 8 r^2).
 
-    A and B are half-spaces or polytopes, implicitly intersected with ``ball``.
-    The separation hypothesis dist(A, B) >= delta is verified first (from the
-    half-space gap, or the polytope-distance solver); violation is an error.
-    Half-space pairs use the exact cap fraction, other inputs hit-or-miss MC
-    over the ball with CI slack.
+    A and B are half-spaces, implicitly intersected with ``ball``; other
+    bodies raise.  The separation hypothesis dist(A, B) >= delta is verified
+    first from the half-space gap; violation is an error.  The fractions are
+    exact cap fractions and the bound is :func:`bounds.bound_lemma1`.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not (isinstance(A, HalfSpace) and isinstance(B, HalfSpace)):
+        raise ValueError("separation check takes two half-spaces")
     d = ball.dim
     r = ball.radius
-    if isinstance(A, HalfSpace) and isinstance(B, HalfSpace):
-        dist = halfspace_gap(A, B) if delta > 0 else 0.0
-        if dist < delta - BOUNDARY_TOL:
-            raise ValueError("hypothesis violated: dist(A, B) < delta")
-        # In unit form both sets read {x : u.x >= c}; relative to the ball
-        # center the cap height is c - u.center, clamped to [-r, r].
-        fracs = []
-        for hs in (A, B):
-            u, c = hs.unit_form()
-            height = min(max(c - float(u @ ball.center), -r), r)
-            fracs.append(signed_cap_fraction(d, r, height))
-        min_fraction = min(fracs)
-        bound = float(np.exp(-(delta**2) * d / (8.0 * r * r)))
-        return SeparationCheck(dist, min_fraction, bound, min_fraction <= bound + BOUNDARY_TOL, "exact")
-    dist = polytope_distance(A, B).value if delta > 0 else 0.0
+    bound = bounds.bound_lemma1(delta, r, d).value
+    dist = halfspace_gap(A, B) if delta > 0 else 0.0
     if dist < delta - BOUNDARY_TOL:
         raise ValueError("hypothesis violated: dist(A, B) < delta")
-    seed = sampling.as_seed(seed)
-    z = sampling.sample_uniform_ball(d, r, n, seed) + ball.center
-    est_a = sampling.MCEstimate(hits=int(np.count_nonzero(contains(A, z))), trials=n)
-    est_b = sampling.MCEstimate(hits=int(np.count_nonzero(contains(B, z))), trials=n)
-    min_fraction = min(est_a.p_hat, est_b.p_hat)
-    ci_low = min(est_a.ci_low, est_b.ci_low)
-    bound = float(np.exp(-(delta**2) * d / (8.0 * r * r)))
-    return SeparationCheck(dist, min_fraction, bound, ci_low <= bound or min_fraction <= bound, "monte-carlo")
+    # In unit form both sets read {x : u.x >= c}; relative to the ball
+    # center the cap height is c - u.center, clamped to [-r, r].
+    fracs = []
+    for hs in (A, B):
+        u, c = hs.unit_form()
+        height = min(max(c - float(u @ ball.center), -r), r)
+        fracs.append(signed_cap_fraction(d, r, height))
+    min_fraction = min(fracs)
+    return SeparationCheck(dist, min_fraction, bound, min_fraction <= bound + BOUNDARY_TOL, "exact")

@@ -2,8 +2,7 @@
 
 Three families are implemented, each a frozen dataclass:
 
-* :class:`CobbDouglasEU` — expected log utility with prior weights; also
-  exposes the homogeneous certainty-equivalent form.
+* :class:`CobbDouglasEU` — expected log utility with prior weights.
 * :class:`CRRASEU` — subjective expected utility with constant relative risk
   aversion ``gamma`` (log at gamma = 1, risk-neutral at gamma = 0).
 * :class:`MaxMinEU` — worst-case expected utility over a polytope of priors
@@ -12,11 +11,13 @@ Three families are implemented, each a frozen dataclass:
 Acts are plain numpy arrays; every query accepts a single act of shape (d,)
 or a batch of shape (n, d) and vectorizes over the batch.  Strict preference
 uses the tolerance ``TOL_STRICT`` to separate genuine ties from float noise.
+
+Belief sets are the supporting priors of an upper contour set; the joint
+delta-extension emptiness test decides a pair of them exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,14 +77,6 @@ class CobbDouglasEU:
         if not np.all(self.in_domain(f)):
             raise ValueError("domain violation: log utility needs strictly positive payoffs")
         return np.log(f) @ self.prior
-
-    def certainty_equivalent(self, f):
-        """The homogeneous form prod_s f_s^(mu_s) = exp(utility).
-
-        Degree-one homogeneous, so an act in the eps-upper contour set is
-        exactly an eps/(1-eps) proportional improvement in this form.
-        """
-        return np.exp(self.utility(f))
 
     def gradient(self, f) -> np.ndarray:
         f = _acts(f, self.dim)
@@ -232,11 +225,6 @@ def cap_prior_polytope(d: int, idx: int, level: float, side: str):
     return vertices, halfspace
 
 
-def utility(pref: Preference, f):
-    """Utility of act(s) f; errors on domain violations."""
-    return pref.utility(f)
-
-
 def utility_extended(pref: Preference, f):
     """Utility extended by -inf outside the domain (batch-safe, never raises).
 
@@ -256,19 +244,6 @@ def utility_extended(pref: Preference, f):
         safe = np.where(ok[..., None], f, 1.0)
         out[ok] = pref.utility(safe)[ok]
     return out
-
-
-def strictly_prefers(pref: Preference, g, f):
-    """Whether g is strictly preferred to f (margin TOL_STRICT)."""
-    return utility(pref, g) > utility(pref, f) + TOL_STRICT
-
-
-def eps_ucs_contains(pref: Preference, f, g, eps: float):
-    """Membership of g in the eps-upper contour set at f: (1-eps) g strictly preferred to f."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    g = _acts(np.asarray(g, dtype=float), pref.dim)
-    return strictly_prefers(pref, (1.0 - eps) * g, f)
 
 
 def belief_set(pref: Preference, f) -> geometry.Polytope:
@@ -313,86 +288,28 @@ def belief_set(pref: Preference, f) -> geometry.Polytope:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_certificates(sets: list[geometry.Polytope]):
-    pairs = {}
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            pairs[i, j] = geometry.polytope_distance(sets[i], sets[j])
-    return pairs
-
-
-def belief_set_extension_empty(
-    sets: list[geometry.Polytope],
-    delta: float,
-    restarts: int = 8,
-    iterations: int = 1500,
-    seed: int = 0,
-) -> bool:
-    """Whether the open delta-extensions of the given simplex sets have empty intersection.
+def belief_set_extension_empty(sets: list[geometry.Polytope], delta: float) -> bool:
+    """Whether the open delta-extensions of two simplex sets have empty intersection.
 
     The extensions intersect iff some point of the simplex is within delta of
-    every set, i.e. iff min over the simplex of max_i dist(nu, B_i) is below
+    both sets, i.e. iff min over the simplex of max_i dist(nu, B_i) is below
     delta.  For two sets that minimax value is exactly half the set distance
-    (midpoint of the distance-certificate pair), decided exactly; for more
-    sets the objective is convex and is minimized by projected subgradient
-    descent from several starts.  Values within 1e-9 of delta raise a
-    boundary-indeterminate error: the instance is too close to call and the
-    caller should perturb delta.
+    (midpoint of the distance-certificate pair); any other number of sets
+    raises.  Values within 1e-9 of delta raise a boundary-indeterminate
+    error: the instance is too close to call and the caller should perturb
+    delta.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if len(sets) < 2:
-        raise ValueError("need at least two belief sets")
-    d = sets[0].dim
-    if any(s.dim != d for s in sets):
+    if len(sets) != 2:
+        raise ValueError("the emptiness test takes exactly two belief sets")
+    if sets[0].dim != sets[1].dim:
         raise ValueError("belief sets must share one state space")
-
-    pairs = _pairwise_certificates(sets)
-    if len(sets) == 2:
-        half = pairs[0, 1].value / 2.0
-        if abs(half - delta) <= _BOUNDARY_GUARD:
-            raise geometry.ConvergenceError(
-                "boundary-indeterminate: minimax distance within 1e-9 of delta",
-                value=half,
-                gap=abs(half - delta),
-            )
-        return half >= delta
-
-    # Any pair separated by 2 delta already certifies emptiness.
-    worst_pair = max(pairs.values(), key=lambda c: c.value)
-    if worst_pair.value / 2.0 >= delta + _BOUNDARY_GUARD:
-        return True
-
-    simplex = geometry.Simplex(d)
-    gen = np.random.default_rng(seed)
-    starts = [np.full(d, 1.0 / d)]
-    starts += [0.5 * (c.point_a + c.point_b) for c in pairs.values()]
-    starts += [s.vertices.mean(axis=0) for s in sets if s.has_vrep()]
-    while len(starts) < restarts + 1 + len(pairs):
-        e = gen.standard_exponential(d)
-        starts.append(e / e.sum())
-
-    def minimax_from(nu0: np.ndarray) -> float:
-        nu = geometry.project_point(nu0, simplex)
-        best = math.inf
-        for k in range(1, iterations + 1):
-            projections = [geometry.project_point(nu, s) for s in sets]
-            dists = np.array([np.linalg.norm(nu - p) for p in projections])
-            j = int(np.argmax(dists))
-            best = min(best, float(dists[j]))
-            if best < delta - _BOUNDARY_GUARD:
-                return best  # witness found, no need to polish
-            if dists[j] <= 1e-15:
-                return 0.0
-            grad = (nu - projections[j]) / dists[j]
-            nu = geometry.project_point(nu - (0.5 / math.sqrt(k)) * grad, simplex)
-        return best
-
-    best = min(minimax_from(s) for s in starts)
-    if abs(best - delta) <= _BOUNDARY_GUARD:
+    half = geometry.polytope_distance(sets[0], sets[1]).value / 2.0
+    if abs(half - delta) <= _BOUNDARY_GUARD:
         raise geometry.ConvergenceError(
             "boundary-indeterminate: minimax distance within 1e-9 of delta",
-            value=best,
-            gap=abs(best - delta),
+            value=half,
+            gap=abs(half - delta),
         )
-    return best > delta
+    return half >= delta

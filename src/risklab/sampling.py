@@ -38,6 +38,8 @@ _BLOCK_COUNTER_STRIDE = 1 << 64
 _Z95 = 1.959963984540054
 _REJECTION_FALLBACK_ACCEPTANCE = 1e-3
 _REJECTION_ERROR_ACCEPTANCE = 1e-6
+# 1 GiB of float64: ten times the largest default sample (prop3's 1e6 x 12 simplex points)
+_MAX_ARRAY_VALUES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,16 @@ def map_blocks(fn: Callable[[int, int], object], n: int, threads: int = 1) -> li
 
 
 def _fill_rows(n: int, d: int, block: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """The (n, d) array whose rows from ``b * BLOCK_DRAWS`` on are ``block(b, m)``."""
+    """The (n, d) array whose rows from ``b * BLOCK_DRAWS`` on are ``block(b, m)``.
+
+    Arrays above ``_MAX_ARRAY_VALUES`` values are refused before allocation.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n * d > _MAX_ARRAY_VALUES:
+        raise ValueError(
+            f"{n} x {d} draws exceed the {_MAX_ARRAY_VALUES}-value array ceiling (1 GiB)"
+        )
     out = np.empty((n, d))
 
     def fill(b: int, m: int) -> None:

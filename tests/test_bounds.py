@@ -66,22 +66,6 @@ def test_thm4_halves_at_zero_eps():
     )
 
 
-def test_prop7_value_at_zero_eps():
-    # 4 * (d!)^(-1/(2d)) at d = 4: the factorial root is 24^(-1/8)
-    rep = bounds.bound_prop7(0.0, 4)
-    assert rep.value == pytest.approx(4.0 * 24.0 ** (-0.125), rel=1e-12)
-
-
-def test_prop7_decay_is_in_one_over_sqrt_d():
-    # exponent scales like eps/sqrt(d): quadrupling d halves the eps-part
-    a = bounds.bound_prop7(0.4, 4)
-    b = bounds.bound_prop7(0.4, 16)
-    gamma_part_a = a.log_value - (math.log(4.0) - 0.4 / 2.0)
-    gamma_part_b = b.log_value - (math.log(4.0) - 0.4 / 4.0)
-    assert gamma_part_a == pytest.approx(-math.lgamma(5.0) / 8.0, rel=1e-12)
-    assert gamma_part_b == pytest.approx(-math.lgamma(17.0) / 32.0, rel=1e-12)
-
-
 def test_lemma1_matches_separation_bound():
     from risklab import geometry
 
@@ -95,14 +79,6 @@ def test_lemma1_matches_separation_bound():
         geometry.Ball(np.zeros(d), 1.0),
     )
     assert bounds.bound_lemma1(delta, 1.0, d).value == pytest.approx(chk.bound, rel=1e-12)
-
-
-def test_cor16_limits():
-    assert bounds.bound_cor16(0.0, 5).value == pytest.approx(0.5)
-    big = bounds.bound_cor16(0.5, 1000).value
-    assert 1.0 - big < 1e-100
-    vals = [bounds.bound_cor16(0.1, d).value for d in (2, 8, 32)]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_underflow_keeps_log_value():
@@ -176,7 +152,7 @@ def test_sharp_floor_dominates_loose_floor():
         lambda: bounds.bound_thm4(-0.1, 4),
         lambda: bounds.bound_thm4(0.1, 4, c=0.0),
         lambda: bounds.bound_lemma1(-0.2, 1.0, 4),
-        lambda: bounds.bound_cor16(0.1, 0),
+        lambda: bounds.bound_lemma1(0.2, 0.0, 4),
     ],
 )
 def test_domain_errors(call):
@@ -193,5 +169,3 @@ def test_report_records_parameters():
     rep = bounds.bound_thm1(0.1, 0.9, 1.1, 32, kappa=1.2)
     assert rep.theorem_id == "thm1"
     assert rep.params == {"eps": 0.1, "tau": 0.9, "r": 1.1, "d": 32.0, "kappa": 1.2}
-    assert "thm1(" in rep.describe()
-    assert rep.csv_row().startswith("thm1,")

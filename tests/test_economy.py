@@ -5,12 +5,13 @@ algebra, certainty-equivalent matching) before the implementations existed.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from risklab import economy, geometry, preferences, sampling
+from risklab import economy, preferences, sampling
 from risklab.preferences import CRRASEU, CobbDouglasEU, MaxMinEU, cap_prior_polytope
 
 SEED = 314159
@@ -89,7 +90,9 @@ def test_tatonnement_hand_solved_economy():
 def test_equilibrium_budgets_balance():
     econ = _cd_economy()
     eq = economy.tatonnement_equilibrium(econ)
-    assert eq.budget_gaps(econ).max() < 1e-9
+    gaps = [abs(eq.price @ eq.allocation.acts[i] - eq.price @ a.endowment)
+            for i, a in enumerate(econ.agents)]
+    assert max(gaps) < 1e-9
 
 
 def test_equilibrium_no_trade_when_priors_agree():
@@ -169,11 +172,10 @@ def test_scitovsky_exact_matches_grid_on_random_draws():
     f, _ = economy.planner_allocation(econ)
     Z = sampling.sample_uniform_ball(2, 1.0, 60, SEED)
     eps = 0.1
-    for z in Z:
-        w = econ.aggregate + z
-        assert economy.scitovsky_member(econ, f, w, eps) == economy.scitovsky_member_grid(
-            econ, f, w, eps
-        )
+    W = econ.aggregate + Z
+    members = economy.scitovsky_margins_batch(econ, f, W, eps) > economy.MEMBER_TOL
+    for w, member in zip(W, members):
+        assert member == economy.scitovsky_member_grid(econ, f, w, eps)
 
 
 def test_scitovsky_batch_matches_scalar_path():
@@ -182,7 +184,8 @@ def test_scitovsky_batch_matches_scalar_path():
     W = np.array([[1.3, 1.3], [1.0, 1.0], [0.7, 0.7], [1.4, 0.2]])
     margins = economy.scitovsky_margins_batch(econ, f, W, eps=0.05)
     for w, m in zip(W, margins):
-        scalar = economy.scitovsky_margin(econ, f, w, eps=0.05)
+        # one row at a time: rows of a batch do not interact
+        scalar = economy.scitovsky_margins_batch(econ, f, w, eps=0.05)[0]
         assert m == pytest.approx(scalar, abs=1e-9)
 
 
@@ -192,14 +195,15 @@ def test_scitovsky_negative_aggregate_is_never_member():
     W = np.array([[1.0, -0.2], [-1.0, -1.0]])
     margins = economy.scitovsky_margins_batch(econ, f, W, eps=0.05)
     assert np.all(margins == -np.inf)
-    assert economy.scitovsky_margin(econ, f, np.array([1.0, -0.2]), 0.05) == -np.inf
+    assert economy.scitovsky_margins_batch(econ, f, np.array([1.0, -0.2]), 0.05)[0] == -np.inf
 
 
 def test_scitovsky_more_of_everything_is_member():
     econ = _uniform_pair()
     f = economy.equal_split(econ)
-    assert economy.scitovsky_member(econ, f, np.array([1.5, 1.5]), eps=0.1)
-    assert not economy.scitovsky_member(econ, f, np.array([0.9, 0.9]), eps=0.1)
+    margins = economy.scitovsky_margins_batch(econ, f, np.array([[1.5, 1.5], [0.9, 0.9]]), 0.1)
+    assert margins[0] > economy.MEMBER_TOL
+    assert not margins[1] > economy.MEMBER_TOL
 
 
 def _bisection_frontier(M, logM, F_w, base, lam, q, eps):
@@ -298,7 +302,8 @@ def test_scitovsky_newton_matches_reference_bisection(gamma, d):
     low_seen, high_seen = np.any(edges, axis=0)
     assert low_seen and high_seen
 
-def test_pareto_dominated_eps_on_wasteful_allocation():
+
+def test_scitovsky_wasteful_allocation_is_dominated():
     # each agent holds the act the *other* one values: undoing the swap helps both
     econ = economy.EconomySpec(
         (
@@ -307,16 +312,11 @@ def test_pareto_dominated_eps_on_wasteful_allocation():
         ),
         no_aggregate_uncertainty=True,
     )
+    W = econ.aggregate[None, :]
     wasteful = economy.Allocation(np.array([[0.1, 0.9], [0.9, 0.1]]))
-    assert economy.pareto_dominated_eps(econ, wasteful, eps=0.05)
+    assert economy.scitovsky_margins_batch(econ, wasteful, W, 0.05)[0] > economy.MEMBER_TOL
     optimal = economy.Allocation(np.array([[0.9, 0.1], [0.1, 0.9]]))
-    assert not economy.pareto_dominated_eps(econ, optimal, eps=0.0)
-
-
-def test_pareto_decider_requires_constant_aggregate():
-    econ = _cd_economy()
-    with pytest.raises(ValueError):
-        economy.pareto_dominated_eps(econ, economy.equal_split(econ), 0.1)
+    assert not economy.scitovsky_margins_batch(econ, optimal, W, 0.0)[0] > economy.MEMBER_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def test_pareto_decider_requires_constant_aggregate():
 # ---------------------------------------------------------------------------
 
 
-def test_cru_certainty_equivalent_oracle():
+def test_cru_hand_solved_oracle():
     # log agents at (0.8, 0.2)/(0.2, 0.8): CE = 0.4 each, so beta*1 split
     # in half first matches at beta/2 = 0.4
     econ = _uniform_pair()
@@ -355,6 +355,24 @@ def test_cru_needs_unit_aggregate():
     )
     with pytest.raises(ValueError, match="aggregate endowment"):
         economy.cru(econ, economy.equal_split(econ))
+
+
+@pytest.mark.parametrize("economy_kind", ["maxmin-agent", "three-agents"])
+def test_cru_refuses_economies_without_the_frontier_closed_form(economy_kind):
+    cd = CobbDouglasEU(np.array([0.5, 0.5]))
+    if economy_kind == "maxmin-agent":
+        meu = MaxMinEU(cap_prior_polytope(2, 0, 0.6, "ge")[0])
+        agents = (economy.Agent(cd, np.full(2, 0.5)), economy.Agent(meu, np.full(2, 0.5)))
+        acts = [[0.8, 0.2], [0.2, 0.8]]
+    else:
+        agents = tuple(economy.Agent(cd, np.full(2, 1.0 / 3.0)) for _ in range(3))
+        acts = [[0.6, 0.1], [0.2, 0.45], [0.2, 0.45]]
+    econ = economy.EconomySpec(agents, no_aggregate_uncertainty=True)
+    f = economy.Allocation(np.array(acts)).check_feasible(econ)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2-agent common-curvature"):
+        economy.cru(econ, f)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +444,3 @@ def test_belief_volume_split_validates_coalition():
     for bad in ([], [0, 1], [5]):
         with pytest.raises(ValueError):
             economy.belief_volume_split(econ, f, bad, n=1000, seed=1)
-
-
-def test_width_report_singleton_and_segment():
-    single = geometry.Polytope(vertices=np.array([[0.2, 0.8]]), on_simplex=True)
-    rep = economy.width_report(single)
-    assert rep.constant_width and rep.theta_max == 0.0
-    segment = geometry.Polytope(vertices=np.eye(2), on_simplex=True)
-    rep = economy.width_report(segment, n_directions=64, seed=SEED)
-    # the only sum-zero directions in the plane are +/- (1,-1)/sqrt(2)
-    assert rep.constant_width
-    assert rep.theta_max == pytest.approx(math.sqrt(2.0), rel=1e-9)
-
-
-def test_width_report_non_constant_polytope():
-    # a cap is wider along the facet than across it
-    verts, _ = cap_prior_polytope(3, 0, 0.3, "ge")
-    rep = economy.width_report(
-        geometry.Polytope(vertices=verts, on_simplex=True), n_directions=256, seed=SEED
-    )
-    assert not rep.constant_width
-    assert rep.theta_min < rep.theta_max

@@ -102,15 +102,6 @@ def test_halfspace_gap_rejects_overlap():
         )
 
 
-def test_delta_extension_strict_boundary():
-    ball = geometry.Ball(np.zeros(2), 1.0)
-    x = np.array([1.5, 0.0])
-    assert geometry.delta_extension_contains(ball, 0.5 + 1e-6, x)
-    assert not geometry.delta_extension_contains(ball, 0.5, x)  # boundary is outside
-    with pytest.raises(ValueError):
-        geometry.delta_extension_contains(ball, 0.0, x)
-
-
 def test_projection_random_points_land_inside():
     rng = np.random.default_rng(SEED)
     cap = _cap(4, 1, 0.5, "ge")
@@ -157,18 +148,9 @@ def test_box_volume_exact():
     assert res.value == 4.0 and res.method == "exact"
 
 
-def test_cap_relative_volume_mc_matches_exact_fraction():
-    # on the 1-simplex the cap {mu_0 >= 0.6} holds exactly 0.4 of the length
-    cap = _cap(2, 0, 0.6, "ge")
-    res = geometry.volume(cap, method="mc", n=40_000, seed=SEED, relative=True)
-    assert res.value == pytest.approx(0.4, abs=0.01)
-    assert res.method == "monte-carlo"
-    assert res.ci_halfwidth is not None and res.ci_halfwidth < 0.01
-
-
-def test_mc_volume_requires_draws():
-    with pytest.raises(ValueError):
-        geometry.volume(_cap(2, 0, 0.6, "ge"), method="mc", n=0, seed=1)
+def test_volume_refuses_bodies_without_closed_form():
+    with pytest.raises(ValueError, match="no exact volume"):
+        geometry.volume(_cap(2, 0, 0.6, "ge"))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +264,12 @@ def test_separation_bound_check_halfspace_pair():
     assert chk.holds
 
 
+def test_separation_bound_check_refuses_polytopes():
+    ball = geometry.Ball(np.full(3, 1.0 / 3.0), 1.0)
+    with pytest.raises(ValueError, match="two half-spaces"):
+        geometry.separation_bound_check(_cap(3, 0, 0.6, "ge"), _cap(3, 0, 0.2, "le"), 0.1, ball)
+
+
 def test_separation_bound_check_rejects_violated_hypothesis():
     u = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="hypothesis violated"):
@@ -311,10 +299,3 @@ def test_minkowski_combine_balls():
     assert isinstance(combo, geometry.Ball)
     assert np.allclose(combo.center, [1.5, 0.0])
     assert combo.radius == pytest.approx(0.25 * 1.0 + 0.75 * 3.0)
-
-
-def test_bounding_box_encloses_vertices():
-    P = geometry.Polytope(vertices=np.array([[0.2, 0.8], [0.9, 0.1]]), on_simplex=True)
-    box = geometry.bounding_box(P)
-    assert np.allclose(box.lower, [0.2, 0.1])
-    assert np.allclose(box.upper, [0.9, 0.8])

@@ -13,8 +13,6 @@ from risklab.preferences import (
     belief_set,
     belief_set_extension_empty,
     cap_prior_polytope,
-    eps_ucs_contains,
-    utility,
     utility_extended,
 )
 
@@ -36,14 +34,6 @@ def test_cobb_douglas_log_utility_oracle():
     assert pref.utility(np.array([math.e, 1.0])) == pytest.approx(0.6, rel=1e-12)
     uniform = CobbDouglasEU(np.array([0.5, 0.5]))
     assert uniform.utility(np.array([0.4, 0.4])) == pytest.approx(math.log(0.4), rel=1e-12)
-
-
-def test_cobb_douglas_certainty_equivalent_homogeneous():
-    pref = CobbDouglasEU(np.array([0.3, 0.7]))
-    f = np.array([2.0, 0.5])
-    ce = pref.certainty_equivalent(f)
-    assert ce == pytest.approx(2.0**0.3 * 0.5**0.7, rel=1e-12)
-    assert pref.certainty_equivalent(3.0 * f) == pytest.approx(3.0 * ce, rel=1e-12)
 
 
 def test_crra_gamma_limits():
@@ -126,8 +116,8 @@ def test_quasi_concavity_on_random_triples(pref):
         x = rng.random(3) + 0.05
         y = rng.random(3) + 0.05
         t = float(rng.random())
-        mid = utility(pref, t * x + (1 - t) * y)
-        assert mid >= min(utility(pref, x), utility(pref, y)) - 1e-10
+        mid = pref.utility(t * x + (1 - t) * y)
+        assert mid >= min(pref.utility(x), pref.utility(y)) - 1e-10
 
 
 @pytest.mark.parametrize(
@@ -142,17 +132,7 @@ def test_strict_monotonicity(pref):
     rng = np.random.default_rng(SEED + 1)
     for _ in range(100):
         f = rng.random(2) + 0.1
-        assert utility(pref, f + 0.01) > utility(pref, f)
-
-
-def test_eps_ucs_contains_shrinks_with_eps():
-    pref = CobbDouglasEU(np.array([0.5, 0.5]))
-    f = np.array([1.0, 1.0])
-    g = np.array([1.1, 1.1])
-    assert eps_ucs_contains(pref, f, g, 0.05)  # 0.95 * 1.1 = 1.045 > 1
-    assert not eps_ucs_contains(pref, f, g, 0.2)
-    with pytest.raises(ValueError):
-        eps_ucs_contains(pref, f, g, 1.0)
+        assert pref.utility(f + 0.01) > pref.utility(f)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +167,7 @@ def test_belief_set_supporting_property():
         g = f + rng.normal(scale=0.2, size=2)
         if np.any(g <= 0):
             continue
-        if utility(pref, g) >= utility(pref, f):
+        if pref.utility(g) >= pref.utility(f):
             count += 1
             assert float(nu @ g) >= float(nu @ f) - 1e-9
     assert count > 100  # the sweep actually exercised the contour
@@ -257,20 +237,26 @@ def test_two_set_boundary_raises():
         belief_set_extension_empty(sets, math.sqrt(0.24) / 2.0)
 
 
-def test_three_sets_pairwise_far_certified_empty():
+def test_emptiness_refuses_three_pairwise_far_sets():
     sets = [
         belief_set(_meu_cap(4, i, 0.9, "ge"), np.full(4, 0.5)) for i in range(3)
     ]
-    # pairwise distances ~ sqrt(2) * 0.9-ish; delta far below half of that
-    assert belief_set_extension_empty(sets, 0.05)
+    with pytest.raises(ValueError, match="exactly two"):
+        belief_set_extension_empty(sets, 0.05)
 
 
-def test_three_sets_sharing_a_point_not_empty():
+def test_emptiness_refuses_three_sets_sharing_a_point():
     sets = [
         belief_set(_meu_cap(3, i, 0.2, "ge"), np.full(3, 0.5)) for i in range(3)
     ]
-    # all three caps contain the barycenter, so extensions always intersect
-    assert not belief_set_extension_empty(sets, 0.1, seed=SEED)
+    with pytest.raises(ValueError, match="exactly two"):
+        belief_set_extension_empty(sets, 0.1)
+
+
+def test_emptiness_refuses_a_single_set():
+    sets = [belief_set(_meu_cap(4, 0, 0.9, "ge"), np.full(4, 0.5))]
+    with pytest.raises(ValueError, match="exactly two"):
+        belief_set_extension_empty(sets, 0.05)
 
 
 def test_emptiness_needs_positive_delta():

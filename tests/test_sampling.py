@@ -111,6 +111,18 @@ def test_rejection_sampler_memory_ceiling():
     assert peak < 64 * 2**20
 
 
+def test_sample_arrays_over_the_ceiling_are_refused_before_allocation():
+    # 2**14 x 2**14 values is 2 GiB of float64, above the 1 GiB ceiling
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="ceiling"):
+            sampling.sample_uniform_simplex(2**14, 2**14, SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # uniform ball
 # ---------------------------------------------------------------------------
