@@ -22,6 +22,7 @@ decision rule "member iff margin > 1e-9".  Other economies are refused.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -488,10 +489,16 @@ class BeliefVolumeSplit:
         return min(self.vol_J.p_hat, self.vol_Jc.p_hat)
 
 
-def _group_membership(sets: list[geometry.Polytope], pts: np.ndarray) -> np.ndarray:
-    inside = np.ones(len(pts), dtype=bool)
+def _group_membership(
+    sets: list[geometry.Polytope], pts: np.ndarray, on_simplex: np.ndarray
+) -> np.ndarray:
+    # Each belief set is an on_simplex polytope, whose simplex test is the
+    # shared on_simplex mask, so only its half-spaces are tested here.  A set
+    # without half-spaces is tested whole.
+    inside = on_simplex.copy()
     for s in sets:
-        inside &= geometry.contains(s, pts)
+        for body in s.halfspaces or (s,):
+            inside &= geometry.contains(body, pts)
         if not inside.any():
             break
     return inside
@@ -499,33 +506,38 @@ def _group_membership(sets: list[geometry.Polytope], pts: np.ndarray) -> np.ndar
 
 def belief_volume_split(
     econ: EconomySpec,
-    f: Allocation,
+    allocations: Sequence[Allocation],
     J: list[int],
     n: int = 10**5,
     seed: sampling.SeedSpec | int = 0,
-) -> BeliefVolumeSplit:
+) -> list[BeliefVolumeSplit]:
     """Relative simplex volumes of the two coalition belief-set intersections.
 
+    Returns one split per allocation in ``allocations``.  At an allocation,
     B_J is the intersection of the belief sets of the agents in J at their
-    allocated acts (B_Jc for the complement).  Both volumes are hit-or-miss
-    estimates against the SAME uniform simplex sample, so for disjoint
-    intersections min(vol_J, vol_Jc) can never exceed 1/2.  A coalition
+    allocated acts (B_Jc for the complement).  All volumes are hit-or-miss
+    estimates against ONE uniform simplex sample, drawn once per call, so for
+    disjoint intersections min(vol_J, vol_Jc) can never exceed 1/2, and two
+    allocations are compared on the same points.  The simplex test runs once
+    per sample; each group then ANDs in its sets' half-spaces.  A coalition
     whose sampled intersection is empty is flagged.
     """
     J = sorted(set(J))
     if not J or not all(0 <= j < econ.n_agents for j in J) or len(J) == econ.n_agents:
         raise ValueError("J must be a proper nonempty subset of the agents")
     Jc = [i for i in range(econ.n_agents) if i not in J]
-    sets_J = [preferences.belief_set(econ.agents[i].preference, f.acts[i]) for i in J]
-    sets_Jc = [preferences.belief_set(econ.agents[i].preference, f.acts[i]) for i in Jc]
     pts = sampling.sample_uniform_simplex(econ.dim, n, seed)
-    in_J = _group_membership(sets_J, pts)
-    in_Jc = _group_membership(sets_Jc, pts)
-    vol_J = sampling.MCEstimate(hits=int(in_J.sum()), trials=n)
-    vol_Jc = sampling.MCEstimate(hits=int(in_Jc.sum()), trials=n)
-    return BeliefVolumeSplit(
-        vol_J=vol_J,
-        vol_Jc=vol_Jc,
-        empty_J=vol_J.hits == 0,
-        empty_Jc=vol_Jc.hits == 0,
-    )
+    on_simplex = geometry.contains(geometry.Simplex(econ.dim), pts)
+    splits = []
+    for f in allocations:
+        hits = []
+        for group in (J, Jc):
+            sets = [preferences.belief_set(econ.agents[i].preference, f.acts[i]) for i in group]
+            hits.append(int(_group_membership(sets, pts, on_simplex).sum()))
+        splits.append(BeliefVolumeSplit(
+            vol_J=sampling.MCEstimate(hits=hits[0], trials=n),
+            vol_Jc=sampling.MCEstimate(hits=hits[1], trials=n),
+            empty_J=hits[0] == 0,
+            empty_Jc=hits[1] == 0,
+        ))
+    return splits

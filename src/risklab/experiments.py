@@ -623,8 +623,10 @@ def _prop3_rows(inst: AmbiguityInstance, c_values, vol_seed, vol_trials, constan
                      for c in c_values}
     mid_bound = bound_columns[f"bound_c{c_values[len(c_values) // 2]:g}"]
 
-    def row(experiment, phase, acts, **fields):
-        vols = economy.belief_volume_split(inst.econ, acts, [0], n=vol_trials, seed=vol_seed)
+    allocations = [inst.traded, inst.constant] if constant_phase else [inst.traded]
+    splits = economy.belief_volume_split(inst.econ, allocations, [0], n=vol_trials, seed=vol_seed)
+
+    def row(experiment, phase, vols, **fields):
         return {
             "experiment": experiment, "phase": phase, "d": inst.d, "eps": inst.eps,
             "vol_J": vols.vol_J.p_hat, "vol_Jc": vols.vol_Jc.p_hat,
@@ -637,7 +639,7 @@ def _prop3_rows(inst: AmbiguityInstance, c_values, vol_seed, vol_trials, constan
         for i in range(2)
     ]
     dist = geometry.polytope_distance(B[0], B[1]).value
-    traded = row("prop3", "dominated", inst.traded, dist=dist)
+    traded = row("prop3", "dominated", splits[0], dist=dist)
     rows = []
     for mode in ("definitional", "paper"):
         rho_v = economy.rho(inst.econ, mode=mode)
@@ -650,7 +652,7 @@ def _prop3_rows(inst: AmbiguityInstance, c_values, vol_seed, vol_trials, constan
             r["error"] = str(exc)
         rows.append(r)
     if constant_phase:
-        rows.append(row("thm4", "constant", inst.constant, rho_mode=None, rho=None,
+        rows.append(row("thm4", "constant", splits[1], rho_mode=None, rho=None,
                         delta=None, dist=None, empty_intersection=None))
     return rows
 

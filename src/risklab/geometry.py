@@ -175,15 +175,15 @@ class Polytope:
         return self.vertices is not None
 
     def has_hrep(self) -> bool:
-        return bool(self.halfspaces) or self.on_simplex
+        # a vertex list with on_simplex is a V-rep set on the simplex, not the simplex
+        return bool(self.halfspaces) or (self.on_simplex and self.vertices is None)
 
 
 @dataclass(frozen=True)
 class VolumeResult:
-    """A volume value with its provenance (the closed form it came from)."""
+    """A volume value from a closed form."""
 
     value: float
-    method: str
 
     def __post_init__(self):
         if self.value < 0:
@@ -470,11 +470,11 @@ def volume(S) -> VolumeResult:
     Simplex volumes follow the surface-measure convention; other bodies raise.
     """
     if isinstance(S, Box):
-        return VolumeResult(float(np.prod(S.sides)), "exact")
+        return VolumeResult(float(np.prod(S.sides)))
     if isinstance(S, Ball):
-        return VolumeResult(float(np.exp(log_ball_volume(S.dim, S.radius))), "exact")
+        return VolumeResult(float(np.exp(log_ball_volume(S.dim, S.radius))))
     if isinstance(S, Simplex):
-        return VolumeResult(float(np.exp(log_simplex_volume(S.dim, S.scale))), "exact")
+        return VolumeResult(float(np.exp(log_simplex_volume(S.dim, S.scale))))
     raise ValueError(f"no exact volume for {type(S).__name__}")
 
 
@@ -558,7 +558,6 @@ class SeparationCheck:
     min_fraction: float
     bound: float
     holds: bool
-    method: str
 
 
 def separation_bound_check(
@@ -587,4 +586,4 @@ def separation_bound_check(
         height = min(max(c - float(u @ ball.center), -r), r)
         fracs.append(signed_cap_fraction(d, r, height))
     min_fraction = min(fracs)
-    return SeparationCheck(dist, min_fraction, bound, min_fraction <= bound + BOUNDARY_TOL, "exact")
+    return SeparationCheck(dist, min_fraction, bound, min_fraction <= bound + BOUNDARY_TOL)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from risklab import economy, preferences, sampling
+from risklab import economy, experiments, preferences, sampling
 from risklab.preferences import CRRASEU, CobbDouglasEU, MaxMinEU, cap_prior_polytope
 
 SEED = 314159
@@ -431,7 +431,9 @@ def _meu_economy(d, hi=0.6, lo=0.2):
 @pytest.mark.parametrize("d", [3, 5])
 def test_belief_volume_split_disjoint_caps(d):
     econ = _meu_economy(d)
-    split = economy.belief_volume_split(econ, economy.equal_split(econ), [0], n=60_000, seed=SEED)
+    (split,) = economy.belief_volume_split(
+        econ, [economy.equal_split(econ)], [0], n=60_000, seed=SEED
+    )
     # vol({mu_0 >= 0.6}) = 0.4^(d-1), vol({mu_0 <= 0.2}) = 1 - 0.2 * ... exact for J
     assert split.vol_J.p_hat == pytest.approx(0.4 ** (d - 1), abs=0.01)
     assert not split.empty_J and not split.empty_Jc
@@ -443,4 +445,14 @@ def test_belief_volume_split_validates_coalition():
     f = economy.equal_split(econ)
     for bad in ([], [0, 1], [5]):
         with pytest.raises(ValueError):
-            economy.belief_volume_split(econ, f, bad, n=1000, seed=1)
+            economy.belief_volume_split(econ, [f], bad, n=1000, seed=1)
+
+
+def test_belief_volume_split_singleton_belief_sets_have_no_volume():
+    # Cobb-Douglas belief sets are single priors, of measure zero on the simplex
+    econ = experiments.build_economy(experiments.default_config("thm2"), 3)
+    f, _ = economy.planner_allocation(econ)
+    (split,) = economy.belief_volume_split(econ, [f], [0], n=1000, seed=SEED)
+    assert (split.vol_J.hits, split.vol_Jc.hits) == (0, 0)
+    assert split.empty_J and split.empty_Jc
+    assert split.min_rel_vol == 0.0

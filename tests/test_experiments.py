@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from risklab import cli, economy, experiments
+from risklab import cli, economy, experiments, geometry, preferences, sampling
 
 SMOKE_TRIALS = 200
 
@@ -411,6 +411,54 @@ def test_ambiguity_instance_trade_hurts_both_agents(d, a, b):
         u_const = agent.preference.utility(inst.constant.acts[i])
         u_trade = agent.preference.utility(inst.traded.acts[i])
         assert u_const - u_trade >= floor - 1e-12
+
+
+def _per_set_hits(econ, f, J, n, seed):
+    """Hits of B_J and B_Jc with every belief set tested whole by contains."""
+    pts = sampling.sample_uniform_simplex(econ.dim, n, seed)
+    hits = []
+    for group in (J, [i for i in range(econ.n_agents) if i not in J]):
+        inside = np.ones(n, dtype=bool)
+        for i in group:
+            inside &= geometry.contains(
+                preferences.belief_set(econ.agents[i].preference, f.acts[i]), pts
+            )
+        hits.append(int(inside.sum()))
+    return hits
+
+
+@pytest.mark.parametrize("a,b", [(0.25, 0.60), (0.60, 0.20)])  # overlapping, disjoint
+@pytest.mark.parametrize("d", [3, 8, 12])
+def test_belief_volume_split_matches_per_set_contains(d, a, b):
+    inst = experiments._ambiguity_instance(d, a, b)
+    n, seed = 100_000, 5000 + d
+    splits = economy.belief_volume_split(
+        inst.econ, [inst.traded, inst.constant], [0], n=n, seed=seed
+    )
+    total = 0
+    for split, f in zip(splits, (inst.traded, inst.constant)):
+        expected = _per_set_hits(inst.econ, f, [0], n, seed)
+        assert [split.vol_J.hits, split.vol_Jc.hits] == expected
+        assert (split.empty_J, split.empty_Jc) == (expected[0] == 0, expected[1] == 0)
+        total += sum(expected)
+    assert total > 0
+
+
+def test_prop3_draws_one_simplex_sample_per_family_cell(monkeypatch):
+    draws = []
+    sample = sampling.sample_uniform_simplex
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "sample_uniform_simplex", counted)
+    cfg = replace(experiments.default_config("prop3"), trials=200, dims=(3, 4),
+                  n_economies=2, family_trials=200)
+    experiments.run_prop3_thm4(cfg)
+    # one draw per random economy and one per family dimension, shared by
+    # the traded and the constant allocation
+    assert len(draws) == cfg.n_economies + len(cfg.dims)
 
 
 # ---------------------------------------------------------------------------

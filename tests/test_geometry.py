@@ -124,6 +124,14 @@ def test_contains_batch_halfspace_and_polytope():
     assert geometry.contains(cap, pts).tolist() == [True, False, True]
 
 
+def test_contains_vertex_polytope_on_simplex_is_its_hull():
+    point = geometry.Polytope(vertices=[[0.2, 0.3, 0.5]], on_simplex=True)
+    assert not geometry.contains(point, [1.0, 0.0, 0.0])
+    assert geometry.contains(point, [0.2, 0.3, 0.5])
+    # without vertices or half-spaces an on_simplex polytope is the simplex
+    assert geometry.contains(geometry.Polytope(on_simplex=True), [1.0, 0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # volumes
 # ---------------------------------------------------------------------------
@@ -145,7 +153,7 @@ def test_ball_volume_low_dims():
 def test_box_volume_exact():
     box = geometry.Box(np.array([0.0, -1.0]), np.array([2.0, 1.0]))
     res = geometry.volume(box)
-    assert res.value == 4.0 and res.method == "exact"
+    assert res.value == 4.0
 
 
 def test_volume_refuses_bodies_without_closed_form():
@@ -257,7 +265,6 @@ def test_separation_bound_check_halfspace_pair():
         delta,
         geometry.Ball(np.zeros(d), 1.0),
     )
-    assert chk.method == "exact"
     assert chk.distance == pytest.approx(delta, rel=1e-12)
     assert chk.min_fraction == pytest.approx(geometry.cap_fraction(d, 1.0, delta / 2), rel=1e-12)
     assert chk.bound == pytest.approx(math.exp(-delta * delta * d / 8.0), rel=1e-12)
