@@ -169,6 +169,11 @@ class Polytope:
     def dim(self) -> int:
         if self.vertices is not None:
             return self.vertices.shape[1]
+        if not self.halfspaces:
+            raise ValueError(
+                "an on_simplex polytope without vertices or half-spaces has no dimension; "
+                "use geometry.Simplex(d)"
+            )
         return self.halfspaces[0].dim
 
     def has_vrep(self) -> bool:

@@ -129,7 +129,8 @@ def _ball_block(gen: np.random.Generator, m: int, d: int, r: float) -> np.ndarra
     direction = gen.standard_normal((m, d))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     radii = r * gen.random(m) ** (1.0 / d)
-    return direction * radii[:, None]
+    direction *= radii[:, None]
+    return direction
 
 
 def sample_uniform_ball(d: int, r: float, n: int, seed: SeedSpec | int) -> np.ndarray:
@@ -275,9 +276,6 @@ class PerturbationLaw:
         if self.kind == "uniform-ball":
             return 1.0
         return gaussian_kappa_ratio(self.dim, self.radius)
-
-    def with_dim(self, d: int) -> "PerturbationLaw":
-        return PerturbationLaw(self.kind, d, self.radius)
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
         seed = as_seed(seed)

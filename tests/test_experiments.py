@@ -331,6 +331,59 @@ def test_checks_smoke_all_pass():
     assert failed == []
 
 
+def _lemma1_only(trials):
+    return replace(_small("checks", trials=trials), experiment_id="lemma1")
+
+
+def test_lemma1_draws_one_ball_stream_per_dimension(monkeypatch):
+    calls = []
+    sample_block = sampling.PerturbationLaw.sample_block
+
+    def counted(self, block, m, seed):
+        calls.append((self.dim, block, m, seed))
+        return sample_block(self, block, m, seed)
+
+    monkeypatch.setattr(sampling.PerturbationLaw, "sample_block", counted)
+    trials = 2 * sampling.BLOCK_DRAWS + 17
+    res = experiments.run_experiment(_lemma1_only(trials))
+    assert len(res.rows) == len(experiments._LEMMA1_DELTAS) * len(experiments._LEMMA1_DIMS)
+    # every delta is counted on the same blocks: one stream per d, each block once
+    blocks = math.ceil(trials / sampling.BLOCK_DRAWS)
+    assert len(calls) == len(experiments._LEMMA1_DIMS) * blocks
+    assert {(d, seed.stream_id) for d, _, _, seed in calls} == {
+        (d, 100 + i) for i, d in enumerate(experiments._LEMMA1_DIMS)}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lemma1_counts_equal_per_delta_mc_probability(threads):
+    seed = sampling.SeedSpec(7)
+    trials = sampling.BLOCK_DRAWS + 300
+    estimates = experiments._lemma1_cap_estimates(seed, trials, threads)
+    for i, d in enumerate(experiments._LEMMA1_DIMS):
+        law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
+        for delta in experiments._LEMMA1_DELTAS:
+            ref = sampling.mc_probability(lambda Z: Z[:, 0] >= delta / 2.0, law, trials,
+                                          seed.stream(100 + i))
+            assert estimates[delta, d] == ref, (delta, d)
+
+
+def test_lemma1_rows_fail_when_the_tail_misses_the_exact_law(monkeypatch):
+    # the tail of a ball sampler that doubles its hits stays below the loose
+    # bound at d = 2 and 8, but lies far outside the exact law's binomial spread
+    true_estimates = experiments._lemma1_cap_estimates
+
+    def doubled(seed, trials, threads):
+        return {cell: sampling.MCEstimate(min(2 * est.hits, trials), trials)
+                for cell, est in true_estimates(seed, trials, threads).items()}
+
+    monkeypatch.setattr(experiments, "_lemma1_cap_estimates", doubled)
+    res = experiments.run_experiment(_lemma1_only(20_000))
+    low_d = [r for r in res.rows if r["check"].endswith(("-d2", "-d8"))]
+    assert len(low_d) == 2 * len(experiments._LEMMA1_DELTAS)
+    assert not any(r["passed"] for r in low_d)
+    assert all(" z=" in r["detail"] for r in res.rows)
+
+
 def test_single_family_config_runs_only_that_family():
     cfg = experiments.parse_config_text("experiment = bm\nseed = 3\ntrials = 200\n")
     res = experiments.run_experiment(cfg)

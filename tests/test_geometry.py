@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from risklab import geometry
 from risklab.preferences import cap_prior_polytope
@@ -36,6 +39,17 @@ def test_project_simplex_negative_entries_clipped():
     p = geometry.project_point(np.array([1.5, -0.2, 0.1]), geometry.Simplex(3))
     assert np.all(p >= 0)
     assert abs(p.sum() - 1.0) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, st.integers(1, 12), elements=st.floats(-1e3, 1e3)),
+       scale=st.floats(0.01, 100.0))
+def test_project_simplex_is_feasible_and_idempotent(x, scale):
+    p = geometry._project_simplex(x, scale)
+    tol = 1e-10 * (scale + np.abs(x).max())
+    assert np.all(p >= 0)
+    assert abs(p.sum() - scale) <= tol
+    assert np.allclose(geometry._project_simplex(p, scale), p, rtol=0, atol=tol)
 
 
 def test_project_ball_inside_and_outside():
@@ -130,6 +144,11 @@ def test_contains_vertex_polytope_on_simplex_is_its_hull():
     assert geometry.contains(point, [0.2, 0.3, 0.5])
     # without vertices or half-spaces an on_simplex polytope is the simplex
     assert geometry.contains(geometry.Polytope(on_simplex=True), [1.0, 0.0, 0.0])
+
+
+def test_whole_simplex_polytope_has_no_dimension():
+    with pytest.raises(ValueError, match=r"geometry\.Simplex\(d\)"):
+        geometry.Polytope(on_simplex=True).dim
 
 
 # ---------------------------------------------------------------------------

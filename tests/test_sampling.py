@@ -253,9 +253,8 @@ def test_law_kappa_values():
     assert gauss.kappa == pytest.approx(sampling.gaussian_kappa_ratio(4, 1.0))
 
 
-def test_law_with_dim_and_block_consistency():
-    law = sampling.PerturbationLaw("uniform-ball", 2, 1.0).with_dim(6)
-    assert law.dim == 6
+def test_law_sample_is_its_first_block():
+    law = sampling.PerturbationLaw("uniform-ball", 6, 1.0)
     full = law.sample(300, SEED)
     blk = law.sample_block(0, 300, sampling.as_seed(SEED))
     assert np.array_equal(full, blk)
@@ -302,6 +301,16 @@ def test_merge_is_exact_count_addition_and_associative():
     a_bc = a.merge(b.merge(c))
     assert ab_c == a_bc
     assert ab_c.hits == 10 and ab_c.trials == 350
+
+
+@settings(max_examples=300, deadline=None)
+@given(trials=st.integers(1, 10**12), data=st.data())
+def test_estimate_bounds_lie_in_unit_interval_and_bracket_p_hat(trials, data):
+    hits = data.draw(st.one_of(st.integers(0, min(trials, 50)),
+                               st.integers(max(0, trials - 50), trials),
+                               st.integers(0, trials)))
+    est = sampling.MCEstimate(hits, trials)
+    assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
 
 
 def test_estimate_validation():
