@@ -48,7 +48,6 @@ from .geometry import (
     ConvergenceError,
     HalfSpace,
     Polytope,
-    Simplex,
     bm_check,
     cap_fraction,
     distance_point_to_convex,
@@ -78,7 +77,7 @@ from .sampling import (
 __all__ = [
     "__version__",
     # geometry
-    "Ball", "Box", "Simplex", "HalfSpace", "Polytope", "ConvergenceError",
+    "Ball", "Box", "HalfSpace", "Polytope", "ConvergenceError",
     "bm_check", "cap_fraction", "distance_point_to_convex", "polytope_distance",
     "separation_bound_check", "volume",
     # sampling

@@ -489,13 +489,10 @@ class BeliefVolumeSplit:
         return min(self.vol_J.p_hat, self.vol_Jc.p_hat)
 
 
-def _group_membership(
-    sets: list[geometry.Polytope], pts: np.ndarray, on_simplex: np.ndarray
-) -> np.ndarray:
-    # Each belief set is an on_simplex polytope, whose simplex test is the
-    # shared on_simplex mask, so only its half-spaces are tested here.  A set
-    # without half-spaces is tested whole.
-    inside = on_simplex.copy()
+def _group_membership(sets: list[geometry.Polytope], pts: np.ndarray) -> np.ndarray:
+    # The points lie on the simplex by construction, so only each belief
+    # set's half-spaces are tested.  A set without half-spaces is tested whole.
+    inside = np.ones(len(pts), dtype=bool)
     for s in sets:
         for body in s.halfspaces or (s,):
             inside &= geometry.contains(body, pts)
@@ -518,22 +515,21 @@ def belief_volume_split(
     allocated acts (B_Jc for the complement).  All volumes are hit-or-miss
     estimates against ONE uniform simplex sample, drawn once per call, so for
     disjoint intersections min(vol_J, vol_Jc) can never exceed 1/2, and two
-    allocations are compared on the same points.  The simplex test runs once
-    per sample; each group then ANDs in its sets' half-spaces.  A coalition
-    whose sampled intersection is empty is flagged.
+    allocations are compared on the same points.  The sampled points lie on
+    the simplex by construction, so a group tests only its sets' half-spaces.
+    A coalition whose sampled intersection is empty is flagged.
     """
     J = sorted(set(J))
     if not J or not all(0 <= j < econ.n_agents for j in J) or len(J) == econ.n_agents:
         raise ValueError("J must be a proper nonempty subset of the agents")
     Jc = [i for i in range(econ.n_agents) if i not in J]
     pts = sampling.sample_uniform_simplex(econ.dim, n, seed)
-    on_simplex = geometry.contains(geometry.Simplex(econ.dim), pts)
     splits = []
     for f in allocations:
         hits = []
         for group in (J, Jc):
             sets = [preferences.belief_set(econ.agents[i].preference, f.acts[i]) for i in group]
-            hits.append(int(_group_membership(sets, pts, on_simplex).sum()))
+            hits.append(int(_group_membership(sets, pts).sum()))
         splits.append(BeliefVolumeSplit(
             vol_J=sampling.MCEstimate(hits=hits[0], trials=n),
             vol_Jc=sampling.MCEstimate(hits=hits[1], trials=n),

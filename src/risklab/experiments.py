@@ -49,8 +49,8 @@ _LEMMA1_Z = 5.0
 class AgentTemplate:
     """Dimension-independent agent description instantiated per sweep cell.
 
-    Prior specs: 'uniform', 'spike:IDX:P' (mass P on state IDX, the rest
-    uniform), or a comma list.  Max-min prior sets: 'cap:ge:IDX:LEVEL',
+    Prior specs: 'uniform', 'spike:IDX:P' (mass P on state IDX in [0, d), the
+    rest uniform), or a comma list.  Max-min prior sets: 'cap:ge:IDX:LEVEL',
     'cap:le:IDX:LEVEL', or 'vertices:v1|v2|...' with comma-separated
     coordinates.  Endowments: 'ones', 'equal-share', or a comma list.
     """
@@ -68,6 +68,8 @@ class AgentTemplate:
         if s.startswith("spike:"):
             _, idx, p = s.split(":")
             idx, p = int(idx), float(p)
+            if not 0 <= idx < d:
+                raise ValueError(f"spike state {idx} is outside 0..{d - 1} at dimension {d}")
             mu = np.full(d, (1.0 - p) / (d - 1))
             mu[idx] = p
             return mu
@@ -131,6 +133,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         experiment_for(self.experiment_id)
+        sampling.SeedSpec(self.seed)  # refuse a seed outside [0, 2^64) before any cell runs
         if self.trials < 100:
             raise ValueError("trials must be >= 100")
         if self.threads < 1:
@@ -853,8 +856,8 @@ def _economy_checks(seed: sampling.SeedSpec):
 
     inner_v, inner_h = preferences.cap_prior_polytope(4, 0, 0.5, "ge")
     outer_v, outer_h = preferences.cap_prior_polytope(4, 0, 0.3, "ge")
-    inner = geometry.Polytope(vertices=inner_v, halfspaces=(inner_h,), on_simplex=True)
-    outer = geometry.Polytope(vertices=outer_v, halfspaces=(outer_h,), on_simplex=True)
+    inner = geometry.Polytope(vertices=inner_v, halfspaces=(inner_h,))
+    outer = geometry.Polytope(vertices=outer_v, halfspaces=(outer_h,))
     pts = sampling.sample_uniform_simplex(4, 1000, seed.stream(201))
     nested_ok = True
     for nu in pts:

@@ -1,28 +1,24 @@
 """Convex-geometry primitives used throughout the laboratory.
 
-Distances to convex bodies, Minkowski combinations of boxes and balls,
-exact volumes, spherical-cap fractions, and the two checkers
-(Brunn-Minkowski, half-space separation) that the concentration experiments
-lean on.
+Belief sets as polytopes on the probability simplex, their projections,
+distances and membership tests; exact volumes of boxes and balls;
+spherical-cap fractions; and the two checkers (Brunn-Minkowski, half-space
+separation) that the concentration experiments lean on.
 
 Conventions
 -----------
-* A *body* is one of :class:`Ball`, :class:`Box`, :class:`Simplex`,
-  :class:`HalfSpace`, or :class:`Polytope`.
-* ``Polytope`` may carry a V-representation (vertex list), an
-  H-representation (half-space list), or both.  ``on_simplex=True`` means the
-  set lives on the standard probability simplex: the constraints mu >= 0 and
-  sum(mu) = 1 are implied and do not need to be listed.
-* Simplex volumes follow the surface-measure convention
-  Vol(Delta_d) = sqrt(d)/Gamma(d), the (d-1)-dimensional Hausdorff measure of
-  the standard simplex embedded in R^d.
+* A :class:`Polytope` is a set of priors: the convex hull of at least one
+  vertex on the standard probability simplex.  Its optional half-spaces cut
+  the same set out of the simplex and serve batch membership tests.
+* :class:`Ball` and :class:`Box` serve the volume and Brunn-Minkowski
+  checks, :class:`HalfSpace` the separation check and membership.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc, gammaln
@@ -98,20 +94,6 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Simplex:
-    """The scaled standard simplex  scale * Delta_dim = {x >= 0, sum x = scale}."""
-
-    dim: int
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("simplex needs dim >= 2")
-        if self.scale <= 0:
-            raise ValueError("simplex scale must be positive")
-
-
-@dataclass(frozen=True)
 class HalfSpace:
     """Half-space {x : p.x >= b} (orientation 'upper') or {x : p.x <= b} ('lower')."""
 
@@ -126,10 +108,6 @@ class HalfSpace:
             raise ValueError("half-space normal must be nonzero")
         if self.orientation not in ("upper", "lower"):
             raise ValueError("orientation must be 'upper' or 'lower'")
-
-    @property
-    def dim(self) -> int:
-        return self.normal.size
 
     def unit_form(self) -> tuple[np.ndarray, float]:
         """Return (u, c) with the set written as {x : u.x >= c}, ||u|| = 1."""
@@ -146,53 +124,25 @@ class HalfSpace:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex polytope in V-representation, H-representation, or both.
+    """A set of priors: the convex hull of ``vertices``, which lie on the simplex.
 
-    ``halfspaces`` lists explicit linear constraints; with ``on_simplex`` the
-    constraints x >= 0 and sum(x) = 1 are implied in addition.  At least one
-    representation must be present.
+    ``halfspaces`` optionally lists linear constraints that cut the same set
+    out of the simplex; :func:`contains` tests a batch of points against them.
     """
 
-    vertices: np.ndarray | None = None
-    halfspaces: tuple[HalfSpace, ...] = field(default_factory=tuple)
-    on_simplex: bool = False
+    vertices: np.ndarray
+    halfspaces: tuple[HalfSpace, ...] = ()
 
     def __post_init__(self):
-        if self.vertices is not None:
-            v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-            object.__setattr__(self, "vertices", v)
+        v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        if v.size == 0:
+            raise ValueError("empty set: a polytope needs at least one vertex")
+        object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        if self.vertices is None and not self.halfspaces and not self.on_simplex:
-            raise ValueError("empty set: polytope needs vertices or constraints")
 
     @property
     def dim(self) -> int:
-        if self.vertices is not None:
-            return self.vertices.shape[1]
-        if not self.halfspaces:
-            raise ValueError(
-                "an on_simplex polytope without vertices or half-spaces has no dimension; "
-                "use geometry.Simplex(d)"
-            )
-        return self.halfspaces[0].dim
-
-    def has_vrep(self) -> bool:
-        return self.vertices is not None
-
-    def has_hrep(self) -> bool:
-        # a vertex list with on_simplex is a V-rep set on the simplex, not the simplex
-        return bool(self.halfspaces) or (self.on_simplex and self.vertices is None)
-
-
-@dataclass(frozen=True)
-class VolumeResult:
-    """A volume value from a closed form."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("volume cannot be negative")
+        return self.vertices.shape[1]
 
 
 class DistanceCertificate(NamedTuple):
@@ -204,26 +154,6 @@ class DistanceCertificate(NamedTuple):
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
-
-
-def _project_simplex(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto {y >= 0, sum y = scale} by the sort method."""
-    d = x.size
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - scale
-    ks = np.arange(1, d + 1)
-    cond = u - css / ks > 0
-    rho = ks[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(x - theta, 0.0)
-
-
-def _project_halfspace(x: np.ndarray, hs: HalfSpace) -> np.ndarray:
-    u, c = hs.unit_form()
-    slack = x @ u - c
-    if slack >= 0:
-        return x
-    return x - slack * u
 
 
 def _project_hull(
@@ -279,58 +209,9 @@ def _project_hull(
     return y
 
 
-def _dykstra(
-    x: np.ndarray,
-    projectors: Sequence[Callable[[np.ndarray], np.ndarray]],
-    tol: float = DISTANCE_TOL,
-    sweep_cap: int = PROJECTION_SWEEP_CAP,
-) -> np.ndarray:
-    """Dykstra's alternating-projection scheme onto an intersection of convex sets."""
-    corrections = [np.zeros_like(x) for _ in projectors]
-    y = x.astype(float, copy=True)
-    for _ in range(sweep_cap):
-        y_prev = y.copy()
-        for k, proj in enumerate(projectors):
-            shifted = y + corrections[k]
-            y = proj(shifted)
-            corrections[k] = shifted - y
-        if np.linalg.norm(y - y_prev) < tol * 1e-2:
-            break
-    return y
-
-
-def _polytope_projectors(P: Polytope) -> list[Callable[[np.ndarray], np.ndarray]]:
-    projs: list[Callable[[np.ndarray], np.ndarray]] = []
-    if P.on_simplex:
-        projs.append(lambda v: v + (1.0 - v.sum()) / v.size)
-        projs.append(lambda v: np.maximum(v, 0.0))
-    for hs in P.halfspaces:
-        projs.append(lambda v, h=hs: _project_halfspace(v, h))
-    return projs
-
-
-def project_point(x: np.ndarray, S) -> np.ndarray:
-    """Euclidean projection of x onto the body S."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(S, Ball):
-        diff = x - S.center
-        nrm = np.linalg.norm(diff)
-        if nrm <= S.radius:
-            return x.copy()
-        return S.center + diff * (S.radius / nrm)
-    if isinstance(S, Box):
-        return np.clip(x, S.lower, S.upper)
-    if isinstance(S, Simplex):
-        return _project_simplex(x, S.scale)
-    if isinstance(S, HalfSpace):
-        return _project_halfspace(x, S)
-    if isinstance(S, Polytope):
-        # the hull projection carries a duality-gap certificate, so prefer it;
-        # Dykstra sweeps are the fallback for constraint-only descriptions
-        if S.has_vrep():
-            return _project_hull(x, S.vertices)
-        return _dykstra(x, _polytope_projectors(S))
-    raise TypeError(f"unsupported body type {type(S).__name__}")
+def project_point(x: np.ndarray, P: Polytope) -> np.ndarray:
+    """Euclidean projection of x onto the polytope P."""
+    return _project_hull(np.asarray(x, dtype=float), P.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +219,10 @@ def project_point(x: np.ndarray, S) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def distance_point_to_convex(x: np.ndarray, S) -> float:
-    """Euclidean distance inf_{a in S} ||x - a||; zero iff x lies in the closure."""
+def distance_point_to_convex(x: np.ndarray, P: Polytope) -> float:
+    """Euclidean distance inf_{a in P} ||x - a||; zero iff x lies in P."""
     x = np.asarray(x, dtype=float)
-    if isinstance(S, Ball):
-        return max(0.0, float(np.linalg.norm(x - S.center)) - S.radius)
-    if isinstance(S, HalfSpace):
-        return max(0.0, -float(S.signed_slack(x)))
-    return float(np.linalg.norm(x - project_point(x, S)))
+    return float(np.linalg.norm(x - project_point(x, P)))
 
 
 def halfspace_gap(upper: HalfSpace, lower: HalfSpace) -> float:
@@ -364,19 +241,19 @@ def halfspace_gap(upper: HalfSpace, lower: HalfSpace) -> float:
 
 
 def polytope_distance(
-    P,
-    Q,
+    P: Polytope,
+    Q: Polytope,
     tol: float = DISTANCE_TOL,
     iteration_cap: int = PROJECTION_SWEEP_CAP,
 ) -> DistanceCertificate:
-    """Distance between two convex bodies by alternating projections.
+    """Distance between two polytopes by alternating projections from their centroids.
 
     Returns the distance together with the certificate pair (a*, b*) realizing
     it.  Raises :class:`ConvergenceError` if the improvement has not levelled
     off within the iteration cap.
     """
-    a = _body_seed_point(P)
-    b = _body_seed_point(Q)
+    a = P.vertices.mean(axis=0)
+    b = Q.vertices.mean(axis=0)
     prev = np.inf
     value = float(np.linalg.norm(a - b))
     for _ in range(iteration_cap):
@@ -389,46 +266,20 @@ def polytope_distance(
     raise ConvergenceError("polytope_distance did not converge", value, prev - value)
 
 
-def _body_seed_point(S) -> np.ndarray:
-    if isinstance(S, Ball):
-        return S.center.copy()
-    if isinstance(S, Box):
-        return 0.5 * (S.lower + S.upper)
-    if isinstance(S, Simplex):
-        return np.full(S.dim, S.scale / S.dim)
-    if isinstance(S, HalfSpace):
-        u, c = S.unit_form()
-        return u * c
-    if isinstance(S, Polytope):
-        if S.has_vrep():
-            return S.vertices.mean(axis=0)
-        seed = np.full(S.dim, 1.0 / S.dim) if S.on_simplex else np.zeros(S.dim)
-        return project_point(seed, S)
-    raise TypeError(f"unsupported body type {type(S).__name__}")
-
-
 def contains(S, x: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
-    """Membership of x (a point or an (n, d) batch) in the closed body S.
+    """Membership of x (a point or an (n, d) batch) in a HalfSpace or Polytope S.
 
-    H-representation bodies evaluate their constraints directly and accept
-    batches; V-representation polytopes fall back to a projection distance
-    test point by point.
+    A polytope with half-spaces tests the simplex constraints and its
+    half-spaces on the whole batch; a vertex-only polytope falls back to a
+    hull-distance test point by point.
     """
     x = np.asarray(x, dtype=float)
     batched = x.ndim == 2
     pts = np.atleast_2d(x)
-    if isinstance(S, Ball):
-        ok = np.linalg.norm(pts - S.center, axis=1) <= S.radius + tol
-    elif isinstance(S, Box):
-        ok = np.all(pts >= S.lower - tol, axis=1) & np.all(pts <= S.upper + tol, axis=1)
-    elif isinstance(S, Simplex):
-        ok = np.all(pts >= -tol, axis=1) & (np.abs(pts.sum(axis=1) - S.scale) <= tol)
-    elif isinstance(S, HalfSpace):
+    if isinstance(S, HalfSpace):
         ok = S.signed_slack(pts) >= -tol
-    elif isinstance(S, Polytope) and S.has_hrep():
-        ok = np.ones(len(pts), dtype=bool)
-        if S.on_simplex:
-            ok &= np.all(pts >= -tol, axis=1) & (np.abs(pts.sum(axis=1) - 1.0) <= tol)
+    elif isinstance(S, Polytope) and S.halfspaces:
+        ok = np.all(pts >= -tol, axis=1) & (np.abs(pts.sum(axis=1) - 1.0) <= tol)
         for hs in S.halfspaces:
             ok &= hs.signed_slack(pts) >= -tol
     elif isinstance(S, Polytope):
@@ -464,22 +315,12 @@ def log_ball_volume(d: int, r: float) -> float:
     return d * np.log(r) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d + 1.0)
 
 
-def log_simplex_volume(d: int, scale: float = 1.0) -> float:
-    """log of the (d-1)-dimensional surface measure of scale * Delta_d."""
-    return (d - 1) * np.log(scale) + 0.5 * np.log(d) - gammaln(d)
-
-
-def volume(S) -> VolumeResult:
-    """Exact volume of a Box (side product), Ball (Gamma formula) or Simplex.
-
-    Simplex volumes follow the surface-measure convention; other bodies raise.
-    """
+def volume(S) -> float:
+    """Exact volume of a Box (side product) or Ball (Gamma formula); other bodies raise."""
     if isinstance(S, Box):
-        return VolumeResult(float(np.prod(S.sides)))
+        return float(np.prod(S.sides))
     if isinstance(S, Ball):
-        return VolumeResult(float(np.exp(log_ball_volume(S.dim, S.radius))))
-    if isinstance(S, Simplex):
-        return VolumeResult(float(np.exp(log_simplex_volume(S.dim, S.scale))))
+        return float(np.exp(log_ball_volume(S.dim, S.radius)))
     raise ValueError(f"no exact volume for {type(S).__name__}")
 
 
@@ -508,10 +349,10 @@ class BMCheckResult:
 
 def bm_check(A, B, lam: float, rel_tol: float = 1e-12) -> BMCheckResult:
     """Evaluate the Brunn-Minkowski inequality on an exactly-computable pair."""
-    vol_a = volume(A).value
-    vol_b = volume(B).value
+    vol_a = volume(A)
+    vol_b = volume(B)
     combo = minkowski_combine(A, B, lam)
-    vol_c = volume(combo).value
+    vol_c = volume(combo)
     rhs = vol_a**lam * vol_b ** (1.0 - lam)
     d = A.dim
     lhs_root = vol_c ** (1.0 / d)

@@ -247,7 +247,7 @@ def utility_extended(pref: Preference, f):
 
 
 def belief_set(pref: Preference, f) -> geometry.Polytope:
-    """Supporting priors of the upper contour set at f, as a V-rep polytope on the simplex.
+    """Supporting priors of the upper contour set at f, as a polytope on the simplex.
 
     Smooth families give the singleton normalized utility gradient; the
     linear-Bernoulli max-min family gives the hull of the worst-case face
@@ -262,7 +262,7 @@ def belief_set(pref: Preference, f) -> geometry.Polytope:
         else:
             g = pref.gradient(f)
             vertices = (g / g.sum())[None, :]
-        return geometry.Polytope(vertices=vertices, on_simplex=True)
+        return geometry.Polytope(vertices=vertices)
     if isinstance(pref, MaxMinEU):
         face = pref.worst_case_face(f)
         if pref.bernoulli == "linear":
@@ -272,10 +272,10 @@ def belief_set(pref: Preference, f) -> geometry.Polytope:
                 vmin = float(np.min(pref.prior_vertices @ f))
                 cut = geometry.HalfSpace(f, vmin + MEU_FACE_TOL, orientation="lower")
                 halfspaces = halfspaces + (cut,)
-            return geometry.Polytope(vertices=face, halfspaces=halfspaces, on_simplex=True)
+            return geometry.Polytope(vertices=face, halfspaces=halfspaces)
         if len(face) == 1:
             g = face[0] / f
-            return geometry.Polytope(vertices=(g / g.sum())[None, :], on_simplex=True)
+            return geometry.Polytope(vertices=(g / g.sum())[None, :])
         raise ValueError(
             "unsupported variant: belief set of a log-Bernoulli max-min preference "
             "at a kinked act (multiple worst-case priors)"

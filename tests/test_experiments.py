@@ -189,6 +189,30 @@ def test_config_errors(text, match):
         experiments.parse_config_text(text)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_is_refused_at_parse_time(seed, tmp_path, capsys):
+    with pytest.raises(ValueError, match="64-bit unsigned"):
+        experiments.parse_config_text(f"experiment = thm1\nseed = {seed}\n")
+    rc = cli.main(["thm1", "--seed", str(seed), "--trials", "200", "--dims", "2",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "64-bit unsigned" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_spike_prior_state_outside_the_cell_dimension_is_an_error_row():
+    cfg = experiments.parse_config_text(
+        "experiment = thm1\nseed = 5\ntrials = 200\ndims = 2,8\n"
+        "agent.preference = cobb-douglas\nagent.prior = spike:5:0.9\n"
+        "agent.preference = cobb-douglas\nagent.prior = uniform\n"
+    )
+    d2, d8 = experiments.run_experiment(cfg).rows
+    assert "spike state 5" in d2["error"] and "p_hat" not in d2
+    assert d8["error"] is None and 0 <= d8["p_hat"] <= 1
+    with pytest.raises(ValueError, match="spike state -1"):
+        experiments.AgentTemplate("cobb-douglas", prior="spike:-1:0.9")._prior_vector(8)
+
+
 # ---------------------------------------------------------------------------
 # CSV and manifest plumbing
 # ---------------------------------------------------------------------------
@@ -512,6 +536,23 @@ def test_prop3_draws_one_simplex_sample_per_family_cell(monkeypatch):
     # one draw per random economy and one per family dimension, shared by
     # the traded and the constant allocation
     assert len(draws) == cfg.n_economies + len(cfg.dims)
+
+
+def test_prop3_tests_only_half_spaces_on_its_simplex_samples(monkeypatch):
+    # simplex samples lie on the simplex by construction, so no simplex body
+    # (nor any whole polytope) is ever tested against them
+    bodies = []
+    contains = geometry.contains
+
+    def recorded(S, *args, **kwargs):
+        bodies.append(type(S))
+        return contains(S, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "contains", recorded)
+    cfg = replace(experiments.default_config("prop3"), trials=200, dims=(3, 4),
+                  n_economies=2, family_trials=200)
+    experiments.run_prop3_thm4(cfg)
+    assert bodies and set(bodies) == {geometry.HalfSpace}
 
 
 # ---------------------------------------------------------------------------

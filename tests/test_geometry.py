@@ -9,9 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from risklab import geometry
 from risklab.preferences import cap_prior_polytope
@@ -21,43 +18,12 @@ SEED = 20260816
 
 def _cap(d, idx, level, side):
     verts, hs = cap_prior_polytope(d, idx, level, side)
-    return geometry.Polytope(vertices=verts, halfspaces=(hs,), on_simplex=True)
+    return geometry.Polytope(vertices=verts, halfspaces=(hs,))
 
 
 # ---------------------------------------------------------------------------
 # projections and distances
 # ---------------------------------------------------------------------------
-
-
-def test_project_simplex_point_already_inside():
-    x = np.array([0.2, 0.3, 0.5])
-    p = geometry.project_point(x, geometry.Simplex(3))
-    assert np.allclose(p, x, atol=1e-12)
-
-
-def test_project_simplex_negative_entries_clipped():
-    p = geometry.project_point(np.array([1.5, -0.2, 0.1]), geometry.Simplex(3))
-    assert np.all(p >= 0)
-    assert abs(p.sum() - 1.0) < 1e-12
-
-
-@settings(max_examples=200, deadline=None)
-@given(x=arrays(np.float64, st.integers(1, 12), elements=st.floats(-1e3, 1e3)),
-       scale=st.floats(0.01, 100.0))
-def test_project_simplex_is_feasible_and_idempotent(x, scale):
-    p = geometry._project_simplex(x, scale)
-    tol = 1e-10 * (scale + np.abs(x).max())
-    assert np.all(p >= 0)
-    assert abs(p.sum() - scale) <= tol
-    assert np.allclose(geometry._project_simplex(p, scale), p, rtol=0, atol=tol)
-
-
-def test_project_ball_inside_and_outside():
-    ball = geometry.Ball(np.zeros(2), 1.0)
-    inside = np.array([0.1, 0.2])
-    assert np.allclose(geometry.project_point(inside, ball), inside)
-    out = geometry.project_point(np.array([3.0, 4.0]), ball)
-    assert np.allclose(out, [0.6, 0.8], atol=1e-12)
 
 
 def test_distance_to_cap_polytope_kkt_oracle():
@@ -86,8 +52,8 @@ def test_polytope_distance_overlapping_sets_is_zero():
 
 def test_singleton_to_face_distance():
     # {e_0} versus conv{e_1, e_2}: nearest point is the midpoint, sqrt(3/2).
-    P = geometry.Polytope(vertices=np.eye(3)[:1], on_simplex=True)
-    Q = geometry.Polytope(vertices=np.eye(3)[1:], on_simplex=True)
+    P = geometry.Polytope(vertices=np.eye(3)[:1])
+    Q = geometry.Polytope(vertices=np.eye(3)[1:])
     cert = geometry.polytope_distance(P, Q)
     assert cert.value == pytest.approx(math.sqrt(1.5), abs=1e-9)
 
@@ -139,16 +105,15 @@ def test_contains_batch_halfspace_and_polytope():
 
 
 def test_contains_vertex_polytope_on_simplex_is_its_hull():
-    point = geometry.Polytope(vertices=[[0.2, 0.3, 0.5]], on_simplex=True)
+    point = geometry.Polytope(vertices=[[0.2, 0.3, 0.5]])
     assert not geometry.contains(point, [1.0, 0.0, 0.0])
     assert geometry.contains(point, [0.2, 0.3, 0.5])
-    # without vertices or half-spaces an on_simplex polytope is the simplex
-    assert geometry.contains(geometry.Polytope(on_simplex=True), [1.0, 0.0, 0.0])
 
 
-def test_whole_simplex_polytope_has_no_dimension():
-    with pytest.raises(ValueError, match=r"geometry\.Simplex\(d\)"):
-        geometry.Polytope(on_simplex=True).dim
+def test_polytope_refuses_an_empty_vertex_list():
+    for vertices in ([], np.empty((0, 3))):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            geometry.Polytope(vertices=vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +121,16 @@ def test_whole_simplex_polytope_has_no_dimension():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d,expected", [(2, math.sqrt(2)), (3, math.sqrt(3) / 2.0)])
-def test_simplex_volume_gamma_formula(d, expected):
-    # Vol(Delta_d) = sqrt(d) / Gamma(d) in the surface-measure convention
-    assert math.exp(geometry.log_simplex_volume(d)) == pytest.approx(expected, rel=1e-12)
-
-
 def test_ball_volume_low_dims():
-    assert geometry.volume(geometry.Ball(np.zeros(2), 1.0)).value == pytest.approx(math.pi)
-    assert geometry.volume(geometry.Ball(np.zeros(3), 2.0)).value == pytest.approx(
+    assert geometry.volume(geometry.Ball(np.zeros(2), 1.0)) == pytest.approx(math.pi)
+    assert geometry.volume(geometry.Ball(np.zeros(3), 2.0)) == pytest.approx(
         4.0 / 3.0 * math.pi * 8.0
     )
 
 
 def test_box_volume_exact():
     box = geometry.Box(np.array([0.0, -1.0]), np.array([2.0, 1.0]))
-    res = geometry.volume(box)
-    assert res.value == 4.0
+    assert geometry.volume(box) == 4.0
 
 
 def test_volume_refuses_bodies_without_closed_form():

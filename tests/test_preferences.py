@@ -145,7 +145,6 @@ def test_belief_set_cobb_douglas_normalized_gradient():
     B = belief_set(pref, np.array([2.0, 1.0]))
     # gradient (0.25, 0.5) normalizes to (1/3, 2/3)
     assert np.allclose(B.vertices, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-12)
-    assert B.on_simplex
 
 
 def test_belief_set_constant_act_is_the_prior():
