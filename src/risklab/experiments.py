@@ -789,6 +789,7 @@ def _kappa_checks():
             if not k < cap:
                 strict = False
             worst = max(worst, k - cap)
+    # the id names the quadrature the closed form replaced; it stays so the checks bytes hold
     rows.append(_check_row("kappa", "quadrature-ratio-below-gaussian-cap", strict,
                            f"worst_ratio_minus_cap={worst:.3e}"))
     return rows

@@ -16,9 +16,13 @@ associative.
 Laws
 ----
 Two perturbation laws are provided: the uniform law on the Euclidean ball
-B(r) and the standard Gaussian restricted to that ball.  The restricted
-Gaussian's density ratio against the uniform law is the radial integral ratio
-computed by :func:`gaussian_kappa_ratio`.
+B(r) and the standard Gaussian restricted to that ball.  Both are drawn
+exactly as a Gaussian direction times the inverse CDF of the radius at a
+uniform: r U^(1/d) for the uniform law, sqrt(2 gammaincinv(d/2, U P(d/2, r^2/2)))
+for the restricted Gaussian (Devroye, *Non-Uniform Random Variate
+Generation*, 1986, ch. V).  The restricted Gaussian is refused where its ball
+mass P(d/2, r^2/2) underflows.  Its density ratio against the uniform law has
+the closed form computed by :func:`gaussian_kappa_ratio`.
 """
 
 from __future__ import annotations
@@ -26,18 +30,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammainc, gammaincinv
+from scipy.special import gammainc, gammaincinv, hyp1f1
 
 BLOCK_DRAWS = 1 << 14
 _BLOCK_COUNTER_STRIDE = 1 << 64
 _Z95 = 1.959963984540054
-_REJECTION_FALLBACK_ACCEPTANCE = 1e-3
-_REJECTION_ERROR_ACCEPTANCE = 1e-6
 # 1 GiB of float64: ten times the largest default sample (prop3's 1e6 x 12 simplex points)
 _MAX_ARRAY_VALUES = 1 << 27
 
@@ -125,14 +125,6 @@ def _fill_rows(n: int, d: int, block: Callable[[int, int], np.ndarray]) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _ball_block(gen: np.random.Generator, m: int, d: int, r: float) -> np.ndarray:
-    direction = gen.standard_normal((m, d))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    radii = r * gen.random(m) ** (1.0 / d)
-    direction *= radii[:, None]
-    return direction
-
-
 def sample_uniform_ball(d: int, r: float, n: int, seed: SeedSpec | int) -> np.ndarray:
     """n i.i.d. draws from the uniform law on the open ball B_d(r).
 
@@ -143,77 +135,20 @@ def sample_uniform_ball(d: int, r: float, n: int, seed: SeedSpec | int) -> np.nd
 
 
 def restricted_gaussian_acceptance(d: int, r: float) -> float:
-    """Rejection acceptance probability P(||N(0, I_d)|| <= r) = gammainc(d/2, r^2/2)."""
+    """Gaussian ball mass P(||N(0, I_d)|| <= r) = gammainc(d/2, r^2/2)."""
     return float(gammainc(0.5 * d, 0.5 * r * r))
 
 
-def _restricted_gaussian_mode(d: int, r: float, method: str = "auto") -> tuple[str, float]:
-    """The sampling mode ``method`` resolves to at (d, r), and the rejection acceptance."""
-    acceptance = restricted_gaussian_acceptance(d, r)
-    if method == "auto":
-        method = "rejection" if acceptance >= _REJECTION_FALLBACK_ACCEPTANCE else "radial"
-    elif method == "rejection":
-        if acceptance < _REJECTION_ERROR_ACCEPTANCE:
-            raise ValueError(
-                f"rejection acceptance {acceptance:.2e} below 1e-6; "
-                "use method='radial' (exact inverse CDF) instead"
-            )
-    elif method != "radial":
-        raise ValueError("method must be 'auto', 'rejection', or 'radial'")
-    return method, acceptance
-
-
-def _restricted_gaussian_block(
-    gen: np.random.Generator, m: int, d: int, r: float, mode: str, acceptance: float
-) -> np.ndarray:
-    if mode == "rejection":
-        out = np.empty((m, d))
-        k = 0
-        while k < m:
-            chunk = int(math.ceil((m - k) / max(acceptance, 1e-9) * 1.1)) + 16
-            while chunk and k < m:
-                g = gen.standard_normal((min(chunk, BLOCK_DRAWS), d))
-                chunk -= len(g)
-                keep = g[(g * g).sum(axis=1) <= r * r]
-                take = min(len(keep), m - k)
-                out[k : k + take] = keep[:take]
-                k += take
-        return out
-    # radial mode: exact inverse CDF of the radial law through the
-    # regularized lower incomplete gamma in rho^2/2.
-    direction = gen.standard_normal((m, d))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    u = gen.random(m)
-    radii = np.sqrt(2.0 * gammaincinv(0.5 * d, u * acceptance))
-    return direction * radii[:, None]
-
-
-def sample_restricted_gaussian(
-    d: int, r: float, n: int, seed: SeedSpec | int, method: str = "auto"
-) -> np.ndarray:
+def sample_restricted_gaussian(d: int, r: float, n: int, seed: SeedSpec | int) -> np.ndarray:
     """n draws from the standard Gaussian conditioned on ||z|| <= r.
 
-    ``method='rejection'`` rejects whole-vector Gaussian draws and errors when
-    the acceptance probability drops below 1e-6; ``'radial'`` inverts the
-    radial CDF exactly; ``'auto'`` (default) switches to radial mode once
-    acceptance falls below 1e-3.
-
-    Rejection fills each block of m rows from logical chunks of
-    ceil(want / acceptance * 1.1) + 16 Gaussian rows, want being the rows
-    still missing.  A chunk is drawn in slabs of at most ``BLOCK_DRAWS`` rows,
-    and drawing stops as soon as m rows are accepted, so memory stays at a few
-    slabs whatever the acceptance.  Philox yields the same normals in one call
-    or several, and the block's generator is discarded afterwards, so the
-    accepted rows are those of drawing every chunk whole.
+    Gaussian direction times the exact inverse CDF of the radius,
+    sqrt(2 gammaincinv(d/2, U P(d/2, r^2/2))), blockwise per the module
+    determinism contract.  Raises ValueError when the ball mass
+    P(d/2, r^2/2) underflows (below the smallest normal float; at r = 1 from
+    d = 300 on), where the inverse would return radius 0.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    mode, acceptance = _restricted_gaussian_mode(d, r, method)
-    seed = as_seed(seed)
-    return _fill_rows(n, d, lambda b, m: _restricted_gaussian_block(
-        generator_for_block(seed, b), m, d, r, mode, acceptance))
+    return PerturbationLaw("restricted-gaussian", d, r).sample(n, seed)
 
 
 def sample_uniform_simplex(d: int, n: int, seed: SeedSpec | int) -> np.ndarray:
@@ -229,36 +164,39 @@ def sample_uniform_simplex(d: int, n: int, seed: SeedSpec | int) -> np.ndarray:
     return _fill_rows(n, d, block)
 
 
-@lru_cache(maxsize=4096)
 def gaussian_kappa_ratio(d: int, r: float) -> float:
     """Density-ratio bound of the restricted Gaussian against the uniform ball law.
 
-    Equals the ratio of radial integrals
+    The supremum of the Radon-Nikodym derivative, attained at the center, is
+    the ratio of radial integrals
     int_0^r rho^(d-1) drho / int_0^r e^(-rho^2/2) rho^(d-1) drho,
-    evaluated by adaptive quadrature (relative tolerance 1e-12).  The ratio is
-    the supremum of the Radon-Nikodym derivative (attained at the center) and
-    is bounded by e^(r^2/2).
+    the reciprocal of E[e^(-||z||^2/2)] under the uniform ball law.  With
+    t = rho^2/r^2 that mean is 1F1(d/2; d/2+1; -r^2/2), so
+    kappa = 1 / 1F1(d/2; d/2+1; -r^2/2) = e^(r^2/2) / 1F1(1; d/2+1; r^2/2)
+    by Kummer's transformation.  The first form is evaluated: it needs no
+    e^(r^2/2), which overflows above r = 37.7.  kappa lies in [1, e^(r^2/2)).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if r <= 0:
         raise ValueError("r must be positive")
-    num, num_err = integrate.quad(lambda s: s ** (d - 1), 0.0, r, epsrel=1e-12, epsabs=0.0)
-    den, den_err = integrate.quad(
-        lambda s: math.exp(-0.5 * s * s) * s ** (d - 1), 0.0, r, epsrel=1e-12, epsabs=0.0
-    )
-    if den <= 0 or num_err > 1e-8 * num or den_err > 1e-8 * den:
-        raise RuntimeError(f"quadrature failure for kappa ratio at d={d}, r={r}")
-    return num / den
+    mean = float(hyp1f1(0.5 * d, 0.5 * d + 1.0, -0.5 * r * r))
+    if not mean > 1.0 / np.finfo(float).max:
+        raise ValueError(f"kappa overflows a float at d={d}, r={r}")
+    return 1.0 / mean
 
 
 @dataclass(frozen=True)
 class PerturbationLaw:
     """One of the perturbation laws the experiments draw from.
 
+    Both laws are spherically symmetric and are drawn the same way: a
+    Gaussian direction times the inverse CDF of the radius at a uniform.
     ``kappa`` is the law's density bound relative to the uniform ball law:
-    1 for the uniform law itself, the exact radial ratio (<= e^(r^2/2)) for
-    the restricted Gaussian.
+    1 for the uniform law itself, the closed-form radial ratio
+    (< e^(r^2/2)) for the restricted Gaussian.  A restricted Gaussian whose
+    ball mass underflows is refused when it is sampled, not when it is built,
+    so a sweep records the refusal as that cell's error.
     """
 
     kind: str
@@ -277,17 +215,31 @@ class PerturbationLaw:
             return 1.0
         return gaussian_kappa_ratio(self.dim, self.radius)
 
+    def _radius_quantile(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The inverse CDF of ||z|| under the law."""
+        d, r = self.dim, self.radius
+        if self.kind == "uniform-ball":
+            return lambda u: r * u ** (1.0 / d)
+        mass = restricted_gaussian_acceptance(d, r)
+        if mass < np.finfo(float).tiny:
+            raise ValueError(
+                f"restricted-Gaussian ball mass {mass:.3g} underflows at d={d} and r={r}; "
+                "its radius inverse would return 0"
+            )
+        return lambda u: np.sqrt(2.0 * gammaincinv(0.5 * d, u * mass))
+
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
         seed = as_seed(seed)
         return _fill_rows(n, self.dim, lambda b, m: self.sample_block(b, m, seed))
 
     def sample_block(self, block: int, m: int, seed: SeedSpec | int) -> np.ndarray:
+        """Block ``block`` of the law's stream: m normal rows, then m uniforms."""
+        quantile = self._radius_quantile()
         gen = generator_for_block(seed, block)
-        if self.kind == "uniform-ball":
-            return _ball_block(gen, m, self.dim, self.radius)
-        return _restricted_gaussian_block(
-            gen, m, self.dim, self.radius, *_restricted_gaussian_mode(self.dim, self.radius)
-        )
+        z = gen.standard_normal((m, self.dim))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z *= quantile(gen.random(m))[:, None]
+        return z
 
 
 # ---------------------------------------------------------------------------

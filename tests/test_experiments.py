@@ -6,9 +6,14 @@ this module stays fast; the full-size default runs live in test_acceptance.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,6 +427,18 @@ def test_unknown_law_kind_raises():
         experiments.run_experiment(cfg)
 
 
+def test_underflowing_restricted_gaussian_cell_is_an_error_row(tmp_path):
+    # the r = 1 Gaussian ball mass underflows at d = 512 but not at d = 256
+    cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(256, 512),
+                 law_kind="restricted-gaussian")
+    experiments.run_experiment(cfg).write(tmp_path)
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = {row["d"]: row for row in csv.DictReader(fh)}
+    assert rows["256"]["error"] == "" and int(rows["256"]["hits"]) > 0
+    assert "underflows at d=512 and r=1.0" in rows["512"]["error"]
+    assert rows["512"]["hits"] == "" and rows["512"]["within_bound"] == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -631,6 +648,19 @@ def test_cli_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "risklab" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy_integrate_or_optimize():
+    # each of these pulls in scipy.linalg and scipy.sparse.linalg, about
+    # 0.4 s of start-up per process
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import risklab.cli, sys; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_condition_flag_is_thm2_only():

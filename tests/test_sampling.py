@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 from scipy.special import betainc, gammainc
 
 from risklab import sampling
@@ -58,20 +59,21 @@ def test_prefix_stability_across_sizes():
 
 
 def test_restricted_gaussian_deterministic_both_methods():
-    for method in ("rejection", "radial"):
-        a = sampling.sample_restricted_gaussian(3, 1.0, 500, SEED, method=method)
-        b = sampling.sample_restricted_gaussian(3, 1.0, 500, SEED, method=method)
-        assert np.array_equal(a, b)
+    # the sampler function and the law's own sample method give one stream
+    law = sampling.PerturbationLaw("restricted-gaussian", 3, 1.0)
+    a = sampling.sample_restricted_gaussian(3, 1.0, 500, SEED)
+    b = sampling.sample_restricted_gaussian(3, 1.0, 500, SEED)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, law.sample(500, SEED))
 
 
 # SHA-256 of the little-endian float64 bytes of each sampler's output at
-# SEED with BLOCK_DRAWS + 17 draws (two blocks, the second partial).  They
-# were computed while rejection still drew each chunk in one call, so they
-# also pin the slab drawing to that stream.  A change that moves any draw
-# must update them on purpose.
+# SEED with BLOCK_DRAWS + 17 draws (two blocks, the second partial).  The
+# rg and ball hashes together pin the direction-times-radius draw both laws
+# share.  A change that moves any draw must update them on purpose.
 _GOLDEN = {
-    ("rg", 2): "2f0f586e70a5015359c34ce1aa2ddca0825a4904e47d9fe47909d0d9649a02a3",
-    ("rg", 8): "e57c7bbafaffb4efa1b23b88621963335b7fe7322e6b99810ffafd2adb8302ce",
+    ("rg", 2): "499f0824cbcab29b7659bd889818f7f36354afabc65a031936b32f1f4451774f",
+    ("rg", 8): "8dc75587a13269ca0ac78e9a966990ce96c5c4997ad017c283d661dea8fbcc39",
     ("rg", 32): "8ba2a8bd9fdc59b3cba8050980274b28303fc187f5feaf7507debd1b0cd44736",
     ("ball", 2): "7a0b5b1dae56ad7cea99c399075220dff51d210631630e9d367a65fc2919f1b1",
     ("ball", 8): "c4b99ae797a4d87ad6ff252c656249128c044bbf79da7a27ae7654932a43b7d8",
@@ -84,7 +86,6 @@ _GOLDEN = {
 
 @pytest.mark.parametrize("law,d", sorted(_GOLDEN))
 def test_sample_streams_match_golden_hashes(law, d):
-    # r = 1: rejection at d = 2 and 8 (acceptance 0.39 and 0.0018), radial at d = 32
     n = sampling.BLOCK_DRAWS + 17
     if law == "rg":
         Z = sampling.sample_restricted_gaussian(d, 1.0, n, SEED)
@@ -94,21 +95,6 @@ def test_sample_streams_match_golden_hashes(law, d):
         Z = sampling.sample_uniform_simplex(d, n, SEED)
     digest = hashlib.sha256(np.ascontiguousarray(Z, dtype="<f8").tobytes()).hexdigest()
     assert digest == _GOLDEN[law, d]
-
-
-def test_rejection_sampler_memory_ceiling():
-    # acceptance 0.0018 needs ~9.4e6 x 8 normals for one block: drawn as one
-    # chunk they peak at 1.4 GB, in BLOCK_DRAWS-row slabs at a few MB
-    tracemalloc.start()
-    try:
-        Z = sampling.sample_restricted_gaussian(
-            8, 1.0, sampling.BLOCK_DRAWS, SEED, method="rejection"
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert Z.shape == (sampling.BLOCK_DRAWS, 8)
-    assert peak < 64 * 2**20
 
 
 def test_sample_arrays_over_the_ceiling_are_refused_before_allocation():
@@ -161,10 +147,9 @@ def _radial_cdf(rho, d, r):
     return gammainc(0.5 * d, 0.5 * rho**2) / gammainc(0.5 * d, 0.5 * r**2)
 
 
-@pytest.mark.parametrize("method", ["rejection", "radial"])
-def test_restricted_gaussian_radial_ks(method):
+def test_restricted_gaussian_radial_ks():
     d, r, n = 4, 1.5, 100_000
-    Z = sampling.sample_restricted_gaussian(d, r, n, SEED, method=method)
+    Z = sampling.sample_restricted_gaussian(d, r, n, SEED)
     norms = np.sort(np.linalg.norm(Z, axis=1))
     assert norms[-1] <= r + 1e-12
     grid = np.arange(1, n + 1) / n
@@ -172,13 +157,25 @@ def test_restricted_gaussian_radial_ks(method):
     assert ks <= 0.002 + math.sqrt(math.log(2.0 / 1e-6) / (2 * n))
 
 
+def _rejection_reference(d, r, n, rng):
+    """n standard normal d-vectors kept only inside the r-ball."""
+    kept = np.empty((0, d))
+    while len(kept) < n:
+        g = rng.standard_normal((1 << 16, d))
+        kept = np.vstack([kept, g[(g * g).sum(axis=1) <= r * r]])
+    return kept[:n]
+
+
 def test_restricted_gaussian_methods_agree_in_distribution():
-    d, r, n = 3, 1.0, 50_000
-    a = sampling.sample_restricted_gaussian(d, r, n, SEED, method="rejection")
-    b = sampling.sample_restricted_gaussian(d, r, n, sampling.SeedSpec(SEED, 1), method="radial")
-    qa = np.quantile(np.linalg.norm(a, axis=1), [0.1, 0.25, 0.5, 0.75, 0.9])
-    qb = np.quantile(np.linalg.norm(b, axis=1), [0.1, 0.25, 0.5, 0.75, 0.9])
-    assert np.allclose(qa, qb, atol=0.01)
+    # the radial sampler against plain rejection at r = 1: two-sample KS on
+    # the radius at level 1e-6
+    n = 20_000
+    for d in (2, 8):
+        ref = _rejection_reference(d, 1.0, n, np.random.default_rng(d))
+        radial = sampling.sample_restricted_gaussian(d, 1.0, n, SEED)
+        assert np.linalg.norm(radial, axis=1).max() <= 1.0
+        ks = stats.ks_2samp(np.linalg.norm(ref, axis=1), np.linalg.norm(radial, axis=1))
+        assert ks.pvalue > 1e-6
 
 
 def test_acceptance_probability_formula():
@@ -189,19 +186,27 @@ def test_acceptance_probability_formula():
 
 
 def test_auto_switches_to_radial_at_tiny_acceptance():
-    # acceptance ~ 1e-5: rejection would churn; auto must still return n draws
+    # ball mass ~ 1e-5: n draws, all in the ball
     d, r = 4, 0.1
     assert sampling.restricted_gaussian_acceptance(d, r) < 1e-3
-    Z = sampling.sample_restricted_gaussian(d, r, 2000, SEED, method="auto")
+    Z = sampling.sample_restricted_gaussian(d, r, 2000, SEED)
     assert Z.shape == (2000, d)
     assert np.linalg.norm(Z, axis=1).max() <= r
 
 
-def test_rejection_refuses_hopeless_acceptance():
-    d, r = 12, 0.05
-    assert sampling.restricted_gaussian_acceptance(d, r) < 1e-6
-    with pytest.raises(ValueError):
-        sampling.sample_restricted_gaussian(d, r, 100, SEED, method="rejection")
+def test_underflowing_ball_mass_is_refused_when_sampled():
+    # at r = 1 the ball mass gammainc(d/2, 1/2) is 0.0 at d = 512, where the
+    # radius inverse would return all-zero rows
+    assert sampling.restricted_gaussian_acceptance(512, 1.0) == 0.0
+    law = sampling.PerturbationLaw("restricted-gaussian", 512, 1.0)
+    with pytest.raises(ValueError, match=r"d=512 and r=1\.0"):
+        law.sample_block(0, 100, sampling.as_seed(SEED))
+    with pytest.raises(ValueError, match="underflows"):
+        sampling.sample_restricted_gaussian(512, 1.0, 100, SEED)
+    # just inside the normal floats the draws are nonzero and in the ball
+    assert sampling.restricted_gaussian_acceptance(299, 1.0) >= np.finfo(float).tiny
+    norms = np.linalg.norm(sampling.sample_restricted_gaussian(299, 1.0, 1000, SEED), axis=1)
+    assert 0.9 < norms.min() and norms.max() <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +244,35 @@ def test_kappa_strictly_below_gaussian_cap(d, r):
 
 def test_kappa_cache_stable():
     assert sampling.gaussian_kappa_ratio(7, 1.3) == sampling.gaussian_kappa_ratio(7, 1.3)
+
+
+def _kappa_by_quadrature(d, r):
+    """The radial integral ratio, by adaptive quadrature."""
+    num, _ = integrate.quad(lambda s: s ** (d - 1), 0.0, r, epsrel=1e-13, epsabs=0.0)
+    den, _ = integrate.quad(lambda s: math.exp(-0.5 * s * s) * s ** (d - 1), 0.0, r,
+                            epsrel=1e-13, epsabs=0.0)
+    return num / den
+
+
+def test_kappa_closed_form_matches_quadrature():
+    worst = max(abs(sampling.gaussian_kappa_ratio(d, r) / _kappa_by_quadrature(d, r) - 1.0)
+                for d in range(1, 51) for r in (0.5, 1.0, 2.0))
+    assert worst <= 1e-12
+
+
+def test_kappa_needs_no_exp_of_half_r_squared():
+    # e^(r^2/2) overflows at r = 40, but kappa(1, r) -> r / sqrt(pi/2) stays small
+    assert sampling.gaussian_kappa_ratio(1, 40.0) == pytest.approx(40.0 / math.sqrt(math.pi / 2))
+    with pytest.raises(ValueError, match="overflows"):
+        sampling.gaussian_kappa_ratio(512, 100.0)
+
+
+@pytest.mark.parametrize("d", [512, 4000])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_kappa_finite_and_below_gaussian_cap_at_high_dimension(d, r):
+    k = sampling.gaussian_kappa_ratio(d, r)
+    assert math.isfinite(k)
+    assert 1.0 <= k < math.exp(r * r / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +426,7 @@ _THREADS = st.sampled_from([1, 2, 3])
 @given(n=_BLOCK_N, threads=_THREADS)
 def test_samplers_are_their_blocks_stacked_under_any_thread_count(n, threads):
     seed = sampling.SeedSpec(SEED, 5)
-    # (sampler output, its per-block draws); d = 2 and 8 reject, d = 32 is radial
+    # (sampler output, its per-block draws)
     laws = [sampling.PerturbationLaw("uniform-ball", 6, 1.5),
             sampling.PerturbationLaw("restricted-gaussian", 2, 1.0),
             sampling.PerturbationLaw("restricted-gaussian", 8, 2.0),
