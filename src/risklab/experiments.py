@@ -860,13 +860,10 @@ def _economy_checks(seed: sampling.SeedSpec):
     inner = geometry.Polytope(vertices=inner_v, halfspaces=(inner_h,))
     outer = geometry.Polytope(vertices=outer_v, halfspaces=(outer_h,))
     pts = sampling.sample_uniform_simplex(4, 1000, seed.stream(201))
-    nested_ok = True
-    for nu in pts:
-        d_in = geometry.distance_point_to_convex(nu, inner)
-        d_out = geometry.distance_point_to_convex(nu, outer)
-        nested_ok &= d_in >= d_out - 1e-9
-    rows.append(_check_row("economy", "intersection-extension-containment", nested_ok,
-                           "distance to the smaller set dominates"))
+    d_in = geometry.distance_point_to_convex(pts, inner)
+    d_out = geometry.distance_point_to_convex(pts, outer)
+    rows.append(_check_row("economy", "intersection-extension-containment",
+                           np.all(d_in >= d_out - 1e-9), "distance to the smaller set dominates"))
     return rows
 
 

@@ -157,61 +157,62 @@ class DistanceCertificate(NamedTuple):
 
 
 def _project_hull(
-    x: np.ndarray,
+    X: np.ndarray,
     vertices: np.ndarray,
     iterations: int = 2000,
     gap_tol: float = 1e-15,
 ) -> np.ndarray:
-    """Project x onto conv(vertices) by pairwise Frank-Wolfe with away steps.
+    """Project a point, or each row of an (n, d) batch, onto conv(vertices).
 
-    Minimizes 0.5*||y - x||^2 over the hull; the Frank-Wolfe dual gap bounds
-    the objective error, so the returned point is certified to ``gap_tol``.
+    Pairwise Frank-Wolfe with away steps minimizes 0.5*||y - x||^2 on all rows
+    at once, and row k is the projection of that point alone.  A row stops,
+    keeping its point, when its dual gap (a bound on its objective error) falls
+    below ``gap_tol`` or its step stalls.  A row still uncertified after
+    ``iterations`` steps raises :class:`ConvergenceError`.
     """
-    m = vertices.shape[0]
-    if m == 1:
-        return vertices[0].copy()
-    w = np.full(m, 1.0 / m)
-    y = w @ vertices
-    for _ in range(iterations):
-        grad = y - x
-        scores = vertices @ grad
-        i_fw = int(np.argmin(scores))
-        gap = float((y @ grad) - scores[i_fw])
-        if gap < gap_tol:
+    x = np.atleast_2d(np.asarray(X, dtype=float))
+    w = np.full((len(x), len(vertices)), 1.0 / len(vertices))
+    out = np.tile(np.full(len(vertices), 1.0 / len(vertices)) @ vertices, (len(x), 1))
+    y, live = out.copy(), np.arange(len(x))
+    for it in range(iterations + 1):
+        rows, grad = np.arange(live.size), y - x
+        scores = np.einsum("nd,md->nm", grad, vertices)
+        y_grad = np.einsum("nd,nd->n", y, grad)
+        i_fw = np.argmin(scores, axis=1)
+        gap = y_grad - scores[rows, i_fw]
+        if (gap < gap_tol).all():
             break
-        active = w > 1e-15
-        i_aw = int(np.argmax(np.where(active, scores, -np.inf)))
-        d_fw = vertices[i_fw] - y
-        d_aw = y - vertices[i_aw]
-        if -(d_fw @ grad) >= -(d_aw @ grad):
-            direction, gamma_max, away = d_fw, 1.0, False
-        else:
-            denom_w = 1.0 - w[i_aw]
-            if denom_w <= 1e-15:
-                direction, gamma_max, away = d_fw, 1.0, False
-            else:
-                direction, gamma_max, away = d_aw, w[i_aw] / denom_w, True
-        denom = direction @ direction
-        if denom <= 0:
-            break
-        gamma = min(max(-(grad @ direction) / denom, 0.0), gamma_max)
-        if gamma <= 0:
-            break
-        if away:
-            w *= 1.0 + gamma
-            w[i_aw] -= gamma
-        else:
-            w *= 1.0 - gamma
-            w[i_fw] += gamma
+        i_aw = np.argmax(np.where(w > 1e-15, scores, -np.inf), axis=1)
+        gain_aw, w_aw = scores[rows, i_aw] - y_grad, w[rows, i_aw]
+        away = (gain_aw > gap) & (1.0 - w_aw > 1e-15)
+        direction = np.where(away[:, None], y - vertices[i_aw], vertices[i_fw] - y)
+        denom = np.einsum("nd,nd->n", direction, direction)
+        gamma = np.where(away, gain_aw, gap) / np.where(denom > 0, denom, 1.0)
+        gamma = np.minimum(gamma, np.where(away, w_aw / np.maximum(1.0 - w_aw, 1e-15), 1.0))
+        stop = (gap < gap_tol) | (denom <= 0) | (gamma <= 0)
+        if it == iterations and not stop.all():
+            k = np.argmax(np.where(stop, -np.inf, gap))
+            raise ConvergenceError(f"hull projection uncertified after {iterations} iterations",
+                                   0.5 * grad[k] @ grad[k], gap[k])
+        idx, step = np.where(away, i_aw, i_fw), np.where(away, -gamma, gamma)
+        if stop.any():
+            out[live[stop]] = y[stop]
+            live, x, w, y, idx, step = (a[~stop] for a in (live, x, w, y, idx, step))
+        w *= 1.0 - step[:, None]
+        w[np.arange(live.size), idx] += step
         w = np.maximum(w, 0.0)
-        w /= w.sum()
-        y = w @ vertices
-    return y
+        w /= w.sum(axis=1, keepdims=True)
+        y = np.einsum("nm,md->nd", w, vertices)
+    out[live] = y
+    return out[0] if np.ndim(X) == 1 else out
 
 
 def project_point(x: np.ndarray, P: Polytope) -> np.ndarray:
-    """Euclidean projection of x onto the polytope P."""
-    return _project_hull(np.asarray(x, dtype=float), P.vertices)
+    """Euclidean projection onto P of a point, or of each row of an (n, d) batch.
+
+    Raises :class:`ConvergenceError` if a projection is not certified.
+    """
+    return _project_hull(x, P.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +220,14 @@ def project_point(x: np.ndarray, P: Polytope) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def distance_point_to_convex(x: np.ndarray, P: Polytope) -> float:
-    """Euclidean distance inf_{a in P} ||x - a||; zero iff x lies in P."""
-    x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - project_point(x, P)))
+def distance_point_to_convex(x: np.ndarray, P: Polytope) -> float | np.ndarray:
+    """Euclidean distance inf_{a in P} ||x - a||; zero iff x lies in P.
+
+    A point gives a float and an (n, d) batch an (n,) array; raises
+    :class:`ConvergenceError` if a projection is not certified.
+    """
+    dist = np.linalg.norm(x - project_point(x, P), axis=-1)
+    return float(dist) if np.ndim(x) == 1 else dist
 
 
 def halfspace_gap(upper: HalfSpace, lower: HalfSpace) -> float:
@@ -270,12 +275,10 @@ def contains(S, x: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
     """Membership of x (a point or an (n, d) batch) in a HalfSpace or Polytope S.
 
     A polytope with half-spaces tests the simplex constraints and its
-    half-spaces on the whole batch; a vertex-only polytope falls back to a
-    hull-distance test point by point.
+    half-spaces on the whole batch; a vertex-only polytope tests the batch's
+    hull distances, which raise :class:`ConvergenceError` if uncertified.
     """
-    x = np.asarray(x, dtype=float)
-    batched = x.ndim == 2
-    pts = np.atleast_2d(x)
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
     if isinstance(S, HalfSpace):
         ok = S.signed_slack(pts) >= -tol
     elif isinstance(S, Polytope) and S.halfspaces:
@@ -283,10 +286,10 @@ def contains(S, x: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
         for hs in S.halfspaces:
             ok &= hs.signed_slack(pts) >= -tol
     elif isinstance(S, Polytope):
-        ok = np.array([distance_point_to_convex(p, S) <= tol for p in pts])
+        ok = distance_point_to_convex(pts, S) <= tol
     else:
         raise TypeError(f"unsupported body type {type(S).__name__}")
-    return ok if batched else bool(ok[0])
+    return ok if np.ndim(x) == 2 else bool(ok[0])
 
 
 # ---------------------------------------------------------------------------

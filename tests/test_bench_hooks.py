@@ -3,8 +3,8 @@
 ``perfbench/tracer.py`` patches named package attributes and reads some
 arguments by position, so a refactor that renames or reorders them would
 silently blind the benchmark's per-layer numbers.  This test installs the
-tracer, runs a small threaded ``thm1`` and a small ``prop3``, and checks the
-spans of the benchmark's hot layers.
+tracer, runs a small threaded ``thm1``, a small ``prop3`` and the ``economy``
+checks, and checks the spans of the benchmark's hot layers.
 """
 
 from __future__ import annotations
@@ -48,3 +48,18 @@ def test_tracer_hooks_record_the_hot_layers(tmp_path):
     ball = [span for span in tracer.spans if span[1] == "sampling.ball"]
     assert sum(span[7] // span[8] for span in ball) == 200 * len(thm1.dims)
     assert {span[8] for span in ball} == set(thm1.dims)
+
+
+def test_tracer_sees_the_two_batched_containment_distances():
+    # the containment check measures all its points in one call per set, so
+    # the distance layer's spans stay two, whatever the number of points
+    tracer = _load_tracer().Tracer("hooks")
+    tracer.install()
+    try:
+        rows = experiments._economy_checks(experiments.default_config("checks").seed_spec)
+    finally:
+        tracer.uninstall()
+    assert {row["family"] for row in rows} == {"economy"}
+    assert all(row["passed"] for row in rows)
+    names = [span[1] for span in tracer.spans]
+    assert names.count("geometry.distance_point_to_convex") == 2

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risklab import geometry
 from risklab.preferences import cap_prior_polytope
@@ -108,6 +110,100 @@ def test_contains_vertex_polytope_on_simplex_is_its_hull():
     point = geometry.Polytope(vertices=[[0.2, 0.3, 0.5]])
     assert not geometry.contains(point, [1.0, 0.0, 0.0])
     assert geometry.contains(point, [0.2, 0.3, 0.5])
+
+
+def test_distance_to_cap_polytope_kkt_oracle_batched():
+    # the KKT oracle above, batched with an interior point of the same cap
+    cap = _cap(3, 0, 0.6, "ge")
+    X = np.array([[0.4, 0.4, 0.4], [0.7, 0.2, 0.1]])
+    dist = geometry.distance_point_to_convex(X, cap)
+    assert dist.shape == (2,)
+    assert dist[0] == pytest.approx(math.sqrt(0.12), abs=1e-9)
+    assert dist[1] <= 1e-9
+    Y = geometry.project_point(X, cap)
+    assert Y.shape == X.shape
+    assert np.allclose(Y[0], [0.6, 0.2, 0.2], atol=1e-7)
+
+
+def test_project_hull_raises_when_the_iteration_cap_leaves_a_point_uncertified():
+    # the centre of the simplex is interior to this cap and needs hundreds of steps
+    verts = _cap(8, 0, 0.4, "le").vertices
+    x = np.full(8, 1.0 / 8)
+    assert np.linalg.norm(geometry._project_hull(x, verts) - x) < 1e-7
+    for point in (x, np.vstack([verts[0], x])):
+        with pytest.raises(geometry.ConvergenceError, match="uncertified") as err:
+            geometry._project_hull(point, verts, iterations=2)
+        assert err.value.gap > 1e-15
+
+
+@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("side", ["ge", "le"])
+def test_contains_vertex_only_cap_matches_its_halfspace_form(d, side):
+    level = 0.4
+    verts, hs = cap_prior_polytope(d, 0, level, side)
+    pts = np.random.default_rng(SEED + d).dirichlet(np.ones(d), 10_000)
+    pts = pts[np.abs(pts[:, 0] - level) > 1e-6]
+    by_hull = geometry.contains(geometry.Polytope(verts), pts)
+    by_halfspace = geometry.contains(geometry.Polytope(verts, (hs,)), pts)
+    assert 0 < by_halfspace.sum() < len(pts)
+    assert np.array_equal(by_hull, by_halfspace)
+
+
+def test_contains_one_vertex_polytope_batch():
+    vertex = np.array([0.2, 0.3, 0.5])
+    pts = np.array([vertex, [1.0, 0.0, 0.0], [0.2, 0.3 + 1e-6, 0.5 - 1e-6], vertex])
+    point = geometry.Polytope(vertices=vertex)
+    assert geometry.contains(point, pts).tolist() == [True, False, False, True]
+    assert geometry.contains(point, np.empty((0, 3))).shape == (0,)
+
+
+@st.composite
+def _hull_and_batch(draw):
+    """A cap or face polytope at d in [2, 12], a batch of 1 to 40 points, one row index."""
+    d = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        side = draw(st.sampled_from(["ge", "le"]))
+        level = draw(st.floats(0.05, 0.95))
+        verts = cap_prior_polytope(d, draw(st.integers(0, d - 1)), level, side)[0]
+    else:
+        face = draw(st.sets(st.integers(0, d - 1), min_size=1))
+        verts = np.eye(d)[sorted(face)]
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_simplex = rng.dirichlet(np.ones(d), n)
+    off_simplex = rng.uniform(-1.0, 2.0, (n, d))
+    X = np.where(rng.random((n, 1)) < 0.5, on_simplex, off_simplex)
+    return geometry.Polytope(verts), X, draw(st.integers(0, n - 1))
+
+
+def _project_or_none(x, P):
+    try:
+        return geometry.project_point(x, P)
+    except geometry.ConvergenceError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hull_and_batch())
+def test_batched_projection_matches_each_row_and_is_certified(case):
+    P, X, k = case
+    Y = _project_or_none(X, P)
+    y_k = _project_or_none(X[k], P)
+    if y_k is None:
+        # a row the cap leaves uncertified alone is uncertified in any batch
+        assert Y is None
+        return
+    if Y is None:
+        return
+    assert Y.shape == X.shape
+    assert np.max(np.abs(Y[k] - y_k)) <= 1e-12
+    # Frank-Wolfe certificate: max over vertices of (x - y).(v - y) <= 1e-12
+    R = X - Y
+    cert = R @ P.vertices.T - np.sum(R * Y, axis=1)[:, None]
+    assert np.all(cert.max(axis=1) <= 1e-12)
+    dist = geometry.distance_point_to_convex(X, P)
+    assert dist.shape == (len(X),)
+    assert dist[k] == pytest.approx(geometry.distance_point_to_convex(X[k], P), abs=1e-12)
 
 
 def test_polytope_refuses_an_empty_vertex_list():
