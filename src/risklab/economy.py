@@ -445,10 +445,11 @@ def rho(econ: EconomySpec, mode: str = "definitional") -> float:
     """Split-norm constant: 2/wbar times the max of sum_i ||f_i|| over splits of wbar*1.
 
     The maximum over the split polytope of this convex objective is attained
-    at an extreme point, i.e. every state assigned wholly to one agent, so
-    it equals the best balanced integer partition of d into at most |I|
-    parts (enumerated exactly for |I| <= 4, d <= 12).  mode='paper' returns
-    the constant 2 sqrt(d) used by the volume-bound proofs instead.
+    at an extreme point, i.e. every state assigned wholly to one agent, and
+    sqrt is concave, so it is the most balanced partition of d into |I|
+    parts: with q, s = divmod(d, |I|), rho = 2 (s sqrt(q+1) + (|I|-s) sqrt(q)).
+    mode='paper' returns the constant 2 sqrt(d) used by the volume-bound
+    proofs instead.
     """
     if not econ.no_aggregate_uncertainty:
         raise ValueError("rho assumes no aggregate uncertainty")
@@ -457,24 +458,8 @@ def rho(econ: EconomySpec, mode: str = "definitional") -> float:
         return 2.0 * math.sqrt(d)
     if mode != "definitional":
         raise ValueError("mode must be 'definitional' or 'paper'")
-    if I > 4 or d > 12:
-        raise ValueError(
-            "exact enumeration supports |I| <= 4 and d <= 12; use mode='paper' beyond that"
-        )
-
-    best = 0.0
-
-    def partitions(remaining: int, parts: int, prev: int, acc: float):
-        nonlocal best
-        if parts == 1:
-            if remaining <= prev:
-                best = max(best, acc + math.sqrt(remaining))
-            return
-        for k in range(min(remaining, prev), -1, -1):
-            partitions(remaining - k, parts - 1, k, acc + math.sqrt(k))
-
-    partitions(d, I, d, 0.0)
-    return 2.0 * best
+    q, s = divmod(d, I)
+    return 2.0 * (s * math.sqrt(q + 1) + (I - s) * math.sqrt(q))
 
 
 @dataclass(frozen=True)

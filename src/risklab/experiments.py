@@ -2,9 +2,10 @@
 
 Each experiment family is one :class:`Experiment` record in ``EXPERIMENTS``:
 its config id and aliases (``thm4`` configs run the combined ``prop3``
-runner; ``prop7``, ``lemma1``, ``kappa``, ``bm`` select one family of the
-support ``checks``), its CLI subcommand and help text, its CSV columns, its
-runner, the config keys it accepts, and its built-in default config.
+runner; ``prop7``, ``lemma1``, ``kappa``, ``bm``, ``economy`` select one
+family of the support ``checks``), its CLI subcommand and help text, its CSV
+columns, its runner, the config keys it accepts, and its built-in default
+config.
 
 Configs are flat ``key = value`` text files with repeated ``agent.`` blocks
 (one block per agent, started by ``agent.preference``); the field table
@@ -651,7 +652,7 @@ def _prop3_rows(inst: AmbiguityInstance, c_values, vol_seed, vol_trials, constan
         delta = inst.eps / rho_v
         r = {**traded, "rho_mode": mode, "rho": rho_v, "delta": delta}
         try:
-            r["empty_intersection"] = preferences.belief_set_extension_empty(B, delta)
+            r["empty_intersection"] = preferences.belief_set_extension_empty(dist, delta)
         except geometry.ConvergenceError as exc:
             r["empty_intersection"] = None
             r["error"] = str(exc)
@@ -1022,13 +1023,14 @@ cap_low = 0.2
 c_values = 0.5,1,2
 """),
     Experiment(
-        "checks", ("prop7", "lemma1", "kappa", "bm"), "checks",
+        "checks", ("prop7", "lemma1", "kappa", "bm", "economy"), "checks",
         "support invariants: bm, lemma1, kappa, prop7, economy wiring",
         ("family", "check", "passed", "detail"),
         run_support_checks, _COMMON_KEYS, """\
 experiment = checks
 seed = 7
 trials = 1000000
+threads = 2
 """),
 )}
 

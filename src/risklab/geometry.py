@@ -5,6 +5,10 @@ distances and membership tests; exact volumes of boxes and balls;
 spherical-cap fractions; and the two checkers (Brunn-Minkowski, half-space
 separation) that the concentration experiments lean on.
 
+Every projection and set distance is one nearest-point problem, solved by
+Wolfe's min-norm-point algorithm: exact on its final corral, finite, and
+stopped on a Frank-Wolfe certificate rather than on an iteration budget.
+
 Conventions
 -----------
 * A :class:`Polytope` is a set of priors: the convex hull of at least one
@@ -26,12 +30,10 @@ from scipy.special import betainc, gammaln
 from . import bounds
 
 BOUNDARY_TOL = 1e-12
-DISTANCE_TOL = 1e-8
-PROJECTION_SWEEP_CAP = 100_000
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative solver exhausts its budget.
+    """Raised when an iterative solver exhausts its budget or a result is too close to call.
 
     Carries the best value found and a gap estimate so callers can decide
     whether the partial answer is still useful.
@@ -156,63 +158,70 @@ class DistanceCertificate(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _project_hull(
-    X: np.ndarray,
-    vertices: np.ndarray,
-    iterations: int = 2000,
-    gap_tol: float = 1e-15,
-) -> np.ndarray:
-    """Project a point, or each row of an (n, d) batch, onto conv(vertices).
+def _min_norm_weights(G: np.ndarray) -> np.ndarray:
+    """Weights of the least-norm point in the hull of each row's generators.
 
-    Pairwise Frank-Wolfe with away steps minimizes 0.5*||y - x||^2 on all rows
-    at once, and row k is the projection of that point alone.  A row stops,
-    keeping its point, when its dual gap (a bound on its objective error) falls
-    below ``gap_tol`` or its step stalls.  A row still uncertified after
-    ``iterations`` steps raises :class:`ConvergenceError`.
+    ``G`` is (n, m, d); row k minimizes ||lam @ G[k]|| over weights lam >= 0
+    summing to 1.  Wolfe's algorithm (P. Wolfe, "Finding the nearest point in
+    a polytope", Math. Programming 11, 1976) runs on all rows in lock-step,
+    and row k matches that row solved alone.  A major cycle adds to the
+    row's corral the generator g minimizing z.g, where z = lam @ G; minor
+    cycles solve the corral's affine least-norm problem exactly, in one
+    batched solve, and drop generators whose weight would turn negative.  A
+    row stops on its Frank-Wolfe certificate ||z||^2 - min z.g <= 1e-14
+    max ||g||^2, when the new generator is already in its corral, or when a
+    major cycle does not shrink ||z|| (a rounding stall).  Returns (n, m).
     """
-    x = np.atleast_2d(np.asarray(X, dtype=float))
-    w = np.full((len(x), len(vertices)), 1.0 / len(vertices))
-    out = np.tile(np.full(len(vertices), 1.0 / len(vertices)) @ vertices, (len(x), 1))
-    y, live = out.copy(), np.arange(len(x))
-    for it in range(iterations + 1):
-        rows, grad = np.arange(live.size), y - x
-        scores = np.einsum("nd,md->nm", grad, vertices)
-        y_grad = np.einsum("nd,nd->n", y, grad)
-        i_fw = np.argmin(scores, axis=1)
-        gap = y_grad - scores[rows, i_fw]
-        if (gap < gap_tol).all():
-            break
-        i_aw = np.argmax(np.where(w > 1e-15, scores, -np.inf), axis=1)
-        gain_aw, w_aw = scores[rows, i_aw] - y_grad, w[rows, i_aw]
-        away = (gain_aw > gap) & (1.0 - w_aw > 1e-15)
-        direction = np.where(away[:, None], y - vertices[i_aw], vertices[i_fw] - y)
-        denom = np.einsum("nd,nd->n", direction, direction)
-        gamma = np.where(away, gain_aw, gap) / np.where(denom > 0, denom, 1.0)
-        gamma = np.minimum(gamma, np.where(away, w_aw / np.maximum(1.0 - w_aw, 1e-15), 1.0))
-        stop = (gap < gap_tol) | (denom <= 0) | (gamma <= 0)
-        if it == iterations and not stop.all():
-            k = np.argmax(np.where(stop, -np.inf, gap))
-            raise ConvergenceError(f"hull projection uncertified after {iterations} iterations",
-                                   0.5 * grad[k] @ grad[k], gap[k])
-        idx, step = np.where(away, i_aw, i_fw), np.where(away, -gamma, gamma)
-        if stop.any():
-            out[live[stop]] = y[stop]
-            live, x, w, y, idx, step = (a[~stop] for a in (live, x, w, y, idx, step))
-        w *= 1.0 - step[:, None]
-        w[np.arange(live.size), idx] += step
-        w = np.maximum(w, 0.0)
-        w /= w.sum(axis=1, keepdims=True)
-        y = np.einsum("nm,md->nd", w, vertices)
-    out[live] = y
-    return out[0] if np.ndim(X) == 1 else out
+    n, m, _ = G.shape
+    gram = G @ G.transpose(0, 2, 1)
+    sq = np.einsum("nii->ni", gram)
+    lam = np.zeros((n, m))
+    lam[np.arange(n), np.argmin(sq, axis=1)] = 1.0
+    out, live = lam.copy(), np.arange(n)
+    tol, prev = 1e-14 * sq.max(axis=1), np.full(n, np.inf)
+    while live.size:
+        rows = np.arange(live.size)
+        scores = np.einsum("nij,nj->ni", gram, lam)
+        zz = np.einsum("ni,ni->n", lam, scores)
+        j = np.argmin(scores, axis=1)
+        corral = lam > 0
+        done = (zz - scores[rows, j] <= tol) | corral[rows, j] | (zz >= prev)
+        out[live[done]] = lam[done]
+        keep = ~done
+        live, gram, lam, corral, j, tol = (a[keep] for a in (live, gram, lam, corral, j, tol))
+        prev = zz[keep]
+        corral[np.arange(live.size), j] = True
+        minor = np.arange(live.size)
+        while minor.size:
+            S, L = corral[minor], lam[minor]
+            A = np.where(S[:, :, None] & S[:, None, :], gram[minor] + 1.0, np.eye(m))
+            u = np.linalg.solve(A, S[:, :, None].astype(float))[:, :, 0]
+            alpha = u / u.sum(axis=1, keepdims=True)
+            bad = S & (alpha <= 0)
+            ok = ~bad.any(axis=1)
+            lam[minor[ok]] = alpha[ok]
+            # move the others from lam towards alpha until a weight reaches zero
+            S, L, alpha, bad, minor = S[~ok], L[~ok], alpha[~ok], bad[~ok], minor[~ok]
+            ratio = np.divide(L, L - alpha, out=np.zeros_like(L), where=L > alpha)
+            step = np.where(bad, ratio, np.inf)
+            k = np.argmin(step, axis=1)
+            L = L + step[np.arange(minor.size), k][:, None] * (alpha - L)
+            L[np.arange(minor.size), k] = 0.0
+            corral[minor] = S & (L > 0)
+            lam[minor] = np.where(corral[minor], L, 0.0)
+    return out
 
 
 def project_point(x: np.ndarray, P: Polytope) -> np.ndarray:
     """Euclidean projection onto P of a point, or of each row of an (n, d) batch.
 
-    Raises :class:`ConvergenceError` if a projection is not certified.
+    Each row is certified: max over the vertices v of (x - y).(v - y) is at
+    rounding level for its projection y.
     """
-    return _project_hull(x, P.vertices)
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    lam = _min_norm_weights(P.vertices[None, :, :] - X[:, None, :])
+    Y = lam @ P.vertices
+    return Y[0] if np.ndim(x) == 1 else Y
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +232,7 @@ def project_point(x: np.ndarray, P: Polytope) -> np.ndarray:
 def distance_point_to_convex(x: np.ndarray, P: Polytope) -> float | np.ndarray:
     """Euclidean distance inf_{a in P} ||x - a||; zero iff x lies in P.
 
-    A point gives a float and an (n, d) batch an (n,) array; raises
-    :class:`ConvergenceError` if a projection is not certified.
+    A point gives a float and an (n, d) batch an (n,) array.
     """
     dist = np.linalg.norm(x - project_point(x, P), axis=-1)
     return float(dist) if np.ndim(x) == 1 else dist
@@ -245,30 +253,18 @@ def halfspace_gap(upper: HalfSpace, lower: HalfSpace) -> float:
     return c_upper - c_lower
 
 
-def polytope_distance(
-    P: Polytope,
-    Q: Polytope,
-    tol: float = DISTANCE_TOL,
-    iteration_cap: int = PROJECTION_SWEEP_CAP,
-) -> DistanceCertificate:
-    """Distance between two polytopes by alternating projections from their centroids.
+def polytope_distance(P: Polytope, Q: Polytope) -> DistanceCertificate:
+    """Distance between two polytopes, with the pair (a*, b*) realizing it.
 
-    Returns the distance together with the certificate pair (a*, b*) realizing
-    it.  Raises :class:`ConvergenceError` if the improvement has not levelled
-    off within the iteration cap.
+    The least-norm point of P - Q, the hull of the vertex differences
+    a_i - b_j, is a* - b*; its pair weights split into the weights of a*
+    over P's vertices and of b* over Q's.
     """
-    a = P.vertices.mean(axis=0)
-    b = Q.vertices.mean(axis=0)
-    prev = np.inf
-    value = float(np.linalg.norm(a - b))
-    for _ in range(iteration_cap):
-        a = project_point(b, P)
-        b = project_point(a, Q)
-        value = float(np.linalg.norm(a - b))
-        if prev - value < tol * 1e-4:
-            return DistanceCertificate(value, a, b)
-        prev = value
-    raise ConvergenceError("polytope_distance did not converge", value, prev - value)
+    A, B = P.vertices, Q.vertices
+    lam = _min_norm_weights((A[:, None, :] - B[None, :, :]).reshape(1, -1, P.dim))
+    lam = lam.reshape(len(A), len(B))
+    a, b = lam.sum(axis=1) @ A, lam.sum(axis=0) @ B
+    return DistanceCertificate(float(np.linalg.norm(a - b)), a, b)
 
 
 def contains(S, x: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
@@ -276,7 +272,7 @@ def contains(S, x: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
 
     A polytope with half-spaces tests the simplex constraints and its
     half-spaces on the whole batch; a vertex-only polytope tests the batch's
-    hull distances, which raise :class:`ConvergenceError` if uncertified.
+    certified hull distances.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if isinstance(S, HalfSpace):

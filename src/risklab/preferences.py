@@ -288,24 +288,21 @@ def belief_set(pref: Preference, f) -> geometry.Polytope:
 # ---------------------------------------------------------------------------
 
 
-def belief_set_extension_empty(sets: list[geometry.Polytope], delta: float) -> bool:
+def belief_set_extension_empty(distance: float, delta: float) -> bool:
     """Whether the open delta-extensions of two simplex sets have empty intersection.
 
-    The extensions intersect iff some point of the simplex is within delta of
-    both sets, i.e. iff min over the simplex of max_i dist(nu, B_i) is below
-    delta.  For two sets that minimax value is exactly half the set distance
-    (midpoint of the distance-certificate pair); any other number of sets
-    raises.  Values within 1e-9 of delta raise a boundary-indeterminate
-    error: the instance is too close to call and the caller should perturb
-    delta.
+    ``distance`` is the distance between the two sets (from
+    :func:`geometry.polytope_distance`).  The extensions intersect iff some
+    point of the simplex is within delta of both sets, i.e. iff min over the
+    simplex of max_i dist(nu, B_i) is below delta; for two sets that minimax
+    value is exactly half their distance (the midpoint of the
+    distance-certificate pair).  Values within 1e-9 of delta raise a
+    boundary-indeterminate error: the instance is too close to call and the
+    caller should perturb delta.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if len(sets) != 2:
-        raise ValueError("the emptiness test takes exactly two belief sets")
-    if sets[0].dim != sets[1].dim:
-        raise ValueError("belief sets must share one state space")
-    half = geometry.polytope_distance(sets[0], sets[1]).value / 2.0
+    half = distance / 2.0
     if abs(half - delta) <= _BOUNDARY_GUARD:
         raise geometry.ConvergenceError(
             "boundary-indeterminate: minimax distance within 1e-9 of delta",

@@ -380,6 +380,14 @@ def test_cru_refuses_economies_without_the_frontier_closed_form(economy_kind):
 # ---------------------------------------------------------------------------
 
 
+def _split_economy(n_agents, d):
+    agents = tuple(
+        economy.Agent(CobbDouglasEU(np.full(d, 1.0 / d)), np.full(d, 1.0 / n_agents))
+        for _ in range(n_agents)
+    )
+    return economy.EconomySpec(agents, no_aggregate_uncertainty=True)
+
+
 @pytest.mark.parametrize(
     "n_agents,d,expected",
     [
@@ -390,23 +398,39 @@ def test_cru_refuses_economies_without_the_frontier_closed_form(economy_kind):
     ],
 )
 def test_rho_definitional_exact_partitions(n_agents, d, expected):
-    agents = tuple(
-        economy.Agent(CobbDouglasEU(np.full(d, 1.0 / d)), np.full(d, 1.0 / n_agents))
-        for _ in range(n_agents)
-    )
-    econ = economy.EconomySpec(agents, no_aggregate_uncertainty=True)
+    econ = _split_economy(n_agents, d)
     assert economy.rho(econ) == pytest.approx(expected, rel=1e-12)
     assert economy.rho(econ, mode="paper") == pytest.approx(2.0 * math.sqrt(d), rel=1e-12)
 
 
-def test_rho_enumeration_guard():
-    d = 16
-    agents = tuple(
-        economy.Agent(CobbDouglasEU(np.full(d, 1.0 / d)), np.full(d, 0.5)) for _ in range(2)
-    )
-    econ = economy.EconomySpec(agents, no_aggregate_uncertainty=True)
-    with pytest.raises(ValueError, match="mode='paper'"):
-        economy.rho(econ)
+def _rho_by_enumeration(d, n_agents):
+    """2 max sum_i sqrt(k_i) over the partitions of d into at most n_agents parts."""
+    best = 0.0
+
+    def partitions(remaining, parts, prev, acc):
+        nonlocal best
+        if parts == 1:
+            if remaining <= prev:
+                best = max(best, acc + math.sqrt(remaining))
+            return
+        for k in range(min(remaining, prev), -1, -1):
+            partitions(remaining - k, parts - 1, k, acc + math.sqrt(k))
+
+    partitions(d, n_agents, d, 0.0)
+    return 2.0 * best
+
+
+def test_rho_closed_form_matches_partition_enumeration():
+    for n_agents in (2, 3, 4):
+        for d in range(2, 13):
+            expected = _rho_by_enumeration(d, n_agents)
+            assert economy.rho(_split_economy(n_agents, d)) == pytest.approx(expected, rel=1e-15)
+
+
+def test_rho_beyond_the_enumeration_range():
+    # d = 16 over two agents: the balanced split 8 + 8 gives 2 (2 sqrt 8) = 8 sqrt 2
+    econ = _split_economy(2, 16)
+    assert economy.rho(econ) == pytest.approx(8.0 * math.sqrt(2.0), rel=1e-15)
     assert economy.rho(econ, mode="paper") == pytest.approx(8.0)
 
 

@@ -360,6 +360,14 @@ def test_checks_smoke_all_pass():
     assert failed == []
 
 
+@pytest.mark.parametrize("family", experiments.CHECK_FAMILIES)
+def test_each_check_family_runs_alone(family):
+    res = experiments.run_experiment(replace(_small("checks", trials=20_000),
+                                             experiment_id=family))
+    assert res.rows and {r["family"] for r in res.rows} == {family}
+    assert all(r["passed"] is True for r in res.rows)
+
+
 def _lemma1_only(trials):
     return replace(_small("checks", trials=trials), experiment_id="lemma1")
 
@@ -570,6 +578,23 @@ def test_prop3_tests_only_half_spaces_on_its_simplex_samples(monkeypatch):
                   n_economies=2, family_trials=200)
     experiments.run_prop3_thm4(cfg)
     assert bodies and set(bodies) == {geometry.HalfSpace}
+
+
+def test_prop3_measures_one_distance_per_economy(monkeypatch):
+    # the dist column and both rho modes' emptiness tests share one distance
+    calls = []
+    distance = geometry.polytope_distance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return distance(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "polytope_distance", counted)
+    cfg = replace(experiments.default_config("prop3"), trials=200, dims=(3, 4),
+                  n_economies=2, family_trials=200)
+    rows, _ = experiments.run_prop3_thm4(cfg)
+    assert len(calls) == cfg.n_economies + len(cfg.dims)
+    assert sum(r["phase"] == "dominated" for r in rows) == 2 * len(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ the circular-segment area formula, Gamma-function volume identities) before
 being compared with the library output.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -40,11 +41,15 @@ def test_distance_to_cap_polytope_kkt_oracle():
 
 def test_polytope_distance_between_caps_oracle():
     # dist({mu_0 >= 0.6}, {mu_0 <= 0.2}) = sqrt(0.24), realized by
-    # (0.6, 0.2, 0.2) and (0.2, 0.4, 0.4).
-    cert = geometry.polytope_distance(_cap(3, 0, 0.6, "ge"), _cap(3, 0, 0.2, "le"))
+    # (0.6, 0.2, 0.2) and (0.2, 0.4, 0.4) among others: every pair a, b on the
+    # two level facets with a - b = (0.4, -0.2, -0.2) is a nearest pair.
+    P, Q = _cap(3, 0, 0.6, "ge"), _cap(3, 0, 0.2, "le")
+    cert = geometry.polytope_distance(P, Q)
     assert cert.value == pytest.approx(math.sqrt(0.24), abs=1e-9)
-    assert np.allclose(cert.point_a, [0.6, 0.2, 0.2], atol=1e-6)
-    assert np.allclose(cert.point_b, [0.2, 0.4, 0.4], atol=1e-6)
+    assert geometry.contains(P, cert.point_a, tol=1e-12)
+    assert geometry.contains(Q, cert.point_b, tol=1e-12)
+    assert np.allclose(cert.point_a - cert.point_b, [0.4, -0.2, -0.2], atol=1e-12)
+    assert np.linalg.norm(cert.point_a - cert.point_b) == cert.value
 
 
 def test_polytope_distance_overlapping_sets_is_zero():
@@ -125,15 +130,63 @@ def test_distance_to_cap_polytope_kkt_oracle_batched():
     assert np.allclose(Y[0], [0.6, 0.2, 0.2], atol=1e-7)
 
 
-def test_project_hull_raises_when_the_iteration_cap_leaves_a_point_uncertified():
-    # the centre of the simplex is interior to this cap and needs hundreds of steps
-    verts = _cap(8, 0, 0.4, "le").vertices
-    x = np.full(8, 1.0 / 8)
-    assert np.linalg.norm(geometry._project_hull(x, verts) - x) < 1e-7
-    for point in (x, np.vstack([verts[0], x])):
-        with pytest.raises(geometry.ConvergenceError, match="uncertified") as err:
-            geometry._project_hull(point, verts, iterations=2)
-        assert err.value.gap > 1e-15
+def _fw_certificate(X, Y, vertices):
+    """max over the vertices v of (x - y).(v - y), for each row; <= 0 at the projection."""
+    R = X - Y
+    return (R @ vertices.T - np.sum(R * Y, axis=1)[:, None]).max(axis=1)
+
+
+@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("level", [0.05, 0.95])
+def test_projection_certifies_every_point_near_thin_caps(d, level):
+    # the short edges and thin slabs of these caps stalled capped Frank-Wolfe
+    verts = _cap(d, 0, level, "le").vertices
+    rng = np.random.default_rng(SEED + d)
+    X = np.vstack([rng.dirichlet(np.ones(d), 500), rng.uniform(-1.0, 2.0, (500, d))])
+    Y = geometry.project_point(X, geometry.Polytope(verts))
+    assert np.all(_fw_certificate(X, Y, verts) <= 1e-12)
+    assert np.allclose(Y.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(Y[:, 0] <= level + 1e-12) and np.all(Y >= -1e-12)
+
+
+def _brute_force_distance(x, vertices):
+    """Distance from x to the hull: the best feasible affine projection over vertex subsets."""
+    best = np.inf
+    for size in range(1, len(vertices) + 1):
+        for subset in itertools.combinations(range(len(vertices)), size):
+            V = vertices[list(subset)]
+            # least-norm affine combination of the rows of V - x: KKT by lstsq
+            K = np.block([[2.0 * (V - x) @ (V - x).T, np.ones((size, 1))],
+                          [np.ones((1, size)), np.zeros((1, 1))]])
+            w = np.linalg.lstsq(K, np.r_[np.zeros(size), 1.0], rcond=None)[0][:size]
+            if np.all(w >= -1e-12) and abs(w.sum() - 1.0) < 1e-9:
+                best = min(best, np.linalg.norm(w @ V - x))
+    return best
+
+
+def test_projection_matches_brute_force_on_small_hulls():
+    rng = np.random.default_rng(SEED)
+    for _ in range(60):
+        d = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 7))
+        verts = rng.dirichlet(np.ones(d), m)
+        x = rng.dirichlet(np.ones(d)) if rng.random() < 0.5 else rng.uniform(-1.0, 2.0, d)
+        best = _brute_force_distance(x, verts)
+        dist = geometry.distance_point_to_convex(x, geometry.Polytope(verts))
+        assert dist == pytest.approx(best, abs=1e-9)
+
+
+def test_polytope_distance_matches_brute_force_on_small_hulls():
+    rng = np.random.default_rng(SEED + 1)
+    for _ in range(30):
+        d = int(rng.integers(2, 5))
+        A = rng.dirichlet(np.ones(d), int(rng.integers(1, 4)))
+        B = rng.dirichlet(np.ones(d), int(rng.integers(1, 3)))
+        diffs = (A[:, None, :] - B[None, :, :]).reshape(-1, d)
+        best = _brute_force_distance(np.zeros(d), diffs)
+        cert = geometry.polytope_distance(geometry.Polytope(A), geometry.Polytope(B))
+        assert cert.value == pytest.approx(best, abs=1e-9)
+        assert np.linalg.norm(cert.point_a - cert.point_b) == pytest.approx(best, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 8])
@@ -176,31 +229,14 @@ def _hull_and_batch(draw):
     return geometry.Polytope(verts), X, draw(st.integers(0, n - 1))
 
 
-def _project_or_none(x, P):
-    try:
-        return geometry.project_point(x, P)
-    except geometry.ConvergenceError:
-        return None
-
-
 @settings(max_examples=40, deadline=None)
 @given(_hull_and_batch())
 def test_batched_projection_matches_each_row_and_is_certified(case):
     P, X, k = case
-    Y = _project_or_none(X, P)
-    y_k = _project_or_none(X[k], P)
-    if y_k is None:
-        # a row the cap leaves uncertified alone is uncertified in any batch
-        assert Y is None
-        return
-    if Y is None:
-        return
+    Y = geometry.project_point(X, P)
     assert Y.shape == X.shape
-    assert np.max(np.abs(Y[k] - y_k)) <= 1e-12
-    # Frank-Wolfe certificate: max over vertices of (x - y).(v - y) <= 1e-12
-    R = X - Y
-    cert = R @ P.vertices.T - np.sum(R * Y, axis=1)[:, None]
-    assert np.all(cert.max(axis=1) <= 1e-12)
+    assert np.max(np.abs(Y[k] - geometry.project_point(X[k], P))) <= 1e-12
+    assert np.all(_fw_certificate(X, Y, P.vertices) <= 1e-12)
     dist = geometry.distance_point_to_convex(X, P)
     assert dist.shape == (len(X),)
     assert dist[k] == pytest.approx(geometry.distance_point_to_convex(X[k], P), abs=1e-12)

@@ -220,42 +220,20 @@ def test_cap_polytope_validation():
 def _face_sets_distance_sqrt024():
     A = belief_set(_meu_cap(3, 0, 0.6, "ge"), np.full(3, 0.4))
     B = belief_set(_meu_cap(3, 0, 0.2, "le"), np.full(3, 0.4))
-    return [A, B]
+    return geometry.polytope_distance(A, B).value
 
 
 def test_two_set_emptiness_exact_threshold():
-    sets = _face_sets_distance_sqrt024()
+    dist = _face_sets_distance_sqrt024()
     half = math.sqrt(0.24) / 2.0
-    assert belief_set_extension_empty(sets, half - 1e-4)
-    assert not belief_set_extension_empty(sets, half + 1e-4)
+    assert belief_set_extension_empty(dist, half - 1e-4)
+    assert not belief_set_extension_empty(dist, half + 1e-4)
 
 
 def test_two_set_boundary_raises():
-    sets = _face_sets_distance_sqrt024()
+    dist = _face_sets_distance_sqrt024()
     with pytest.raises(geometry.ConvergenceError, match="boundary-indeterminate"):
-        belief_set_extension_empty(sets, math.sqrt(0.24) / 2.0)
-
-
-def test_emptiness_refuses_three_pairwise_far_sets():
-    sets = [
-        belief_set(_meu_cap(4, i, 0.9, "ge"), np.full(4, 0.5)) for i in range(3)
-    ]
-    with pytest.raises(ValueError, match="exactly two"):
-        belief_set_extension_empty(sets, 0.05)
-
-
-def test_emptiness_refuses_three_sets_sharing_a_point():
-    sets = [
-        belief_set(_meu_cap(3, i, 0.2, "ge"), np.full(3, 0.5)) for i in range(3)
-    ]
-    with pytest.raises(ValueError, match="exactly two"):
-        belief_set_extension_empty(sets, 0.1)
-
-
-def test_emptiness_refuses_a_single_set():
-    sets = [belief_set(_meu_cap(4, 0, 0.9, "ge"), np.full(4, 0.5))]
-    with pytest.raises(ValueError, match="exactly two"):
-        belief_set_extension_empty(sets, 0.05)
+        belief_set_extension_empty(dist, math.sqrt(0.24) / 2.0)
 
 
 def test_emptiness_needs_positive_delta():
