@@ -1,16 +1,15 @@
 """Numerical laboratory for concentration effects in risk-sharing economies.
 
-The package is organized bottom-up: convex geometry primitives and
-volume/separation checks (``geometry``), seeded perturbation samplers and
-Monte Carlo estimates (``sampling``), closed-form tail bounds keyed by
-experiment id (``bounds``), preference/belief machinery (``preferences``),
+The package is organized bottom-up: convex geometry primitives,
+volumes and cap fractions (``geometry``), seeded perturbation samplers and
+Monte Carlo estimates (``sampling``), closed-form tail bounds as plain
+floats (``bounds``), preference/belief machinery (``preferences``),
 exchange-economy solvers (``economy``), and the reproducible experiment
 runners behind the ``risklab`` CLI (``experiments``).
 """
 
 from ._version import __version__
 from .bounds import (
-    BoundReport,
     bound_cru,
     bound_lemma1,
     bound_thm1,
@@ -85,7 +84,7 @@ __all__ = [
     "sample_uniform_ball", "sample_restricted_gaussian", "sample_uniform_simplex",
     "gaussian_kappa_ratio",
     # bounds
-    "BoundReport", "bound_thm1", "bound_thm2", "bound_cru", "bound_thm4",
+    "bound_thm1", "bound_thm2", "bound_cru", "bound_thm4",
     "bound_lemma1", "prop7_prefactor", "width_volume_floor", "width_floor_ball_instance",
     # preferences
     "CobbDouglasEU", "CRRASEU", "MaxMinEU", "belief_set",

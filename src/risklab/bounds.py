@@ -1,16 +1,15 @@
 """Closed-form tail bounds that the lab's experiments compare against.
 
-Each bound evaluator returns a :class:`BoundReport` carrying the experiment
-family id (the same short ids the CLI and the CSV outputs use: ``thm1``,
-``thm2``, ``cru``, ``thm4``, ``lemma1``), the parameter values used, and the
-bound evaluated in log space so that large dimensions underflow gracefully to
-0 instead of losing the exponent.  The ``prop7`` family's width-bound
-prefactor and constant-width volume floor are evaluated below them.
+Each ``bound_*`` returns its bound as a float, evaluated in log space and
+exponentiated last, so that a huge dimension underflows cleanly to 0.0.  A
+bound may exceed 1 (kappa > 1 at epsilon near 0); callers compare estimates
+against the raw value.  The width-bound prefactor and the constant-width
+volume floor of the ``prop7`` checks are evaluated below them.
 
-The decay-rate constant ``c`` appearing in the ``thm4`` family is a universal
-constant with no known numeric value; it is a named configuration parameter
-defaulting to 1.0, and every report records the value used.  Experiments
-involving it validate decay shape and c-independent statements only.
+The decay-rate constant ``c`` of :func:`bound_thm4` is a universal constant
+with no known numeric value; it is a named configuration parameter
+defaulting to 1.0.  Experiments involving it validate decay shape and
+c-independent statements only.
 """
 
 from __future__ import annotations
@@ -28,40 +27,12 @@ DEFAULT_C = 1.0
 ALPHA = math.sqrt(math.pi) * (math.sqrt(3.0) - 1.0)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A bound value with full parameter provenance.
-
-    ``value = exp(log_value)`` (it may underflow to exactly 0.0 for huge
-    dimensions; ``log_value`` keeps the exponent).  ``clipped_value`` is
-    ``min(value, 1)`` — probabilities never exceed 1 even when the raw
-    formula does (e.g. kappa > 1 at epsilon near 0).
-    """
-
-    theorem_id: str
-    params: dict
-    log_value: float
-    value: float
-    clipped_value: float
-
-
-def _report(theorem_id: str, log_value: float, **params) -> BoundReport:
-    value = math.exp(log_value)
-    return BoundReport(
-        theorem_id=theorem_id,
-        params={k: float(v) for k, v in params.items()},
-        log_value=log_value,
-        value=value,
-        clipped_value=min(value, 1.0),
-    )
-
-
 def _check(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
 
 
-def bound_thm1(eps: float, tau: float, r: float, d: int, kappa: float = 1.0) -> BoundReport:
+def bound_thm1(eps: float, tau: float, r: float, d: int, kappa: float = 1.0) -> float:
     """kappa * exp(-eps^2 tau^2 d / (8 r^2)).
 
     Tail bound on the probability that a random feasible reallocation
@@ -73,22 +44,19 @@ def bound_thm1(eps: float, tau: float, r: float, d: int, kappa: float = 1.0) -> 
     _check(r > 0, "r must be positive")
     _check(d >= 1, "d must be >= 1")
     _check(kappa >= 1.0, "kappa must be >= 1")
-    log_value = math.log(kappa) - eps * eps * tau * tau * d / (8.0 * r * r)
-    return _report("thm1", log_value, eps=eps, tau=tau, r=r, d=d, kappa=kappa)
+    return math.exp(math.log(kappa) - eps * eps * tau * tau * d / (8.0 * r * r))
 
 
-def bound_thm2(eps: float, r: float, d: int, kappa: float = 1.0) -> BoundReport:
+def bound_thm2(eps: float, r: float, d: int, kappa: float = 1.0) -> float:
     """kappa * exp(-eps^2 d / (8 r^2)): the equilibrium-allocation tail bound.
 
     Identical to :func:`bound_thm1` at tau = 1; the Lipschitz factor is
     absorbed by the equilibrium normalization.
     """
-    rep = bound_thm1(eps, 1.0, r, d, kappa)
-    params = {k: v for k, v in rep.params.items() if k != "tau"}
-    return BoundReport("thm2", params, rep.log_value, rep.value, rep.clipped_value)
+    return bound_thm1(eps, 1.0, r, d, kappa)
 
 
-def bound_cru(beta: float, r: float, d: int) -> BoundReport:
+def bound_cru(beta: float, r: float, d: int) -> float:
     """exp(-((1-beta)/beta)^2 d / (8 r^2)): tail bound for resource utilization beta.
 
     beta = 1 gives 1 (zero exponent, fully utilized resources); beta = 0 is a
@@ -98,26 +66,23 @@ def bound_cru(beta: float, r: float, d: int) -> BoundReport:
     _check(r > 0, "r must be positive")
     _check(d >= 1, "d must be >= 1")
     margin = (1.0 - beta) / beta
-    log_value = -margin * margin * d / (8.0 * r * r)
-    return _report("cru", log_value, beta=beta, r=r, d=d)
+    return math.exp(-margin * margin * d / (8.0 * r * r))
 
 
-def bound_thm4(eps: float, d: int, c: float = DEFAULT_C) -> BoundReport:
+def bound_thm4(eps: float, d: int, c: float = DEFAULT_C) -> float:
     """0.5 * exp(-c eps sqrt(d)): relative-volume bound for the smaller belief set."""
     _check(c > 0, "c must be positive")
     _check(eps >= 0, "eps must be nonnegative")
     _check(d >= 1, "d must be >= 1")
-    log_value = math.log(0.5) - c * eps * math.sqrt(d)
-    return _report("thm4", log_value, eps=eps, d=d, c=c)
+    return math.exp(math.log(0.5) - c * eps * math.sqrt(d))
 
 
-def bound_lemma1(delta: float, r: float, d: int) -> BoundReport:
+def bound_lemma1(delta: float, r: float, d: int) -> float:
     """exp(-delta^2 d / (8 r^2)): mass bound for the less likely of two delta-separated sets."""
     _check(delta >= 0, "delta must be nonnegative")
     _check(r > 0, "r must be positive")
     _check(d >= 1, "d must be >= 1")
-    log_value = -delta * delta * d / (8.0 * r * r)
-    return _report("lemma1", log_value, delta=delta, r=r, d=d)
+    return math.exp(-delta * delta * d / (8.0 * r * r))
 
 
 # ---------------------------------------------------------------------------

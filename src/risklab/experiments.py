@@ -69,6 +69,8 @@ class AgentTemplate:
         if s.startswith("spike:"):
             _, idx, p = s.split(":")
             idx, p = int(idx), float(p)
+            if d < 2:
+                raise ValueError(f"a spike prior needs at least 2 states, cell dimension is {d}")
             if not 0 <= idx < d:
                 raise ValueError(f"spike state {idx} is outside 0..{d - 1} at dimension {d}")
             mu = np.full(d, (1.0 - p) / (d - 1))
@@ -456,8 +458,8 @@ def run_thm1(config: ExperimentConfig):
             return economy.individual_improvement_event(econ, f, Z, eps)
 
         est = sampling.mc_probability(event, law, config.trials, seed, config.threads)
-        b = bounds.bound_thm1(eps, tau, config.radius, law.dim, law.kappa)
-        return {"tau": tau, "kappa": law.kappa, **_estimate_columns(est, b.value)}
+        bound = bounds.bound_thm1(eps, tau, config.radius, law.dim, law.kappa)
+        return {"tau": tau, "kappa": law.kappa, **_estimate_columns(est, bound)}
 
     rows = _sweep(config, measure, experiment="thm1")
     return rows, _series(rows, "thm1", ("p_hat", "ci_high", "bound"))
@@ -512,8 +514,9 @@ def run_thm2(config: ExperimentConfig):
             econ, f, law, eps, config.trials, seed, config.threads,
             price if conditioned else None,
         )
-        b = bounds.bound_thm2(eps, config.radius, law.dim, law.kappa)
-        bound = 2.0 * b.value if conditioned else b.value
+        bound = bounds.bound_thm2(eps, config.radius, law.dim, law.kappa)
+        if conditioned:
+            bound *= 2.0
         return {"kappa": law.kappa, "n_accepted": est.trials, "indeterminate": indet,
                 **_estimate_columns(est, bound)}
 
@@ -540,15 +543,15 @@ def run_cru(config: ExperimentConfig):
     est, indet = _membership_counts(
         econ, f, law, improvement, config.trials, config.seed_spec.stream(0), config.threads
     )
-    b = bounds.bound_cru(beta, config.radius, d)
     row = {
         "experiment": "cru", "d": d, "beta": beta, "improvement": improvement,
         "r": config.radius, "n": config.trials, "n_accepted": est.trials,
-        "indeterminate": indet, **_estimate_columns(est, b.value), "error": None,
+        "indeterminate": indet,
+        **_estimate_columns(est, bounds.bound_cru(beta, config.radius, d)), "error": None,
     }
     plot = {
         "cru_bound_vs_d.csv": _two_column(
-            (dd, bounds.bound_cru(beta, config.radius, dd).value)
+            (dd, bounds.bound_cru(beta, config.radius, dd))
             for dd in sorted(set(config.dims) | {2, 8, 32, 128, 512, 4000})
         )
     }
@@ -625,7 +628,7 @@ def _ambiguity_instance(d: int, a: float, b: float, x: float | None = None) -> A
 
 def _prop3_rows(inst: AmbiguityInstance, c_values, vol_seed, vol_trials, constant_phase: bool):
     """Emptiness rows (both rho modes) at the traded acts, plus an optional volume row."""
-    bound_columns = {f"bound_c{c:g}": bounds.bound_thm4(inst.eps, inst.d, c).value
+    bound_columns = {f"bound_c{c:g}": bounds.bound_thm4(inst.eps, inst.d, c)
                      for c in c_values}
     mid_bound = bound_columns[f"bound_c{c_values[len(c_values) // 2]:g}"]
 
@@ -759,19 +762,13 @@ def _lemma1_checks(seed: sampling.SeedSpec, trials: int, threads: int, plot: dic
     rows = []
     plot_pairs = {delta: [] for delta in _LEMMA1_DELTAS}
     for delta, d in itertools.product(_LEMMA1_DELTAS, _LEMMA1_DIMS):
-        u = np.zeros(d)
-        u[0] = 1.0
-        upper = geometry.HalfSpace(u, delta / 2.0, "upper")
-        lower = geometry.HalfSpace(u, -delta / 2.0, "lower")
-        ball = geometry.Ball(np.zeros(d), 1.0)
-        chk = geometry.separation_bound_check(upper, lower, delta, ball)
+        exact, bound = geometry.separation_bound_check(delta, d)
         est = estimates[delta, d]
-        exact = chk.min_fraction
         z = (est.p_hat - exact) / math.sqrt(exact * (1.0 - exact) / trials)
-        ok = chk.holds and abs(z) <= _LEMMA1_Z and _within(est, chk.bound)
+        ok = exact <= bound and abs(z) <= _LEMMA1_Z and _within(est, bound)
         rows.append(_check_row(
             "lemma1", f"separated-halfspaces-delta{delta:g}-d{d}", ok,
-            f"exact={exact:.6g} mc={est.p_hat:.6g} z={z:.3g} bound={chk.bound:.6g}",
+            f"exact={exact:.6g} mc={est.p_hat:.6g} z={z:.3g} bound={bound:.6g}",
         ))
         plot_pairs[delta].append((d, exact))
     for delta, pairs in plot_pairs.items():
@@ -891,9 +888,9 @@ def reproduce_paper_anchors() -> list[tuple[str, float, str]]:
     k3 = sampling.gaussian_kappa_ratio(3, 1.0)
     return [
         ("individual-improvement tail (eps=0.1, tau=1, r=1, d=4000)",
-         b1.value, f"= {b1.value * 100:.2f}%"),
+         b1, f"= {b1 * 100:.2f}%"),
         ("resource-utilization tail (beta=0.9, r=1, d=4000)",
-         b2.value, f"= {b2.value * 100:.2f}%"),
+         b2, f"= {b2 * 100:.2f}%"),
         ("density-ratio ceiling kappa(d=3, r=1)",
          k3, f"<= e^(r^2/2) = {math.exp(0.5):.4f}"),
     ]

@@ -1,9 +1,9 @@
 """Convex-geometry primitives used throughout the laboratory.
 
 Belief sets as polytopes on the probability simplex, their projections,
-distances and membership tests; exact volumes of boxes and balls;
-spherical-cap fractions; and the two checkers (Brunn-Minkowski, half-space
-separation) that the concentration experiments lean on.
+distances and membership tests; exact volumes of boxes and balls and the
+Brunn-Minkowski check on them; and the exact spherical-cap fraction that
+the ``lemma1`` rows compare with the separation bound.
 
 Every projection and set distance is one nearest-point problem, solved by
 Wolfe's min-norm-point algorithm: exact on its final corral, finite, and
@@ -15,7 +15,7 @@ Conventions
   vertex on the standard probability simplex.  Its optional half-spaces cut
   the same set out of the simplex and serve batch membership tests.
 * :class:`Ball` and :class:`Box` serve the volume and Brunn-Minkowski
-  checks, :class:`HalfSpace` the separation check and membership.
+  checks, :class:`HalfSpace` membership.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc
 
 from . import bounds
-
-BOUNDARY_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -111,16 +109,12 @@ class HalfSpace:
         if self.orientation not in ("upper", "lower"):
             raise ValueError("orientation must be 'upper' or 'lower'")
 
-    def unit_form(self) -> tuple[np.ndarray, float]:
-        """Return (u, c) with the set written as {x : u.x >= c}, ||u|| = 1."""
-        nrm = np.linalg.norm(self.normal)
-        if self.orientation == "upper":
-            return self.normal / nrm, self.offset / nrm
-        return -self.normal / nrm, -self.offset / nrm
-
     def signed_slack(self, x: np.ndarray) -> np.ndarray:
-        """u.x - c in the unit form; nonnegative iff x is in the half-space."""
-        u, c = self.unit_form()
+        """u.x - c with the set written as {x : u.x >= c}, ||u|| = 1; >= 0 inside."""
+        nrm = np.linalg.norm(self.normal)
+        u, c = self.normal / nrm, self.offset / nrm
+        if self.orientation == "lower":
+            u, c = -u, -c
         return np.asarray(x, dtype=float) @ u - c
 
 
@@ -238,21 +232,6 @@ def distance_point_to_convex(x: np.ndarray, P: Polytope) -> float | np.ndarray:
     return float(dist) if np.ndim(x) == 1 else dist
 
 
-def halfspace_gap(upper: HalfSpace, lower: HalfSpace) -> float:
-    """Distance (b2 - b1)/||p|| between parallel half-spaces {p.x >= b2}, {p.x <= b1}."""
-    if upper.orientation != "upper" or lower.orientation != "lower":
-        raise ValueError("expected an upper and a lower half-space, in that order")
-    nu = upper.normal / np.linalg.norm(upper.normal)
-    nl = lower.normal / np.linalg.norm(lower.normal)
-    if not np.allclose(nu, nl, atol=1e-12):
-        raise ValueError("not parallel")
-    c_upper = upper.offset / np.linalg.norm(upper.normal)
-    c_lower = lower.offset / np.linalg.norm(lower.normal)
-    if c_upper <= c_lower:
-        raise ValueError("overlapping half-spaces")
-    return c_upper - c_lower
-
-
 def polytope_distance(P: Polytope, Q: Polytope) -> DistanceCertificate:
     """Distance between two polytopes, with the pair (a*, b*) realizing it.
 
@@ -309,22 +288,17 @@ def minkowski_combine(A, B, lam: float):
 # ---------------------------------------------------------------------------
 
 
-def log_ball_volume(d: int, r: float) -> float:
-    """log Vol(B_d(r)) = d log r + (d/2) log pi - log Gamma(d/2 + 1)."""
-    return d * np.log(r) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d + 1.0)
-
-
 def volume(S) -> float:
     """Exact volume of a Box (side product) or Ball (Gamma formula); other bodies raise."""
     if isinstance(S, Box):
         return float(np.prod(S.sides))
     if isinstance(S, Ball):
-        return float(np.exp(log_ball_volume(S.dim, S.radius)))
+        return float(np.exp(bounds.log_ball_volume_m(S.dim, S.radius)))
     raise ValueError(f"no exact volume for {type(S).__name__}")
 
 
 # ---------------------------------------------------------------------------
-# Brunn-Minkowski and separation checkers
+# Brunn-Minkowski check and cap fractions
 # ---------------------------------------------------------------------------
 
 
@@ -379,7 +353,7 @@ def cap_fraction(d: int, r: float, t: float) -> float:
     if r <= 0:
         raise ValueError("r must be positive")
     if t < 0:
-        raise ValueError("t must be nonnegative; see signed_cap_fraction")
+        raise ValueError("t must be nonnegative")
     if t > r:
         warnings.warn("cap height exceeds the radius: degenerate empty cap", RuntimeWarning)
         return 0.0
@@ -387,48 +361,12 @@ def cap_fraction(d: int, r: float, t: float) -> float:
     return float(0.5 * betainc(0.5 * (d + 1), 0.5, x))
 
 
-def signed_cap_fraction(d: int, r: float, t: float) -> float:
-    """Symmetric extension of :func:`cap_fraction` to t in [-r, r].
+# the name stays because the benchmark tracer patches it, until its refresh (ROADMAP 5(a))
+def separation_bound_check(delta: float, d: int, r: float = 1.0) -> tuple[float, float]:
+    """(exact, bound) for the caps {z_1 >= delta/2} and {z_1 <= -delta/2} of Ball_d(r).
 
-    Satisfies signed_cap_fraction(t) + signed_cap_fraction(-t) = 1 exactly.
+    The caps lie delta apart and have equal mass; ``exact`` is that mass as a
+    fraction of the ball, and ``bound`` is :func:`bounds.bound_lemma1`, which
+    Lemma 1 puts above it.
     """
-    if t >= 0:
-        return cap_fraction(d, r, t)
-    return 1.0 - cap_fraction(d, r, -t)
-
-
-@dataclass(frozen=True)
-class SeparationCheck:
-    distance: float
-    min_fraction: float
-    bound: float
-    holds: bool
-
-
-def separation_bound_check(
-    A: HalfSpace, B: HalfSpace, delta: float, ball: Ball
-) -> SeparationCheck:
-    """Check the separation volume bound min-fraction <= exp(-delta^2 d / 8 r^2).
-
-    A and B are half-spaces, implicitly intersected with ``ball``; other
-    bodies raise.  The separation hypothesis dist(A, B) >= delta is verified
-    first from the half-space gap; violation is an error.  The fractions are
-    exact cap fractions and the bound is :func:`bounds.bound_lemma1`.
-    """
-    if not (isinstance(A, HalfSpace) and isinstance(B, HalfSpace)):
-        raise ValueError("separation check takes two half-spaces")
-    d = ball.dim
-    r = ball.radius
-    bound = bounds.bound_lemma1(delta, r, d).value
-    dist = halfspace_gap(A, B) if delta > 0 else 0.0
-    if dist < delta - BOUNDARY_TOL:
-        raise ValueError("hypothesis violated: dist(A, B) < delta")
-    # In unit form both sets read {x : u.x >= c}; relative to the ball
-    # center the cap height is c - u.center, clamped to [-r, r].
-    fracs = []
-    for hs in (A, B):
-        u, c = hs.unit_form()
-        height = min(max(c - float(u @ ball.center), -r), r)
-        fracs.append(signed_cap_fraction(d, r, height))
-    min_fraction = min(fracs)
-    return SeparationCheck(dist, min_fraction, bound, min_fraction <= bound + BOUNDARY_TOL)
+    return cap_fraction(d, r, delta / 2.0), bounds.bound_lemma1(delta, r, d)

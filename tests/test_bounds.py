@@ -14,38 +14,45 @@ E_CRU_ANCHOR = math.exp(-500.0 / 81.0)
 
 
 def test_thm1_anchor_value():
-    rep = bounds.bound_thm1(eps=0.1, tau=1.0, r=1.0, d=4000)
-    assert rep.value == pytest.approx(E_MINUS_5, rel=1e-14)
-    assert f"{rep.value:.4g}" == "0.006738"
-    assert round(rep.value * 100, 2) == 0.67
+    value = bounds.bound_thm1(eps=0.1, tau=1.0, r=1.0, d=4000)
+    assert value == pytest.approx(E_MINUS_5, rel=1e-14)
+    assert f"{value:.4g}" == "0.006738"
+    assert round(value * 100, 2) == 0.67
 
 
 def test_cru_anchor_value():
-    rep = bounds.bound_cru(beta=0.9, r=1.0, d=4000)
-    assert rep.value == pytest.approx(E_CRU_ANCHOR, rel=1e-14)
-    assert f"{rep.value:.4g}" == "0.002085"
-    assert round(rep.value * 100, 2) == 0.21
+    value = bounds.bound_cru(beta=0.9, r=1.0, d=4000)
+    assert value == pytest.approx(E_CRU_ANCHOR, rel=1e-14)
+    assert f"{value:.4g}" == "0.002085"
+    assert round(value * 100, 2) == 0.21
+
+
+def test_every_bound_is_a_float():
+    values = [
+        bounds.bound_thm1(0.1, 1.0, 1.0, np.int64(8)),
+        bounds.bound_thm2(0.1, 1.0, 8),
+        bounds.bound_cru(0.9, 1.0, 8),
+        bounds.bound_thm4(0.1, 8),
+        bounds.bound_lemma1(0.2, 1.0, 8),
+    ]
+    assert all(type(v) is float for v in values)
 
 
 def test_thm1_kappa_prefactor_is_multiplicative():
     base = bounds.bound_thm1(0.2, 0.5, 1.0, 64)
     doubled = bounds.bound_thm1(0.2, 0.5, 1.0, 64, kappa=2.0)
-    assert doubled.value == pytest.approx(2.0 * base.value, rel=1e-12)
+    assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
 
 @pytest.mark.parametrize("eps,r,d", [(0.05, 1.0, 8), (0.3, 2.0, 100), (0.0, 0.7, 3)])
 def test_thm2_is_thm1_at_unit_tau(eps, r, d):
-    assert bounds.bound_thm2(eps, r, d).value == pytest.approx(
-        bounds.bound_thm1(eps, 1.0, r, d).value, rel=1e-14
-    )
-    assert bounds.bound_thm2(eps, r, d).theorem_id == "thm2"
-    assert "tau" not in bounds.bound_thm2(eps, r, d).params
+    assert bounds.bound_thm2(eps, r, d) == bounds.bound_thm1(eps, 1.0, r, d)
 
 
 def test_raw_value_may_exceed_one_but_clip_does_not():
-    rep = bounds.bound_thm2(0.0, 1.0, 10, kappa=1.6)
-    assert rep.value == pytest.approx(1.6)
-    assert rep.clipped_value == 1.0
+    # the bound is not clipped to 1; a caller comparing a probability with it
+    # reads the raw value
+    assert bounds.bound_thm2(0.0, 1.0, 10, kappa=1.6) == pytest.approx(1.6)
 
 
 def test_bounds_decrease_in_dimension():
@@ -55,36 +62,26 @@ def test_bounds_decrease_in_dimension():
         (bounds.bound_lemma1, (0.2, 1.0)),
         (bounds.bound_thm4, (0.1,)),
     ]:
-        vals = [fn(*args, d).value for d in (2, 8, 32, 128, 512)]
+        vals = [fn(*args, d) for d in (2, 8, 32, 128, 512)]
         assert all(a > b for a, b in zip(vals, vals[1:])), fn.__name__
 
 
 def test_thm4_halves_at_zero_eps():
-    assert bounds.bound_thm4(0.0, 7).value == 0.5
-    assert bounds.bound_thm4(0.1, 16, c=2.0).value == pytest.approx(
+    assert bounds.bound_thm4(0.0, 7) == 0.5
+    assert bounds.bound_thm4(0.1, 16, c=2.0) == pytest.approx(
         0.5 * math.exp(-2.0 * 0.1 * 4.0), rel=1e-12
     )
 
 
-def test_lemma1_matches_separation_bound():
-    from risklab import geometry
-
-    d, delta = 12, 0.3
-    u = np.zeros(d)
-    u[0] = 1.0
-    chk = geometry.separation_bound_check(
-        geometry.HalfSpace(u, delta / 2, "upper"),
-        geometry.HalfSpace(u, -delta / 2, "lower"),
-        delta,
-        geometry.Ball(np.zeros(d), 1.0),
-    )
-    assert bounds.bound_lemma1(delta, 1.0, d).value == pytest.approx(chk.bound, rel=1e-12)
-
-
 def test_underflow_keeps_log_value():
-    rep = bounds.bound_thm2(0.9, 0.1, 10**6)
-    assert rep.value == 0.0
-    assert rep.log_value == pytest.approx(-0.81 * 1e6 / 0.08, rel=1e-12)
+    # log(kappa) joins the exponent before the one exp, so a large kappa times
+    # an exponential that underflows on its own still gives a nonzero product
+    assert bounds.bound_thm2(0.9, 0.1, 10**6) == 0.0
+    kappa, exponent = 1e300, 0.9**2 * 8000 / 8.0  # exp(-exponent) underflows alone
+    assert kappa * math.exp(-exponent) == 0.0
+    assert bounds.bound_thm1(0.9, 1.0, 1.0, 8000, kappa) == pytest.approx(
+        math.exp(math.log(kappa) - exponent), rel=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +132,7 @@ def test_sharp_floor_dominates_loose_floor():
 
 
 # ---------------------------------------------------------------------------
-# error contracts and report plumbing
+# error contracts
 # ---------------------------------------------------------------------------
 
 
@@ -163,9 +160,3 @@ def test_domain_errors(call):
 def test_cru_zero_beta_message():
     with pytest.raises(ValueError, match="beta=0 has no finite margin"):
         bounds.bound_cru(0.0, 1.0, 4)
-
-
-def test_report_records_parameters():
-    rep = bounds.bound_thm1(0.1, 0.9, 1.1, 32, kappa=1.2)
-    assert rep.theorem_id == "thm1"
-    assert rep.params == {"eps": 0.1, "tau": 0.9, "r": 1.1, "d": 32.0, "kappa": 1.2}

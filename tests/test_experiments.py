@@ -214,6 +214,17 @@ def test_spike_prior_state_outside_the_cell_dimension_is_an_error_row():
     d2, d8 = experiments.run_experiment(cfg).rows
     assert "spike state 5" in d2["error"] and "p_hat" not in d2
     assert d8["error"] is None and 0 <= d8["p_hat"] <= 1
+    # the default agents spike state 0, which exists at d = 1, but a single
+    # state leaves no mass to spread: (1 - p)/(d - 1) has no value there
+    for experiment in ("thm1", "thm2"):
+        cfg = replace(experiments.default_config(experiment), trials=200, dims=(1, 2))
+        rows = experiments.run_experiment(cfg).rows
+        assert {row["d"] for row in rows} == {1, 2}
+        for row in rows:
+            if row["d"] == 1:
+                assert "at least 2 states" in row["error"] and "p_hat" not in row
+            else:
+                assert row["error"] is None and 0 <= row["p_hat"] <= 1
     with pytest.raises(ValueError, match="spike state -1"):
         experiments.AgentTemplate("cobb-douglas", prior="spike:-1:0.9")._prior_vector(8)
 
@@ -466,6 +477,29 @@ def test_results_do_not_depend_on_thread_count():
     one = experiments.run_experiment(_small("thm1", trials=40_000, dims=(2,), threads=1))
     three = experiments.run_experiment(_small("thm1", trials=40_000, dims=(2,), threads=3))
     assert one.csv_text == three.csv_text
+
+
+# results.csv sha256 of the runs that are cheap enough for every test run; a
+# refactor that keeps the numbers keeps these bytes
+PINNED_RESULTS = {
+    ("thm2", None): "3a2167994a065db376a977826cea44e737530f802571dd26bd3912e628ece5a1",
+    ("cru", None): "2cbdc642d303b089a5c5e8ef5da1459694a44c810fd89c35e613638f12226309",
+    ("checks", 100_000): "e3de57931b4e8790d6238f6975bae3853e731c1bef1a9d9b7124cf904fc26525",
+}
+
+
+@pytest.mark.parametrize("experiment,trials", list(PINNED_RESULTS))
+def test_default_results_bytes_are_pinned(experiment, trials):
+    import scipy
+
+    cfg = experiments.default_config(experiment)
+    if trials is not None:
+        cfg = replace(cfg, trials=trials)
+    digest = hashlib.sha256(experiments.run_experiment(cfg).csv_text.encode()).hexdigest()
+    assert digest == PINNED_RESULTS[experiment, trials], (
+        f"{experiment} results.csv moved; the pin was recorded under numpy 2.4.6 and "
+        f"scipy 1.17.1, this run has numpy {np.__version__} and scipy {scipy.__version__}"
+    )
 
 
 # ---------------------------------------------------------------------------

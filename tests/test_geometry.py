@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risklab import geometry
@@ -63,30 +63,6 @@ def test_singleton_to_face_distance():
     Q = geometry.Polytope(vertices=np.eye(3)[1:])
     cert = geometry.polytope_distance(P, Q)
     assert cert.value == pytest.approx(math.sqrt(1.5), abs=1e-9)
-
-
-def test_halfspace_gap_oracle():
-    u = np.ones(4)
-    upper = geometry.HalfSpace(u, 4.0 / 0.9, "upper")
-    lower = geometry.HalfSpace(u, 4.0, "lower")
-    assert geometry.halfspace_gap(upper, lower) == pytest.approx(
-        (4.0 / 0.9 - 4.0) / 2.0, rel=1e-12
-    )
-
-
-def test_halfspace_gap_rejects_non_parallel():
-    upper = geometry.HalfSpace(np.array([1.0, 0.0]), 1.0, "upper")
-    lower = geometry.HalfSpace(np.array([0.0, 1.0]), 0.0, "lower")
-    with pytest.raises(ValueError, match="not parallel"):
-        geometry.halfspace_gap(upper, lower)
-
-
-def test_halfspace_gap_rejects_overlap():
-    u = np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match="overlapping"):
-        geometry.halfspace_gap(
-            geometry.HalfSpace(u, 0.0, "upper"), geometry.HalfSpace(u, 1.0, "lower")
-        )
 
 
 def test_projection_random_points_land_inside():
@@ -344,12 +320,6 @@ def test_cap_fraction_half_at_zero_and_zero_beyond_radius():
         assert geometry.cap_fraction(5, 1.0, 1.5) == 0.0
 
 
-@pytest.mark.parametrize("t", [0.1, 0.35, 0.8])
-def test_signed_cap_fraction_symmetry(t):
-    total = geometry.signed_cap_fraction(4, 1.0, t) + geometry.signed_cap_fraction(4, 1.0, -t)
-    assert total == pytest.approx(1.0, rel=1e-12)
-
-
 def test_cap_fraction_monotone_decreasing_in_height():
     vals = [geometry.cap_fraction(6, 1.0, t) for t in np.linspace(0.0, 0.99, 25)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -364,37 +334,19 @@ def test_cap_fraction_input_errors():
         geometry.cap_fraction(2, 1.0, -0.1)
 
 
-def test_separation_bound_check_halfspace_pair():
-    d, delta = 8, 0.3
-    u = np.zeros(d)
-    u[0] = 1.0
-    chk = geometry.separation_bound_check(
-        geometry.HalfSpace(u, delta / 2, "upper"),
-        geometry.HalfSpace(u, -delta / 2, "lower"),
-        delta,
-        geometry.Ball(np.zeros(d), 1.0),
-    )
-    assert chk.distance == pytest.approx(delta, rel=1e-12)
-    assert chk.min_fraction == pytest.approx(geometry.cap_fraction(d, 1.0, delta / 2), rel=1e-12)
-    assert chk.bound == pytest.approx(math.exp(-delta * delta * d / 8.0), rel=1e-12)
-    assert chk.holds
-
-
-def test_separation_bound_check_refuses_polytopes():
-    ball = geometry.Ball(np.full(3, 1.0 / 3.0), 1.0)
-    with pytest.raises(ValueError, match="two half-spaces"):
-        geometry.separation_bound_check(_cap(3, 0, 0.6, "ge"), _cap(3, 0, 0.2, "le"), 0.1, ball)
-
-
-def test_separation_bound_check_rejects_violated_hypothesis():
-    u = np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match="hypothesis violated"):
-        geometry.separation_bound_check(
-            geometry.HalfSpace(u, 0.05, "upper"),
-            geometry.HalfSpace(u, -0.05, "lower"),
-            0.5,
-            geometry.Ball(np.zeros(2), 1.0),
-        )
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 4000),
+       delta=st.floats(0.0, 2.0, exclude_min=True, allow_nan=False, allow_infinity=False))
+@example(d=8, delta=0.3)
+@example(d=4000, delta=0.1)  # the paper's anchor dimension
+@example(d=4000, delta=2.0)
+@example(d=1, delta=5e-324)
+def test_separation_bound_check_halfspace_pair(d, delta):
+    # Lemma 1 on the caps {z_1 >= delta/2} and {z_1 <= -delta/2} of the unit ball
+    exact, bound = geometry.separation_bound_check(delta, d)
+    assert exact == geometry.cap_fraction(d, 1.0, delta / 2.0)
+    assert bound == pytest.approx(math.exp(-delta * delta * d / 8.0), rel=1e-12)
+    assert exact <= bound
 
 
 # ---------------------------------------------------------------------------
