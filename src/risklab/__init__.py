@@ -55,7 +55,6 @@ from .geometry import (
     volume,
 )
 from .preferences import (
-    CobbDouglasEU,
     CRRASEU,
     MaxMinEU,
     belief_set,
@@ -87,7 +86,7 @@ __all__ = [
     "bound_thm1", "bound_thm2", "bound_cru", "bound_thm4",
     "bound_lemma1", "prop7_prefactor", "width_volume_floor", "width_floor_ball_instance",
     # preferences
-    "CobbDouglasEU", "CRRASEU", "MaxMinEU", "belief_set",
+    "CRRASEU", "MaxMinEU", "belief_set",
     "belief_set_extension_empty", "cap_prior_polytope",
     # economy
     "Agent", "EconomySpec", "Allocation", "EquilibriumResult", "equal_split",

@@ -3,7 +3,7 @@
 An economy is a list of agents (preference + endowment).  On top of it this
 module provides:
 
-* a tatonnement equilibrium solver for log-utility (Cobb-Douglas) economies,
+* a tatonnement equilibrium solver for log-utility (CRRA gamma = 1) economies,
   with closed-form demands;
 * planner (Pareto-optimal) allocations with supporting prices for smooth
   common-curvature economies;
@@ -29,12 +29,8 @@ import numpy as np
 from scipy.special import expit
 
 from . import geometry, preferences, sampling
-from .preferences import (
-    CobbDouglasEU,
-    CRRASEU,
-    Preference,
-    utility_extended,
-)
+# utility_extended is imported by name: the benchmark tracer patches this binding
+from .preferences import CRRASEU, Preference, utility_extended
 
 FEASIBILITY_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
@@ -163,12 +159,9 @@ def tatonnement_equilibrium(econ: EconomySpec) -> EquilibriumResult:
     iteration is a power method on a positive matrix and converges linearly.
     Stops when the worst excess demand is below 1e-10.
     """
-    mus = []
-    for a in econ.agents:
-        if not isinstance(a.preference, CobbDouglasEU):
-            raise ValueError("tatonnement solver requires log-utility (Cobb-Douglas) agents")
-        mus.append(a.preference.prior)
-    M = np.array(mus)  # (I, d)
+    if not all(isinstance(u, CRRASEU) and u.gamma == 1 for u in econ.preferences):
+        raise ValueError("tatonnement solver requires log-utility agents (CRRA gamma = 1)")
+    M = np.array([a.preference.prior for a in econ.agents])  # (I, d)
     W = np.array([a.endowment for a in econ.agents])  # (I, d)
     supply = econ.aggregate
     if np.any(supply <= 0):
@@ -199,16 +192,9 @@ def tatonnement_equilibrium(econ: EconomySpec) -> EquilibriumResult:
 
 
 def _common_crra_exponent(prefs: list[Preference]) -> float | None:
-    """The shared 1/gamma when every agent is log or common-curvature CRRA."""
-    gammas = []
-    for p in prefs:
-        if isinstance(p, CobbDouglasEU):
-            gammas.append(1.0)
-        elif isinstance(p, CRRASEU) and p.gamma > 0:
-            gammas.append(p.gamma)
-        else:
-            return None
-    if max(gammas) - min(gammas) > 1e-14:
+    """The shared 1/gamma when every agent is CRRA with one curvature gamma > 0."""
+    gammas = [p.gamma for p in prefs if isinstance(p, CRRASEU) and p.gamma > 0]
+    if len(gammas) < len(prefs) or max(gammas) - min(gammas) > 1e-14:
         return None
     return 1.0 / gammas[0]
 

@@ -54,6 +54,10 @@ class AgentTemplate:
     rest uniform), or a comma list.  Max-min prior sets: 'cap:ge:IDX:LEVEL',
     'cap:le:IDX:LEVEL', or 'vertices:v1|v2|...' with comma-separated
     coordinates.  Endowments: 'ones', 'equal-share', or a comma list.
+
+    Kinds: 'crra' takes ``gamma``; 'maxmin' takes ``bernoulli``;
+    'cobb-douglas' is 'crra' at gamma = 1 and takes neither.  A key a kind
+    does not take must keep its default, so it cannot change the run's hash.
     """
 
     kind: str
@@ -61,6 +65,14 @@ class AgentTemplate:
     gamma: float = 1.0
     bernoulli: str = "linear"
     endowment: str = "ones"
+
+    def __post_init__(self):
+        if self.kind in ("cobb-douglas", "maxmin") and self.gamma != 1.0:
+            raise ValueError(f"agent.gamma has no effect on a {self.kind} agent; "
+                             f"leave it at 1.0, got {self.gamma!r}")
+        if self.kind in ("cobb-douglas", "crra") and self.bernoulli != "linear":
+            raise ValueError(f"agent.bernoulli has no effect on a {self.kind} agent; "
+                             f"leave it at 'linear', got {self.bernoulli!r}")
 
     def _prior_vector(self, d: int) -> np.ndarray:
         s = self.prior
@@ -82,9 +94,7 @@ class AgentTemplate:
         return mu
 
     def _preference(self, d: int) -> preferences.Preference:
-        if self.kind == "cobb-douglas":
-            return preferences.CobbDouglasEU(self._prior_vector(d))
-        if self.kind == "crra":
+        if self.kind in ("cobb-douglas", "crra"):
             return preferences.CRRASEU(self._prior_vector(d), self.gamma)
         if self.kind == "maxmin":
             s = self.prior

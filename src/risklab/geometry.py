@@ -95,27 +95,21 @@ class Box:
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """Half-space {x : p.x >= b} (orientation 'upper') or {x : p.x <= b} ('lower')."""
+    """Half-space {x : p.x >= b}; negate both to write {x : p.x <= b}."""
 
     normal: np.ndarray
     offset: float
-    orientation: str = "upper"
 
     def __post_init__(self):
         p = np.asarray(self.normal, dtype=float)
         object.__setattr__(self, "normal", p)
         if not np.linalg.norm(p) > 0:
             raise ValueError("half-space normal must be nonzero")
-        if self.orientation not in ("upper", "lower"):
-            raise ValueError("orientation must be 'upper' or 'lower'")
 
     def signed_slack(self, x: np.ndarray) -> np.ndarray:
         """u.x - c with the set written as {x : u.x >= c}, ||u|| = 1; >= 0 inside."""
         nrm = np.linalg.norm(self.normal)
-        u, c = self.normal / nrm, self.offset / nrm
-        if self.orientation == "lower":
-            u, c = -u, -c
-        return np.asarray(x, dtype=float) @ u - c
+        return np.asarray(x, dtype=float) @ (self.normal / nrm) - self.offset / nrm
 
 
 @dataclass(frozen=True)

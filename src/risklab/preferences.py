@@ -1,10 +1,10 @@
 """Convex, monotone preference families over state-contingent payoffs.
 
-Three families are implemented, each a frozen dataclass:
+Two families are implemented, each a frozen dataclass:
 
-* :class:`CobbDouglasEU` — expected log utility with prior weights.
 * :class:`CRRASEU` — subjective expected utility with constant relative risk
-  aversion ``gamma`` (log at gamma = 1, risk-neutral at gamma = 0).
+  aversion ``gamma``: expected log utility at gamma = 1 (the default),
+  risk-neutral at gamma = 0.
 * :class:`MaxMinEU` — worst-case expected utility over a polytope of priors
   given in V-representation, with a linear or log Bernoulli index.
 
@@ -56,47 +56,15 @@ def _acts(f, d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CobbDouglasEU:
-    """Expected log utility sum_s mu_s ln f_s; strictly positive prior."""
-
-    prior: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "prior", _as_prior(self.prior, strictly_positive=True))
-
-    @property
-    def dim(self) -> int:
-        return self.prior.size
-
-    def in_domain(self, f) -> np.ndarray:
-        f = _acts(f, self.dim)
-        return np.all(f > 0, axis=-1)
-
-    def utility(self, f):
-        f = _acts(f, self.dim)
-        if not np.all(self.in_domain(f)):
-            raise ValueError("domain violation: log utility needs strictly positive payoffs")
-        return np.log(f) @ self.prior
-
-    def gradient(self, f) -> np.ndarray:
-        f = _acts(f, self.dim)
-        if f.ndim != 1:
-            raise ValueError("gradient takes a single act")
-        if not self.in_domain(f):
-            raise ValueError("domain violation: log utility needs strictly positive payoffs")
-        return self.prior / f
-
-
-@dataclass(frozen=True, eq=False)
 class CRRASEU:
     """Subjective expected utility with CRRA curvature gamma >= 0.
 
     gamma = 0 is risk-neutral (degenerate prior entries allowed there and
-    only there), gamma = 1 is log.
+    only there), gamma = 1 (the default) is expected log utility.
     """
 
     prior: np.ndarray
-    gamma: float
+    gamma: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.gamma) and self.gamma >= 0):
@@ -137,7 +105,7 @@ class CRRASEU:
             return self.prior.copy()
         if not (self.in_domain(f) and np.all(f > 0)):
             raise ValueError("gradient needs strictly positive payoffs")
-        return self.prior * f ** (-self.gamma)
+        return self.prior / f**self.gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +164,7 @@ class MaxMinEU:
         return self.prior_vertices[scores <= scores.min() + MEU_FACE_TOL]
 
 
-Preference = CobbDouglasEU | CRRASEU | MaxMinEU
+Preference = CRRASEU | MaxMinEU
 
 
 def cap_prior_polytope(d: int, idx: int, level: float, side: str):
@@ -216,10 +184,10 @@ def cap_prior_polytope(d: int, idx: int, level: float, side: str):
     normal = eye[idx]
     if side == "ge":
         vertices = np.vstack([eye[idx][None, :], facet])
-        halfspace = geometry.HalfSpace(normal, level, orientation="upper")
+        halfspace = geometry.HalfSpace(normal, level)
     elif side == "le":
         vertices = np.vstack([np.delete(eye, idx, axis=0), facet])
-        halfspace = geometry.HalfSpace(normal, level, orientation="lower")
+        halfspace = geometry.HalfSpace(-normal, -level)
     else:
         raise ValueError("side must be 'ge' or 'le'")
     return vertices, halfspace
@@ -249,15 +217,15 @@ def utility_extended(pref: Preference, f):
 def belief_set(pref: Preference, f) -> geometry.Polytope:
     """Supporting priors of the upper contour set at f, as a polytope on the simplex.
 
-    Smooth families give the singleton normalized utility gradient; the
+    CRRA agents give the singleton normalized utility gradient; the
     linear-Bernoulli max-min family gives the hull of the worst-case face
     (all of the prior polytope at constant acts).
     """
     f = _acts(np.asarray(f, dtype=float), pref.dim)
     if f.ndim != 1:
         raise ValueError("belief_set takes a single act")
-    if isinstance(pref, (CobbDouglasEU, CRRASEU)):
-        if isinstance(pref, CRRASEU) and pref.gamma == 0:
+    if isinstance(pref, CRRASEU):
+        if pref.gamma == 0:
             vertices = pref.prior[None, :]
         else:
             g = pref.gradient(f)
@@ -270,7 +238,7 @@ def belief_set(pref: Preference, f) -> geometry.Polytope:
             if halfspaces and len(face) < len(pref.prior_vertices):
                 # cut the H-rep down to the supporting face of the worst-case value
                 vmin = float(np.min(pref.prior_vertices @ f))
-                cut = geometry.HalfSpace(f, vmin + MEU_FACE_TOL, orientation="lower")
+                cut = geometry.HalfSpace(-f, -(vmin + MEU_FACE_TOL))
                 halfspaces = halfspaces + (cut,)
             return geometry.Polytope(vertices=face, halfspaces=halfspaces)
         if len(face) == 1:

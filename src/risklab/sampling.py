@@ -253,8 +253,6 @@ class MCEstimate:
 
     Interior counts use the Wilson score interval; the k=0 and k=n edges use
     the exact Clopper-Pearson limits (the k=0 upper limit is about 3.69/n).
-    Merging two estimates adds counts exactly, so partial estimates combine
-    associatively and order-independently.
     """
 
     hits: int
@@ -293,9 +291,6 @@ class MCEstimate:
             return 1.0
         return self._wilson()[1]
 
-    def merge(self, other: "MCEstimate") -> "MCEstimate":
-        return MCEstimate(self.hits + other.hits, self.trials + other.trials)
-
 
 def mc_probability(
     event: Callable[[np.ndarray], np.ndarray],
@@ -308,7 +303,7 @@ def mc_probability(
 
     ``event`` receives an (m, d) block of samples and returns m booleans.
     The estimate is bit-identical for any ``threads`` value because block
-    substreams are deterministic and counts merge exactly.
+    substreams are deterministic and their hit counts add exactly.
     """
     if n < 100:
         raise ValueError("n must be >= 100 for a meaningful estimate")

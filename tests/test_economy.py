@@ -12,7 +12,7 @@ import pytest
 from scipy.special import expit
 
 from risklab import economy, experiments, preferences, sampling
-from risklab.preferences import CRRASEU, CobbDouglasEU, MaxMinEU, cap_prior_polytope
+from risklab.preferences import CRRASEU, MaxMinEU, cap_prior_polytope
 
 SEED = 314159
 
@@ -21,15 +21,15 @@ def _cd_economy():
     # mu1 = (0.6, 0.4), w1 = (2, 0); mu2 = (0.3, 0.7), w2 = (0, 1)
     return economy.EconomySpec(
         (
-            economy.Agent(CobbDouglasEU(np.array([0.6, 0.4])), np.array([2.0, 0.0])),
-            economy.Agent(CobbDouglasEU(np.array([0.3, 0.7])), np.array([0.0, 1.0])),
+            economy.Agent(CRRASEU(np.array([0.6, 0.4])), np.array([2.0, 0.0])),
+            economy.Agent(CRRASEU(np.array([0.3, 0.7])), np.array([0.0, 1.0])),
         )
     )
 
 
 def _uniform_pair(d=2, gamma=1.0):
     mu = np.full(d, 1.0 / d)
-    pref = CobbDouglasEU(mu) if gamma == 1.0 else CRRASEU(mu, gamma)
+    pref = CRRASEU(mu, gamma)
     w = np.full(d, 0.5)
     return economy.EconomySpec(
         (economy.Agent(pref, w), economy.Agent(pref, w)), no_aggregate_uncertainty=True
@@ -42,15 +42,15 @@ def _uniform_pair(d=2, gamma=1.0):
 
 
 def test_economy_spec_validation():
-    a = economy.Agent(CobbDouglasEU(np.array([0.5, 0.5])), np.ones(2))
+    a = economy.Agent(CRRASEU(np.array([0.5, 0.5])), np.ones(2))
     with pytest.raises(ValueError):
         economy.EconomySpec((a,))  # one agent is not an exchange economy
-    b = economy.Agent(CobbDouglasEU(np.array([1 / 3] * 3)), np.ones(3))
+    b = economy.Agent(CRRASEU(np.array([1 / 3] * 3)), np.ones(3))
     with pytest.raises(ValueError):
         economy.EconomySpec((a, b))  # mismatched state spaces
     with pytest.raises(ValueError):
         economy.EconomySpec(
-            (a, economy.Agent(CobbDouglasEU(np.array([0.5, 0.5])), np.array([1.0, 2.0]))),
+            (a, economy.Agent(CRRASEU(np.array([0.5, 0.5])), np.array([1.0, 2.0]))),
             no_aggregate_uncertainty=True,
         )
 
@@ -99,8 +99,8 @@ def test_equilibrium_no_trade_when_priors_agree():
     mu = np.array([0.55, 0.45])
     econ = economy.EconomySpec(
         (
-            economy.Agent(CobbDouglasEU(mu), np.array([1.0, 1.0])),
-            economy.Agent(CobbDouglasEU(mu), np.array([1.0, 1.0])),
+            economy.Agent(CRRASEU(mu), np.array([1.0, 1.0])),
+            economy.Agent(CRRASEU(mu), np.array([1.0, 1.0])),
         )
     )
     eq = economy.tatonnement_equilibrium(econ)
@@ -110,7 +110,7 @@ def test_equilibrium_no_trade_when_priors_agree():
 
 def test_tatonnement_rejects_non_cobb_douglas():
     econ = _uniform_pair(gamma=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gamma = 1"):
         economy.tatonnement_equilibrium(econ)
 
 
@@ -125,8 +125,8 @@ def test_equilibrium_result_validation():
 def test_planner_allocation_foc():
     econ = economy.EconomySpec(
         (
-            economy.Agent(CobbDouglasEU(np.array([0.7, 0.3])), np.full(2, 0.5)),
-            economy.Agent(CobbDouglasEU(np.array([0.5, 0.5])), np.full(2, 0.5)),
+            economy.Agent(CRRASEU(np.array([0.7, 0.3])), np.full(2, 0.5)),
+            economy.Agent(CRRASEU(np.array([0.5, 0.5])), np.full(2, 0.5)),
         ),
         no_aggregate_uncertainty=True,
     )
@@ -164,8 +164,8 @@ def test_individual_improvement_event_shapes_and_logic():
 def test_scitovsky_exact_matches_grid_on_random_draws():
     econ = economy.EconomySpec(
         (
-            economy.Agent(CobbDouglasEU(np.array([0.7, 0.3])), np.full(2, 0.5)),
-            economy.Agent(CobbDouglasEU(np.array([0.5, 0.5])), np.full(2, 0.5)),
+            economy.Agent(CRRASEU(np.array([0.7, 0.3])), np.full(2, 0.5)),
+            economy.Agent(CRRASEU(np.array([0.5, 0.5])), np.full(2, 0.5)),
         ),
         no_aggregate_uncertainty=True,
     )
@@ -272,9 +272,9 @@ def _bisection_margins(econ, f, W, eps):
 def test_scitovsky_newton_matches_reference_bisection(gamma, d):
     gen = np.random.default_rng(d)
     mu1, mu2 = gen.dirichlet(np.full(d, 0.5)), gen.dirichlet(np.full(d, 0.5))
-    pref = (lambda mu: CobbDouglasEU(mu)) if gamma == 1.0 else (lambda mu: CRRASEU(mu, gamma))
     econ = economy.EconomySpec(
-        (economy.Agent(pref(mu1), np.full(d, 0.5)), economy.Agent(pref(mu2), np.full(d, 0.5))),
+        (economy.Agent(CRRASEU(mu1, gamma), np.full(d, 0.5)),
+         economy.Agent(CRRASEU(mu2, gamma), np.full(d, 0.5))),
         no_aggregate_uncertainty=True,
     )
     ones = np.ones(d)
@@ -307,8 +307,8 @@ def test_scitovsky_wasteful_allocation_is_dominated():
     # each agent holds the act the *other* one values: undoing the swap helps both
     econ = economy.EconomySpec(
         (
-            economy.Agent(CobbDouglasEU(np.array([0.9, 0.1])), np.full(2, 0.5)),
-            economy.Agent(CobbDouglasEU(np.array([0.1, 0.9])), np.full(2, 0.5)),
+            economy.Agent(CRRASEU(np.array([0.9, 0.1])), np.full(2, 0.5)),
+            economy.Agent(CRRASEU(np.array([0.1, 0.9])), np.full(2, 0.5)),
         ),
         no_aggregate_uncertainty=True,
     )
@@ -348,8 +348,8 @@ def test_cru_degenerate_allocation_raises():
 def test_cru_needs_unit_aggregate():
     econ = economy.EconomySpec(
         (
-            economy.Agent(CobbDouglasEU(np.array([0.5, 0.5])), np.ones(2)),
-            economy.Agent(CobbDouglasEU(np.array([0.5, 0.5])), np.ones(2)),
+            economy.Agent(CRRASEU(np.array([0.5, 0.5])), np.ones(2)),
+            economy.Agent(CRRASEU(np.array([0.5, 0.5])), np.ones(2)),
         ),
         no_aggregate_uncertainty=True,
     )
@@ -359,7 +359,7 @@ def test_cru_needs_unit_aggregate():
 
 @pytest.mark.parametrize("economy_kind", ["maxmin-agent", "three-agents"])
 def test_cru_refuses_economies_without_the_frontier_closed_form(economy_kind):
-    cd = CobbDouglasEU(np.array([0.5, 0.5]))
+    cd = CRRASEU(np.array([0.5, 0.5]))
     if economy_kind == "maxmin-agent":
         meu = MaxMinEU(cap_prior_polytope(2, 0, 0.6, "ge")[0])
         agents = (economy.Agent(cd, np.full(2, 0.5)), economy.Agent(meu, np.full(2, 0.5)))
@@ -382,7 +382,7 @@ def test_cru_refuses_economies_without_the_frontier_closed_form(economy_kind):
 
 def _split_economy(n_agents, d):
     agents = tuple(
-        economy.Agent(CobbDouglasEU(np.full(d, 1.0 / d)), np.full(d, 1.0 / n_agents))
+        economy.Agent(CRRASEU(np.full(d, 1.0 / d)), np.full(d, 1.0 / n_agents))
         for _ in range(n_agents)
     )
     return economy.EconomySpec(agents, no_aggregate_uncertainty=True)

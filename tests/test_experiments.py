@@ -7,6 +7,7 @@ this module stays fast; the full-size default runs live in test_acceptance.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 import os
@@ -113,14 +114,19 @@ _KEY_VALUES = {
     "cap_low": _FLOATS,
     "c_values": st.lists(_FLOATS, min_size=1, max_size=4).map(tuple),
 }
-_AGENTS = st.lists(st.builds(
+# each kind sets only the keys it takes: gamma for crra, bernoulli for maxmin
+_KIND_KEYS = {
+    "cobb-douglas": {},
+    "crra": {"gamma": _FLOATS},
+    "maxmin": {"bernoulli": st.sampled_from(["linear", "log"])},
+}
+_AGENTS = st.lists(st.sampled_from(sorted(_KIND_KEYS)).flatmap(lambda kind: st.builds(
     experiments.AgentTemplate,
-    kind=st.sampled_from(["cobb-douglas", "crra", "maxmin"]),
+    kind=st.just(kind),
     prior=st.sampled_from(["uniform", "spike:0:0.9", "0.25,0.75", "cap:ge:0:0.4"]),
-    gamma=_FLOATS,
-    bernoulli=st.sampled_from(["linear", "log"]),
     endowment=st.sampled_from(["ones", "equal-share", "1,2"]),
-), max_size=3).map(tuple)
+    **_KIND_KEYS[kind],
+)), max_size=3).map(tuple)
 
 
 @st.composite
@@ -192,6 +198,21 @@ def test_comments_and_blank_lines_are_ignored():
 def test_config_errors(text, match):
     with pytest.raises(ValueError, match=match):
         experiments.parse_config_text(text)
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("cobb-douglas", "gamma", "4.0"),
+    ("maxmin", "gamma", "0.5"),
+    ("cobb-douglas", "bernoulli", "log"),
+    ("crra", "bernoulli", "log"),
+])
+def test_agent_key_without_effect_is_refused(kind, key, value):
+    text = f"experiment = thm1\nseed = 1\nagent.preference = {kind}\nagent.{key} = {value}\n"
+    with pytest.raises(ValueError, match=f"agent.{key} has no effect on a {kind} agent"):
+        experiments.parse_config_text(text)
+    # the default value is accepted, so default texts and their hashes hold
+    default = {"gamma": "1.0", "bernoulli": "linear"}[key]
+    experiments.parse_config_text(text.replace(f"= {value}", f"= {default}"))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -485,21 +506,49 @@ PINNED_RESULTS = {
     ("thm2", None): "3a2167994a065db376a977826cea44e737530f802571dd26bd3912e628ece5a1",
     ("cru", None): "2cbdc642d303b089a5c5e8ef5da1459694a44c810fd89c35e613638f12226309",
     ("checks", 100_000): "e3de57931b4e8790d6238f6975bae3853e731c1bef1a9d9b7124cf904fc26525",
+    # log-utility agents at the equilibrium allocation
+    ("thm1", 20_000): "be93b5fa9892cf5efb99e49ddb09afb4d19f761001b9a57d6669d01b0edbeaa6",
 }
+# thm1 at 20,000 trials with crra gamma = 4 agents at the planner allocation
+PINNED_THM1_CRRA4_PLANNER = "a47135df2d1624badda39193c7ee9aa02e731fec1c295055fe63de9927b6abe5"
+
+
+@functools.cache
+def _results_sha256(cfg):
+    return hashlib.sha256(experiments.run_experiment(cfg).csv_text.encode()).hexdigest()
+
+
+def _as_crra(cfg, gamma, allocation):
+    """cfg with every agent a crra agent of curvature gamma, at the given allocation."""
+    agents = tuple(replace(a, kind="crra", gamma=gamma) for a in cfg.agents)
+    return replace(cfg, agents=agents, allocation=allocation)
+
+
+def _pin_message(what):
+    import scipy
+
+    return (f"{what} results.csv moved; the pin was recorded under numpy 2.4.6 and "
+            f"scipy 1.17.1, this run has numpy {np.__version__} and scipy {scipy.__version__}")
 
 
 @pytest.mark.parametrize("experiment,trials", list(PINNED_RESULTS))
 def test_default_results_bytes_are_pinned(experiment, trials):
-    import scipy
-
     cfg = experiments.default_config(experiment)
     if trials is not None:
         cfg = replace(cfg, trials=trials)
-    digest = hashlib.sha256(experiments.run_experiment(cfg).csv_text.encode()).hexdigest()
-    assert digest == PINNED_RESULTS[experiment, trials], (
-        f"{experiment} results.csv moved; the pin was recorded under numpy 2.4.6 and "
-        f"scipy 1.17.1, this run has numpy {np.__version__} and scipy {scipy.__version__}"
-    )
+    assert _results_sha256(cfg) == PINNED_RESULTS[experiment, trials], _pin_message(experiment)
+
+
+def test_thm1_crra_planner_results_bytes_are_pinned():
+    cfg = _as_crra(replace(experiments.default_config("thm1"), trials=20_000), 4.0, "planner")
+    assert _results_sha256(cfg) == PINNED_THM1_CRRA4_PLANNER, _pin_message("thm1 crra planner")
+
+
+def test_cobb_douglas_agents_are_crra_agents_at_unit_gamma():
+    cfg = replace(experiments.default_config("thm1"), trials=20_000)
+    crra = _as_crra(cfg, 1.0, cfg.allocation)
+    assert crra.sha256() != cfg.sha256()
+    assert _results_sha256(crra) == _results_sha256(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_projection_random_points_land_inside():
 
 
 def test_contains_batch_halfspace_and_polytope():
-    hs = geometry.HalfSpace(np.array([1.0, 0.0]), 0.5, "upper")
+    hs = geometry.HalfSpace(np.array([1.0, 0.0]), 0.5)
     pts = np.array([[0.6, 0.4], [0.4, 0.6]])
     assert geometry.contains(hs, pts).tolist() == [True, False]
     cap = _cap(2, 0, 0.6, "ge")

@@ -8,7 +8,6 @@ import pytest
 from risklab import geometry, preferences
 from risklab.preferences import (
     CRRASEU,
-    CobbDouglasEU,
     MaxMinEU,
     belief_set,
     belief_set_extension_empty,
@@ -30,9 +29,9 @@ def _meu_cap(d, idx, level, side, bernoulli="linear"):
 
 
 def test_cobb_douglas_log_utility_oracle():
-    pref = CobbDouglasEU(np.array([0.6, 0.4]))
+    pref = CRRASEU(np.array([0.6, 0.4]))
     assert pref.utility(np.array([math.e, 1.0])) == pytest.approx(0.6, rel=1e-12)
-    uniform = CobbDouglasEU(np.array([0.5, 0.5]))
+    uniform = CRRASEU(np.array([0.5, 0.5]))
     assert uniform.utility(np.array([0.4, 0.4])) == pytest.approx(math.log(0.4), rel=1e-12)
 
 
@@ -42,7 +41,7 @@ def test_crra_gamma_limits():
     linear = CRRASEU(mu, 0.0)
     assert linear.utility(f) == pytest.approx(float(mu @ f), rel=1e-12)
     log_like = CRRASEU(mu, 1.0)
-    assert log_like.utility(f) == pytest.approx(CobbDouglasEU(mu).utility(f), rel=1e-12)
+    assert log_like.utility(f) == pytest.approx(float(mu @ np.log(f)), rel=1e-12)
     crra2 = CRRASEU(mu, 2.0)
     assert crra2.utility(f) == pytest.approx(-float(mu @ (1.0 / f)), rel=1e-12)
 
@@ -78,9 +77,9 @@ def test_maxmin_log_bernoulli_domain():
 
 def test_domain_validation():
     with pytest.raises(ValueError):
-        CobbDouglasEU(np.array([0.5, 0.6]))  # not a probability vector
+        CRRASEU(np.array([0.5, 0.6]))  # not a probability vector
     with pytest.raises(ValueError):
-        CobbDouglasEU(np.array([1.0, 0.0]))  # needs full support
+        CRRASEU(np.array([1.0, 0.0]))  # needs full support
     with pytest.raises(ValueError):
         CRRASEU(np.array([0.5, 0.5]), -0.5)
     with pytest.raises(ValueError):
@@ -88,7 +87,7 @@ def test_domain_validation():
 
 
 def test_utility_extended_never_raises():
-    pref = CobbDouglasEU(np.array([0.5, 0.5]))
+    pref = CRRASEU(np.array([0.5, 0.5]))
     assert utility_extended(pref, np.array([1.0, -1.0])) == -math.inf
     F = np.array([[1.0, 1.0], [0.0, 2.0]])
     out = utility_extended(pref, F)
@@ -104,7 +103,7 @@ def test_utility_extended_never_raises():
 @pytest.mark.parametrize(
     "pref",
     [
-        CobbDouglasEU(np.array([0.4, 0.3, 0.3])),
+        CRRASEU(np.array([0.4, 0.3, 0.3])),
         CRRASEU(np.array([0.2, 0.5, 0.3]), 0.5),
         CRRASEU(np.array([1 / 3, 1 / 3, 1 / 3]), 2.0),
         MaxMinEU(cap_prior_polytope(3, 0, 0.5, "ge")[0]),
@@ -123,7 +122,7 @@ def test_quasi_concavity_on_random_triples(pref):
 @pytest.mark.parametrize(
     "pref",
     [
-        CobbDouglasEU(np.array([0.4, 0.6])),
+        CRRASEU(np.array([0.4, 0.6])),
         CRRASEU(np.array([0.7, 0.3]), 1.5),
         MaxMinEU(cap_prior_polytope(2, 0, 0.4, "ge")[0]),
     ],
@@ -141,7 +140,7 @@ def test_strict_monotonicity(pref):
 
 
 def test_belief_set_cobb_douglas_normalized_gradient():
-    pref = CobbDouglasEU(np.array([0.5, 0.5]))
+    pref = CRRASEU(np.array([0.5, 0.5]))
     B = belief_set(pref, np.array([2.0, 1.0]))
     # gradient (0.25, 0.5) normalizes to (1/3, 2/3)
     assert np.allclose(B.vertices, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-12)
@@ -149,7 +148,7 @@ def test_belief_set_cobb_douglas_normalized_gradient():
 
 def test_belief_set_constant_act_is_the_prior():
     mu = np.array([0.3, 0.2, 0.5])
-    for pref in (CobbDouglasEU(mu), CRRASEU(mu, 2.0), CRRASEU(mu, 0.0)):
+    for pref in (CRRASEU(mu), CRRASEU(mu, 2.0), CRRASEU(mu, 0.0)):
         B = belief_set(pref, np.full(3, 0.8))
         assert np.allclose(B.vertices, mu[None, :], atol=1e-12)
 

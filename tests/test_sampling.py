@@ -327,16 +327,6 @@ def test_all_hits_mirror_of_zero():
     assert est.ci_low == pytest.approx(0.025 ** (1.0 / n), rel=1e-12)
 
 
-def test_merge_is_exact_count_addition_and_associative():
-    a = sampling.MCEstimate(3, 100)
-    b = sampling.MCEstimate(7, 200)
-    c = sampling.MCEstimate(0, 50)
-    ab_c = a.merge(b).merge(c)
-    a_bc = a.merge(b.merge(c))
-    assert ab_c == a_bc
-    assert ab_c.hits == 10 and ab_c.trials == 350
-
-
 @settings(max_examples=300, deadline=None)
 @given(trials=st.integers(1, 10**12), data=st.data())
 def test_estimate_bounds_lie_in_unit_interval_and_bracket_p_hat(trials, data):
