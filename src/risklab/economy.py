@@ -12,6 +12,16 @@ module provides:
 * scalar diagnostics: the coefficient of resource utilization (bisection),
   the split-norm constant rho, and belief-set volume splits.
 
+Individual improvement evaluates utilities only inside each agent's
+supporting half-space.  U is concave, so with a supergradient s at f_i,
+U((1-eps)(f_i + z)) <= U(f_i) + (1-eps) s.z - eps s.f_i: a draw outside the
+half-space (1-eps) s.z > eps s.f_i (widened by a rounding slack) cannot
+improve agent i, and one product Z @ s screens a block before any utility
+is computed.  A draw's flag can differ from an evaluation of every row only
+if its utility lies within about one ulp of the strict-preference threshold,
+because BLAS may round a row's dot product differently once the surviving
+rows are compacted.
+
 Aggregate membership is decided on the utility-possibility frontier of a
 two-agent economy with common CRRA curvature: the frontier is a one-parameter
 family and the max-min margin is found by a safeguarded Newton iteration on
@@ -238,17 +248,72 @@ def individual_improvement_event(
     Vectorized over the rows of Z.  Perturbed acts that leave an agent's
     utility domain (nonpositive payoffs under log curvature) never improve:
     the monotone extension assigns them -inf utility.
+
+    Utilities are evaluated only inside each agent's supporting half-space.
+    U is concave, so a supergradient s at f_i gives
+    U((1-eps)(f_i + z)) <= U(f_i) + (1-eps) s.z - eps s.f_i, and z can
+    improve agent i only if (1-eps) s.z > eps s.f_i.  One Z @ s per agent
+    drops the rows outside that half-space widened by a rounding slack
+    (:func:`_screen`), and the agent's utility is computed on the rows left;
+    an agent without a finite supergradient has every row evaluated.  The
+    flags are those of evaluating every row, except that BLAS may round a
+    row's dot product differently once the kept rows are compacted: a row
+    whose utility lies within about one ulp of ``base + TOL_STRICT`` can flip.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     out = np.zeros(len(Z), dtype=bool)
     for i, agent in enumerate(econ.agents):
-        fi = f.acts[i]
-        base = agent.preference.utility(fi)
-        cand = utility_extended(agent.preference, (1.0 - eps) * (fi + Z))
-        out |= cand > base + preferences.TOL_STRICT
+        pref, fi = agent.preference, f.acts[i]
+        base = pref.utility(fi)
+        s = preferences.supergradient(pref, fi)
+        rows = slice(None) if s is None else _screen(pref, Z, fi, s, float(base), eps)
+        cand = utility_extended(pref, (1.0 - eps) * (fi + Z[rows]))
+        out[rows] |= cand > base + preferences.TOL_STRICT
     return out
+
+
+# Relative slack of the improvement screen, and the largest |log x| over
+# positive finite doubles.
+_SCREEN_SLACK = 1e-9
+_LOG_RANGE = 745.0
+
+
+def _screen(pref, Z, fi, s, base, eps):
+    """Indices of the rows of Z that may improve the agent: (1-eps) s.z > eps s.f_i - slack.
+
+    A dropped row has U((1-eps)(f_i + z)) - U(f_i) <= (1-eps) s.z - eps s.f_i
+    <= -slack in exact arithmetic, so the slack must cover every rounding
+    between that and the computed utilities.  Each quantity involved is a sum
+    of at most d terms, rounded within a few (d + 4) u (u = 2^-53) times the
+    sum of its terms' magnitudes:
+
+    * U at f_i: |U(f_i)| for power CRRA (its terms share a sign), and at most
+      _LOG_RANGE for a log index (the index weights sum to 1);
+    * U at the perturbed act: relative to |U| for power CRRA, which cannot
+      lift a dropped row by more than the rounding of U(f_i); _LOG_RANGE for
+      a log index; ||s||_1 (||f_i||_inf + max|z|) for a linear one;
+    * Z @ s, s.f_i, s itself and the perturbed act: ||s||_1 (||f_i||_inf +
+      max|z|).  Where the domain lies in the nonnegative orthant (every agent
+      but the risk-neutral and linear max-min ones), s >= 0 and z >= -f_i on
+      every row that could improve, so sum_k s_k |z_k| <= |s.z| + 2 s.f_i;
+      the |s.z| part only rescales s.z, which cannot carry a row across the
+      line, so max|z| is needed only where the domain is all of R^d.
+
+    So, with zmax = max|z| over the block where the domain is all of R^d and
+    0 elsewhere, the slack 1e-9 (|U(f_i)| + ||s||_1 (||f_i||_inf + zmax) +
+    _LOG_RANGE) dominates the sum while 64 (d + 4) u < 1e-9, that is for d
+    below 10^5.  An infinite U(f_i) makes the threshold -inf or NaN, and
+    neither drops a row.
+    """
+    zmax = 0.0
+    if pref.in_domain(-np.ones(len(fi))):
+        zmax = float(max(Z.max(initial=0.0), -Z.min(initial=0.0)))
+    slack = _SCREEN_SLACK * (
+        abs(base) + float(s.sum()) * (float(np.abs(fi).max()) + zmax) + _LOG_RANGE)
+    threshold = eps * float(s @ fi) - slack
+    return np.flatnonzero(~((1.0 - eps) * (Z @ s) <= threshold))
 
 
 def _margins_on_frontier(M, logM, F_w, base, lam, q, eps):

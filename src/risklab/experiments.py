@@ -58,6 +58,8 @@ class AgentTemplate:
     Kinds: 'crra' takes ``gamma``; 'maxmin' takes ``bernoulli``;
     'cobb-douglas' is 'crra' at gamma = 1 and takes neither.  A key a kind
     does not take must keep its default, so it cannot change the run's hash.
+    Another kind, a negative or non-finite crra ``gamma`` and a max-min
+    ``bernoulli`` other than 'linear' or 'log' are refused at parse time.
     """
 
     kind: str
@@ -67,6 +69,13 @@ class AgentTemplate:
     endowment: str = "ones"
 
     def __post_init__(self):
+        if self.kind not in ("cobb-douglas", "crra", "maxmin"):
+            raise ValueError("agent.preference must be 'cobb-douglas', 'crra' or 'maxmin', "
+                             f"got {self.kind!r}")
+        if self.kind == "crra" and not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"agent.gamma must be a finite nonnegative real, got {self.gamma!r}")
+        if self.kind == "maxmin" and self.bernoulli not in ("linear", "log"):
+            raise ValueError(f"agent.bernoulli must be 'linear' or 'log', got {self.bernoulli!r}")
         if self.kind in ("cobb-douglas", "maxmin") and self.gamma != 1.0:
             raise ValueError(f"agent.gamma has no effect on a {self.kind} agent; "
                              f"leave it at 1.0, got {self.gamma!r}")
@@ -94,22 +103,20 @@ class AgentTemplate:
         return mu
 
     def _preference(self, d: int) -> preferences.Preference:
-        if self.kind in ("cobb-douglas", "crra"):
+        if self.kind != "maxmin":
             return preferences.CRRASEU(self._prior_vector(d), self.gamma)
-        if self.kind == "maxmin":
-            s = self.prior
-            if s.startswith("cap:"):
-                _, side, idx, level = s.split(":")
-                verts, hs = preferences.cap_prior_polytope(d, int(idx), float(level), side)
-                return preferences.MaxMinEU(verts, self.bernoulli, (hs,))
-            if s.startswith("vertices:"):
-                rows = [
-                    [float(x) for x in chunk.split(",")]
-                    for chunk in s[len("vertices:"):].split("|")
-                ]
-                return preferences.MaxMinEU(np.array(rows), self.bernoulli)
-            raise ValueError(f"max-min agents need a cap: or vertices: prior, got {s!r}")
-        raise ValueError(f"unknown preference kind {self.kind!r}")
+        s = self.prior
+        if s.startswith("cap:"):
+            _, side, idx, level = s.split(":")
+            verts, hs = preferences.cap_prior_polytope(d, int(idx), float(level), side)
+            return preferences.MaxMinEU(verts, self.bernoulli, (hs,))
+        if s.startswith("vertices:"):
+            rows = [
+                [float(x) for x in chunk.split(",")]
+                for chunk in s[len("vertices:"):].split("|")
+            ]
+            return preferences.MaxMinEU(np.array(rows), self.bernoulli)
+        raise ValueError(f"max-min agents need a cap: or vertices: prior, got {s!r}")
 
     def instantiate(self, d: int, n_agents: int) -> economy.Agent:
         if self.endowment == "ones":
@@ -463,6 +470,11 @@ def run_thm1(config: ExperimentConfig):
         tau = min(float(a.endowment.min()) for a in econ.agents)
         if tau <= 0:
             raise ValueError("the tail bound needs strictly positive endowments (tau > 0)")
+        # what the decider needs of each act, once before sampling: an act outside
+        # its agent's domain makes this cell an error row, not a failed block
+        for agent, act in zip(econ.agents, f.acts):
+            agent.preference.utility(act)
+            preferences.supergradient(agent.preference, act)
 
         def event(Z):
             return economy.individual_improvement_event(econ, f, Z, eps)

@@ -29,6 +29,7 @@ TOL_STRICT = 1e-10
 MEU_FACE_TOL = 1e-10
 _PRIOR_TOL = 1e-12
 _BOUNDARY_GUARD = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 def _as_prior(mu, strictly_positive: bool) -> np.ndarray:
@@ -191,6 +192,35 @@ def cap_prior_polytope(d: int, idx: int, level: float, side: str):
     else:
         raise ValueError("side must be 'ge' or 'le'")
     return vertices, halfspace
+
+
+def supergradient(pref: Preference, f) -> np.ndarray | None:
+    """One supergradient s of U at the single act f: U(g) <= U(f) + s . (g - f) for all g.
+
+    CRRA agents give the gradient (the prior at gamma = 0).  A max-min agent
+    gives the gradient of a worst-case prior v*'s expected index, which
+    bounds U from above: v* itself under the linear index, v*/f under the
+    log index (log g <= log f + (g - f)/f).  Every supergradient returned is
+    finite and nonnegative.  None means U has no finite supergradient at f
+    (a zero payoff under 0 < gamma < 1) or one beyond float precision (a
+    payoff whose power or reciprocal leaves the normal range).  Raises
+    ValueError outside U's domain.
+    """
+    f = _acts(f, pref.dim)
+    if f.ndim != 1:
+        raise ValueError("supergradient takes a single act")
+    if not pref.in_domain(f):
+        raise ValueError("domain violation: no supergradient outside the utility's domain")
+    if isinstance(pref, CRRASEU):
+        # a payoff whose power overflows has a gradient entry of 0 (within tiny)
+        with np.errstate(over="ignore"):
+            if pref.gamma > 0 and np.any(f**pref.gamma < _TINY):
+                return None
+            return pref.gradient(f)
+    v = pref.prior_vertices[np.argmin(pref.prior_vertices @ pref._index(f))]
+    if pref.bernoulli == "linear":
+        return v.copy()
+    return None if np.any(f < _TINY) else v / f
 
 
 def utility_extended(pref: Preference, f):

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from risklab import economy, experiments, preferences, sampling
@@ -159,6 +161,86 @@ def test_individual_improvement_event_shapes_and_logic():
     assert flags[0]  # more of everything improves someone
     assert not flags[1]  # taking resources away cannot eps-improve anyone
     assert not flags[2]  # the equilibrium itself is not an improvement
+
+
+def _oracle_improvement_event(econ, f, Z, eps):
+    """The decider without its half-space screen: every agent's utility on every row."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    out = np.zeros(len(Z), dtype=bool)
+    for i, agent in enumerate(econ.agents):
+        fi = f.acts[i]
+        base = agent.preference.utility(fi)
+        cand = preferences.utility_extended(agent.preference, (1.0 - eps) * (fi + Z))
+        out |= cand > base + preferences.TOL_STRICT
+    return out
+
+
+@st.composite
+def _improvement_cases(draw):
+    """An economy of CRRA and max-min agents, an allocation, eps, and perturbations.
+
+    The perturbations are uniform-ball draws plus, for every agent with a
+    supergradient, draws on its half-space boundary (1-eps) s.z = eps s.f_i
+    and 1e-12 to either side of it.
+    """
+    d = draw(st.integers(2, 64))
+    eps = draw(st.floats(1e-6, 0.5, exclude_max=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    agents, acts = [], []
+    for _ in range(draw(st.integers(2, 3))):
+        kind = draw(st.sampled_from(["crra", "maxmin-linear", "maxmin-log"]))
+        act = rng.uniform(0.05, 3.0, d)
+        if kind == "crra":
+            gamma = draw(st.floats(0.0, 16.0))
+            mu = rng.uniform(0.01, 1.0, d)
+            pref = CRRASEU(mu / mu.sum(), gamma)
+            if gamma < 1 and draw(st.booleans()):
+                act[0] = 0.0  # in the domain, without a finite supergradient for gamma > 0
+        else:
+            v = rng.uniform(0.0, 1.0, (draw(st.integers(1, 4)), d))
+            pref = MaxMinEU(v / v.sum(axis=1, keepdims=True), kind.split("-")[1])
+        agents.append(economy.Agent(pref, np.ones(d)))
+        acts.append(act)
+    econ = economy.EconomySpec(tuple(agents))
+    radius = draw(st.floats(0.1, 4.0))
+    Z = [sampling.sample_uniform_ball(d, radius, 200, rng.integers(2**32))]
+    for agent, act in zip(econ.agents, acts):
+        s = preferences.supergradient(agent.preference, act)
+        if s is None:
+            continue
+        z = sampling.sample_uniform_ball(d, radius, 30, rng.integers(2**32))
+        # move each draw along s onto the half-space boundary
+        z += ((eps * (s @ act) - (1.0 - eps) * (z @ s)) / ((1.0 - eps) * (s @ s)))[:, None] * s
+        unit = s / np.linalg.norm(s)
+        Z += [z, z + 1e-12 * unit, z - 1e-12 * unit]
+    return econ, economy.Allocation(np.array(acts)), eps, np.vstack(Z)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_improvement_cases())
+def test_screened_improvement_event_matches_the_oracle(case):
+    econ, f, eps, Z = case
+    flags = economy.individual_improvement_event(econ, f, Z, eps)
+    assert np.array_equal(flags, _oracle_improvement_event(econ, f, Z, eps))
+
+
+@pytest.mark.parametrize("d", [4, 32])
+def test_oracle_hits_lie_in_the_agents_supporting_half_space(d):
+    cfg = experiments.default_config("thm1")
+    econ = experiments.build_economy(cfg, d)
+    f, _ = experiments.resolve_allocation(cfg, econ)
+    eps = cfg.eps_list[0]
+    Z = sampling.sample_uniform_ball(d, cfg.radius, 20_000, SEED)
+    hits = 0
+    for i, agent in enumerate(econ.agents):
+        fi = f.acts[i]
+        base = agent.preference.utility(fi)
+        cand = preferences.utility_extended(agent.preference, (1.0 - eps) * (fi + Z))
+        hit = cand > base + preferences.TOL_STRICT
+        s = preferences.supergradient(agent.preference, fi)
+        assert np.all((1.0 - eps) * (Z[hit] @ s) > eps * (s @ fi))
+        hits += int(hit.sum())
+    assert hits > 0
 
 
 def test_scitovsky_exact_matches_grid_on_random_draws():

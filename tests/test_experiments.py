@@ -215,6 +215,25 @@ def test_agent_key_without_effect_is_refused(kind, key, value):
     experiments.parse_config_text(text.replace(f"= {value}", f"= {default}"))
 
 
+@pytest.mark.parametrize("block,key", [
+    pytest.param("agent.preference = cobb-douglass\n", "preference", id="unknown-kind"),
+    pytest.param("agent.preference = crra\nagent.gamma = -0.5\n", "gamma", id="negative-gamma"),
+    pytest.param("agent.preference = crra\nagent.gamma = inf\n", "gamma", id="infinite-gamma"),
+    pytest.param("agent.preference = crra\nagent.gamma = nan\n", "gamma", id="nan-gamma"),
+    pytest.param("agent.preference = maxmin\nagent.prior = cap:ge:0:0.4\n"
+                 "agent.bernoulli = logs\n", "bernoulli", id="unknown-bernoulli"),
+])
+def test_bad_agent_values_are_refused_at_parse_time(block, key, tmp_path):
+    text = ("experiment = thm1\nseed = 1\ntrials = 200\ndims = 2\n" + block
+            + "agent.preference = cobb-douglas\n")
+    with pytest.raises(ValueError, match=f"agent.{key} must be"):
+        experiments.parse_config_text(text)
+    (tmp_path / "bad.txt").write_text(text)
+    rc = cli.main(["thm1", "--config", str(tmp_path / "bad.txt"), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_seed_is_refused_at_parse_time(seed, tmp_path, capsys):
     with pytest.raises(ValueError, match="64-bit unsigned"):
@@ -248,6 +267,18 @@ def test_spike_prior_state_outside_the_cell_dimension_is_an_error_row():
                 assert row["error"] is None and 0 <= row["p_hat"] <= 1
     with pytest.raises(ValueError, match="spike state -1"):
         experiments.AgentTemplate("cobb-douglas", prior="spike:-1:0.9")._prior_vector(8)
+
+
+def test_thm1_cell_outside_an_agents_domain_is_an_error_row(tmp_path):
+    # agent 0 holds nothing in state 1, where log utility has no value
+    cfg = experiments.parse_config_text(
+        "experiment = thm1\nseed = 5\ntrials = 200\ndims = 2\n"
+        "allocation = literal:2,0|0,2\n"
+        "agent.preference = cobb-douglas\nagent.preference = cobb-douglas\n"
+    )
+    (row,) = experiments.run_experiment(replace(cfg, out_dir=str(tmp_path / "o"))).rows
+    assert "domain violation" in row["error"] and "p_hat" not in row
+    assert (tmp_path / "o" / "results.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +540,27 @@ PINNED_RESULTS = {
     # log-utility agents at the equilibrium allocation
     ("thm1", 20_000): "be93b5fa9892cf5efb99e49ddb09afb4d19f761001b9a57d6669d01b0edbeaa6",
 }
-# thm1 at 20,000 trials with crra gamma = 4 agents at the planner allocation
-PINNED_THM1_CRRA4_PLANNER = "a47135df2d1624badda39193c7ee9aa02e731fec1c295055fe63de9927b6abe5"
+# thm1 at 20,000 trials with crra agents of curvature gamma at the planner allocation
+PINNED_THM1_CRRA_PLANNER = {
+    0.5: "1317231452f4b5c46b027284b857f54cc41ca94cf0a361033a7f20e232b7d0c5",
+    4.0: "a47135df2d1624badda39193c7ee9aa02e731fec1c295055fe63de9927b6abe5",
+    16.0: "dfe4691d2d41f2e2d673309302d32e392b1359beeebc4136b31017a108a0ed12",
+}
+# thm1 at 20,000 trials with a linear and a log max-min agent at a literal allocation
+THM1_MAXMIN_TEXT = """\
+experiment = thm1
+seed = 1733
+trials = 20000
+dims = 2
+allocation = literal:1.2,0.8|0.8,1.2
+agent.preference = maxmin
+agent.prior = cap:ge:0:0.4
+agent.bernoulli = linear
+agent.preference = maxmin
+agent.prior = cap:le:0:0.6
+agent.bernoulli = log
+"""
+PINNED_THM1_MAXMIN = "efd013aa548c6620e3212aba0e300e672c1dda3abb59e807048756f6c9f3eebd"
 
 
 @functools.cache
@@ -540,8 +590,15 @@ def test_default_results_bytes_are_pinned(experiment, trials):
 
 
 def test_thm1_crra_planner_results_bytes_are_pinned():
-    cfg = _as_crra(replace(experiments.default_config("thm1"), trials=20_000), 4.0, "planner")
-    assert _results_sha256(cfg) == PINNED_THM1_CRRA4_PLANNER, _pin_message("thm1 crra planner")
+    cfg = replace(experiments.default_config("thm1"), trials=20_000)
+    for gamma, pin in PINNED_THM1_CRRA_PLANNER.items():
+        assert _results_sha256(_as_crra(cfg, gamma, "planner")) == pin, _pin_message(
+            f"thm1 crra gamma = {gamma} planner")
+
+
+def test_thm1_maxmin_results_bytes_are_pinned():
+    cfg = experiments.parse_config_text(THM1_MAXMIN_TEXT)
+    assert _results_sha256(cfg) == PINNED_THM1_MAXMIN, _pin_message("thm1 maxmin")
 
 
 def test_cobb_douglas_agents_are_crra_agents_at_unit_gamma():

@@ -12,6 +12,7 @@ from risklab.preferences import (
     belief_set,
     belief_set_extension_empty,
     cap_prior_polytope,
+    supergradient,
     utility_extended,
 )
 
@@ -132,6 +133,50 @@ def test_strict_monotonicity(pref):
     for _ in range(100):
         f = rng.random(2) + 0.1
         assert pref.utility(f + 0.01) > pref.utility(f)
+
+
+@pytest.mark.parametrize(
+    "pref",
+    [
+        CRRASEU(np.array([0.4, 0.3, 0.3])),
+        CRRASEU(np.array([0.2, 0.5, 0.3]), 0.5),
+        CRRASEU(np.array([0.2, 0.5, 0.3]), 16.0),
+        CRRASEU(np.array([0.0, 0.5, 0.5]), 0.0),
+        MaxMinEU(cap_prior_polytope(3, 0, 0.5, "ge")[0]),
+        MaxMinEU(cap_prior_polytope(3, 1, 0.4, "le")[0], "log"),
+    ],
+)
+def test_supergradient_bounds_utility_from_above(pref):
+    rng = np.random.default_rng(SEED + 2)
+    for _ in range(100):
+        f = rng.random(3) + 0.05
+        s = supergradient(pref, f)
+        assert np.all(np.isfinite(s)) and np.all(s >= 0)
+        g = rng.random((50, 3)) * 3.0 + 1e-3
+        bound = pref.utility(f) + (g - f) @ s
+        assert np.all(pref.utility(g) <= bound + 1e-9 * (1.0 + np.abs(bound)))
+
+
+def test_supergradient_values_and_refusals():
+    mu = np.array([0.25, 0.75])
+    f = np.array([2.0, 0.5])
+    assert np.allclose(supergradient(CRRASEU(mu), f), mu / f)
+    assert np.allclose(supergradient(CRRASEU(mu, 0.0), f), mu)
+    meu = _meu_cap(2, 0, 0.4, "ge")  # vertices (1, 0) and (0.4, 0.6)
+    assert np.array_equal(supergradient(meu, f), [0.4, 0.6])
+    assert np.allclose(supergradient(_meu_cap(2, 0, 0.4, "ge", "log"), f), [0.4 / 2.0, 0.6 / 0.5])
+    # a zero payoff under 0 < gamma < 1 is in the domain but has no finite supergradient
+    assert supergradient(CRRASEU(mu, 0.5), np.array([0.0, 1.0])) is None
+    # a power of a payoff below the normal range has lost its precision
+    assert supergradient(CRRASEU(mu, 16.0), np.array([1e-20, 1.0])) is None
+    assert supergradient(CRRASEU(mu, 16.0), np.array([1e20, 1.0]))[0] == 0.0
+    for pref, act in [(CRRASEU(mu), np.array([0.0, 1.0])),
+                      (CRRASEU(mu, 0.5), np.array([-0.1, 1.0])),
+                      (_meu_cap(2, 0, 0.4, "ge", "log"), np.array([1.0, 0.0]))]:
+        with pytest.raises(ValueError, match="domain violation"):
+            supergradient(pref, act)
+    with pytest.raises(ValueError, match="single act"):
+        supergradient(CRRASEU(mu), np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------
