@@ -40,6 +40,8 @@ _BLOCK_COUNTER_STRIDE = 1 << 64
 _Z95 = 1.959963984540054
 # 1 GiB of float64: ten times the largest default sample (prop3's 1e6 x 12 simplex points)
 _MAX_ARRAY_VALUES = 1 << 27
+# rows per norm pass hold at most this many values (512 KiB of float64)
+_NORM_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,14 @@ class PerturbationLaw:
         quantile = self._radius_quantile()
         gen = generator_for_block(seed, block)
         z = gen.standard_normal((m, self.dim))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        # normalize a few rows at a time: norm squares its input into a copy, and
+        # a whole-block copy (64 MiB at d = 512) per thread made the peak RSS of a
+        # threaded run depend on whether the threads' copies overlapped.  Each
+        # row's norm is its own reduction, so the chunks give the same bits.
+        step = max(1, _NORM_CHUNK_VALUES // self.dim)
+        for lo in range(0, m, step):
+            rows = z[lo : lo + step]
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         z *= quantile(gen.random(m))[:, None]
         return z
 

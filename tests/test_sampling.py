@@ -294,6 +294,21 @@ def test_law_sample_is_its_first_block():
     assert np.array_equal(full, blk)
 
 
+@pytest.mark.parametrize("kind,r", [("uniform-ball", 1.0), ("restricted-gaussian", 30.0)])
+def test_law_block_holds_one_block_of_values_at_a_time(kind, r):
+    # normalizing the whole block at once held a second block-sized copy, so the
+    # peak RSS of a threaded run depended on whether the threads' copies overlapped
+    m, d = 2048, 512
+    law = sampling.PerturbationLaw(kind, d, r)
+    tracemalloc.start()
+    try:
+        law.sample_block(3, m, sampling.as_seed(SEED))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * m * d * 8
+
+
 def test_law_rejects_unknown_kind():
     with pytest.raises(ValueError):
         sampling.PerturbationLaw("levy-flight", 3, 1.0)
