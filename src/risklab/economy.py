@@ -10,7 +10,7 @@ module provides:
 * the event deciders the Monte Carlo experiments evaluate per draw —
   individual improvement and aggregate (Scitovsky-contour) membership;
 * scalar diagnostics: the coefficient of resource utilization (bisection),
-  the split-norm constant rho, and belief-set volume splits.
+  the split-norm constant rho, and exact belief-set volume splits.
 
 Individual improvement evaluates utilities only inside each agent's
 supporting half-space.  U is concave, so with a supergradient s at f_i,
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from . import geometry, preferences, sampling
+from . import geometry, preferences
 # utility_extended is imported by name: the benchmark tracer patches this binding
 from .preferences import CRRASEU, Preference, utility_extended
 
@@ -515,61 +515,34 @@ def rho(econ: EconomySpec, mode: str = "definitional") -> float:
 
 @dataclass(frozen=True)
 class BeliefVolumeSplit:
-    vol_J: sampling.MCEstimate
-    vol_Jc: sampling.MCEstimate
-    empty_J: bool
-    empty_Jc: bool
+    vol_J: float
+    vol_Jc: float
 
     @property
     def min_rel_vol(self) -> float:
-        return min(self.vol_J.p_hat, self.vol_Jc.p_hat)
-
-
-def _group_membership(sets: list[geometry.Polytope], pts: np.ndarray) -> np.ndarray:
-    # The points lie on the simplex by construction, so only each belief
-    # set's half-spaces are tested.  A set without half-spaces is tested whole.
-    inside = np.ones(len(pts), dtype=bool)
-    for s in sets:
-        for body in s.halfspaces or (s,):
-            inside &= geometry.contains(body, pts)
-        if not inside.any():
-            break
-    return inside
+        return min(self.vol_J, self.vol_Jc)
 
 
 def belief_volume_split(
-    econ: EconomySpec,
-    allocations: Sequence[Allocation],
-    J: list[int],
-    n: int = 10**5,
-    seed: sampling.SeedSpec | int = 0,
+    econ: EconomySpec, allocations: Sequence[Allocation], J: list[int]
 ) -> list[BeliefVolumeSplit]:
-    """Relative simplex volumes of the two coalition belief-set intersections.
+    """Exact relative simplex volumes of the two coalition belief-set intersections.
 
     Returns one split per allocation in ``allocations``.  At an allocation,
     B_J is the intersection of the belief sets of the agents in J at their
-    allocated acts (B_Jc for the complement).  All volumes are hit-or-miss
-    estimates against ONE uniform simplex sample, drawn once per call, so for
-    disjoint intersections min(vol_J, vol_Jc) can never exceed 1/2, and two
-    allocations are compared on the same points.  The sampled points lie on
-    the simplex by construction, so a group tests only its sets' half-spaces.
-    A coalition whose sampled intersection is empty is flagged.
+    allocated acts (B_Jc for the complement), and each volume is its share
+    of the simplex by :func:`geometry.relative_volume`: 0.0 when a belief
+    set is lower-dimensional (a proper face of a cap, a single prior), the
+    Beta(1, d-1) mass of the slab for caps and slabs on one coordinate, and
+    ValueError for any other intersection.
     """
     J = sorted(set(J))
     if not J or not all(0 <= j < econ.n_agents for j in J) or len(J) == econ.n_agents:
         raise ValueError("J must be a proper nonempty subset of the agents")
     Jc = [i for i in range(econ.n_agents) if i not in J]
-    pts = sampling.sample_uniform_simplex(econ.dim, n, seed)
-    splits = []
-    for f in allocations:
-        hits = []
-        for group in (J, Jc):
-            sets = [preferences.belief_set(econ.agents[i].preference, f.acts[i]) for i in group]
-            hits.append(int(_group_membership(sets, pts).sum()))
-        splits.append(BeliefVolumeSplit(
-            vol_J=sampling.MCEstimate(hits=hits[0], trials=n),
-            vol_Jc=sampling.MCEstimate(hits=hits[1], trials=n),
-            empty_J=hits[0] == 0,
-            empty_Jc=hits[1] == 0,
-        ))
-    return splits
+
+    def volume(group, f):
+        return geometry.relative_volume(
+            [preferences.belief_set(econ.agents[i].preference, f.acts[i]) for i in group])
+
+    return [BeliefVolumeSplit(volume(J, f), volume(Jc, f)) for f in allocations]

@@ -648,19 +648,19 @@ def _ambiguity_instance(d: int, a: float, b: float, x: float | None = None) -> A
     return AmbiguityInstance(d, a, b, x, ybar, econ, traded, economy.equal_split(econ), eps)
 
 
-def _prop3_rows(inst: AmbiguityInstance, c_values, vol_seed, vol_trials, constant_phase: bool):
+def _prop3_rows(inst: AmbiguityInstance, c_values, constant_phase: bool):
     """Emptiness rows (both rho modes) at the traded acts, plus an optional volume row."""
     bound_columns = {f"bound_c{c:g}": bounds.bound_thm4(inst.eps, inst.d, c)
                      for c in c_values}
     mid_bound = bound_columns[f"bound_c{c_values[len(c_values) // 2]:g}"]
 
     allocations = [inst.traded, inst.constant] if constant_phase else [inst.traded]
-    splits = economy.belief_volume_split(inst.econ, allocations, [0], n=vol_trials, seed=vol_seed)
+    splits = economy.belief_volume_split(inst.econ, allocations, [0])
 
     def row(experiment, phase, vols, **fields):
         return {
             "experiment": experiment, "phase": phase, "d": inst.d, "eps": inst.eps,
-            "vol_J": vols.vol_J.p_hat, "vol_Jc": vols.vol_Jc.p_hat,
+            "vol_J": vols.vol_J, "vol_Jc": vols.vol_Jc,
             "min_rel_vol": vols.min_rel_vol, **bound_columns,
             "within_bound": vols.min_rel_vol <= mid_bound, "error": None, **fields,
         }
@@ -689,13 +689,20 @@ def _prop3_rows(inst: AmbiguityInstance, c_values, vol_seed, vol_trials, constan
 
 
 def run_prop3_thm4(config: ExperimentConfig):
-    """Joint belief-extension emptiness and belief-volume splits.
+    """Joint belief-extension emptiness and exact belief-volume splits.
 
     Two phases: a batch of random overlapping-cap economies at the first
     sweep dimension (emptiness of the delta-extended belief sets at the
     constructed dominated allocation, delta = eps/rho in both rho modes),
     and a fixed disjoint-cap family across the dimension sweep whose
     constant-act belief volumes trace the min-relative-volume trend.
+
+    Every volume is exact (:func:`economy.belief_volume_split`): the belief
+    sets at a traded act are proper faces of the caps, so both volumes are
+    0, and the constant-act caps {mu_0 >= cap_high} and {mu_0 <= cap_low}
+    have (1 - cap_high)^(d-1) and 1 - (1 - cap_low)^(d-1).  Nothing is
+    sampled but the random economies' cap levels, so ``trials``,
+    ``family_trials`` and ``threads`` have no effect.
     """
     seed = config.seed_spec
     rows = []
@@ -704,12 +711,10 @@ def run_prop3_thm4(config: ExperimentConfig):
         a = 0.15 + 0.20 * gen.random()
         b = 0.55 + 0.25 * gen.random()
         inst = _ambiguity_instance(config.dims[0], a, b)
-        rows += _prop3_rows(inst, config.c_values, seed.stream(3000 + e), config.trials, False)
-    for k, d in enumerate(config.dims):
-        inst = _ambiguity_instance(d, config.cap_high, config.cap_low)
-        rows += _prop3_rows(
-            inst, config.c_values, seed.stream(5000 + k), config.family_trials, True
-        )
+        rows += _prop3_rows(inst, config.c_values, False)
+    for d in config.dims:
+        rows += _prop3_rows(_ambiguity_instance(d, config.cap_high, config.cap_low),
+                            config.c_values, True)
     const = [r for r in rows if r["phase"] == "constant"]
     mid_c = config.c_values[len(config.c_values) // 2]
     return rows, _series(const, "thm4", ("min_rel_vol", f"bound_c{mid_c:g}"))
@@ -1029,6 +1034,7 @@ agent.endowment = equal-share
          "empty_intersection", "vol_J", "vol_Jc", "min_rel_vol", "bound_c*",
          "within_bound", "error"),
         run_prop3_thm4,
+        # trials, threads, family_trials are inert: kept for perfbench until ROADMAP 5(a)
         _COMMON_KEYS | {"dims", "n_economies", "family_trials", "cap_high", "cap_low",
                         "c_values"}, """\
 experiment = prop3
@@ -1036,7 +1042,6 @@ seed = 99
 trials = 100000
 dims = 3,4,5,6,7,8,9,10,11,12
 n_economies = 100
-family_trials = 1000000
 cap_high = 0.6
 cap_low = 0.2
 c_values = 0.5,1,2

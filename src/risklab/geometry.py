@@ -1,9 +1,10 @@
 """Convex-geometry primitives used throughout the laboratory.
 
 Belief sets as polytopes on the probability simplex, their projections,
-distances and membership tests; exact volumes of boxes and balls and the
-Brunn-Minkowski check on them; and the exact spherical-cap fraction that
-the ``lemma1`` rows compare with the separation bound.
+distances, membership tests and exact relative simplex volumes; exact
+volumes of boxes and balls and the Brunn-Minkowski check on them; and the
+exact spherical-cap fraction that the ``lemma1`` rows compare with the
+separation bound.
 
 Every projection and set distance is one nearest-point problem, solved by
 Wolfe's min-norm-point algorithm: exact on its final corral, finite, and
@@ -158,7 +159,10 @@ def _min_norm_weights(G: np.ndarray) -> np.ndarray:
     batched solve, and drop generators whose weight would turn negative.  A
     row stops on its Frank-Wolfe certificate ||z||^2 - min z.g <= 1e-14
     max ||g||^2, when the new generator is already in its corral, or when a
-    major cycle does not shrink ||z|| (a rounding stall).  Returns (n, m).
+    major cycle does not shrink ||z|| (a rounding stall).  The minor cycles
+    work on the Gram matrix, which squares the corral's condition number, so
+    each row's final corral is solved once more on its generators
+    (:func:`_resolve_corrals`).  Returns (n, m).
     """
     n, m, _ = G.shape
     gram = G @ G.transpose(0, 2, 1)
@@ -197,7 +201,32 @@ def _min_norm_weights(G: np.ndarray) -> np.ndarray:
             L[np.arange(minor.size), k] = 0.0
             corral[minor] = S & (L > 0)
             lam[minor] = np.where(corral[minor], L, 0.0)
-    return out
+    return _resolve_corrals(G, out)
+
+
+def _resolve_corrals(G: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``lam`` with each row's corral weights re-solved by QR on the corral's generators.
+
+    With g0 the corral's first generator and D the differences g - g0 of the
+    others, the affine least-norm point g0 + D mu solves the least-squares
+    problem D mu = -g0, whose QR solution loses digits with the condition
+    number of D rather than its square.  Rows are solved in one batch per
+    corral size.  A row keeps its weights if a re-solved weight is not
+    positive.
+    """
+    corral = lam > 0
+    size = corral.sum(axis=1)
+    for k in np.unique(size[size > 1]):
+        rows = np.flatnonzero(size == k)
+        cols = np.nonzero(corral[rows])[1].reshape(len(rows), k)
+        gens = G[rows[:, None], cols]
+        g0 = gens[:, 0, :]
+        Q, R = np.linalg.qr((gens[:, 1:, :] - g0[:, None, :]).transpose(0, 2, 1))
+        mu = -np.linalg.solve(R, Q.transpose(0, 2, 1) @ g0[:, :, None])[:, :, 0]
+        w = np.concatenate([1.0 - mu.sum(axis=1, keepdims=True), mu], axis=1)
+        ok = np.all(w > 0, axis=1)  # False on nan, and an inf weight forces a negative one
+        lam[rows[ok, None], cols[ok]] = w[ok]  # weights off the corral stay 0
+    return lam
 
 
 def project_point(x: np.ndarray, P: Polytope) -> np.ndarray:
@@ -240,6 +269,8 @@ def polytope_distance(P: Polytope, Q: Polytope) -> DistanceCertificate:
     return DistanceCertificate(float(np.linalg.norm(a - b)), a, b)
 
 
+# no runner reaches contains; the name stays because the benchmark tracer patches it,
+# until its refresh (ROADMAP 5(a))
 def contains(S, x: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
     """Membership of x (a point or an (n, d) batch) in a HalfSpace or Polytope S.
 
@@ -289,6 +320,42 @@ def volume(S) -> float:
     if isinstance(S, Ball):
         return float(np.exp(bounds.log_ball_volume_m(S.dim, S.radius)))
     raise ValueError(f"no exact volume for {type(S).__name__}")
+
+
+def relative_volume(sets) -> float:
+    """Exact share of the simplex's volume that the intersection of polytopes covers.
+
+    * If any set's vertices span fewer than d - 1 affine dimensions (a
+      proper face of a cap, a single prior), the intersection has volume 0.
+    * Otherwise every half-space must bound one and the same coordinate k,
+      so the intersection is the slab lo <= mu_k <= hi.  Under the uniform
+      law on the simplex mu_k is Beta(1, d - 1), and the share is
+      (1 - lo)^(d-1) - (1 - hi)^(d-1), clipped at 0.
+
+    Any other intersection raises ValueError, among them a full-dimensional
+    set given only by its vertices and half-spaces on two coordinates.
+    """
+    d = sets[0].dim
+    for P in sets:
+        V = P.vertices
+        if len(V) < d or np.linalg.matrix_rank(V[1:] - V[0]) < d - 1:
+            return 0.0
+    lo, hi, coords = 0.0, 1.0, set()
+    for P in sets:
+        if not P.halfspaces:
+            raise ValueError("no exact volume for a full-dimensional hull given only by vertices")
+        for hs in P.halfspaces:
+            k, *rest = np.flatnonzero(hs.normal)
+            coords.add(int(k))
+            if rest or len(coords) > 1:
+                raise ValueError("exact volumes need every half-space on the same coordinate")
+            bound = float(hs.offset) / float(hs.normal[k])
+            if hs.normal[k] > 0:
+                lo = max(lo, bound)
+            else:
+                hi = min(hi, bound)
+    lo, hi = min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
+    return max((1.0 - lo) ** (d - 1) - (1.0 - hi) ** (d - 1), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -265,24 +265,41 @@ def test_criterion_9_belief_extension_emptiness_and_volume_trend(record_criterio
     modes = {r["rho_mode"] for r in dominated}
     all_empty = all(r["empty_intersection"] is True for r in dominated)
     vol_cap = all(r["min_rel_vol"] <= 0.5 for r in rows)
+    # faces of the caps at the traded acts have volume exactly 0, and the
+    # constant-act caps {mu_0 >= cap_high}, {mu_0 <= cap_low} their Beta tails
+    faces_zero = all(r["vol_J"] == r["vol_Jc"] == 0.0 for r in dominated)
+    cfg = prop3_full.config
+
+    def within_4_ulp(value, exact):
+        return abs(value - exact) <= 4 * math.ulp(exact)
+
+    caps_exact = all(
+        within_4_ulp(r["vol_J"], (1 - cfg.cap_high) ** (r["d"] - 1))
+        and within_4_ulp(r["vol_Jc"], 1 - (1 - cfg.cap_low) ** (r["d"] - 1))
+        for r in constant
+    )
     vols = [r["min_rel_vol"] for r in constant]
     monotone = all(a > b for a, b in zip(vols, vols[1:]))
-    in_time = prop3_full.wall_time_s < 600.0
+    in_time = prop3_full.wall_time_s < 30.0
     ok = (
         not errors
         and modes == {"definitional", "paper"}
         and all_empty
         and vol_cap
+        and faces_zero
+        and caps_exact
         and len(constant) == 10
         and monotone
         and in_time
     )
     record_criterion(
         9, "extended belief sets never meet at dominated trades; minority volume shrinks", ok,
-        "certified emptiness per row; min_rel_vol <= 0.5; strict volume decrease; < 600 s",
+        "certified emptiness per row; min_rel_vol <= 0.5; face volumes 0; cap volumes exact "
+        "within 4 ulp; strict volume decrease; < 30 s",
     )
     assert ok, (
         f"errors={errors}, modes={modes}, all_empty={all_empty}, vol_cap={vol_cap}, "
+        f"faces_zero={faces_zero}, caps_exact={caps_exact}, "
         f"constant_vols={vols}, wall={prop3_full.wall_time_s:.1f}s"
     )
 

@@ -537,13 +537,11 @@ def _meu_economy(d, hi=0.6, lo=0.2):
 @pytest.mark.parametrize("d", [3, 5])
 def test_belief_volume_split_disjoint_caps(d):
     econ = _meu_economy(d)
-    (split,) = economy.belief_volume_split(
-        econ, [economy.equal_split(econ)], [0], n=60_000, seed=SEED
-    )
-    # vol({mu_0 >= 0.6}) = 0.4^(d-1), vol({mu_0 <= 0.2}) = 1 - 0.2 * ... exact for J
-    assert split.vol_J.p_hat == pytest.approx(0.4 ** (d - 1), abs=0.01)
-    assert not split.empty_J and not split.empty_Jc
-    assert split.min_rel_vol <= 0.5  # structural for disjoint sets on a shared sample
+    (split,) = economy.belief_volume_split(econ, [economy.equal_split(econ)], [0])
+    # the caps {mu_0 >= 0.6} and {mu_0 <= 0.2}: mu_0 is Beta(1, d-1) on the simplex
+    assert split.vol_J == (1 - 0.6) ** (d - 1)
+    assert split.vol_Jc == 1 - (1 - 0.2) ** (d - 1)
+    assert split.min_rel_vol == min(split.vol_J, split.vol_Jc) <= 0.5
 
 
 def test_belief_volume_split_validates_coalition():
@@ -551,14 +549,23 @@ def test_belief_volume_split_validates_coalition():
     f = economy.equal_split(econ)
     for bad in ([], [0, 1], [5]):
         with pytest.raises(ValueError):
-            economy.belief_volume_split(econ, [f], bad, n=1000, seed=1)
+            economy.belief_volume_split(econ, [f], bad)
 
 
 def test_belief_volume_split_singleton_belief_sets_have_no_volume():
-    # Cobb-Douglas belief sets are single priors, of measure zero on the simplex
+    # log-utility belief sets are single priors, of measure zero on the simplex
     econ = experiments.build_economy(experiments.default_config("thm2"), 3)
     f, _ = economy.planner_allocation(econ)
-    (split,) = economy.belief_volume_split(econ, [f], [0], n=1000, seed=SEED)
-    assert (split.vol_J.hits, split.vol_Jc.hits) == (0, 0)
-    assert split.empty_J and split.empty_Jc
-    assert split.min_rel_vol == 0.0
+    (split,) = economy.belief_volume_split(econ, [f], [0])
+    assert (split.vol_J, split.vol_Jc, split.min_rel_vol) == (0.0, 0.0, 0.0)
+
+
+def test_belief_volume_split_faces_at_a_trade_have_no_volume():
+    # away from the constant act each worst-case face is the cap's level facet
+    econ = _meu_economy(4)
+    h = np.array([0.1, -0.1 / 3, -0.1 / 3, -0.1 / 3])
+    f = economy.Allocation(np.vstack([0.5 - h, 0.5 + h])).check_feasible(econ)
+    const = economy.equal_split(econ)
+    traded, constant = economy.belief_volume_split(econ, [f, const], [1])
+    assert (traded.vol_J, traded.vol_Jc) == (0.0, 0.0)
+    assert (constant.vol_J, constant.vol_Jc) == (1 - (1 - 0.2) ** 3, (1 - 0.6) ** 3)

@@ -672,52 +672,45 @@ def _per_set_hits(econ, f, J, n, seed):
 @pytest.mark.parametrize("a,b", [(0.25, 0.60), (0.60, 0.20)])  # overlapping, disjoint
 @pytest.mark.parametrize("d", [3, 8, 12])
 def test_belief_volume_split_matches_per_set_contains(d, a, b):
+    # uniform simplex points tested against each belief set land within 5
+    # binomial SE of the exact volumes (a face, of volume 0, takes no hit)
     inst = experiments._ambiguity_instance(d, a, b)
     n, seed = 100_000, 5000 + d
-    splits = economy.belief_volume_split(
-        inst.econ, [inst.traded, inst.constant], [0], n=n, seed=seed
-    )
-    total = 0
+    splits = economy.belief_volume_split(inst.econ, [inst.traded, inst.constant], [0])
+    assert (splits[0].vol_J, splits[0].vol_Jc) == (0.0, 0.0)
+    assert (splits[1].vol_J, splits[1].vol_Jc) == ((1 - a) ** (d - 1), 1 - (1 - b) ** (d - 1))
     for split, f in zip(splits, (inst.traded, inst.constant)):
-        expected = _per_set_hits(inst.econ, f, [0], n, seed)
-        assert [split.vol_J.hits, split.vol_Jc.hits] == expected
-        assert (split.empty_J, split.empty_Jc) == (expected[0] == 0, expected[1] == 0)
-        total += sum(expected)
-    assert total > 0
+        hits = _per_set_hits(inst.econ, f, [0], n, seed)
+        for vol, k in zip((split.vol_J, split.vol_Jc), hits):
+            assert abs(k - n * vol) <= 5.0 * math.sqrt(n * vol * (1.0 - vol)), (vol, k)
 
 
-def test_prop3_draws_one_simplex_sample_per_family_cell(monkeypatch):
-    draws = []
-    sample = sampling.sample_uniform_simplex
+def test_prop3_neither_samples_the_simplex_nor_tests_membership(monkeypatch):
+    # every volume is exact, so the simplex sampler and contains are never reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("prop3 must not sample volumes")
 
-    def counted(*args, **kwargs):
-        draws.append(args)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(sampling, "sample_uniform_simplex", counted)
+    monkeypatch.setattr(sampling, "sample_uniform_simplex", refuse)
+    monkeypatch.setattr(geometry, "contains", refuse)
+    monkeypatch.setattr(geometry.HalfSpace, "signed_slack", refuse)
     cfg = replace(experiments.default_config("prop3"), trials=200, dims=(3, 4),
                   n_economies=2, family_trials=200)
-    experiments.run_prop3_thm4(cfg)
-    # one draw per random economy and one per family dimension, shared by
-    # the traded and the constant allocation
-    assert len(draws) == cfg.n_economies + len(cfg.dims)
+    rows, _ = experiments.run_prop3_thm4(cfg)
+    assert rows and all(r["error"] is None for r in rows)
 
 
-def test_prop3_tests_only_half_spaces_on_its_simplex_samples(monkeypatch):
-    # simplex samples lie on the simplex by construction, so no simplex body
-    # (nor any whole polytope) is ever tested against them
-    bodies = []
-    contains = geometry.contains
-
-    def recorded(S, *args, **kwargs):
-        bodies.append(type(S))
-        return contains(S, *args, **kwargs)
-
-    monkeypatch.setattr(geometry, "contains", recorded)
-    cfg = replace(experiments.default_config("prop3"), trials=200, dims=(3, 4),
-                  n_economies=2, family_trials=200)
-    experiments.run_prop3_thm4(cfg)
-    assert bodies and set(bodies) == {geometry.HalfSpace}
+def test_prop3_results_ignore_trials_and_family_trials(tmp_path):
+    # trials, family_trials (and threads) are accepted but inert until the
+    # benchmark refresh drops them from the perfbench prop3 workload
+    outputs = set()
+    for trials in (200, 10**5):
+        for family_trials in (200, 10**6):
+            out = tmp_path / f"{trials}-{family_trials}"
+            cfg = replace(experiments.default_config("prop3"), trials=trials, dims=(3, 4, 5),
+                          n_economies=3, family_trials=family_trials, out_dir=str(out))
+            experiments.run_experiment(cfg)
+            outputs.add((out / "results.csv").read_bytes())
+    assert len(outputs) == 1
 
 
 def test_prop3_measures_one_distance_per_economy(monkeypatch):
@@ -735,6 +728,44 @@ def test_prop3_measures_one_distance_per_economy(monkeypatch):
     rows, _ = experiments.run_prop3_thm4(cfg)
     assert len(calls) == cfg.n_economies + len(cfg.dims)
     assert sum(r["phase"] == "dominated" for r in rows) == 2 * len(calls)
+
+
+def _corral_distance_200_bit(P, Q):
+    """||a* - b*|| on the final corral of polytope_distance(P, Q), in 200-bit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    A, B = P.vertices, Q.vertices
+    lam = geometry._min_norm_weights((A[:, None, :] - B[None, :, :]).reshape(1, -1, P.dim))[0]
+    with mp.workprec(200):
+        gens = [mp.matrix([mp.mpf(x) - mp.mpf(y) for x, y in zip(A[k // len(B)], B[k % len(B)])])
+                for k in np.flatnonzero(lam > 0)]
+        z = gens[0]
+        if len(gens) > 1:
+            D = mp.matrix(P.dim, len(gens) - 1)
+            for c, g in enumerate(gens[1:]):
+                D[:, c] = g - gens[0]
+            z = gens[0] + D * mp.lu_solve(D.T * D, -(D.T * gens[0]))
+        return mp.sqrt(sum(x * x for x in z))
+
+
+def test_prop3_traded_distances_are_accurate_to_the_last_bits():
+    # the final corral is re-solved on its generators, not on their Gram
+    # matrix, so the distance keeps its last digit (1.29 ulp at most here)
+    cfg = experiments.default_config("prop3")
+    insts = []
+    for e in range(cfg.n_economies):
+        gen = sampling.generator_for_block(cfg.seed_spec.stream(1000 + e), 0)
+        a, b = 0.15 + 0.20 * gen.random(), 0.55 + 0.25 * gen.random()
+        insts.append(experiments._ambiguity_instance(cfg.dims[0], a, b))
+    insts += [experiments._ambiguity_instance(d, cfg.cap_high, cfg.cap_low) for d in cfg.dims]
+    worst = 0.0
+    for inst in insts:
+        P, Q = (preferences.belief_set(inst.econ.agents[i].preference, inst.traded.acts[i])
+                for i in range(2))
+        exact = _corral_distance_200_bit(P, Q)
+        value = geometry.polytope_distance(P, Q).value
+        worst = max(worst, float(abs(value - exact)) / math.ulp(float(exact)))
+    assert len(insts) == 110
+    assert worst <= 1.56
 
 
 # ---------------------------------------------------------------------------

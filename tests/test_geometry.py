@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risklab import geometry
-from risklab.preferences import cap_prior_polytope
+from risklab.preferences import CRRASEU, belief_set, cap_prior_polytope
 
 SEED = 20260816
 
@@ -244,6 +244,53 @@ def test_box_volume_exact():
 def test_volume_refuses_bodies_without_closed_form():
     with pytest.raises(ValueError, match="no exact volume"):
         geometry.volume(_cap(2, 0, 0.6, "ge"))
+
+
+@pytest.mark.parametrize("d", [2, 3, 12, 512])
+def test_relative_volume_of_caps_is_the_beta_tail(d):
+    # under the uniform law on the simplex mu_k is Beta(1, d-1)
+    assert geometry.relative_volume([_cap(d, 1, 0.6, "ge")]) == (1 - 0.6) ** (d - 1)
+    assert geometry.relative_volume([_cap(d, 1, 0.2, "le")]) == 1 - (1 - 0.2) ** (d - 1)
+
+
+@pytest.mark.parametrize("d", [3, 7])
+def test_relative_volume_of_a_one_coordinate_slab(d):
+    eye = np.eye(d)
+    facets = [level * eye[0] + (1 - level) * eye[1:] for level in (0.2, 0.7)]
+    slab = geometry.Polytope(np.vstack(facets), (geometry.HalfSpace(eye[0], 0.2),
+                                                 geometry.HalfSpace(-eye[0], -0.7)))
+    exact = (1 - 0.2) ** (d - 1) - (1 - 0.7) ** (d - 1)
+    assert geometry.relative_volume([slab]) == exact
+    # the same slab as the intersection of two caps, and disjoint caps meet in nothing
+    assert geometry.relative_volume([_cap(d, 0, 0.2, "ge"), _cap(d, 0, 0.7, "le")]) == exact
+    assert geometry.relative_volume([_cap(d, 0, 0.6, "ge"), _cap(d, 0, 0.2, "le")]) == 0.0
+
+
+def test_relative_volume_of_lower_dimensional_sets_is_zero():
+    d = 4
+    verts, hs = cap_prior_polytope(d, 0, 0.6, "ge")
+    facet = geometry.Polytope(verts[1:], (hs,))  # the cap's level facet, d - 1 vertices
+    assert geometry.relative_volume([facet]) == 0.0
+    # d vertices spanning only a line
+    line = geometry.Polytope([[1, 0, 0, 0], [0.5, 0.5, 0, 0], [0.25, 0.75, 0, 0], [0, 1, 0, 0]])
+    assert geometry.relative_volume([line]) == 0.0
+    # a lower-dimensional member zeroes the group, whatever the others are
+    assert geometry.relative_volume([_cap(d, 0, 0.2, "ge"), facet]) == 0.0
+    prior = belief_set(CRRASEU(np.full(d, 1.0 / d)), np.ones(d))
+    assert len(prior.vertices) == 1
+    assert geometry.relative_volume([prior]) == 0.0
+    assert geometry.relative_volume([_cap(d, 0, 0.2, "ge"), prior]) == 0.0
+
+
+def test_relative_volume_refuses_other_polytopes():
+    verts, _ = cap_prior_polytope(4, 0, 0.6, "ge")
+    with pytest.raises(ValueError, match="only by vertices"):
+        geometry.relative_volume([geometry.Polytope(verts)])
+    with pytest.raises(ValueError, match="same coordinate"):
+        geometry.relative_volume([_cap(4, 0, 0.2, "ge"), _cap(4, 1, 0.2, "ge")])
+    whole = geometry.Polytope(np.eye(3), (geometry.HalfSpace(np.ones(3), 1.0),))
+    with pytest.raises(ValueError, match="same coordinate"):
+        geometry.relative_volume([whole])
 
 
 # ---------------------------------------------------------------------------
