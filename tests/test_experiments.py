@@ -685,18 +685,28 @@ def test_belief_volume_split_matches_per_set_contains(d, a, b):
             assert abs(k - n * vol) <= 5.0 * math.sqrt(n * vol * (1.0 - vol)), (vol, k)
 
 
-def test_prop3_neither_samples_the_simplex_nor_tests_membership(monkeypatch):
-    # every volume is exact, so the simplex sampler and contains are never reached
-    def refuse(*args, **kwargs):
-        raise AssertionError("prop3 must not sample volumes")
+def _refuse(*args, **kwargs):
+    raise AssertionError("prop3 must not sample volumes")
 
-    monkeypatch.setattr(sampling, "sample_uniform_simplex", refuse)
-    monkeypatch.setattr(geometry, "contains", refuse)
-    monkeypatch.setattr(geometry.HalfSpace, "signed_slack", refuse)
+
+def _run_small_prop3():
     cfg = replace(experiments.default_config("prop3"), trials=200, dims=(3, 4),
                   n_economies=2, family_trials=200)
     rows, _ = experiments.run_prop3_thm4(cfg)
     assert rows and all(r["error"] is None for r in rows)
+
+
+def test_prop3_draws_no_simplex_sample(monkeypatch):
+    # every volume is exact, so the simplex sampler is never reached
+    monkeypatch.setattr(sampling, "sample_uniform_simplex", _refuse)
+    _run_small_prop3()
+
+
+def test_prop3_runs_no_half_space_membership_test(monkeypatch):
+    # every volume is exact, so neither contains nor signed_slack is reached
+    monkeypatch.setattr(geometry, "contains", _refuse)
+    monkeypatch.setattr(geometry.HalfSpace, "signed_slack", _refuse)
+    _run_small_prop3()
 
 
 def test_prop3_results_ignore_trials_and_family_trials(tmp_path):
