@@ -67,8 +67,6 @@ from .sampling import (
     SeedSpec,
     gaussian_kappa_ratio,
     mc_probability,
-    sample_restricted_gaussian,
-    sample_uniform_ball,
     sample_uniform_simplex,
 )
 
@@ -80,8 +78,7 @@ __all__ = [
     "separation_bound_check", "volume",
     # sampling
     "SeedSpec", "PerturbationLaw", "MCEstimate", "mc_probability",
-    "sample_uniform_ball", "sample_restricted_gaussian", "sample_uniform_simplex",
-    "gaussian_kappa_ratio",
+    "sample_uniform_simplex", "gaussian_kappa_ratio",
     # bounds
     "bound_thm1", "bound_thm2", "bound_cru", "bound_thm4",
     "bound_lemma1", "prop7_prefactor", "width_volume_floor", "width_floor_ball_instance",

@@ -51,6 +51,9 @@ _LAM_LO, _LAM_HI = 1e-12, 1.0 - 1e-12
 _X_LO = math.log(_LAM_LO) - math.log1p(-_LAM_LO)
 _X_HI = math.log(_LAM_HI) - math.log1p(-_LAM_HI)
 _NEWTON_CAP = 100
+# bisection width of cru's beta, and points per state in the membership grid oracle
+_CRU_TOL = 1e-6
+_MEMBER_GRID = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,15 +439,13 @@ def scitovsky_margins_batch(
     return np.where(bad, -np.inf, margins)
 
 
-def scitovsky_member_grid(
-    econ: EconomySpec, f: Allocation, w: np.ndarray, eps: float, grid: int = 200
-) -> bool:
+def scitovsky_member_grid(econ: EconomySpec, f: Allocation, w: np.ndarray, eps: float) -> bool:
     """Brute-force membership for 2-agent, 2-state economies on a grid of splits."""
     if econ.n_agents != 2 or econ.dim != 2:
         raise ValueError("grid oracle covers 2 agents x 2 states only")
     w = np.asarray(w, dtype=float)
-    xs = np.linspace(0.0, w[0], grid)
-    ys = np.linspace(0.0, w[1], grid)
+    xs = np.linspace(0.0, w[0], _MEMBER_GRID)
+    ys = np.linspace(0.0, w[1], _MEMBER_GRID)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     G1 = np.stack([X.ravel(), Y.ravel()], axis=1)
     G2 = w[None, :] - G1
@@ -460,7 +461,7 @@ def scitovsky_member_grid(
 # ---------------------------------------------------------------------------
 
 
-def cru(econ: EconomySpec, f: Allocation, tol: float = 1e-6) -> float:
+def cru(econ: EconomySpec, f: Allocation) -> float:
     """Coefficient of resource utilization: smallest beta with beta*1 still improving f.
 
     Requires aggregate endowment exactly 1 in every state, and the two-agent
@@ -483,7 +484,7 @@ def cru(econ: EconomySpec, f: Allocation, tol: float = 1e-6) -> float:
     if member(lo):
         raise ValueError("degenerate allocation: dominated by arbitrarily small aggregates")
     hi = 1.0
-    while hi - lo > tol:
+    while hi - lo > _CRU_TOL:
         mid = 0.5 * (lo + hi)
         if member(mid):
             hi = mid

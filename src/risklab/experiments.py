@@ -24,7 +24,7 @@ import hashlib
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -143,7 +143,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     allocation: str = "equilibrium"
     condition_positive_price: bool = False
-    max_dim: int = 64
     n_economies: int = 100
     family_trials: int = 1_000_000
     cap_high: float = 0.6
@@ -231,7 +230,6 @@ CONFIG_FIELDS = {
     "out": ConfigField("out_dir", str, None),
     "allocation": ConfigField("allocation", *_TEXT),
     "condition_positive_price": ConfigField("condition_positive_price", *_BOOL),
-    "max_dim": ConfigField("max_dim", *_INT),
     "n_economies": ConfigField("n_economies", *_INT),
     "family_trials": ConfigField("family_trials", *_INT),
     "cap_high": ConfigField("cap_high", *_FLOAT),
@@ -337,9 +335,9 @@ class RunResult:
     experiment_id: str
     columns: list
     rows: list
-    plotdata: dict = field(default_factory=dict)
-    config: ExperimentConfig | None = None
-    wall_time_s: float = 0.0
+    plotdata: dict
+    config: ExperimentConfig
+    wall_time_s: float
 
     @property
     def csv_text(self) -> str:
@@ -351,7 +349,7 @@ class RunResult:
             f"schema = {SCHEMA_VERSION}",
             f"tool = risklab {__version__}",
             f"experiment = {self.experiment_id}",
-            f"config_sha256 = {self.config.sha256() if self.config else 'none'}",
+            f"config_sha256 = {self.config.sha256()}",
             "columns = " + ",".join(self.columns),
             f"rows = {len(self.rows)}",
             f"results_sha256 = {hashlib.sha256(csv_bytes).hexdigest()}",
@@ -366,8 +364,7 @@ class RunResult:
         out.mkdir(parents=True, exist_ok=True)
         (out / "results.csv").write_text(self.csv_text)
         (out / "manifest.txt").write_text(self.manifest_text())
-        if self.config:
-            (out / "config.txt").write_text(self.config.canonical_text())
+        (out / "config.txt").write_text(self.config.canonical_text())
         if self.plotdata:
             pd = out / "plotdata"
             pd.mkdir(exist_ok=True)
@@ -380,13 +377,9 @@ def _two_column(pairs) -> str:
     return "\n".join(f"{_fmt(a)},{_fmt(b)}" for a, b in pairs) + "\n"
 
 
-def _within(est: sampling.MCEstimate, bound: float) -> bool:
-    return est.ci_low <= bound or est.p_hat <= bound
-
-
 def _estimate_columns(est: sampling.MCEstimate, bound: float) -> dict:
     return {"hits": est.hits, "p_hat": est.p_hat, "ci_low": est.ci_low,
-            "ci_high": est.ci_high, "bound": bound, "within_bound": _within(est, bound)}
+            "ci_high": est.ci_high, "bound": bound, "within_bound": est.ci_low <= bound}
 
 
 def _series(rows, prefix: str, ys) -> dict:
@@ -521,10 +514,6 @@ def _membership_counts(econ, f, law, eps, n, seed_spec, threads, price=None):
 
 def run_thm2(config: ExperimentConfig):
     """Aggregate-improvement (Scitovsky membership) probability vs its bound."""
-    if any(d > config.max_dim for d in config.dims):
-        raise ValueError(
-            f"dims beyond the solver budget (max_dim = {config.max_dim}); raise max_dim to override"
-        )
     conditioned = config.condition_positive_price
 
     def measure(law, eps, seed):
@@ -598,17 +587,13 @@ class AmbiguityInstance:
     """
 
     d: int
-    a: float
-    b: float
-    x: float
-    ybar: float
     econ: economy.EconomySpec
     traded: economy.Allocation
     constant: economy.Allocation
     eps: float
 
 
-def _ambiguity_instance(d: int, a: float, b: float, x: float | None = None) -> AmbiguityInstance:
+def _ambiguity_instance(d: int, a: float, b: float) -> AmbiguityInstance:
     t = 0.5
     v1, h1 = preferences.cap_prior_polytope(d, 0, a, "ge")
     v2, h2 = preferences.cap_prior_polytope(d, 0, b, "le")
@@ -624,8 +609,7 @@ def _ambiguity_instance(d: int, a: float, b: float, x: float | None = None) -> A
         m_lo = (d - 1) * a / (1.0 - a)
         m_hi = (d - 1) * b / (1.0 - b)
         mmid = 0.5 * (m_lo + m_hi)
-        if x is None:
-            x = 0.8 * min(t, t * (d - 1) / mmid)
+        x = 0.8 * min(t, t * (d - 1) / mmid)
         ybar = mmid * x / (d - 1)
         h = np.full(d, -ybar)
         h[0] = x
@@ -634,9 +618,7 @@ def _ambiguity_instance(d: int, a: float, b: float, x: float | None = None) -> A
         G2 = b * x - (1.0 - b) * ybar
     else:
         # disjoint caps: agent 1 (who believes state 0) gives up state 0
-        if x is None:
-            x = 0.2 * t
-        ybar = 0.2 * t
+        x = ybar = 0.2 * t
         h = np.full(d, -ybar)
         h[0] = x
         f1, f2 = t * ones - h, t * ones + h
@@ -645,7 +627,7 @@ def _ambiguity_instance(d: int, a: float, b: float, x: float | None = None) -> A
         raise ValueError("construction failed to hurt both agents")
     eps = 0.5 * min(G1, G2) / t
     traded = economy.Allocation(np.vstack([f1, f2])).check_feasible(econ, nonneg=True)
-    return AmbiguityInstance(d, a, b, x, ybar, econ, traded, economy.equal_split(econ), eps)
+    return AmbiguityInstance(d, econ, traded, economy.equal_split(econ), eps)
 
 
 def _prop3_rows(inst: AmbiguityInstance, c_values, constant_phase: bool):
@@ -792,7 +774,7 @@ def _lemma1_checks(seed: sampling.SeedSpec, trials: int, threads: int, plot: dic
         exact, bound = geometry.separation_bound_check(delta, d)
         est = estimates[delta, d]
         z = (est.p_hat - exact) / math.sqrt(exact * (1.0 - exact) / trials)
-        ok = exact <= bound and abs(z) <= _LEMMA1_Z and _within(est, bound)
+        ok = exact <= bound and abs(z) <= _LEMMA1_Z and est.ci_low <= bound
         rows.append(_check_row(
             "lemma1", f"separated-halfspaces-delta{delta:g}-d{d}", ok,
             f"exact={exact:.6g} mc={est.p_hat:.6g} z={z:.3g} bound={bound:.6g}",
@@ -993,7 +975,7 @@ agent.endowment = ones
         ("experiment", "d", "eps", "r", "kappa", "n", "n_accepted", "hits",
          "indeterminate", "conditioned", "p_hat", "ci_low", "ci_high",
          "bound", "within_bound", "error"),
-        run_thm2, _ECONOMY_KEYS | {"eps", "condition_positive_price", "max_dim"}, """\
+        run_thm2, _ECONOMY_KEYS | {"eps", "condition_positive_price"}, """\
 experiment = thm2
 seed = 744
 trials = 10000

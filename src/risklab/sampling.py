@@ -38,7 +38,7 @@ from scipy.special import gammainc, gammaincinv, hyp1f1
 BLOCK_DRAWS = 1 << 14
 _BLOCK_COUNTER_STRIDE = 1 << 64
 _Z95 = 1.959963984540054
-# 1 GiB of float64: ten times the largest default sample (prop3's 1e6 x 12 simplex points)
+# a whole-array sample holds at most 1 GiB of float64
 _MAX_ARRAY_VALUES = 1 << 27
 # rows per norm pass hold at most this many values (512 KiB of float64)
 _NORM_CHUNK_VALUES = 1 << 16
@@ -127,30 +127,9 @@ def _fill_rows(n: int, d: int, block: Callable[[int, int], np.ndarray]) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def sample_uniform_ball(d: int, r: float, n: int, seed: SeedSpec | int) -> np.ndarray:
-    """n i.i.d. draws from the uniform law on the open ball B_d(r).
-
-    Gaussian direction times the U^(1/d)-scaled radius, blockwise per the
-    module determinism contract.
-    """
-    return PerturbationLaw("uniform-ball", d, r).sample(n, seed)
-
-
 def restricted_gaussian_acceptance(d: int, r: float) -> float:
     """Gaussian ball mass P(||N(0, I_d)|| <= r) = gammainc(d/2, r^2/2)."""
     return float(gammainc(0.5 * d, 0.5 * r * r))
-
-
-def sample_restricted_gaussian(d: int, r: float, n: int, seed: SeedSpec | int) -> np.ndarray:
-    """n draws from the standard Gaussian conditioned on ||z|| <= r.
-
-    Gaussian direction times the exact inverse CDF of the radius,
-    sqrt(2 gammaincinv(d/2, U P(d/2, r^2/2))), blockwise per the module
-    determinism contract.  Raises ValueError when the ball mass
-    P(d/2, r^2/2) underflows (below the smallest normal float; at r = 1 from
-    d = 300 on), where the inverse would return radius 0.
-    """
-    return PerturbationLaw("restricted-gaussian", d, r).sample(n, seed)
 
 
 def sample_uniform_simplex(d: int, n: int, seed: SeedSpec | int) -> np.ndarray:
@@ -231,6 +210,7 @@ class PerturbationLaw:
         return lambda u: np.sqrt(2.0 * gammaincinv(0.5 * d, u * mass))
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
+        """n draws of the law as one (n, dim) array, blockwise per the module contract."""
         seed = as_seed(seed)
         return _fill_rows(n, self.dim, lambda b, m: self.sample_block(b, m, seed))
 

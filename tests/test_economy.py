@@ -202,13 +202,13 @@ def _improvement_cases(draw):
         agents.append(economy.Agent(pref, np.ones(d)))
         acts.append(act)
     econ = economy.EconomySpec(tuple(agents))
-    radius = draw(st.floats(0.1, 4.0))
-    Z = [sampling.sample_uniform_ball(d, radius, 200, rng.integers(2**32))]
+    law = sampling.PerturbationLaw("uniform-ball", d, draw(st.floats(0.1, 4.0)))
+    Z = [law.sample(200, rng.integers(2**32))]
     for agent, act in zip(econ.agents, acts):
         s = preferences.supergradient(agent.preference, act)
         if s is None:
             continue
-        z = sampling.sample_uniform_ball(d, radius, 30, rng.integers(2**32))
+        z = law.sample(30, rng.integers(2**32))
         # move each draw along s onto the half-space boundary
         z += ((eps * (s @ act) - (1.0 - eps) * (z @ s)) / ((1.0 - eps) * (s @ s)))[:, None] * s
         unit = s / np.linalg.norm(s)
@@ -230,7 +230,7 @@ def test_oracle_hits_lie_in_the_agents_supporting_half_space(d):
     econ = experiments.build_economy(cfg, d)
     f, _ = experiments.resolve_allocation(cfg, econ)
     eps = cfg.eps_list[0]
-    Z = sampling.sample_uniform_ball(d, cfg.radius, 20_000, SEED)
+    Z = sampling.PerturbationLaw("uniform-ball", d, cfg.radius).sample(20_000, SEED)
     hits = 0
     for i, agent in enumerate(econ.agents):
         fi = f.acts[i]
@@ -252,7 +252,7 @@ def test_scitovsky_exact_matches_grid_on_random_draws():
         no_aggregate_uncertainty=True,
     )
     f, _ = economy.planner_allocation(econ)
-    Z = sampling.sample_uniform_ball(2, 1.0, 60, SEED)
+    Z = sampling.PerturbationLaw("uniform-ball", 2, 1.0).sample(60, SEED)
     eps = 0.1
     W = econ.aggregate + Z
     members = economy.scitovsky_margins_batch(econ, f, W, eps) > economy.MEMBER_TOL
@@ -366,7 +366,8 @@ def test_scitovsky_newton_matches_reference_bisection(gamma, d):
     extremes = [np.exp(k * tilt) for k in (-600, -300, -100, 100, 300, 600)]
     extremes += [1e-30 * ones, 1e30 * ones, np.zeros(d), np.where(np.arange(d) == 0, 0.0, 1.0)]
     extremes += [np.where(np.arange(d) == d - 1, -0.1, 1.0), -ones]
-    W = np.vstack([ones + sampling.sample_uniform_ball(d, 0.8, 400, SEED), *extremes])
+    Z = sampling.PerturbationLaw("uniform-ball", d, 0.8).sample(400, SEED)
+    W = np.vstack([ones + Z, *extremes])
     edges = []
     for weights in ((0.8, 0.2), (0.2, 0.8)):
         f, _ = economy.planner_allocation(econ, np.array(weights))

@@ -107,7 +107,6 @@ _KEY_VALUES = {
     "allocation": st.sampled_from(
         ["equilibrium", "planner", "equal-split", "literal:0.8,0.2|0.2,0.8"]),
     "condition_positive_price": st.booleans(),
-    "max_dim": st.integers(1, 4096),
     "n_economies": st.integers(1, 10**4),
     "family_trials": st.integers(100, 10**8),
     "cap_high": _FLOATS,
@@ -194,6 +193,7 @@ def test_comments_and_blank_lines_are_ignored():
     ("experiment = thm2\nseed = 1\ncondition_positive_price = maybe\n",
      "expected a boolean"),
     ("experiment = thm1\nseed = 1\ntrials = 50\n", "trials must be >= 100"),
+    ("experiment = thm2\nseed = 1\nmax_dim = 64\n", "unknown key 'max_dim'"),
 ])
 def test_config_errors(text, match):
     with pytest.raises(ValueError, match=match):
@@ -369,6 +369,13 @@ def test_thm2_smoke_row_shape():
         assert row["n_accepted"] == row["n"] == SMOKE_TRIALS
         assert row["indeterminate"] == 0
         assert 0.0 <= row["p_hat"] <= 1.0
+
+
+def test_thm2_runs_cells_above_d_64():
+    # thm2 has no dimension budget: a d = 128 cell is an ordinary cell
+    res = experiments.run_experiment(_small("thm2", trials=200, dims=(128,)))
+    assert [(r["d"], r["eps"]) for r in res.rows] == [(128, 0.05), (128, 0.2)]
+    assert all(r["error"] is None for r in res.rows)
 
 
 def test_thm2_conditioning_doubles_bound_and_filters_draws():
@@ -872,3 +879,10 @@ def test_cli_import_loads_no_scipy_integrate_or_optimize():
 def test_cli_condition_flag_is_thm2_only():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["thm1", "--condition-positive-price"])
+
+
+def test_package_exports_resolve_and_are_listed_once():
+    import risklab
+
+    assert len(set(risklab.__all__)) == len(risklab.__all__)
+    assert [name for name in risklab.__all__ if not hasattr(risklab, name)] == []

@@ -356,7 +356,7 @@ def test_cap_fraction_matches_circular_segment():
 def test_cap_fraction_mc_confirmation():
     from risklab import sampling
 
-    Z = sampling.sample_uniform_ball(3, 1.0, 200_000, SEED)
+    Z = sampling.PerturbationLaw("uniform-ball", 3, 1.0).sample(200_000, SEED)
     frac = float(np.mean(Z[:, 0] >= 0.3))
     assert geometry.cap_fraction(3, 1.0, 0.3) == pytest.approx(frac, abs=0.004)
 

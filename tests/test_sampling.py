@@ -34,14 +34,14 @@ def test_seed_required():
 def test_seed_spec_streams_are_distinct():
     base = sampling.SeedSpec(7)
     s1, s2 = base.stream(1), base.stream(2)
-    a = sampling.sample_uniform_ball(3, 1.0, 100, s1)
-    b = sampling.sample_uniform_ball(3, 1.0, 100, s2)
+    a = sampling.PerturbationLaw("uniform-ball", 3, 1.0).sample(100, s1)
+    b = sampling.PerturbationLaw("uniform-ball", 3, 1.0).sample(100, s2)
     assert not np.array_equal(a, b)
 
 
 def test_same_seed_bitwise_identical():
-    a = sampling.sample_uniform_ball(5, 2.0, 1000, SEED)
-    b = sampling.sample_uniform_ball(5, 2.0, 1000, SEED)
+    a = sampling.PerturbationLaw("uniform-ball", 5, 2.0).sample(1000, SEED)
+    b = sampling.PerturbationLaw("uniform-ball", 5, 2.0).sample(1000, SEED)
     assert np.array_equal(a, b)
 
 
@@ -53,18 +53,19 @@ def test_block_generator_reproducible():
 
 def test_prefix_stability_across_sizes():
     # growing n must not disturb the draws of earlier blocks
-    small = sampling.sample_uniform_ball(4, 1.0, 1 << 14, SEED)
-    large = sampling.sample_uniform_ball(4, 1.0, (1 << 14) + 500, SEED)
+    law = sampling.PerturbationLaw("uniform-ball", 4, 1.0)
+    small = law.sample(1 << 14, SEED)
+    large = law.sample((1 << 14) + 500, SEED)
     assert np.array_equal(small, large[: 1 << 14])
 
 
 def test_restricted_gaussian_deterministic_both_methods():
-    # the sampler function and the law's own sample method give one stream
+    # two laws built alike, and one law sampled twice, give one stream
     law = sampling.PerturbationLaw("restricted-gaussian", 3, 1.0)
-    a = sampling.sample_restricted_gaussian(3, 1.0, 500, SEED)
-    b = sampling.sample_restricted_gaussian(3, 1.0, 500, SEED)
+    a = sampling.PerturbationLaw("restricted-gaussian", 3, 1.0).sample(500, SEED)
+    b = law.sample(500, SEED)
     assert np.array_equal(a, b)
-    assert np.array_equal(a, law.sample(500, SEED))
+    assert np.array_equal(b, law.sample(500, SEED))
 
 
 # SHA-256 of the little-endian float64 bytes of each sampler's output at
@@ -88,9 +89,9 @@ _GOLDEN = {
 def test_sample_streams_match_golden_hashes(law, d):
     n = sampling.BLOCK_DRAWS + 17
     if law == "rg":
-        Z = sampling.sample_restricted_gaussian(d, 1.0, n, SEED)
+        Z = sampling.PerturbationLaw("restricted-gaussian", d, 1.0).sample(n, SEED)
     elif law == "ball":
-        Z = sampling.sample_uniform_ball(d, 1.0, n, SEED)
+        Z = sampling.PerturbationLaw("uniform-ball", d, 1.0).sample(n, SEED)
     else:
         Z = sampling.sample_uniform_simplex(d, n, SEED)
     digest = hashlib.sha256(np.ascontiguousarray(Z, dtype="<f8").tobytes()).hexdigest()
@@ -116,7 +117,7 @@ def test_sample_arrays_over_the_ceiling_are_refused_before_allocation():
 
 @pytest.mark.parametrize("d,r", [(2, 1.0), (5, 0.5), (16, 3.0)])
 def test_ball_support_and_radial_moment(d, r):
-    Z = sampling.sample_uniform_ball(d, r, 40_000, SEED)
+    Z = sampling.PerturbationLaw("uniform-ball", d, r).sample(40_000, SEED)
     assert Z.shape == (40_000, d)
     norms = np.linalg.norm(Z, axis=1)
     assert norms.max() <= r + 1e-12
@@ -127,14 +128,14 @@ def test_ball_support_and_radial_moment(d, r):
 
 def test_ball_cap_probability_matches_beta_formula():
     d, r, t = 6, 1.0, 0.4
-    Z = sampling.sample_uniform_ball(d, r, 100_000, SEED)
+    Z = sampling.PerturbationLaw("uniform-ball", d, r).sample(100_000, SEED)
     emp = float(np.mean(Z[:, 2] >= t))
     exact = 0.5 * betainc(0.5 * (d + 1), 0.5, 1.0 - (t / r) ** 2)
     assert emp == pytest.approx(exact, abs=0.005)
 
 
 def test_ball_is_centrally_symmetric_in_mean():
-    Z = sampling.sample_uniform_ball(3, 1.0, 100_000, SEED)
+    Z = sampling.PerturbationLaw("uniform-ball", 3, 1.0).sample(100_000, SEED)
     assert np.abs(Z.mean(axis=0)).max() < 0.006
 
 
@@ -149,7 +150,7 @@ def _radial_cdf(rho, d, r):
 
 def test_restricted_gaussian_radial_ks():
     d, r, n = 4, 1.5, 100_000
-    Z = sampling.sample_restricted_gaussian(d, r, n, SEED)
+    Z = sampling.PerturbationLaw("restricted-gaussian", d, r).sample(n, SEED)
     norms = np.sort(np.linalg.norm(Z, axis=1))
     assert norms[-1] <= r + 1e-12
     grid = np.arange(1, n + 1) / n
@@ -172,7 +173,7 @@ def test_restricted_gaussian_methods_agree_in_distribution():
     n = 20_000
     for d in (2, 8):
         ref = _rejection_reference(d, 1.0, n, np.random.default_rng(d))
-        radial = sampling.sample_restricted_gaussian(d, 1.0, n, SEED)
+        radial = sampling.PerturbationLaw("restricted-gaussian", d, 1.0).sample(n, SEED)
         assert np.linalg.norm(radial, axis=1).max() <= 1.0
         ks = stats.ks_2samp(np.linalg.norm(ref, axis=1), np.linalg.norm(radial, axis=1))
         assert ks.pvalue > 1e-6
@@ -189,7 +190,7 @@ def test_auto_switches_to_radial_at_tiny_acceptance():
     # ball mass ~ 1e-5: n draws, all in the ball
     d, r = 4, 0.1
     assert sampling.restricted_gaussian_acceptance(d, r) < 1e-3
-    Z = sampling.sample_restricted_gaussian(d, r, 2000, SEED)
+    Z = sampling.PerturbationLaw("restricted-gaussian", d, r).sample(2000, SEED)
     assert Z.shape == (2000, d)
     assert np.linalg.norm(Z, axis=1).max() <= r
 
@@ -202,10 +203,11 @@ def test_underflowing_ball_mass_is_refused_when_sampled():
     with pytest.raises(ValueError, match=r"d=512 and r=1\.0"):
         law.sample_block(0, 100, sampling.as_seed(SEED))
     with pytest.raises(ValueError, match="underflows"):
-        sampling.sample_restricted_gaussian(512, 1.0, 100, SEED)
+        sampling.PerturbationLaw("restricted-gaussian", 512, 1.0).sample(100, SEED)
     # just inside the normal floats the draws are nonzero and in the ball
     assert sampling.restricted_gaussian_acceptance(299, 1.0) >= np.finfo(float).tiny
-    norms = np.linalg.norm(sampling.sample_restricted_gaussian(299, 1.0, 1000, SEED), axis=1)
+    Z = sampling.PerturbationLaw("restricted-gaussian", 299, 1.0).sample(1000, SEED)
+    norms = np.linalg.norm(Z, axis=1)
     assert 0.9 < norms.min() and norms.max() <= 1.0
 
 
@@ -345,6 +347,8 @@ def test_all_hits_mirror_of_zero():
 @settings(max_examples=300, deadline=None)
 @given(trials=st.integers(1, 10**12), data=st.data())
 def test_estimate_bounds_lie_in_unit_interval_and_bracket_p_hat(trials, data):
+    # within_bound tests ci_low <= bound alone: a p_hat <= bound clause would
+    # add nothing, because ci_low <= p_hat
     hits = data.draw(st.one_of(st.integers(0, min(trials, 50)),
                                st.integers(max(0, trials - 50), trials),
                                st.integers(0, trials)))
@@ -436,10 +440,7 @@ def test_samplers_are_their_blocks_stacked_under_any_thread_count(n, threads):
             sampling.PerturbationLaw("restricted-gaussian", 2, 1.0),
             sampling.PerturbationLaw("restricted-gaussian", 8, 2.0),
             sampling.PerturbationLaw("restricted-gaussian", 32, 1.0)]
-    cases = [(sampling.sample_uniform_ball(6, 1.5, n, seed), laws[0].sample_block)]
-    cases += [(sampling.sample_restricted_gaussian(law.dim, law.radius, n, seed),
-               law.sample_block) for law in laws[1:]]
-    cases += [(law.sample(n, seed), law.sample_block) for law in laws]
+    cases = [(law.sample(n, seed), law.sample_block) for law in laws]
     cases.append((sampling.sample_uniform_simplex(5, n, seed),
                   lambda b, m, s: _simplex_block(5, s, b, m)))
     for out, block in cases:
