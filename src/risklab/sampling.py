@@ -219,15 +219,17 @@ class PerturbationLaw:
         quantile = self._radius_quantile()
         gen = generator_for_block(seed, block)
         z = gen.standard_normal((m, self.dim))
-        # normalize a few rows at a time: norm squares its input into a copy, and
-        # a whole-block copy (64 MiB at d = 512) per thread made the peak RSS of a
-        # threaded run depend on whether the threads' copies overlapped.  Each
-        # row's norm is its own reduction, so the chunks give the same bits.
+        radius = quantile(gen.random(m))
+        # normalize and scale a few rows at a time: norm squares its input into a
+        # copy, and a whole-block copy (64 MiB at d = 512) per thread made the peak
+        # RSS of a threaded run depend on whether the threads' copies overlapped;
+        # scaling the rows while they are in cache saves a pass over the block.
+        # Each row's norm is its own reduction, so the chunks give the same bits.
         step = max(1, _NORM_CHUNK_VALUES // self.dim)
         for lo in range(0, m, step):
             rows = z[lo : lo + step]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        z *= quantile(gen.random(m))[:, None]
+            rows *= radius[lo : lo + step, None]
         return z
 
 

@@ -7,7 +7,9 @@ tracer, runs a small threaded ``thm1``, a small ``prop3`` and the ``economy``
 checks, and checks the spans of the benchmark's hot layers.  ``prop3``
 computes its volumes exactly, so the simplex sampler's spans come from the
 ``economy`` checks, and no run reaches ``geometry.contains``: its hook is only
-checked to be installed and restored.
+checked to be installed and restored.  The two event deciders work through
+a block in chunks inside one call, and a traced ``thm1`` and ``thm2`` check
+that the benchmark still sees one decider span per sampled block.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
-from risklab import experiments, geometry
+import pytest
+
+from risklab import experiments, geometry, sampling
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -72,3 +76,28 @@ def test_tracer_sees_the_two_batched_containment_distances():
     assert all(row["passed"] for row in rows)
     names = [span[1] for span in tracer.spans]
     assert names.count("geometry.distance_point_to_convex") == 2
+
+
+@pytest.mark.parametrize("experiment,law,law_layer,decider,threads", [
+    ("thm1", "uniform-ball", "sampling.ball", "economy.individual_improvement_event", 2),
+    ("thm2", "restricted-gaussian", "sampling.rg", "economy.scitovsky_margins_batch", 1),
+], ids=["thm1", "thm2"])
+def test_deciders_record_one_span_per_sampled_block(experiment, law, law_layer, decider,
+                                                    threads):
+    # three blocks per cell, and at d = 32 many chunks per block: the chunks stay
+    # inside the decider's one call, so its per-layer calls and rows stay per block
+    trials = 2 * sampling.BLOCK_DRAWS + 100
+    cfg = replace(experiments.default_config(experiment), trials=trials, dims=(2, 32),
+                  law_kind=law, threads=threads)
+    tracer = _load_tracer().Tracer("hooks")
+    tracer.install()
+    try:
+        experiments.run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    blocks = [span for span in tracer.spans if span[1] == law_layer]
+    decisions = [span for span in tracer.spans if span[1] == decider]
+    assert len(blocks) == 3 * len(cfg.dims) * len(cfg.eps_list)
+    assert len(decisions) == len(blocks)
+    # each decider span carries its block's rows: sampled values / dimension
+    assert sorted(span[7] for span in decisions) == sorted(span[7] // span[8] for span in blocks)

@@ -6,6 +6,7 @@ algebra, certainty-equivalent matching) before the implementations existed.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,29 @@ def _oracle_improvement_event(econ, f, Z, eps):
     return out
 
 
+_AGENT_KINDS = ["crra", "maxmin-linear", "maxmin-log"]
+
+
+def _draw_agent(draw, rng, d, kind):
+    """An agent of the given kind with a random prior, and a random act for it."""
+    act = rng.uniform(0.05, 3.0, d)
+    if kind == "crra":
+        gamma = draw(st.floats(0.0, 16.0))
+        mu = rng.uniform(0.01, 1.0, d)
+        pref = CRRASEU(mu / mu.sum(), gamma)
+        if gamma < 1 and draw(st.booleans()):
+            act[0] = 0.0  # in the domain, without a finite supergradient for gamma > 0
+    else:
+        v = rng.uniform(0.0, 1.0, (draw(st.integers(1, 4)), d))
+        pref = MaxMinEU(v / v.sum(axis=1, keepdims=True), kind.split("-")[1])
+    return economy.Agent(pref, np.ones(d)), act
+
+
+def _onto_boundary(z, s, act, eps):
+    """The draws z moved along s onto the half-space boundary (1-eps) s.z = eps s.f_i."""
+    return z + ((eps * (s @ act) - (1.0 - eps) * (z @ s)) / ((1.0 - eps) * (s @ s)))[:, None] * s
+
+
 @st.composite
 def _improvement_cases(draw):
     """An economy of CRRA and max-min agents, an allocation, eps, and perturbations.
@@ -186,31 +210,16 @@ def _improvement_cases(draw):
     d = draw(st.integers(2, 64))
     eps = draw(st.floats(1e-6, 0.5, exclude_max=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    agents, acts = [], []
-    for _ in range(draw(st.integers(2, 3))):
-        kind = draw(st.sampled_from(["crra", "maxmin-linear", "maxmin-log"]))
-        act = rng.uniform(0.05, 3.0, d)
-        if kind == "crra":
-            gamma = draw(st.floats(0.0, 16.0))
-            mu = rng.uniform(0.01, 1.0, d)
-            pref = CRRASEU(mu / mu.sum(), gamma)
-            if gamma < 1 and draw(st.booleans()):
-                act[0] = 0.0  # in the domain, without a finite supergradient for gamma > 0
-        else:
-            v = rng.uniform(0.0, 1.0, (draw(st.integers(1, 4)), d))
-            pref = MaxMinEU(v / v.sum(axis=1, keepdims=True), kind.split("-")[1])
-        agents.append(economy.Agent(pref, np.ones(d)))
-        acts.append(act)
-    econ = economy.EconomySpec(tuple(agents))
+    kinds = [draw(st.sampled_from(_AGENT_KINDS)) for _ in range(draw(st.integers(2, 3)))]
+    agents, acts = zip(*(_draw_agent(draw, rng, d, kind) for kind in kinds))
+    econ = economy.EconomySpec(agents)
     law = sampling.PerturbationLaw("uniform-ball", d, draw(st.floats(0.1, 4.0)))
     Z = [law.sample(200, rng.integers(2**32))]
     for agent, act in zip(econ.agents, acts):
         s = preferences.supergradient(agent.preference, act)
         if s is None:
             continue
-        z = law.sample(30, rng.integers(2**32))
-        # move each draw along s onto the half-space boundary
-        z += ((eps * (s @ act) - (1.0 - eps) * (z @ s)) / ((1.0 - eps) * (s @ s)))[:, None] * s
+        z = _onto_boundary(law.sample(30, rng.integers(2**32)), s, act, eps)
         unit = s / np.linalg.norm(s)
         Z += [z, z + 1e-12 * unit, z - 1e-12 * unit]
     return econ, economy.Allocation(np.array(acts)), eps, np.vstack(Z)
@@ -400,6 +409,153 @@ def test_scitovsky_wasteful_allocation_is_dominated():
     assert economy.scitovsky_margins_batch(econ, wasteful, W, 0.05)[0] > economy.MEMBER_TOL
     optimal = economy.Allocation(np.array([[0.9, 0.1], [0.1, 0.9]]))
     assert not economy.scitovsky_margins_batch(econ, optimal, W, 0.0)[0] > economy.MEMBER_TOL
+
+
+# ---------------------------------------------------------------------------
+# row chunks
+# ---------------------------------------------------------------------------
+
+
+# batch sizes around a decider's chunk of k rows, as (multiple of k, rows added):
+# 1, k - 1, k, k + 1 and 3 k + 7
+_BATCH_SIZES = pytest.mark.parametrize(
+    "size", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)], ids=["1", "k-1", "k", "k+1", "3k+7"])
+
+
+def _batch_rows(size, chunk_values, d):
+    times, extra = size
+    return times * max(1, chunk_values // d) + extra
+
+
+def _by_slices(decide, X, cuts):
+    """decide run on the slices of X's rows between the cut points, concatenated."""
+    edges = [0, *sorted(cuts), len(X)]
+    return np.concatenate([decide(X[lo:hi]) for lo, hi in zip(edges, edges[1:])])
+
+
+@st.composite
+def _chunked_improvement_cases(draw, size):
+    """A linear max-min agent and one or two others, and a batch of the given size.
+
+    The max-min agent's domain is all of R^d, so its screen takes max|z| per
+    chunk; the rows' lengths vary over two orders of magnitude, so that
+    maximum differs between chunks.  Up to 30 rows per agent with a
+    supergradient are moved onto its half-space boundary, and 1e-12 to
+    either side of it.
+    """
+    d = draw(st.integers(2, 64))
+    n = _batch_rows(size, economy._IMPROVEMENT_CHUNK_VALUES, d)
+    eps = draw(st.floats(0.0, 0.5, exclude_max=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["maxmin-linear"] + [draw(st.sampled_from(_AGENT_KINDS))
+                                 for _ in range(draw(st.integers(1, 2)))]
+    agents, acts = zip(*(_draw_agent(draw, rng, d, kind) for kind in kinds))
+    Z = sampling.PerturbationLaw("uniform-ball", d, 1.0).sample(n, rng.integers(2**32))
+    Z *= np.exp(rng.uniform(-3.0, 1.5, n))[:, None]
+    for agent, act in zip(agents, acts):
+        s = preferences.supergradient(agent.preference, act)
+        if s is None:
+            continue
+        rows = rng.choice(n, size=min(n, 30), replace=False)
+        offset = rng.choice([-1e-12, 0.0, 1e-12], size=len(rows))[:, None]
+        Z[rows] = _onto_boundary(Z[rows], s, act, eps) + offset * s / np.linalg.norm(s)
+    cuts = draw(st.lists(st.integers(0, n), max_size=4))
+    return economy.EconomySpec(agents), economy.Allocation(np.array(acts)), eps, Z, cuts
+
+
+@_BATCH_SIZES
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_improvement_flags_do_not_depend_on_the_chunks(size, data):
+    econ, f, eps, Z, cuts = data.draw(_chunked_improvement_cases(size))
+    flags = economy.individual_improvement_event(econ, f, Z, eps)
+    sliced = _by_slices(lambda X: economy.individual_improvement_event(econ, f, X, eps), Z, cuts)
+    assert np.array_equal(flags, sliced)
+    assert np.array_equal(flags, _oracle_improvement_event(econ, f, Z, eps))
+
+
+@st.composite
+def _chunked_frontier_cases(draw, size):
+    """A two-agent common-curvature economy, an allocation, eps, and aggregates around 1.
+
+    The batch has the given size; a radius above 1 gives some rows a
+    negative entry, which have no nonnegative split.
+    """
+    d = draw(st.integers(2, 32))
+    n = _batch_rows(size, economy._FRONTIER_CHUNK_VALUES, d)
+    gamma = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    priors = rng.dirichlet(np.full(d, 0.5), size=2) + 1e-9
+    econ = economy.EconomySpec(
+        tuple(economy.Agent(CRRASEU(mu / mu.sum(), gamma), np.full(d, 0.5)) for mu in priors),
+        no_aggregate_uncertainty=True,
+    )
+    f, _ = economy.planner_allocation(econ, rng.uniform(0.05, 1.0, 2))
+    eps = draw(st.floats(0.0, 0.3))
+    law = sampling.PerturbationLaw("uniform-ball", d, draw(st.floats(0.1, 1.2)))
+    W = 1.0 + law.sample(n, rng.integers(2**32))
+    cuts = draw(st.lists(st.integers(0, n), max_size=4))
+    return econ, f, eps, W, cuts
+
+
+@_BATCH_SIZES
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_frontier_margins_do_not_depend_on_the_chunks(size, data):
+    econ, f, eps, W, cuts = data.draw(_chunked_frontier_cases(size))
+    margins = economy.scitovsky_margins_batch(econ, f, W, eps)
+    sliced = _by_slices(lambda X: economy.scitovsky_margins_batch(econ, f, X, eps), W, cuts)
+    finite = np.isfinite(margins)
+    assert np.array_equal(finite, np.isfinite(sliced))
+    assert np.array_equal(margins[~finite], sliced[~finite])
+    # BLAS rounds a row's dot product according to how many rows it is given
+    # with, which moves the Newton steps, and each row stops within 1e-14 of
+    # its crossing: 1e-12 absolute, relative where the margin exceeds 1
+    a, b = margins[finite], sliced[finite]
+    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a)))
+    # member and indeterminate classes agree away from the decision lines
+    tol = economy.MEMBER_TOL
+    far = np.abs(np.abs(margins) - tol) > 1e-12
+    assert np.array_equal((margins > tol)[far], (sliced > tol)[far])
+    assert np.array_equal((np.abs(margins) <= tol)[far], (np.abs(sliced) <= tol)[far])
+
+
+def test_frontier_holds_a_few_chunks_of_values_at_a_time():
+    # the frontier builds about a dozen temporaries of its input's shape per
+    # evaluation; on whole blocks they took about ten times W's bytes
+    d = 32
+    gen = np.random.default_rng(d)
+    econ = economy.EconomySpec(
+        (economy.Agent(CRRASEU(gen.dirichlet(np.ones(d))), np.full(d, 0.5)),
+         economy.Agent(CRRASEU(np.full(d, 1.0 / d)), np.full(d, 0.5))),
+        no_aggregate_uncertainty=True,
+    )
+    f, _ = economy.planner_allocation(econ)
+    W = 1.0 + sampling.PerturbationLaw("restricted-gaussian", d, 1.0).sample(16_384, SEED)
+    tracemalloc.start()
+    try:
+        economy.scitovsky_margins_batch(econ, f, W, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * W.nbytes
+
+
+def test_improvement_event_holds_a_few_chunks_of_values_at_a_time():
+    # at eps = 0 each agent's screen keeps about half of the rows, so perturbed
+    # acts built for a whole block would take as many bytes as the block
+    d, m = 512, 4096
+    agents = tuple(economy.Agent(CRRASEU(np.full(d, 1.0 / d)), np.ones(d)) for _ in range(3))
+    econ = economy.EconomySpec(agents)
+    Z = sampling.PerturbationLaw("uniform-ball", d, 1.0).sample(m, SEED)
+    tracemalloc.start()
+    try:
+        flags = economy.individual_improvement_event(econ, economy.equal_split(econ), Z, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < flags.sum() < m
+    assert peak < 0.125 * Z.nbytes
 
 
 # ---------------------------------------------------------------------------
