@@ -27,6 +27,7 @@ from .economy import (
     belief_volume_split,
     cru,
     equal_split,
+    improvement_screen,
     individual_improvement_event,
     planner_allocation,
     rho,
@@ -88,7 +89,7 @@ __all__ = [
     # economy
     "Agent", "EconomySpec", "Allocation", "EquilibriumResult", "equal_split",
     "tatonnement_equilibrium", "planner_allocation", "individual_improvement_event",
-    "cru", "rho", "belief_volume_split",
+    "improvement_screen", "cru", "rho", "belief_volume_split",
     # experiments
     "ExperimentConfig", "RunResult", "parse_config_text", "load_config",
     "default_config", "run_experiment", "reproduce_paper_anchors",

@@ -309,11 +309,48 @@ def _row_chunks(X, values):
     return [slice(lo, lo + step) for lo in range(0, len(X), step)]
 
 
-def _screen(pref, fi, s, base, eps):
+def improvement_screen(econ: EconomySpec, f: Allocation, eps: float, radius: float):
+    """``(Q, keep)``: the individual-improvement screen in the coordinates of a basis Q.
+
+    Q is the reduced-QR factor of the agents' stacked finite supergradients
+    at f: d x k orthonormal columns spanning every s_i, k = min(d, number of
+    such agents), 0 when no agent has one.  ``keep(Y)`` takes the
+    coordinates Y = z Q of draws from a law supported on the ball of the
+    given radius and flags the rows that some agent's screen (evaluated as
+    Y @ Q^T s_i, see :func:`_screen`) keeps; every row when an agent has no
+    finite supergradient.  A row it drops is one that
+    :func:`individual_improvement_event` cannot flag, so the pair can be
+    handed to :func:`sampling.mc_probability` as its ``projection``.
+    """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
+    grads = [(agent.preference, f.acts[i], preferences.supergradient(agent.preference, f.acts[i]))
+             for i, agent in enumerate(econ.agents)]
+    finite = [s for _, _, s in grads if s is not None]
+    if finite:
+        Q = np.linalg.qr(np.column_stack(finite))[0]
+    else:
+        Q = np.zeros((econ.dim, 0))
+    every_row = len(finite) < len(grads)
+    screens = [] if every_row else [
+        _screen(pref, fi, s, float(pref.utility(fi)), eps, Q, radius) for pref, fi, s in grads]
+
+    def keep(Y):
+        out = np.full(len(Y), every_row)
+        for screen in screens:
+            out[screen(Y)] = True
+        return out
+
+    return Q, keep
+
+
+def _screen(pref, fi, s, base, eps, Q=None, radius=None):
     """The agent's screen: Z -> indices of the rows of Z with (1-eps) s.z > eps s.f_i - slack.
 
     The decider calls it once per chunk Z of its rows; the terms that do not
-    depend on Z are taken once.  A dropped row has
+    depend on Z are taken once.  Given a basis Q whose columns span s, the
+    screen takes a draw's coordinates Y = z Q in place of z and evaluates
+    s.z as Y . (Q^T s) (see the last paragraph).  A dropped row has
     U((1-eps)(f_i + z)) - U(f_i) <= (1-eps) s.z - eps s.f_i <= -slack in
     exact arithmetic, so the slack must cover every rounding between that
     and the computed utilities.  Each quantity involved is a sum of at most d
@@ -337,14 +374,30 @@ def _screen(pref, fi, s, base, eps):
     (||f_i||_inf + zmax) + _LOG_RANGE) dominates the sum on every row of the
     chunk while 64 (d + 4) u < 1e-9, that is for d below 10^5.  An infinite
     U(f_i) makes the threshold -inf or NaN, and neither drops a row.
+
+    In Q coordinates (Q from Householder QR, so Q^T Q = I and s in span(Q)
+    up to a few d u, relatively) the dropped row is the completed draw
+    z = Y Q^T + P of :meth:`sampling.PerturbationLaw.sample_projected_block`,
+    whose orthogonal part P is projected off Q twice and has |P| <= r, the
+    law's radius; every coordinate of z, every |Y| and every
+    sum_l |Y_l| |Q_jl| is at most r (up to rounding).  Then s.z differs from
+    the computed Y . (Q^T s) by the roundings of Q^T s, of the k-term
+    product and of z, and by s.P, each within a few (d + 4) u ||s||_1 r.
+    These terms are bounded through |Y| <= r, not through s.z, so the
+    rescaling argument above does not apply, and the projected screen takes
+    zmax = r in every domain.  The bound above then covers them too.
     """
     whole_space = bool(pref.in_domain(-np.ones(len(fi))))
     l1, fmax, level = float(s.sum()), float(np.abs(fi).max()), eps * float(s @ fi)
+    v = s if Q is None else Q.T @ s
 
     def kept(Z):
-        zmax = float(max(Z.max(initial=0.0), -Z.min(initial=0.0))) if whole_space else 0.0
+        if Q is not None:
+            zmax = radius
+        else:
+            zmax = float(max(Z.max(initial=0.0), -Z.min(initial=0.0))) if whole_space else 0.0
         slack = _SCREEN_SLACK * (abs(base) + l1 * (fmax + zmax) + _LOG_RANGE)
-        return np.flatnonzero(~((1.0 - eps) * (Z @ s) <= level - slack))
+        return np.flatnonzero(~((1.0 - eps) * (Z @ v) <= level - slack))
 
     return kept
 

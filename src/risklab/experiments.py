@@ -13,9 +13,11 @@ Configs are flat ``key = value`` text files with repeated ``agent.`` blocks
 are printed with 17 significant digits, and all randomness flows through
 seeded block substreams, so re-running a config byte-for-byte reproduces
 ``results.csv`` regardless of thread count.  ``manifest.txt`` records the
-config hash, schema and tool versions, and the results hash; its wall-time
-line is the only part allowed to differ between runs.  ``config.txt`` holds
-the canonical config text the hash is taken over, ready to be run again.
+config hash, schema and tool versions, the Python, numpy and scipy versions,
+the thread count, and the results hash; its wall-time line is the only part
+allowed to differ between runs of one config on one installation.
+``config.txt`` holds the canonical config text the hash is taken over, ready
+to be run again.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
+from scipy.special import betaincinv, chdtrc
 
 from . import bounds, economy, geometry, preferences, sampling
 from ._version import __version__
@@ -39,6 +44,9 @@ _LEMMA1_DIMS = (2, 8, 32, 128, 512)
 _LEMMA1_DELTAS = (0.1, 0.2, 0.4)
 # largest |p_hat - exact| a lemma1 row accepts, in binomial standard errors of the exact law
 _LEMMA1_Z = 5.0
+# equal-mass bins of the lemma1 marginal, and the smallest chi-square p-value its row accepts
+_LEMMA1_BINS = 50
+_LEMMA1_CHI2_P = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +356,11 @@ class RunResult:
         lines = [
             f"schema = {SCHEMA_VERSION}",
             f"tool = risklab {__version__}",
+            # the Monte Carlo streams depend on numpy's generators and LAPACK's QR
+            f"python = {platform.python_version()}",
+            f"numpy = {np.__version__}",
+            f"scipy = {scipy.__version__}",
+            f"threads = {self.config.threads}",
             f"experiment = {self.experiment_id}",
             f"config_sha256 = {self.config.sha256()}",
             "columns = " + ",".join(self.columns),
@@ -463,16 +476,15 @@ def run_thm1(config: ExperimentConfig):
         tau = min(float(a.endowment.min()) for a in econ.agents)
         if tau <= 0:
             raise ValueError("the tail bound needs strictly positive endowments (tau > 0)")
-        # what the decider needs of each act, once before sampling: an act outside
-        # its agent's domain makes this cell an error row, not a failed block
-        for agent, act in zip(econ.agents, f.acts):
-            agent.preference.utility(act)
-            preferences.supergradient(agent.preference, act)
+        # the screen takes every agent's supergradient and utility once before
+        # sampling, so an act outside its agent's domain makes an error row
+        projection = economy.improvement_screen(econ, f, eps, law.radius)
 
         def event(Z):
             return economy.individual_improvement_event(econ, f, Z, eps)
 
-        est = sampling.mc_probability(event, law, config.trials, seed, config.threads)
+        est = sampling.mc_probability(event, law, config.trials, seed, config.threads,
+                                      projection)
         bound = bounds.bound_thm1(eps, tau, config.radius, law.dim, law.kappa)
         return {"tau": tau, "kappa": law.kappa, **_estimate_columns(est, bound)}
 
@@ -739,35 +751,56 @@ def _bm_checks(seed: sampling.SeedSpec):
     return rows
 
 
-def _lemma1_cap_estimates(seed: sampling.SeedSpec, trials: int, threads: int) -> dict:
-    """``{(delta, d): MCEstimate of P(Z[:, 0] >= delta/2)}`` under the uniform unit-ball law.
+def _lemma1_cuts(d: int) -> np.ndarray:
+    """The ``_LEMMA1_BINS - 1`` cut points splitting z_1 into bins of equal mass.
 
-    Each d (index i in ``_LEMMA1_DIMS``) draws one stream, ``seed.stream(100 + i)``,
-    and every delta is counted on the same blocks.
+    Under the uniform unit-ball law P(z_1 >= t) = 0.5 I_{1-t^2}((d+1)/2, 1/2)
+    for t >= 0 (:func:`geometry.cap_fraction`), that is
+    I_{t^2}(1/2, (d+1)/2) = 1 - 2 P(z_1 >= t), and z_1 is symmetric about 0.
     """
-    estimates = {}
+    tail = np.arange(1, _LEMMA1_BINS // 2) / _LEMMA1_BINS
+    upper = np.sqrt(betaincinv(0.5, 0.5 * (d + 1), 1.0 - 2.0 * tail))
+    return np.concatenate([-upper, [0.0], upper[::-1]])
+
+
+def _lemma1_counts(seed: sampling.SeedSpec, trials: int, threads: int):
+    """``(estimates, bins)`` of z_1 under the uniform unit-ball law.
+
+    ``estimates[delta, d]`` is the MCEstimate of P(z_1 >= delta/2), and
+    ``bins[d]`` the counts of z_1 in the bins between :func:`_lemma1_cuts`.
+    Each d (index i in ``_LEMMA1_DIMS``) draws one projected stream,
+    ``seed.stream(100 + i)``, with Q = e_1 and no row completed, and every
+    count is taken on the same blocks.
+    """
+    estimates, bins = {}, {}
     for i, d in enumerate(_LEMMA1_DIMS):
         law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
-        stream = seed.stream(100 + i)
+        stream, e1, cuts = seed.stream(100 + i), np.eye(d, 1), _lemma1_cuts(d)
 
-        def count(b: int, m: int) -> list[int]:
-            first = law.sample_block(b, m, stream)[:, 0]
-            return [int(np.count_nonzero(first >= delta / 2.0)) for delta in _LEMMA1_DELTAS]
+        def count(b: int, m: int) -> np.ndarray:
+            Y, _ = law.sample_projected_block(b, m, stream, e1, lambda Y: np.zeros(m, bool))
+            first = Y[:, 0]
+            tails = [np.count_nonzero(first >= delta / 2.0) for delta in _LEMMA1_DELTAS]
+            cells = np.bincount(np.searchsorted(cuts, first), minlength=_LEMMA1_BINS)
+            return np.concatenate([tails, cells])
 
-        hits = [sum(col) for col in zip(*sampling.map_blocks(count, trials, threads))]
-        for delta, k in zip(_LEMMA1_DELTAS, hits):
-            estimates[delta, d] = sampling.MCEstimate(k, trials)
-    return estimates
+        counts = sum(sampling.map_blocks(count, trials, threads))
+        for delta, k in zip(_LEMMA1_DELTAS, counts):
+            estimates[delta, d] = sampling.MCEstimate(int(k), trials)
+        bins[d] = counts[len(_LEMMA1_DELTAS):]
+    return estimates, bins
 
 
 def _lemma1_checks(seed: sampling.SeedSpec, trials: int, threads: int, plot: dict):
-    """The separated-halfspace rows; their exact-fraction curves are added to ``plot``.
+    """The separated-halfspace and marginal rows; the exact-fraction curves go to ``plot``.
 
-    A row passes when the exact cap fraction lies below the lemma's bound, the
-    Monte Carlo tail is within ``_LEMMA1_Z`` binomial standard errors of that
-    exact fraction, and the tail is within the bound.
+    A separated-halfspace row passes when the exact cap fraction lies below
+    the lemma's bound, the Monte Carlo tail is within ``_LEMMA1_Z`` binomial
+    standard errors of that exact fraction, and the tail is within the bound.
+    A marginal row passes when the chi-square test of z_1's counts in
+    ``_LEMMA1_BINS`` equal-mass bins has p-value above ``_LEMMA1_CHI2_P``.
     """
-    estimates = _lemma1_cap_estimates(seed, trials, threads)
+    estimates, bins = _lemma1_counts(seed, trials, threads)
     rows = []
     plot_pairs = {delta: [] for delta in _LEMMA1_DELTAS}
     for delta, d in itertools.product(_LEMMA1_DELTAS, _LEMMA1_DIMS):
@@ -780,6 +813,14 @@ def _lemma1_checks(seed: sampling.SeedSpec, trials: int, threads: int, plot: dic
             f"exact={exact:.6g} mc={est.p_hat:.6g} z={z:.3g} bound={bound:.6g}",
         ))
         plot_pairs[delta].append((d, exact))
+    expected = trials / _LEMMA1_BINS
+    for d in _LEMMA1_DIMS:
+        chi2 = float(np.sum((bins[d] - expected) ** 2) / expected)
+        p = float(chdtrc(_LEMMA1_BINS - 1, chi2))
+        rows.append(_check_row(
+            "lemma1", f"marginal-chi2-{_LEMMA1_BINS}bins-d{d}", p > _LEMMA1_CHI2_P,
+            f"chi2={chi2:.6g} df={_LEMMA1_BINS - 1} p={p:.3g}",
+        ))
     for delta, pairs in plot_pairs.items():
         plot[f"lemma1_fraction_delta{delta:g}.csv"] = _two_column(pairs)
     return rows

@@ -13,6 +13,16 @@ bit-identical no matter how blocks are scheduled across threads or runs.
 through.  Estimator accumulation is exact integer counting and therefore
 associative.
 
+A block has one of two layouts, and each is drawn in a fixed order from the
+block's generator.  :meth:`PerturbationLaw.sample_block` draws an (m, d)
+array of normals, then m radius uniforms.
+:meth:`PerturbationLaw.sample_projected_block` draws a draw's coordinates in
+the orthonormal columns of a d x k matrix Q first: an (m, k) array of
+normals, then m chi-square variates with d - k degrees of freedom (skipped
+when k = d), then m radius uniforms.  Only the rows its ``keep`` names are
+then completed to full draws, in row order, from (n_kept, d) more normals
+(none when k = d).  The two layouts give different streams of the same law.
+
 Laws
 ----
 Two perturbation laws are provided: the uniform law on the Euclidean ball
@@ -20,7 +30,12 @@ B(r) and the standard Gaussian restricted to that ball.  Both are drawn
 exactly as a Gaussian direction times the inverse CDF of the radius at a
 uniform: r U^(1/d) for the uniform law, sqrt(2 gammaincinv(d/2, U P(d/2, r^2/2)))
 for the restricted Gaussian (Devroye, *Non-Uniform Random Variate
-Generation*, 1986, ch. V).  The restricted Gaussian is refused where its ball
+Generation*, 1986, ch. V).  The projected layout is exact too: for a
+standard normal g in R^d, Q^T g, |g_perp|^2 (chi-square with d - k degrees
+of freedom) and the direction of g_perp, its part orthogonal to Q, are
+independent, so the draw R g/|g| can be built from the first two and its
+radius R alone, and its orthogonal part added later from any other standard
+normal projected off Q.  The restricted Gaussian is refused where its ball
 mass P(d/2, r^2/2) underflows.  Its density ratio against the uniform law has
 the closed form computed by :func:`gaussian_kappa_ratio`.
 """
@@ -232,6 +247,45 @@ class PerturbationLaw:
             rows *= radius[lo : lo + step, None]
         return z
 
+    def sample_projected_block(
+        self,
+        block: int,
+        m: int,
+        seed: SeedSpec | int,
+        Q: np.ndarray,
+        keep: Callable[[np.ndarray], np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Block ``block`` of the law's projected stream: ``(Y, Z)``.
+
+        ``Q`` is a (dim, k) matrix with orthonormal columns, 0 <= k <= dim.
+        ``Y`` (m, k) holds the m draws' coordinates Q^T z.  ``keep(Y)``
+        returns m booleans, and ``Z`` holds the full draws of the kept rows,
+        in row order.  Only those rows are completed: their parts orthogonal
+        to Q are standard normals projected off Q and scaled to the length
+        the block's chi-square variates give them.
+        """
+        d, k = self.dim, Q.shape[1]
+        if Q.shape[0] != d or k > d:
+            raise ValueError(f"Q must be {d} x k with k <= {d}, got {Q.shape}")
+        quantile = self._radius_quantile()
+        gen = generator_for_block(seed, block)
+        A = gen.standard_normal((m, k))
+        # |g_perp|^2; there is no orthogonal part when Q spans R^d
+        C = 2.0 * gen.standard_gamma(0.5 * (d - k), m) if k < d else np.zeros(m)
+        scale = quantile(gen.random(m)) / np.sqrt(np.einsum("ij,ij->i", A, A) + C)
+        Y = A * scale[:, None]
+        rows = np.flatnonzero(keep(Y))
+        Z = Y[rows] @ Q.T
+        if k < d:
+            P = gen.standard_normal((len(rows), d))
+            # projected twice, so the part left along Q is a rounding of |P|,
+            # not of the normals' own length ("twice is enough")
+            for _ in range(2):
+                P -= (P @ Q) @ Q.T
+            P *= (np.sqrt(C[rows]) * scale[rows] / np.linalg.norm(P, axis=1))[:, None]
+            Z += P
+        return Y, Z
+
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
@@ -289,27 +343,37 @@ def mc_probability(
     n: int,
     seed: SeedSpec | int,
     threads: int = 1,
+    projection: tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> MCEstimate:
     """Estimate P(event) under the law by blockwise Monte Carlo.
 
     ``event`` receives an (m, d) block of samples and returns m booleans.
-    The estimate is bit-identical for any ``threads`` value because block
-    substreams are deterministic and their hit counts add exactly.
+    With ``projection = (Q, keep)`` the blocks are drawn by
+    :meth:`PerturbationLaw.sample_projected_block`: ``event`` then receives
+    only the full draws of the rows ``keep`` names, and every other row
+    counts as a miss, so ``keep`` must name every row on which the event can
+    hold.  The estimate is bit-identical for any ``threads`` value because
+    block substreams are deterministic and their hit counts add exactly.
     """
     if n < 100:
         raise ValueError("n must be >= 100 for a meaningful estimate")
     seed = as_seed(seed)
 
     def run_block(b: int, m: int) -> int:
-        z = law.sample_block(b, m, seed)
+        if projection is None:
+            z = law.sample_block(b, m, seed)
+        else:
+            _, z = law.sample_projected_block(b, m, seed, *projection)
         try:
             flags = np.asarray(event(z), dtype=bool)
         except Exception as exc:
+            first = z[0] if len(z) else None
             raise RuntimeError(
-                f"event predicate failed on block {b}; first sample {z[0]!r}"
+                f"event predicate failed on block {b}; first sample {first!r}"
             ) from exc
-        if flags.shape != (m,):
-            raise RuntimeError(f"event predicate returned shape {flags.shape}, wanted ({m},)")
+        if flags.shape != (len(z),):
+            raise RuntimeError(
+                f"event predicate returned shape {flags.shape}, wanted ({len(z)},)")
         return int(np.count_nonzero(flags))
 
     return MCEstimate(hits=sum(map_blocks(run_block, n, threads)), trials=n)

@@ -3,8 +3,10 @@
 ``perfbench/tracer.py`` patches named package attributes and reads some
 arguments by position, so a refactor that renames or reorders them would
 silently blind the benchmark's per-layer numbers.  This test installs the
-tracer, runs a small threaded ``thm1``, a small ``prop3`` and the ``economy``
-checks, and checks the spans of the benchmark's hot layers.  ``prop3``
+tracer, runs a small threaded ``thm1``, a small ``thm2``, a small ``prop3``
+and the ``economy`` checks, and checks the spans of the benchmark's hot
+layers.  ``thm1`` draws its blocks through the projected sampler, which has
+no hook, so the uniform-ball sampler's spans come from ``thm2``.  ``prop3``
 computes its volumes exactly, so the simplex sampler's spans come from the
 ``economy`` checks, and no run reaches ``geometry.contains``: its hook is only
 checked to be installed and restored.  The two event deciders work through
@@ -15,6 +17,7 @@ that the benchmark still sees one decider span per sampled block.
 from __future__ import annotations
 
 import importlib.util
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,9 +42,10 @@ def test_tracer_hooks_record_the_hot_layers(tmp_path):
     try:
         assert geometry.contains is not original_contains
         thm1 = replace(experiments.default_config("thm1"), trials=200, threads=2)
+        thm2 = replace(experiments.default_config("thm2"), trials=200, dims=(2, 8))
         prop3 = replace(experiments.default_config("prop3"), trials=200, dims=(3,),
                         n_economies=2, family_trials=200, out_dir=str(tmp_path / "prop3"))
-        for cfg in (thm1, prop3):
+        for cfg in (thm1, thm2, prop3):
             experiments.run_experiment(cfg)
         experiments._economy_checks(experiments.default_config("checks").seed_spec)
     finally:
@@ -56,8 +60,8 @@ def test_tracer_hooks_record_the_hot_layers(tmp_path):
         assert layer in names, layer
     # ball blocks carry their size: draws x dimension, read from sample_block's m
     ball = [span for span in tracer.spans if span[1] == "sampling.ball"]
-    assert sum(span[7] // span[8] for span in ball) == 200 * len(thm1.dims)
-    assert {span[8] for span in ball} == set(thm1.dims)
+    assert sum(span[7] // span[8] for span in ball) == 200 * len(thm2.dims) * len(thm2.eps_list)
+    assert {span[8] for span in ball} == set(thm2.dims)
     # one simplex draw, the economy checks' 1,000 points at d = 4: values x dimension
     simplex = [span for span in tracer.spans if span[1] == "sampling.simplex"]
     assert [(span[7], span[8]) for span in simplex] == [(4000, 4)]
@@ -78,14 +82,23 @@ def test_tracer_sees_the_two_batched_containment_distances():
     assert names.count("geometry.distance_point_to_convex") == 2
 
 
-@pytest.mark.parametrize("experiment,law,law_layer,decider,threads", [
-    ("thm1", "uniform-ball", "sampling.ball", "economy.individual_improvement_event", 2),
-    ("thm2", "restricted-gaussian", "sampling.rg", "economy.scitovsky_margins_batch", 1),
+@pytest.mark.parametrize("experiment,law,decider,threads", [
+    ("thm1", "uniform-ball", "economy.individual_improvement_event", 2),
+    ("thm2", "restricted-gaussian", "economy.scitovsky_margins_batch", 1),
 ], ids=["thm1", "thm2"])
-def test_deciders_record_one_span_per_sampled_block(experiment, law, law_layer, decider,
-                                                    threads):
+def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, threads,
+                                                    monkeypatch):
     # three blocks per cell, and at d = 32 many chunks per block: the chunks stay
     # inside the decider's one call, so its per-layer calls and rows stay per block
+    kept = []
+    projected = sampling.PerturbationLaw.sample_projected_block
+
+    def recorded(self, block, m, seed, Q, keep):
+        Y, Z = projected(self, block, m, seed, Q, keep)
+        kept.append(len(Z))
+        return Y, Z
+
+    monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", recorded)
     trials = 2 * sampling.BLOCK_DRAWS + 100
     cfg = replace(experiments.default_config(experiment), trials=trials, dims=(2, 32),
                   law_kind=law, threads=threads)
@@ -95,9 +108,17 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, law_layer, 
         experiments.run_experiment(cfg)
     finally:
         tracer.uninstall()
-    blocks = [span for span in tracer.spans if span[1] == law_layer]
     decisions = [span for span in tracer.spans if span[1] == decider]
-    assert len(blocks) == 3 * len(cfg.dims) * len(cfg.eps_list)
-    assert len(decisions) == len(blocks)
-    # each decider span carries its block's rows: sampled values / dimension
-    assert sorted(span[7] for span in decisions) == sorted(span[7] // span[8] for span in blocks)
+    assert len(decisions) == math.ceil(trials / sampling.BLOCK_DRAWS) * len(cfg.dims) * len(
+        cfg.eps_list)
+    # each decider span carries its block's rows: for thm2 the rg sampler's
+    # values / dimension; thm1 hands the decider only the rows its projected
+    # screen keeps, and its projected draws have no sampler span
+    if experiment == "thm1":
+        rows = kept
+        assert 0 < sum(kept) < trials * len(cfg.dims)
+        assert not [span for span in tracer.spans if span[1] == "sampling.ball"]
+    else:
+        rows = [span[7] // span[8] for span in tracer.spans if span[1] == "sampling.rg"]
+        assert kept == []
+    assert sorted(span[7] for span in decisions) == sorted(rows)

@@ -233,6 +233,69 @@ def test_screened_improvement_event_matches_the_oracle(case):
     assert np.array_equal(flags, _oracle_improvement_event(econ, f, Z, eps))
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_improvement_cases())
+def test_projected_screen_drops_no_oracle_hit(case):
+    # the screen in Q coordinates, with the rows' largest length as the radius,
+    # including the rows within 1e-12 of each agent's half-space boundary
+    econ, f, eps, Z = case
+    Q, keep = economy.improvement_screen(econ, f, eps, float(np.linalg.norm(Z, axis=1).max()))
+    assert Q.shape[0] == econ.dim and np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-13)
+    kept = keep(Z @ Q)
+    assert not np.any(_oracle_improvement_event(econ, f, Z[~kept], eps))
+
+
+def _thm1_maxmin_economy(d):
+    """The pinned thm1 max-min economy (a linear and a log agent, non-parallel supergradients)
+    at an alternating literal allocation in d states."""
+    acts = "|".join(",".join([a, b] * (d // 2)) for a, b in (("1.2", "0.8"), ("0.8", "1.2")))
+    cfg = experiments.parse_config_text(
+        "experiment = thm1\nseed = 1\ntrials = 200\n"
+        f"dims = {d}\nallocation = literal:{acts}\n"
+        "agent.preference = maxmin\nagent.prior = cap:ge:0:0.4\nagent.bernoulli = linear\n"
+        "agent.preference = maxmin\nagent.prior = cap:le:0:0.6\nagent.bernoulli = log\n")
+    econ = experiments.build_economy(cfg, d)
+    return econ, experiments.resolve_allocation(cfg, econ)[0], 0.1
+
+
+def _thm1_default_economy(d):
+    cfg = experiments.default_config("thm1")
+    econ = experiments.build_economy(cfg, d)
+    return econ, experiments.resolve_allocation(cfg, econ)[0], cfg.eps_list[0]
+
+
+@pytest.mark.parametrize("build,d", [(_thm1_default_economy, 2), (_thm1_default_economy, 8),
+                                     (_thm1_default_economy, 32),
+                                     (_thm1_maxmin_economy, 2), (_thm1_maxmin_economy, 32)])
+def test_projected_screen_on_fully_completed_blocks(build, d):
+    # complete every row of a projected block, then screen its coordinates:
+    # a dropped row is never a full-row improvement, and the kept rows are
+    # flagged as the decider flags them among all the block's rows
+    econ, f, eps = build(d)
+    law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
+    Q, keep = economy.improvement_screen(econ, f, eps, law.radius)
+    assert Q.shape == (d, min(d, econ.n_agents))
+    Y, Z = law.sample_projected_block(0, 20_000, SEED, Q, lambda Y: np.ones(len(Y), bool))
+    kept = keep(Y)
+    flags = economy.individual_improvement_event(econ, f, Z, eps)
+    assert 0 < kept.sum() < len(Y) and flags.any()
+    assert not np.any(_oracle_improvement_event(econ, f, Z[~kept], eps))
+    assert np.array_equal(economy.individual_improvement_event(econ, f, Z[kept], eps),
+                          flags[kept])
+
+
+def test_projected_screen_keeps_every_row_without_a_finite_supergradient():
+    # a zero payoff under 0 < gamma < 1 has no finite supergradient
+    d = 4
+    prefs = [CRRASEU(np.full(d, 0.25), 0.5), CRRASEU(np.full(d, 0.25), 2.0)]
+    econ = economy.EconomySpec(tuple(economy.Agent(p, np.ones(d)) for p in prefs))
+    f = economy.Allocation(np.array([[0.0, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0]]))
+    Q, keep = economy.improvement_screen(econ, f, 0.1, 1.0)
+    assert Q.shape == (d, 1)
+    Y = np.random.default_rng(0).uniform(-1, 1, (50, 1))
+    assert keep(Y).all()
+
+
 @pytest.mark.parametrize("d", [4, 32])
 def test_oracle_hits_lie_in_the_agents_supporting_half_space(d):
     cfg = experiments.default_config("thm1")

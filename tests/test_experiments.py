@@ -11,6 +11,7 @@ import functools
 import hashlib
 import math
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -310,6 +312,9 @@ def test_manifest_hashes_and_layout(tmp_path):
     assert man["columns"] == ",".join(THM1_COLUMNS)
     assert man["rows"] == "1"
     assert man["plotdata"] == ",".join(sorted(res.plotdata))
+    assert man["python"] == platform.python_version()
+    assert (man["numpy"], man["threads"]) == (np.__version__, str(cfg.threads))
+    assert man["scipy"] == scipy.__version__
     assert res.manifest_text().splitlines()[-1].startswith("wall_time_s = ")
 
     out = res.write(tmp_path / "run")
@@ -444,51 +449,95 @@ def _lemma1_only(trials):
 
 def test_lemma1_draws_one_ball_stream_per_dimension(monkeypatch):
     calls = []
-    sample_block = sampling.PerturbationLaw.sample_block
+    projected = sampling.PerturbationLaw.sample_projected_block
 
-    def counted(self, block, m, seed):
-        calls.append((self.dim, block, m, seed))
-        return sample_block(self, block, m, seed)
+    def counted(self, block, m, seed, Q, keep):
+        Y, Z = projected(self, block, m, seed, Q, keep)
+        calls.append((self.dim, block, m, seed, Q, len(Z)))
+        return Y, Z
 
-    monkeypatch.setattr(sampling.PerturbationLaw, "sample_block", counted)
+    def unused(*args):
+        raise AssertionError("lemma1 draws no full block")
+
+    monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", counted)
+    monkeypatch.setattr(sampling.PerturbationLaw, "sample_block", unused)
     trials = 2 * sampling.BLOCK_DRAWS + 17
     res = experiments.run_experiment(_lemma1_only(trials))
-    assert len(res.rows) == len(experiments._LEMMA1_DELTAS) * len(experiments._LEMMA1_DIMS)
-    # every delta is counted on the same blocks: one stream per d, each block once
+    assert len(res.rows) == (len(experiments._LEMMA1_DELTAS) + 1) * len(experiments._LEMMA1_DIMS)
+    # every delta and bin is counted on the same blocks: one stream per d, each
+    # block once, drawn along e_1 only and completed on no row
     blocks = math.ceil(trials / sampling.BLOCK_DRAWS)
     assert len(calls) == len(experiments._LEMMA1_DIMS) * blocks
-    assert {(d, seed.stream_id) for d, _, _, seed in calls} == {
+    assert {(d, seed.stream_id) for d, _, _, seed, _, _ in calls} == {
         (d, 100 + i) for i, d in enumerate(experiments._LEMMA1_DIMS)}
+    assert all(np.array_equal(Q, np.eye(d, 1)) for d, _, _, _, Q, _ in calls)
+    assert {kept for *_, kept in calls} == {0}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_lemma1_counts_equal_per_delta_mc_probability(threads):
+    # the same tails through the estimator, completing the rows past each
+    # threshold: a completed row's first coordinate is its projected one
     seed = sampling.SeedSpec(7)
     trials = sampling.BLOCK_DRAWS + 300
-    estimates = experiments._lemma1_cap_estimates(seed, trials, threads)
+    estimates, bins = experiments._lemma1_counts(seed, trials, threads)
     for i, d in enumerate(experiments._LEMMA1_DIMS):
         law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
+        assert bins[d].sum() == trials and len(bins[d]) == experiments._LEMMA1_BINS
         for delta in experiments._LEMMA1_DELTAS:
-            ref = sampling.mc_probability(lambda Z: Z[:, 0] >= delta / 2.0, law, trials,
-                                          seed.stream(100 + i))
+            beyond = lambda Z: Z[:, 0] >= delta / 2.0
+            ref = sampling.mc_probability(beyond, law, trials, seed.stream(100 + i),
+                                          projection=(np.eye(d, 1), beyond))
             assert estimates[delta, d] == ref, (delta, d)
+
+
+@pytest.mark.parametrize("d", experiments._LEMMA1_DIMS)
+def test_lemma1_cuts_split_the_exact_law_into_equal_masses(d):
+    cuts = experiments._lemma1_cuts(d)
+    n = experiments._LEMMA1_BINS
+    assert len(cuts) == n - 1 and np.all(np.diff(cuts) > 0)
+    for j, t in enumerate(cuts, start=1):
+        upper = geometry.cap_fraction(d, 1.0, abs(t))
+        assert (upper if t >= 0 else 1.0 - upper) == pytest.approx((n - j) / n, rel=1e-12)
 
 
 def test_lemma1_rows_fail_when_the_tail_misses_the_exact_law(monkeypatch):
     # the tail of a ball sampler that doubles its hits stays below the loose
     # bound at d = 2 and 8, but lies far outside the exact law's binomial spread
-    true_estimates = experiments._lemma1_cap_estimates
+    true_counts = experiments._lemma1_counts
 
     def doubled(seed, trials, threads):
+        estimates, bins = true_counts(seed, trials, threads)
         return {cell: sampling.MCEstimate(min(2 * est.hits, trials), trials)
-                for cell, est in true_estimates(seed, trials, threads).items()}
+                for cell, est in estimates.items()}, bins
 
-    monkeypatch.setattr(experiments, "_lemma1_cap_estimates", doubled)
+    monkeypatch.setattr(experiments, "_lemma1_counts", doubled)
     res = experiments.run_experiment(_lemma1_only(20_000))
-    low_d = [r for r in res.rows if r["check"].endswith(("-d2", "-d8"))]
+    low_d = [r for r in res.rows
+             if r["check"].startswith("separated") and r["check"].endswith(("-d2", "-d8"))]
     assert len(low_d) == 2 * len(experiments._LEMMA1_DELTAS)
     assert not any(r["passed"] for r in low_d)
-    assert all(" z=" in r["detail"] for r in res.rows)
+    assert all(" z=" in r["detail"] for r in res.rows if r["check"].startswith("separated"))
+
+
+def test_lemma1_marginal_row_fails_when_the_bins_miss_the_exact_law(monkeypatch):
+    # moving 2% of the draws from the outermost bin to the central ones, at d = 32
+    true_counts = experiments._lemma1_counts
+
+    def skewed(seed, trials, threads):
+        estimates, bins = true_counts(seed, trials, threads)
+        moved = bins[32].copy()
+        moved[0] -= trials // 50
+        moved[24] += trials // 50
+        return estimates, {**bins, 32: moved}
+
+    monkeypatch.setattr(experiments, "_lemma1_counts", skewed)
+    res = experiments.run_experiment(_lemma1_only(20_000))
+    marginal = {r["check"]: r for r in res.rows if r["check"].startswith("marginal")}
+    assert sorted(marginal) == sorted(f"marginal-chi2-50bins-d{d}"
+                                      for d in experiments._LEMMA1_DIMS)
+    assert [c for c, r in marginal.items() if not r["passed"]] == ["marginal-chi2-50bins-d32"]
+    assert all(" p=" in r["detail"] for r in marginal.values())
 
 
 def test_single_family_config_runs_only_that_family():
@@ -531,11 +580,42 @@ def test_results_are_byte_identical_across_runs():
     assert am["results_sha256"] == bm["results_sha256"]
 
 
+def _thm1_maxmin_config(d):
+    """THM1_MAXMIN_TEXT's economy, whose supergradients are not parallel, in d states."""
+    acts = "|".join(",".join([a, b] * (d // 2)) for a, b in (("1.2", "0.8"), ("0.8", "1.2")))
+    text = THM1_MAXMIN_TEXT.replace("dims = 2", f"dims = {d}").replace(
+        "literal:1.2,0.8|0.8,1.2", f"literal:{acts}")
+    return experiments.parse_config_text(text)
+
+
 def test_results_do_not_depend_on_thread_count():
-    # 40000 draws spans three scheduling blocks, so threads actually split work
-    one = experiments.run_experiment(_small("thm1", trials=40_000, dims=(2,), threads=1))
-    three = experiments.run_experiment(_small("thm1", trials=40_000, dims=(2,), threads=3))
-    assert one.csv_text == three.csv_text
+    # 40000 draws spans three scheduling blocks, so threads actually split work;
+    # at d = 32 the basis spans fewer than d dimensions, so kept rows are completed
+    for cfg in (_small("thm1", trials=40_000, dims=(2, 32)),
+                replace(_thm1_maxmin_config(2), trials=40_000),
+                replace(_thm1_maxmin_config(32), trials=40_000)):
+        one = experiments.run_experiment(replace(cfg, threads=1))
+        three = experiments.run_experiment(replace(cfg, threads=3))
+        assert one.csv_text == three.csv_text
+        assert all(row["error"] is None and row["hits"] > 0 for row in one.rows)
+
+
+def test_thm1_projected_estimate_agrees_with_plain_monte_carlo():
+    # the projected estimate against the decider on every plain draw of another
+    # stream, within 4 combined binomial standard errors in every default cell
+    cfg = _small("thm1", trials=40_000)
+    rows = experiments.run_experiment(cfg).rows
+    for row in rows:
+        d, eps = row["d"], row["eps"]
+        econ = experiments.build_economy(cfg, d)
+        f, _ = experiments.resolve_allocation(cfg, econ)
+        law = sampling.PerturbationLaw(cfg.law_kind, d, cfg.radius)
+        plain = sampling.mc_probability(
+            lambda Z: economy.individual_improvement_event(econ, f, Z, eps), law,
+            cfg.trials, sampling.SeedSpec(cfg.seed + 1))
+        p, q = row["p_hat"], plain.p_hat
+        se = math.sqrt((p * (1 - p) + q * (1 - q)) / cfg.trials)
+        assert abs(p - q) <= 4 * se, (d, p, q)
 
 
 # results.csv sha256 of the runs that are cheap enough for every test run; a
@@ -543,15 +623,15 @@ def test_results_do_not_depend_on_thread_count():
 PINNED_RESULTS = {
     ("thm2", None): "3a2167994a065db376a977826cea44e737530f802571dd26bd3912e628ece5a1",
     ("cru", None): "2cbdc642d303b089a5c5e8ef5da1459694a44c810fd89c35e613638f12226309",
-    ("checks", 100_000): "e3de57931b4e8790d6238f6975bae3853e731c1bef1a9d9b7124cf904fc26525",
+    ("checks", 100_000): "b6a6925d4aee53b61265c963874057db0220fafe40bc0c7f73744bb02e7c9f14",
     # log-utility agents at the equilibrium allocation
-    ("thm1", 20_000): "be93b5fa9892cf5efb99e49ddb09afb4d19f761001b9a57d6669d01b0edbeaa6",
+    ("thm1", 20_000): "dbef17ad512a2a8683d69bec5ef12c5b994c05b347ec0b3769d0d7808d1ba0ec",
 }
 # thm1 at 20,000 trials with crra agents of curvature gamma at the planner allocation
 PINNED_THM1_CRRA_PLANNER = {
-    0.5: "1317231452f4b5c46b027284b857f54cc41ca94cf0a361033a7f20e232b7d0c5",
-    4.0: "a47135df2d1624badda39193c7ee9aa02e731fec1c295055fe63de9927b6abe5",
-    16.0: "dfe4691d2d41f2e2d673309302d32e392b1359beeebc4136b31017a108a0ed12",
+    0.5: "ee0c73d264d567e07330e310241ad91bffc6150cff34ace2397ac437dd21f436",
+    4.0: "d9556809d5cb0ece24ab106961904569323de15ecbc834be6825fa9eedf79039",
+    16.0: "28ca80ac56470202cf271927860d7dd5fac43cc5cc5e8ec9e7851148b41cb91f",
 }
 # thm1 at 20,000 trials with a linear and a log max-min agent at a literal allocation
 THM1_MAXMIN_TEXT = """\
@@ -567,7 +647,7 @@ agent.preference = maxmin
 agent.prior = cap:le:0:0.6
 agent.bernoulli = log
 """
-PINNED_THM1_MAXMIN = "efd013aa548c6620e3212aba0e300e672c1dda3abb59e807048756f6c9f3eebd"
+PINNED_THM1_MAXMIN = "6efd5fd0bba0dbdb9c256b29dcb1212b91bef8402be3869a4ec620f449c8a8a1"
 
 
 @functools.cache
@@ -582,8 +662,6 @@ def _as_crra(cfg, gamma, allocation):
 
 
 def _pin_message(what):
-    import scipy
-
     return (f"{what} results.csv moved; the pin was recorded under numpy 2.4.6 and "
             f"scipy 1.17.1, this run has numpy {np.__version__} and scipy {scipy.__version__}")
 

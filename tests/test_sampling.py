@@ -98,6 +98,45 @@ def test_sample_streams_match_golden_hashes(law, d):
     assert digest == _GOLDEN[law, d]
 
 
+# sha256 of the projected stream: blocks 0 (BLOCK_DRAWS draws) and 1 (17 draws)
+# of SEED with Q = the first min(k, d) coordinate axes and every third row
+# completed, Y then Z of each block.  Q = e_1..e_k keeps LAPACK and BLAS
+# rounding out of the bits, so these pin the layout and numpy's normal, gamma
+# and uniform generators.
+_PROJECTED_GOLDEN = {
+    ("rg", 2, 0): "e5d3789857b3c7b4357be3fea1d63d3a68880e649380f0827309215e52c2e8c2",
+    ("rg", 2, 1): "109ce11928e08c9936d9a44d3e71687ad80705e47735c65a3ceca36bd6dfa408",
+    ("rg", 2, 3): "e7d45bddb836d5021f238d02a9fef8a3ee42d1615d183d323eaae3818cc59ea9",
+    ("rg", 32, 0): "9cbaafeba67d13bec4c4a37748b43f5c92f005ba4e9db737ae18a1ceb70510be",
+    ("rg", 32, 1): "d9f20d640711be080579e356f2f4f41eeee0c1269021e67bc714c2044b4771c8",
+    ("rg", 32, 3): "6aade61cc0006c254fc8090ca3ea822e901b7bd4a8a6c1eeb49cc8d41f674cff",
+    ("ball", 2, 0): "62b049664f3f506c5a02d2d7cf937321b9687507ca2742274a10c8541091e0b4",
+    ("ball", 2, 1): "c9226cd3e44d1c6cf808a8b0768e1f64d790218d45140fb7fe30b72056bdcc1d",
+    ("ball", 2, 3): "bd4415d49d7c65a166c192d39801a11104f12ea8a6204948d29e60e21b2ac800",
+    ("ball", 32, 0): "b5464fa4fafb38e5873fc233af436d24ecbb21f7c1144c491f4e4b22df803bfd",
+    ("ball", 32, 1): "ea8a1aa26158d02d22b8fc7068a60f53d8ee13d8c6cabedf8d2c5cabb7819ee9",
+    ("ball", 32, 3): "39c8a26d59e8ada1087a594e6a99e039053e6dc166d56f85de6b17dd7a6ded4a",
+}
+_LAW_KINDS = {"rg": "restricted-gaussian", "ball": "uniform-ball"}
+
+
+def _every_third(Y):
+    return np.arange(len(Y)) % 3 == 0
+
+
+@pytest.mark.parametrize("law,d,k", sorted(_PROJECTED_GOLDEN))
+def test_projected_streams_match_golden_hashes(law, d, k):
+    sampler = sampling.PerturbationLaw(_LAW_KINDS[law], d, 1.0)
+    Q = np.eye(d, min(k, d))
+    digest = hashlib.sha256()
+    for block, m in ((0, sampling.BLOCK_DRAWS), (1, 17)):
+        Y, Z = sampler.sample_projected_block(block, m, SEED, Q, _every_third)
+        assert Y.shape == (m, Q.shape[1]) and Z.shape == (len(range(0, m, 3)), d)
+        for part in (Y, Z):
+            digest.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+    assert digest.hexdigest() == _PROJECTED_GOLDEN[law, d, k]
+
+
 def test_sample_arrays_over_the_ceiling_are_refused_before_allocation():
     # 2**14 x 2**14 values is 2 GiB of float64, above the 1 GiB ceiling
     tracemalloc.start()
@@ -311,6 +350,118 @@ def test_law_block_holds_one_block_of_values_at_a_time(kind, r):
     assert peak < 1.25 * m * d * 8
 
 
+def _random_basis(d, k, rng):
+    return np.linalg.qr(rng.standard_normal((d, k)))[0]
+
+
+@pytest.mark.parametrize("kind", sorted(_LAW_KINDS.values()))
+@pytest.mark.parametrize("d,k", [(6, 3), (32, 1), (5, 5), (4, 0)])
+def test_projected_rows_are_their_draws_coordinates_and_stay_in_the_ball(kind, d, k):
+    law = sampling.PerturbationLaw(kind, d, 1.5)
+    Q = _random_basis(d, k, np.random.default_rng(d + k))
+    Y, Z = law.sample_projected_block(2, 3000, SEED, Q, lambda Y: np.ones(len(Y), bool))
+    assert Y.shape == (3000, k) and Z.shape == (3000, d)
+    assert np.allclose(Z @ Q, Y, rtol=0, atol=1e-14)
+    assert np.linalg.norm(Z, axis=1).max() <= 1.5 * (1 + 1e-14)
+
+
+def test_projected_block_completes_only_the_kept_rows():
+    law = sampling.PerturbationLaw("uniform-ball", 16, 1.0)
+    Q = _random_basis(16, 3, np.random.default_rng(1))
+    Y_all, Z_all = law.sample_projected_block(0, 500, SEED, Q, lambda Y: np.ones(len(Y), bool))
+    Y, Z = law.sample_projected_block(0, 500, SEED, Q, lambda Y: Y[:, 0] > 0.2)
+    # the coordinates do not depend on which rows are kept; the kept rows are
+    # completed in row order from the normals drawn after the block's uniforms
+    assert np.array_equal(Y, Y_all)
+    kept = np.flatnonzero(Y[:, 0] > 0.2)
+    assert 0 < len(Z) == len(kept) < 500
+    assert np.allclose(Z @ Q, Y[kept], rtol=0, atol=1e-14)
+    assert not np.array_equal(Z, Z_all[kept])
+
+
+def test_projected_block_with_q_spanning_the_space_draws_no_normals():
+    # k = d: no chi-square variate and no completion, and no 0/0 anywhere
+    law = sampling.PerturbationLaw("uniform-ball", 3, 1.0)
+    Q = _random_basis(3, 3, np.random.default_rng(2))
+    Y, Z = law.sample_projected_block(0, 1000, SEED, Q, lambda Y: np.ones(len(Y), bool))
+    gen = sampling.generator_for_block(SEED, 0)
+    A = gen.standard_normal((1000, 3))
+    R = gen.random(1000) ** (1 / 3)
+    assert np.allclose(Y, A * (R / np.linalg.norm(A, axis=1))[:, None], rtol=1e-14, atol=0)
+    assert np.all(np.isfinite(Z)) and np.allclose(Z, Y @ Q.T, rtol=0, atol=1e-15)
+
+
+def test_projected_block_refuses_a_basis_of_the_wrong_shape():
+    law = sampling.PerturbationLaw("uniform-ball", 2, 1.0)
+    for Q in (np.eye(3, 1), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="Q must be"):
+            law.sample_projected_block(0, 10, SEED, Q, _every_third)
+
+
+def _ks(sample, cdf):
+    """One-sample KS statistic of ``sample`` against the vectorized CDF ``cdf``."""
+    x = np.sort(sample)
+    n = len(x)
+    F = cdf(x)
+    return max(np.max(np.arange(1, n + 1) / n - F), np.max(F - np.arange(n) / n))
+
+
+def _ks_limit(n, level=1e-6):
+    return math.sqrt(math.log(2.0 / level) / (2 * n))
+
+
+def _coordinate_cdf(d, r):
+    """CDF of u.z for a unit vector u under the uniform law on Ball_d(r) (cap_fraction's Beta law)."""
+    def cdf(t):
+        t = np.clip(t, -r, r)
+        tail = 0.5 * betainc(0.5 * (d + 1), 0.5, 1.0 - (t / r) ** 2)
+        return np.where(t >= 0, 1.0 - tail, tail)
+    return cdf
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (8, 3), (64, 3)])
+def test_completed_draws_follow_the_uniform_ball_law(d, k):
+    # KS on |z|, and on the Beta cap marginal along one direction inside Q and
+    # one orthogonal to it, on every row completed over several blocks
+    r, n = 1.3, 4 * 8192
+    law = sampling.PerturbationLaw("uniform-ball", d, r)
+    rng = np.random.default_rng(d)
+    Q = _random_basis(d, k, rng)
+    Z = np.vstack([law.sample_projected_block(b, 8192, SEED, Q,
+                                              lambda Y: np.ones(len(Y), bool))[1]
+                   for b in range(n // 8192)])
+    inside = Q @ rng.standard_normal(k)
+    outside = rng.standard_normal(d)
+    outside -= Q @ (Q.T @ outside)
+    limit = _ks_limit(n)
+    assert _ks(np.linalg.norm(Z, axis=1), lambda x: (x / r) ** d) < limit
+    for u in (inside, outside):
+        assert _ks(Z @ (u / np.linalg.norm(u)), _coordinate_cdf(d, r)) < limit
+
+
+def test_completed_draws_follow_the_restricted_gaussian_radial_law():
+    d, r, n = 6, 1.5, 40_000
+    law = sampling.PerturbationLaw("restricted-gaussian", d, r)
+    Q = _random_basis(d, 2, np.random.default_rng(3))
+    _, Z = law.sample_projected_block(0, n, SEED, Q, lambda Y: np.ones(len(Y), bool))
+    assert _ks(np.linalg.norm(Z, axis=1), lambda x: _radial_cdf(x, d, r)) < _ks_limit(n)
+
+
+def test_kept_rows_follow_the_law_conditioned_on_their_coordinates():
+    # keeping the rows with y_1 > 0.3 leaves the orthogonal part of each kept
+    # draw uniform in direction: its sign along a fixed outside direction is a
+    # fair coin, whatever Y looks like
+    d = 10
+    law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
+    Q = _random_basis(d, 2, np.random.default_rng(4))
+    Y, Z = law.sample_projected_block(1, 60_000, SEED, Q, lambda Y: Y[:, 0] > 0.3)
+    kept = Y[Y[:, 0] > 0.3]
+    assert np.allclose(Z @ Q, kept, rtol=0, atol=1e-14)
+    outside = np.eye(d)[0] - Q @ Q[0]
+    signs = np.sign(Z @ outside)
+    assert abs(signs.mean()) < 5.0 / math.sqrt(len(signs))
+
+
 def test_law_rejects_unknown_kind():
     with pytest.raises(ValueError):
         sampling.PerturbationLaw("levy-flight", 3, 1.0)
@@ -403,6 +554,27 @@ def test_mc_probability_echoes_predicate_failure():
 
     with pytest.raises(RuntimeError, match="block"):
         sampling.mc_probability(bad, law, 200, SEED)
+
+
+def test_mc_probability_with_a_projection_hands_the_event_only_the_kept_rows():
+    law = sampling.PerturbationLaw("uniform-ball", 12, 1.0)
+    Q = np.eye(12, 2)
+    seen = []
+
+    def event(Z):
+        seen.append(len(Z))
+        return Z[:, 1] > 0.0
+
+    n = 2 * sampling.BLOCK_DRAWS + 50
+    est = sampling.mc_probability(event, law, n, SEED, 2, (Q, lambda Y: Y[:, 0] > 0.25))
+    expected, kept = 0, []
+    for b, m in _block_specs(n):
+        Y, Z = law.sample_projected_block(b, m, sampling.as_seed(SEED), Q,
+                                          lambda Y: Y[:, 0] > 0.25)
+        expected += int(np.count_nonzero((Y[:, 0] > 0.25) & (Y[:, 1] > 0.0)))
+        kept.append(len(Z))
+    assert est == sampling.MCEstimate(expected, n)
+    assert sorted(seen) == sorted(kept)
 
 
 # ---------------------------------------------------------------------------
