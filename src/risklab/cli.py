@@ -90,8 +90,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    n_err = sum(1 for r in result.rows if r.get("error"))
-    n_fail = sum(1 for r in result.rows if r.get("passed") is False)
+    n_err, n_fail = result.error_rows, result.failed_checks
     print(f"{config.experiment_id}: {len(result.rows)} rows -> {config.out_dir}"
           + (f" ({n_err} error rows)" if n_err else "")
           + (f" ({n_fail} failed checks)" if n_fail else ""))

@@ -12,15 +12,14 @@ module provides:
 * scalar diagnostics: the coefficient of resource utilization (bisection),
   the split-norm constant rho, and exact belief-set volume splits.
 
-Individual improvement evaluates utilities only inside each agent's
-supporting half-space.  U is concave, so with a supergradient s at f_i,
+Individual improvement is screened once, before a draw is completed.  U is
+concave, so with a supergradient s at f_i,
 U((1-eps)(f_i + z)) <= U(f_i) + (1-eps) s.z - eps s.f_i: a draw outside the
 half-space (1-eps) s.z > eps s.f_i (widened by a rounding slack) cannot
-improve agent i, and one product Z @ s screens a chunk of rows before any
-utility is computed.  A draw's flag can differ from an evaluation of every
-row only if its utility lies within about one ulp of the strict-preference
-threshold, because BLAS may round a row's dot product differently once the
-surviving rows are compacted.
+improve agent i.  The agents' supergradients span k <= (number of agents)
+dimensions, so :func:`improvement_screen` decides from a draw's k
+coordinates in an orthonormal basis of that span which draws some agent may
+prefer; the decider evaluates every agent's utility on every row it is given.
 
 Aggregate membership is decided on the utility-possibility frontier of a
 two-agent economy with common CRRA curvature: the frontier is a one-parameter
@@ -248,54 +247,34 @@ def individual_improvement_event(
 ) -> np.ndarray:
     """For each perturbation z: does (1-eps)(f_i + z) beat f_i for SOME agent?
 
-    Vectorized over the rows of Z.  Perturbed acts that leave an agent's
-    utility domain (nonpositive payoffs under log curvature) never improve:
-    the monotone extension assigns them -inf utility.
-
-    Utilities are evaluated only inside each agent's supporting half-space.
-    U is concave, so a supergradient s at f_i gives
-    U((1-eps)(f_i + z)) <= U(f_i) + (1-eps) s.z - eps s.f_i, and z can
-    improve agent i only if (1-eps) s.z > eps s.f_i.  Each agent's base
-    utility, supergradient and domain are taken once per call.  The rows of
-    Z are then worked through in chunks of at most _IMPROVEMENT_CHUNK_VALUES
-    values: on each chunk every agent in turn drops the rows outside its
-    half-space widened by a rounding slack (one chunk @ s, :func:`_screen`)
-    and evaluates its utility on the rows left, so the chunk is read from
-    memory once for all agents.  An agent without a finite supergradient has
-    every row evaluated.  The flags are those of evaluating every row, except
-    that BLAS may round a row's dot product differently once the kept rows
-    are compacted: a row whose utility lies within about one ulp of
-    ``base + TOL_STRICT`` can flip.
+    Vectorized over the rows of Z, every one of which is evaluated for every
+    agent.  Perturbed acts that leave an agent's utility domain (nonpositive
+    payoffs under log curvature) never improve: the monotone extension
+    assigns them -inf utility.  Each agent's base utility is taken once per
+    call; the rows of Z are then worked through in chunks of at most
+    _IMPROVEMENT_CHUNK_VALUES values, every agent in turn on each chunk, so
+    the chunk is read from memory once for all agents.  ``thm1`` hands it
+    only the rows that :func:`improvement_screen` keeps.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    agents = []
-    for i, agent in enumerate(econ.agents):
-        pref, fi = agent.preference, f.acts[i]
-        base = pref.utility(fi)
-        s = preferences.supergradient(pref, fi)
-        # without a finite supergradient every row is evaluated
-        screen = (lambda chunk: slice(None)) if s is None else _screen(
-            pref, fi, s, float(base), eps)
-        agents.append((pref, fi, base, screen))
+    # each agent's strict-improvement threshold U(f_i) + TOL_STRICT
+    agents = [(a.preference, fi, a.preference.utility(fi) + preferences.TOL_STRICT)
+              for a, fi in zip(econ.agents, f.acts)]
     out = np.zeros(len(Z), dtype=bool)
     for rows in _row_chunks(Z, _IMPROVEMENT_CHUNK_VALUES):
         chunk, hit = Z[rows], out[rows]
-        for pref, fi, base, screen in agents:
-            kept = screen(chunk)
-            candidates = chunk[kept]
-            if len(candidates):
-                cand = utility_extended(pref, (1.0 - eps) * (fi + candidates))
-                hit[kept] |= cand > base + preferences.TOL_STRICT
+        for pref, fi, level in agents:
+            hit |= utility_extended(pref, (1.0 - eps) * (fi + chunk)) > level
     return out
 
 
 # Rows per improvement chunk hold at most this many values (512 KiB of float64).
-# Every agent reads the chunk for its screen product and builds the perturbed
-# acts of its kept rows (two more arrays of at most the chunk's size), so the
-# chunk and its temporaries fit a 2 MiB L2 and the block is read from memory
-# once for all agents.
+# Every agent builds the perturbed acts of the chunk (two more arrays of its
+# size), so the chunk and its temporaries fit a 2 MiB L2 and the rows are read
+# from memory once for all agents; a block every row of which the screen keeps
+# (an agent without a finite supergradient) never takes more than that.
 _IMPROVEMENT_CHUNK_VALUES = 1 << 16
 # Relative slack of the improvement screen, and the largest |log x| over
 # positive finite doubles.
@@ -316,90 +295,61 @@ def improvement_screen(econ: EconomySpec, f: Allocation, eps: float, radius: flo
     at f: d x k orthonormal columns spanning every s_i, k = min(d, number of
     such agents), 0 when no agent has one.  ``keep(Y)`` takes the
     coordinates Y = z Q of draws from a law supported on the ball of the
-    given radius and flags the rows that some agent's screen (evaluated as
-    Y @ Q^T s_i, see :func:`_screen`) keeps; every row when an agent has no
-    finite supergradient.  A row it drops is one that
+    given radius r and flags the rows that some agent keeps, those with
+    (1-eps) Y . (Q^T s_i) > eps s_i.f_i - slack_i; every row when an agent
+    has no finite supergradient.  A row it drops is one that
     :func:`individual_improvement_event` cannot flag, so the pair can be
     handed to :func:`sampling.mc_probability` as its ``projection``.
+
+    A dropped row has U((1-eps)(f_i + z)) - U(f_i) <= (1-eps) s.z - eps s.f_i
+    <= -slack in exact arithmetic, so the slack must cover every rounding
+    between that and the computed utilities.  Q comes from Householder QR,
+    so Q^T Q = I and s lies in span(Q) up to a few d u (u = 2^-53),
+    relatively.  The dropped row is the completed draw z = Y Q^T + P of
+    :meth:`sampling.PerturbationLaw.sample_projected_block`, whose orthogonal
+    part P is projected off Q twice and has |P| <= r; every coordinate of z,
+    every |Y| and every sum_l |Y_l| |Q_jl| is at most r (up to rounding).
+    Each quantity involved is a sum of at most d terms, rounded within a few
+    (d + 4) u times the sum of its terms' magnitudes:
+
+    * U at f_i: |U(f_i)| for power CRRA (its terms share a sign), and at most
+      _LOG_RANGE for a log index (the index weights sum to 1);
+    * U at the perturbed act: relative to |U| for power CRRA, which cannot
+      lift a dropped row by more than the rounding of U(f_i); _LOG_RANGE for
+      a log index; ||s||_1 (||f_i||_inf + r) for a linear one;
+    * s.f_i, s itself and the perturbed act: ||s||_1 (||f_i||_inf + r);
+    * s.z against the computed Y . (Q^T s): the roundings of Q^T s, of the
+      k-term product and of z, and s.P, each within a few
+      (d + 4) u ||s||_1 r.
+
+    So the slack 1e-9 (|U(f_i)| + ||s||_1 (||f_i||_inf + r) + _LOG_RANGE)
+    dominates the sum on every row while 64 (d + 4) u < 1e-9, that is for d
+    below 10^5.  An infinite U(f_i) makes the threshold -inf or NaN, and
+    neither drops a row.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    grads = [(agent.preference, f.acts[i], preferences.supergradient(agent.preference, f.acts[i]))
-             for i, agent in enumerate(econ.agents)]
+    grads = [(a.preference, fi, preferences.supergradient(a.preference, fi))
+             for a, fi in zip(econ.agents, f.acts)]
     finite = [s for _, _, s in grads if s is not None]
     if finite:
         Q = np.linalg.qr(np.column_stack(finite))[0]
     else:
         Q = np.zeros((econ.dim, 0))
     every_row = len(finite) < len(grads)
-    screens = [] if every_row else [
-        _screen(pref, fi, s, float(pref.utility(fi)), eps, Q, radius) for pref, fi, s in grads]
+    # per agent: Q^T s and the level its screen compares (1-eps) Y . (Q^T s) with
+    screens = []
+    for pref, fi, s in ([] if every_row else grads):
+        size = abs(float(pref.utility(fi))) + float(s.sum()) * (float(np.abs(fi).max()) + radius)
+        screens.append((Q.T @ s, eps * float(s @ fi) - _SCREEN_SLACK * (size + _LOG_RANGE)))
 
     def keep(Y):
         out = np.full(len(Y), every_row)
-        for screen in screens:
-            out[screen(Y)] = True
+        for v, level in screens:
+            out |= ~((1.0 - eps) * (Y @ v) <= level)
         return out
 
     return Q, keep
-
-
-def _screen(pref, fi, s, base, eps, Q=None, radius=None):
-    """The agent's screen: Z -> indices of the rows of Z with (1-eps) s.z > eps s.f_i - slack.
-
-    The decider calls it once per chunk Z of its rows; the terms that do not
-    depend on Z are taken once.  Given a basis Q whose columns span s, the
-    screen takes a draw's coordinates Y = z Q in place of z and evaluates
-    s.z as Y . (Q^T s) (see the last paragraph).  A dropped row has
-    U((1-eps)(f_i + z)) - U(f_i) <= (1-eps) s.z - eps s.f_i <= -slack in
-    exact arithmetic, so the slack must cover every rounding between that
-    and the computed utilities.  Each quantity involved is a sum of at most d
-    terms, rounded within a few (d + 4) u (u = 2^-53) times the sum of its
-    terms' magnitudes:
-
-    * U at f_i: |U(f_i)| for power CRRA (its terms share a sign), and at most
-      _LOG_RANGE for a log index (the index weights sum to 1);
-    * U at the perturbed act: relative to |U| for power CRRA, which cannot
-      lift a dropped row by more than the rounding of U(f_i); _LOG_RANGE for
-      a log index; ||s||_1 (||f_i||_inf + max|z|) for a linear one;
-    * Z @ s, s.f_i, s itself and the perturbed act: ||s||_1 (||f_i||_inf +
-      max|z|).  Where the domain lies in the nonnegative orthant (every agent
-      but the risk-neutral and linear max-min ones), s >= 0 and z >= -f_i on
-      every row that could improve, so sum_k s_k |z_k| <= |s.z| + 2 s.f_i;
-      the |s.z| part only rescales s.z, which cannot carry a row across the
-      line, so max|z| is needed only where the domain is all of R^d.
-
-    So, with zmax = max|z| over the chunk where the domain is all of R^d and
-    0 elsewhere, the slack 1e-9 (|U(f_i)| + ||s||_1
-    (||f_i||_inf + zmax) + _LOG_RANGE) dominates the sum on every row of the
-    chunk while 64 (d + 4) u < 1e-9, that is for d below 10^5.  An infinite
-    U(f_i) makes the threshold -inf or NaN, and neither drops a row.
-
-    In Q coordinates (Q from Householder QR, so Q^T Q = I and s in span(Q)
-    up to a few d u, relatively) the dropped row is the completed draw
-    z = Y Q^T + P of :meth:`sampling.PerturbationLaw.sample_projected_block`,
-    whose orthogonal part P is projected off Q twice and has |P| <= r, the
-    law's radius; every coordinate of z, every |Y| and every
-    sum_l |Y_l| |Q_jl| is at most r (up to rounding).  Then s.z differs from
-    the computed Y . (Q^T s) by the roundings of Q^T s, of the k-term
-    product and of z, and by s.P, each within a few (d + 4) u ||s||_1 r.
-    These terms are bounded through |Y| <= r, not through s.z, so the
-    rescaling argument above does not apply, and the projected screen takes
-    zmax = r in every domain.  The bound above then covers them too.
-    """
-    whole_space = bool(pref.in_domain(-np.ones(len(fi))))
-    l1, fmax, level = float(s.sum()), float(np.abs(fi).max()), eps * float(s @ fi)
-    v = s if Q is None else Q.T @ s
-
-    def kept(Z):
-        if Q is not None:
-            zmax = radius
-        else:
-            zmax = float(max(Z.max(initial=0.0), -Z.min(initial=0.0))) if whole_space else 0.0
-        slack = _SCREEN_SLACK * (abs(base) + l1 * (fmax + zmax) + _LOG_RANGE)
-        return np.flatnonzero(~((1.0 - eps) * (Z @ v) <= level - slack))
-
-    return kept
 
 
 def _margins_on_frontier(M, logM, F_w, base, lam, q, eps):

@@ -163,6 +163,8 @@ class ExperimentConfig:
         sampling.SeedSpec(self.seed)  # refuse a seed outside [0, 2^64) before any cell runs
         if self.trials < 100:
             raise ValueError("trials must be >= 100")
+        if any(d < 1 for d in self.dims):
+            raise ValueError("dims must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -351,6 +353,14 @@ class RunResult:
     def csv_text(self) -> str:
         return rows_to_csv(self.columns, self.rows)
 
+    @property
+    def error_rows(self) -> int:
+        return sum(1 for r in self.rows if r.get("error"))
+
+    @property
+    def failed_checks(self) -> int:
+        return sum(1 for r in self.rows if r.get("passed") is False)
+
     def manifest_text(self) -> str:
         csv_bytes = self.csv_text.encode()
         lines = [
@@ -367,6 +377,8 @@ class RunResult:
             f"rows = {len(self.rows)}",
             f"results_sha256 = {hashlib.sha256(csv_bytes).hexdigest()}",
             "plotdata = " + ",".join(sorted(self.plotdata)),
+            f"error_rows = {self.error_rows}",
+            f"failed_checks = {self.failed_checks}",
             # wall time is informational; everything above is reproducible
             f"wall_time_s = {self.wall_time_s:.3f}",
         ]

@@ -225,7 +225,11 @@ class PerturbationLaw:
         return lambda u: np.sqrt(2.0 * gammaincinv(0.5 * d, u * mass))
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
-        """n draws of the law as one (n, dim) array, blockwise per the module contract."""
+        """n draws of the law as one (n, dim) array, blockwise per the module contract.
+
+        No runner draws through it; it stays as the reference stream that
+        tests build their perturbations from and compare the samplers against.
+        """
         seed = as_seed(seed)
         return _fill_rows(n, self.dim, lambda b, m: self.sample_block(b, m, seed))
 
@@ -354,6 +358,8 @@ def mc_probability(
     counts as a miss, so ``keep`` must name every row on which the event can
     hold.  The estimate is bit-identical for any ``threads`` value because
     block substreams are deterministic and their hit counts add exactly.
+    No runner calls it without ``projection``: that plain path stays as the
+    reference the projected estimates are tested against.
     """
     if n < 100:
         raise ValueError("n must be >= 100 for a meaningful estimate")

@@ -7,6 +7,7 @@ algebra, certainty-equivalent matching) before the implementations existed.
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ def test_individual_improvement_event_shapes_and_logic():
 
 
 def _oracle_improvement_event(econ, f, Z, eps):
-    """The decider without its half-space screen: every agent's utility on every row."""
+    """The decider in one pass: every agent's utility on every row, all rows at once."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     out = np.zeros(len(Z), dtype=bool)
     for i, agent in enumerate(econ.agents):
@@ -227,7 +228,7 @@ def _improvement_cases(draw):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_improvement_cases())
-def test_screened_improvement_event_matches_the_oracle(case):
+def test_improvement_event_matches_the_oracle(case):
     econ, f, eps, Z = case
     flags = economy.individual_improvement_event(econ, f, Z, eps)
     assert np.array_equal(flags, _oracle_improvement_event(econ, f, Z, eps))
@@ -294,6 +295,33 @@ def test_projected_screen_keeps_every_row_without_a_finite_supergradient():
     assert Q.shape == (d, 1)
     Y = np.random.default_rng(0).uniform(-1, 1, (50, 1))
     assert keep(Y).all()
+
+
+def test_only_the_screen_takes_supergradients(monkeypatch):
+    # thm1 takes each agent's supergradient once per cell, in improvement_screen,
+    # however many blocks the cell draws; the decider takes none
+    supergradient, calls = preferences.supergradient, []
+
+    def counted(pref, f):
+        calls.append(pref)
+        return supergradient(pref, f)
+
+    monkeypatch.setattr(preferences, "supergradient", counted)
+    cfg = replace(experiments.default_config("thm1"), trials=2 * sampling.BLOCK_DRAWS + 100,
+                  dims=(2, 32), threads=1)
+    rows = experiments.run_experiment(cfg).rows
+    assert [r["error"] for r in rows] == [None, None] and all(r["hits"] for r in rows)
+    assert len(calls) == experiments.build_economy(cfg, 2).n_agents * len(cfg.dims)
+
+    def refused(pref, f):
+        raise AssertionError("the decider takes no supergradient")
+
+    monkeypatch.setattr(preferences, "supergradient", refused)
+    for econ, f, eps in (_thm1_default_economy(32), _thm1_maxmin_economy(32)):
+        Z = sampling.PerturbationLaw("uniform-ball", 32, 1.0).sample(4_000, SEED)
+        flags = economy.individual_improvement_event(econ, f, Z, eps)
+        assert flags.any()
+        assert np.array_equal(flags, _oracle_improvement_event(econ, f, Z, eps))
 
 
 @pytest.mark.parametrize("d", [4, 32])
@@ -500,11 +528,11 @@ def _by_slices(decide, X, cuts):
 def _chunked_improvement_cases(draw, size):
     """A linear max-min agent and one or two others, and a batch of the given size.
 
-    The max-min agent's domain is all of R^d, so its screen takes max|z| per
-    chunk; the rows' lengths vary over two orders of magnitude, so that
-    maximum differs between chunks.  Up to 30 rows per agent with a
-    supergradient are moved onto its half-space boundary, and 1e-12 to
-    either side of it.
+    The max-min agent's domain is all of R^d, so its utility reads rows of
+    any sign; the rows' lengths vary over two orders of magnitude.  Up to 30
+    rows per agent with a supergradient are moved onto its half-space
+    boundary, and 1e-12 to either side of it: the rows :func:`improvement_screen`
+    comes closest to dropping.
     """
     d = draw(st.integers(2, 64))
     n = _batch_rows(size, economy._IMPROVEMENT_CHUNK_VALUES, d)
@@ -605,8 +633,8 @@ def test_frontier_holds_a_few_chunks_of_values_at_a_time():
 
 
 def test_improvement_event_holds_a_few_chunks_of_values_at_a_time():
-    # at eps = 0 each agent's screen keeps about half of the rows, so perturbed
-    # acts built for a whole block would take as many bytes as the block
+    # the decider evaluates every row it is given, so perturbed acts built for
+    # a whole block would take at least as many bytes as the block
     d, m = 512, 4096
     agents = tuple(economy.Agent(CRRASEU(np.full(d, 1.0 / d)), np.ones(d)) for _ in range(3))
     econ = economy.EconomySpec(agents)

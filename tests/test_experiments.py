@@ -195,6 +195,8 @@ def test_comments_and_blank_lines_are_ignored():
     ("experiment = thm2\nseed = 1\ncondition_positive_price = maybe\n",
      "expected a boolean"),
     ("experiment = thm1\nseed = 1\ntrials = 50\n", "trials must be >= 100"),
+    ("experiment = cru\nseed = 1\ndims = 0\n", "dims must be >= 1"),
+    ("experiment = thm1\nseed = 1\ndims = 2,-1\n", "dims must be >= 1"),
     ("experiment = thm2\nseed = 1\nmax_dim = 64\n", "unknown key 'max_dim'"),
 ])
 def test_config_errors(text, match):
@@ -233,6 +235,14 @@ def test_bad_agent_values_are_refused_at_parse_time(block, key, tmp_path):
     (tmp_path / "bad.txt").write_text(text)
     rc = cli.main(["thm1", "--config", str(tmp_path / "bad.txt"), "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_dims_below_one_are_refused_at_parse_time(tmp_path, capsys):
+    # a zero-state cell used to reach the cru runner and die on a ZeroDivisionError
+    rc = cli.main(["cru", "--dims", "0", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: dims must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -315,7 +325,14 @@ def test_manifest_hashes_and_layout(tmp_path):
     assert man["python"] == platform.python_version()
     assert (man["numpy"], man["threads"]) == (np.__version__, str(cfg.threads))
     assert man["scipy"] == scipy.__version__
+    assert (man["error_rows"], man["failed_checks"]) == ("0", "0")
+    assert res.manifest_text().splitlines()[-3:-1] == ["error_rows = 0", "failed_checks = 0"]
     assert res.manifest_text().splitlines()[-1].startswith("wall_time_s = ")
+    # an error row and a failed check are each counted
+    flawed = replace(res, rows=[{**res.rows[0], "error": "boom"}, {"passed": False}])
+    assert (flawed.error_rows, flawed.failed_checks) == (1, 1)
+    man = _manifest_dict(flawed.manifest_text())
+    assert (man["error_rows"], man["failed_checks"]) == ("1", "1")
 
     out = res.write(tmp_path / "run")
     assert (out / "results.csv").read_text() == res.csv_text
