@@ -23,9 +23,14 @@ prefer; the decider evaluates every agent's utility on every row it is given.
 
 Aggregate membership is decided on the utility-possibility frontier of a
 two-agent economy with common CRRA curvature: the frontier is a one-parameter
-family and the max-min margin is found by a safeguarded Newton iteration on
-the logit of the planner weight (exact up to float tolerance), with the
-decision rule "member iff margin > 1e-9".  Other economies are refused.
+family of planner weights lam, along which agent 1's margin m1 rises and
+agent 2's margin m2 falls, and the rule is "member iff the max-min margin
+exceeds 1e-9, indeterminate iff its size is at most 1e-9".  The max-min
+margin lies between min(m1, m2) and max(m1, m2) at any one weight, so
+:func:`scitovsky_members` first settles every row that one evaluation at
+lam = 1/2 decides; only the rows it leaves open go to the exact margin, a
+safeguarded Newton iteration on the logit of the planner weight (exact up to
+float tolerance).  Other economies are refused.
 """
 
 from __future__ import annotations
@@ -355,8 +360,9 @@ def improvement_screen(econ: EconomySpec, f: Allocation, eps: float, radius: flo
 def _margins_on_frontier(M, logM, F_w, base, lam, q, eps):
     """Margins (u_i((1-eps) g_i(lam)) - u_i(f_i)) on the 2-agent CRRA frontier.
 
-    lam is an (n,) array of planner weights; F_w an (n, d) array of candidate
-    aggregates.  The frontier share of agent 1 in state s is
+    lam is an (n,) array of planner weights, or a (1,) array of one weight
+    for every row; F_w an (n, d) array of candidate aggregates.  The
+    frontier share of agent 1 in state s is
     expit(q [logit(lam) + log mu_1s - log mu_2s]), which keeps the algebra
     stable for extreme weights and curvatures.  The third value is
     d(m1 - m2)/dx at x = logit(lam): the share s has ds/dx = q s (1 - s), so
@@ -493,6 +499,49 @@ def _chunk_margins(M, logM, W, base, q, eps):
     return np.where(bad, -np.inf, margins)
 
 
+def scitovsky_members(econ: EconomySpec, f: Allocation, W: np.ndarray, eps: float):
+    """``(member, indeterminate)``: boolean flags per candidate aggregate row of W.
+
+    A row is a member when its max-min margin (:func:`scitovsky_margins_batch`)
+    exceeds MEMBER_TOL and indeterminate when the margin's size is at most
+    MEMBER_TOL.  Along the frontier agent 1's margin m1 rises in lam and
+    agent 2's margin m2 falls, so min(m1, m2) at any weight lam' >= lam is at
+    most m2(lam), and at any lam' <= lam at most m1(lam): at every weight lam
+    of the solver's bracket, min(m1, m2) <= max-min margin <= max(m1, m2).
+    One evaluation at lam = 1/2 per chunk of at most _FRONTIER_CHUNK_VALUES
+    values therefore settles a row as a member when its lower end exceeds
+    MEMBER_TOL, and as a miss when its upper end is below -MEMBER_TOL or it
+    has a negative entry (no nonnegative split exists); neither is
+    indeterminate.  The rows left open, including those whose ends are nan
+    (an infinite base utility), get their exact margins from one call of
+    :func:`scitovsky_margins_batch`.
+    """
+    q = _common_crra_exponent(econ.preferences)
+    if q is None or econ.n_agents != 2:
+        raise ValueError("batch margins need the 2-agent common-curvature closed form")
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    M = np.array([a.preference.prior for a in econ.agents])
+    logM = np.log(M)
+    base = np.array([utility_extended(a.preference, fi) for a, fi in zip(econ.agents, f.acts)])
+    # one weight for every row: the frontier shares broadcast over the chunk
+    half = np.array([0.5])
+    member = np.zeros(len(W), dtype=bool)
+    settled = np.zeros(len(W), dtype=bool)
+    for rows in _row_chunks(W, _FRONTIER_CHUNK_VALUES):
+        chunk = W[rows]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m1, m2, _ = _margins_on_frontier(M, logM, chunk, base, half, q, eps)
+        bad = np.any(chunk < 0, axis=1)
+        member[rows] = ~bad & (np.minimum(m1, m2) > MEMBER_TOL)
+        settled[rows] = member[rows] | bad | (np.maximum(m1, m2) < -MEMBER_TOL)
+    open_rows = np.flatnonzero(~settled)
+    margins = scitovsky_margins_batch(econ, f, W[open_rows], eps)
+    member[open_rows] = margins > MEMBER_TOL
+    indeterminate = np.zeros(len(W), dtype=bool)
+    indeterminate[open_rows] = np.abs(margins) <= MEMBER_TOL
+    return member, indeterminate
+
+
 def scitovsky_member_grid(econ: EconomySpec, f: Allocation, w: np.ndarray, eps: float) -> bool:
     """Brute-force membership for 2-agent, 2-state economies on a grid of splits."""
     if econ.n_agents != 2 or econ.dim != 2:
@@ -519,9 +568,10 @@ def cru(econ: EconomySpec, f: Allocation) -> float:
     """Coefficient of resource utilization: smallest beta with beta*1 still improving f.
 
     Requires aggregate endowment exactly 1 in every state, and the two-agent
-    common-curvature economy that :func:`scitovsky_margins_batch` decides
-    (other economies raise its ValueError at the first membership test).
-    Bisection on the membership threshold along the symmetric ray;
+    common-curvature economy that :func:`scitovsky_members` decides (other
+    economies raise its ValueError at the first membership test).  Bisection
+    on that decider's member flag along the symmetric ray, so a scaling the
+    one frontier evaluation at lam = 1/2 settles takes no Newton solve;
     Pareto-optimal allocations return exactly 1.0.  Allocations dominated by
     arbitrarily small aggregate scalings are degenerate and raise an error.
     """
@@ -530,7 +580,7 @@ def cru(econ: EconomySpec, f: Allocation) -> float:
     ones = np.ones(econ.dim)
 
     def member(beta: float) -> bool:
-        return scitovsky_margins_batch(econ, f, (beta * ones)[None, :], 0.0)[0] > MEMBER_TOL
+        return scitovsky_members(econ, f, (beta * ones)[None, :], 0.0)[0][0]
 
     if not member(1.0):
         return 1.0

@@ -521,10 +521,8 @@ def _membership_counts(econ, f, law, eps, n, seed_spec, threads, price=None):
         acc = len(Z)
         if acc == 0:
             return 0, 0, 0
-        margins = economy.scitovsky_margins_batch(econ, f, w[None, :] + Z, eps)
-        hits = int(np.count_nonzero(margins > economy.MEMBER_TOL))
-        indet = int(np.count_nonzero(np.abs(margins) <= economy.MEMBER_TOL))
-        return acc, hits, indet
+        member, indet = economy.scitovsky_members(econ, f, w[None, :] + Z, eps)
+        return acc, int(np.count_nonzero(member)), int(np.count_nonzero(indet))
 
     acc, hits, indet = (sum(col) for col in zip(*sampling.map_blocks(work, n, threads)))
     if indet > 0.01 * n:

@@ -11,7 +11,9 @@ computes its volumes exactly, so the simplex sampler's spans come from the
 ``economy`` checks, and no run reaches ``geometry.contains``: its hook is only
 checked to be installed and restored.  The two event deciders work through
 a block in chunks inside one call, and a traced ``thm1`` and ``thm2`` check
-that the benchmark still sees one decider span per sampled block.
+that the benchmark still sees one decider span per sampled block.  ``thm2``'s
+membership decider settles most rows itself and hands the exact margins only
+the rows it leaves open, so the margins span of a block carries those rows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from risklab import experiments, geometry, sampling
+from risklab import economy, experiments, geometry, sampling
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -99,6 +101,20 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
         return Y, Z
 
     monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", recorded)
+    # thm2: the rows each membership call is given, and those it leaves open
+    decided, left_open = [], []
+    members, margins = economy.scitovsky_members, economy.scitovsky_margins_batch
+
+    def recorded_members(econ, f, W, eps):
+        decided.append(len(W))
+        return members(econ, f, W, eps)
+
+    def recorded_margins(econ, f, W, eps):
+        left_open.append(len(W))
+        return margins(econ, f, W, eps)
+
+    monkeypatch.setattr(economy, "scitovsky_members", recorded_members)
+    monkeypatch.setattr(economy, "scitovsky_margins_batch", recorded_margins)
     trials = 2 * sampling.BLOCK_DRAWS + 100
     cfg = replace(experiments.default_config(experiment), trials=trials, dims=(2, 32),
                   law_kind=law, threads=threads)
@@ -111,14 +127,18 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
     decisions = [span for span in tracer.spans if span[1] == decider]
     assert len(decisions) == math.ceil(trials / sampling.BLOCK_DRAWS) * len(cfg.dims) * len(
         cfg.eps_list)
-    # each decider span carries its block's rows: for thm2 the rg sampler's
-    # values / dimension; thm1 hands the decider only the rows its projected
-    # screen keeps, and its projected draws have no sampler span
+    # each decider span carries the rows it decides: thm1 hands the decider
+    # only the rows its projected screen keeps, and its projected draws have
+    # no sampler span; thm2's membership decider takes each block whole (the
+    # rg sampler's values / dimension) and its margins span gets the open rows
     if experiment == "thm1":
         rows = kept
         assert 0 < sum(kept) < trials * len(cfg.dims)
         assert not [span for span in tracer.spans if span[1] == "sampling.ball"]
     else:
-        rows = [span[7] // span[8] for span in tracer.spans if span[1] == "sampling.rg"]
+        sampled = [span[7] // span[8] for span in tracer.spans if span[1] == "sampling.rg"]
         assert kept == []
+        assert sorted(decided) == sorted(sampled)
+        rows = left_open
+        assert 0 < sum(left_open) < sum(sampled)
     assert sorted(span[7] for span in decisions) == sorted(rows)

@@ -486,6 +486,52 @@ def test_scitovsky_newton_matches_reference_bisection(gamma, d):
     assert low_seen and high_seen
 
 
+def _reference_frontier_cases(gamma, d):
+    """The economy and rows of :func:`test_scitovsky_newton_matches_reference_bisection`."""
+    gen = np.random.default_rng(d)
+    mu1, mu2 = gen.dirichlet(np.full(d, 0.5)), gen.dirichlet(np.full(d, 0.5))
+    econ = economy.EconomySpec(
+        (economy.Agent(CRRASEU(mu1, gamma), np.full(d, 0.5)),
+         economy.Agent(CRRASEU(mu2, gamma), np.full(d, 0.5))),
+        no_aggregate_uncertainty=True,
+    )
+    ones = np.ones(d)
+    tilt = (mu1 - mu2) / np.abs(mu1 - mu2).max()
+    extremes = [np.exp(k * tilt) for k in (-600, -300, -100, 100, 300, 600)]
+    extremes += [1e-30 * ones, 1e30 * ones, np.zeros(d), np.where(np.arange(d) == 0, 0.0, 1.0)]
+    extremes += [np.where(np.arange(d) == d - 1, -0.1, 1.0), -ones]
+    Z = sampling.PerturbationLaw("uniform-ball", d, 0.8).sample(400, SEED)
+    return econ, np.vstack([ones + Z, *extremes])
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5])
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_scitovsky_members_match_the_exact_margin_classes(gamma, d, monkeypatch):
+    econ, W = _reference_frontier_cases(gamma, d)
+    allocations = [economy.planner_allocation(econ, np.array(weights))[0]
+                   for weights in ((0.8, 0.2), (0.2, 0.8))]
+    # agent 1 holds nothing in state 0: under gamma >= 1 its base utility is
+    # -inf, and a row with a zero entry has a nan margin at every weight
+    hold = np.where(np.arange(d) == 0, 0.0, 0.5)
+    allocations.append(economy.Allocation(np.array([hold, 1.0 - hold])))
+    open_rows = []
+    exact_margins = economy.scitovsky_margins_batch
+
+    def recorded(econ, f, W, eps):
+        open_rows.append(len(W))
+        return exact_margins(econ, f, W, eps)
+
+    monkeypatch.setattr(economy, "scitovsky_margins_batch", recorded)
+    for f in allocations:
+        for eps in (0.0, 0.05, 0.2):
+            exact = exact_margins(econ, f, W, eps)
+            member, indeterminate = economy.scitovsky_members(econ, f, W, eps)
+            assert np.array_equal(member, exact > economy.MEMBER_TOL)
+            assert np.array_equal(indeterminate, np.abs(exact) <= economy.MEMBER_TOL)
+    # every call settles some rows, and some rows are left open
+    assert 0 < sum(open_rows) and max(open_rows) < len(W)
+
+
 def test_scitovsky_wasteful_allocation_is_dominated():
     # each agent holds the act the *other* one values: undoing the swap helps both
     econ = economy.EconomySpec(
@@ -609,6 +655,26 @@ def test_frontier_margins_do_not_depend_on_the_chunks(size, data):
     far = np.abs(np.abs(margins) - tol) > 1e-12
     assert np.array_equal((margins > tol)[far], (sliced > tol)[far])
     assert np.array_equal((np.abs(margins) <= tol)[far], (np.abs(sliced) <= tol)[far])
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_exact_margin_lies_between_the_half_weight_margins(data):
+    # the bracket scitovsky_members settles rows on: at lam = 1/2,
+    # min(m1, m2) <= max-min margin <= max(m1, m2)
+    econ, f, eps, W, _ = data.draw(_chunked_frontier_cases((1, 1)))
+    W = W[np.all(W >= 0, axis=1)]
+    exact = economy.scitovsky_margins_batch(econ, f, W, eps)
+    M = np.array([a.preference.prior for a in econ.agents])
+    base = np.array([a.preference.utility(fi) for a, fi in zip(econ.agents, f.acts)])
+    q = economy._common_crra_exponent(econ.preferences)
+    m1, m2, _ = economy._margins_on_frontier(M, np.log(M), W, base, np.full(len(W), 0.5), q,
+                                              eps)
+    assert np.all(np.isfinite(exact))
+    # 1e-12, relative where the margin exceeds 1
+    tol = 1e-12 * np.maximum(1.0, np.abs(exact))
+    assert np.all(np.minimum(m1, m2) <= exact + tol)
+    assert np.all(exact <= np.maximum(m1, m2) + tol)
 
 
 def test_frontier_holds_a_few_chunks_of_values_at_a_time():

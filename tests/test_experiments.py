@@ -665,6 +665,8 @@ agent.prior = cap:le:0:0.6
 agent.bernoulli = log
 """
 PINNED_THM1_MAXMIN = "6efd5fd0bba0dbdb9c256b29dcb1212b91bef8402be3869a4ec620f449c8a8a1"
+# default thm2 under the restricted-Gaussian law, the benchmark's thm2-rg at its default seed
+PINNED_THM2_RG = "b708e948faf5c290543f24c1828e4ce45c7731bb6390a53e94a3905ea9135f59"
 
 
 @functools.cache
@@ -701,6 +703,11 @@ def test_thm1_crra_planner_results_bytes_are_pinned():
 def test_thm1_maxmin_results_bytes_are_pinned():
     cfg = experiments.parse_config_text(THM1_MAXMIN_TEXT)
     assert _results_sha256(cfg) == PINNED_THM1_MAXMIN, _pin_message("thm1 maxmin")
+
+
+def test_thm2_restricted_gaussian_results_bytes_are_pinned():
+    cfg = replace(experiments.default_config("thm2"), law_kind="restricted-gaussian")
+    assert _results_sha256(cfg) == PINNED_THM2_RG, _pin_message("thm2 restricted-gaussian")
 
 
 def test_cobb_douglas_agents_are_crra_agents_at_unit_gamma():
