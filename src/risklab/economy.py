@@ -21,16 +21,25 @@ dimensions, so :func:`improvement_screen` decides from a draw's k
 coordinates in an orthonormal basis of that span which draws some agent may
 prefer; the decider evaluates every agent's utility on every row it is given.
 
+Aggregate membership is screened the same way.  At a Pareto-optimal interior
+allocation the agents' supergradients are parallel, s_i = alpha_i u with
+|u| = 1, and summing the concavity bounds over any split of w + z shows that
+a draw with (1-eps) u.z below eps u.w - 1e-9 sum_i 1/alpha_i (widened by a
+rounding slack) is neither a member nor indeterminate:
+:func:`contour_screen` decides that from a draw's one coordinate along u,
+and keeps every row when the supergradients are not parallel.
+
 Aggregate membership is decided on the utility-possibility frontier of a
 two-agent economy with common CRRA curvature: the frontier is a one-parameter
 family of planner weights lam, along which agent 1's margin m1 rises and
 agent 2's margin m2 falls, and the rule is "member iff the max-min margin
-exceeds 1e-9, indeterminate iff its size is at most 1e-9".  The max-min
-margin lies between min(m1, m2) and max(m1, m2) at any one weight, so
-:func:`scitovsky_members` first settles every row that one evaluation at
-lam = 1/2 decides; only the rows it leaves open go to the exact margin, a
-safeguarded Newton iteration on the logit of the planner weight (exact up to
-float tolerance).  Other economies are refused.
+exceeds 1e-9, indeterminate iff its size is at most 1e-9".  At lam = 1/2 the
+max-min margin is at least min(m1, m2), and at most (m1 + m2)/2, the largest
+average margin over all splits, so :func:`scitovsky_members` first settles
+every row that one evaluation at lam = 1/2 decides; only the rows it leaves
+open go to the exact margin, a safeguarded Newton iteration on the logit of
+the planner weight (exact up to float tolerance).  Other economies are
+refused.
 """
 
 from __future__ import annotations
@@ -357,6 +366,91 @@ def improvement_screen(econ: EconomySpec, f: Allocation, eps: float, radius: flo
     return Q, keep
 
 
+# Largest relative part of an agent's supergradient off the contour normal u
+# for which :func:`contour_screen` still screens.  The level carries the
+# residual's effect exactly, so any value keeps the screen valid; beyond this
+# one the allocation is not Pareto optimal and the screen would drop little.
+_PARALLEL_TOL = 1e-6
+
+
+def contour_screen(econ: EconomySpec, f: Allocation, eps: float, radius: float):
+    """``(Q, keep)``: the aggregate-membership screen, along the contour normal u.
+
+    With every agent's finite supergradient s_i at f parallel (within
+    _PARALLEL_TOL relatively, with positive alpha_i = s_i.u), Q is the
+    d x 1 column u = s_1/|s_1|, and ``keep(Y)`` takes the coordinates
+    Y = z Q of draws from a law supported on the ball of the given radius r
+    and flags the rows with (1-eps) Y >= level, where
+    level = u.(sum_i f_i) - (1-eps) u.w - sum_i (MEMBER_TOL + |e_i| R_i)/alpha_i - slack,
+    w the aggregate endowment, e_i = s_i - alpha_i u the computed residual and
+    R_i = |w| + r + |f_i|.  Otherwise (an agent outside its domain or without
+    a finite supergradient, or non-parallel supergradients) Q is d x 0 and
+    every row is kept.  A row it drops is one that :func:`scitovsky_members`
+    calls neither member nor indeterminate, so the pair can be handed to
+    :meth:`sampling.PerturbationLaw.sample_projected_block`.
+
+    The decider calls a row W = w + z member or indeterminate only when its
+    computed margins at some computed split g of W (the frontier shares
+    g_1 = W * share and g_2 = W - g_1, nonnegative, whose sum is W up to
+    rounding) are both >= -MEMBER_TOL; a row with a negative entry is a
+    miss.  In exact arithmetic concavity gives, at x_i = (1-eps) g_i - f_i,
+    -MEMBER_TOL <= m_i <= s_i.x_i = alpha_i u.x_i + e_i.x_i, and
+    |e_i.x_i| <= |e_i| R_i since |g_i| <= |W| <= |w| + r; dividing by alpha_i
+    and summing over the agents gives (1-eps) u.z >= level + slack.  So the
+    residual of the computed s_i off u, rounding or an allocation only near
+    Pareto optimality, enters the level as computed, and the slack must cover
+    every rounding between that bound and the computed decision.  Each
+    quantity involved is a sum of at most d terms, rounded within a few
+    (d + 4) eta (eta = 2^-53) times the sum of its terms' magnitudes; the
+    first two are per agent and are divided by alpha_i as the bound is:
+
+    * the computed margin m_i against the exact one at the computed split:
+      |U_i(f_i)| and at most _LOG_RANGE, as in :func:`improvement_screen`
+      (a power CRRA utility far from U_i(f_i) cannot be lifted to the
+      threshold by more than the rounding of U_i(f_i));
+    * s_i.x_i at the rounded (1-eps) g_i, s_i.f_i and s_i itself:
+      ||s_i||_1 (||f_i||_inf + ||w||_inf + r);
+    * u.(g_1 + g_2) against u.w + u.z, the rounding of W = w + z included:
+      ||w||_1 + r;
+    * the computed Y against u.z: the draw is completed as
+      z = Y Q^T + P with P projected off Q twice and |P| <= r, so
+      |Y - u.z| is a few (d + 4) eta r.
+
+    So the slack
+    1e-9 (sum_i (|U_i(f_i)| + _LOG_RANGE + ||s_i||_1 (||f_i||_inf + ||w||_inf + r))/alpha_i
+    + ||w||_1 + r) dominates the sum on every row while 64 (d + 4) eta < 1e-9,
+    that is for d below 10^5.
+    """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
+    w = econ.aggregate
+    grads = [preferences.supergradient(a.preference, fi) if a.preference.in_domain(fi) else None
+             for a, fi in zip(econ.agents, f.acts)]
+    norms = [0.0 if s is None else float(np.linalg.norm(s)) for s in grads]
+    level = None
+    if min(norms) > 0.0:
+        u = grads[0] / norms[0]
+        alphas = [float(s @ u) for s in grads]
+        resid = [float(np.linalg.norm(s - a * u)) for s, a in zip(grads, alphas)]
+        if all(res <= _PARALLEL_TOL * n for res, n in zip(resid, norms)):
+            w_inf, w_norm = float(np.abs(w).max()), float(np.linalg.norm(w))
+            slack = float(np.abs(w).sum()) + radius
+            level = float(u @ f.acts.sum(axis=0)) - (1.0 - eps) * float(u @ w)
+            for a, fi, s, alpha, res in zip(econ.agents, f.acts, grads, alphas, resid):
+                size = abs(float(a.preference.utility(fi))) + _LOG_RANGE + float(
+                    np.abs(s).sum()) * (float(np.abs(fi).max()) + w_inf + radius)
+                slack += size / alpha
+                level -= (MEMBER_TOL + res * (w_norm + radius + float(np.linalg.norm(fi)))) / alpha
+            level -= _SCREEN_SLACK * slack
+    if level is None:
+        return np.zeros((econ.dim, 0)), lambda Y: np.ones(len(Y), dtype=bool)
+
+    def keep(Y):
+        return ~((1.0 - eps) * Y[:, 0] < level)
+
+    return u[:, None], keep
+
+
 def _margins_on_frontier(M, logM, F_w, base, lam, q, eps):
     """Margins (u_i((1-eps) g_i(lam)) - u_i(f_i)) on the 2-agent CRRA frontier.
 
@@ -504,16 +598,16 @@ def scitovsky_members(econ: EconomySpec, f: Allocation, W: np.ndarray, eps: floa
 
     A row is a member when its max-min margin (:func:`scitovsky_margins_batch`)
     exceeds MEMBER_TOL and indeterminate when the margin's size is at most
-    MEMBER_TOL.  Along the frontier agent 1's margin m1 rises in lam and
-    agent 2's margin m2 falls, so min(m1, m2) at any weight lam' >= lam is at
-    most m2(lam), and at any lam' <= lam at most m1(lam): at every weight lam
-    of the solver's bracket, min(m1, m2) <= max-min margin <= max(m1, m2).
-    One evaluation at lam = 1/2 per chunk of at most _FRONTIER_CHUNK_VALUES
-    values therefore settles a row as a member when its lower end exceeds
-    MEMBER_TOL, and as a miss when its upper end is below -MEMBER_TOL or it
-    has a negative entry (no nonnegative split exists); neither is
-    indeterminate.  The rows left open, including those whose ends are nan
-    (an infinite base utility), get their exact margins from one call of
+    MEMBER_TOL.  At lam = 1/2 the frontier split is the planner split that
+    maximizes U_1 + U_2, so (m1 + m2)/2 there is the largest average margin
+    over all splits of the row, and no split's smaller margin exceeds it:
+    min(m1, m2) <= max-min margin <= (m1 + m2)/2.  One evaluation at
+    lam = 1/2 per chunk of at most _FRONTIER_CHUNK_VALUES values therefore
+    settles a row as a member when its lower end exceeds MEMBER_TOL, and as
+    a miss when its upper end is below -MEMBER_TOL or it has a negative
+    entry (no nonnegative split exists); neither is indeterminate.  The rows
+    left open, including those whose ends are nan (an infinite base
+    utility), get their exact margins from one call of
     :func:`scitovsky_margins_batch`.
     """
     q = _common_crra_exponent(econ.preferences)
@@ -533,7 +627,7 @@ def scitovsky_members(econ: EconomySpec, f: Allocation, W: np.ndarray, eps: floa
             m1, m2, _ = _margins_on_frontier(M, logM, chunk, base, half, q, eps)
         bad = np.any(chunk < 0, axis=1)
         member[rows] = ~bad & (np.minimum(m1, m2) > MEMBER_TOL)
-        settled[rows] = member[rows] | bad | (np.maximum(m1, m2) < -MEMBER_TOL)
+        settled[rows] = member[rows] | bad | (0.5 * (m1 + m2) < -MEMBER_TOL)
     open_rows = np.flatnonzero(~settled)
     margins = scitovsky_margins_batch(econ, f, W[open_rows], eps)
     member[open_rows] = margins > MEMBER_TOL

@@ -504,23 +504,35 @@ def run_thm1(config: ExperimentConfig):
     return rows, _series(rows, "thm1", ("p_hat", "ci_high", "bound"))
 
 
-def _membership_counts(econ, f, law, eps, n, seed_spec, threads, price=None):
+def _membership_counts(econ, f, law, eps, n, seed_spec, threads, conditioned=False):
     """Blockwise aggregate membership: the estimate over accepted draws, and indeterminates.
 
-    When a price is given, only draws with p . z > 0 are counted (rejection
-    conditioning), so the estimate's trials are the accepted draws.  More
-    than 1% boundary-indeterminate draws raise ConvergenceError, and a
-    conditioning that rejects every draw raises ValueError.
+    Every block is drawn by :meth:`sampling.PerturbationLaw.sample_projected_block`
+    with :func:`economy.contour_screen`: only the draws in the contour cap are
+    completed, and one :func:`economy.scitovsky_members` call per block (an
+    empty one too) decides them; every other draw is a miss.  When
+    ``conditioned``, only draws with Y = u . z > 0 are counted (rejection
+    conditioning on the positive-price half-space: at the Pareto-optimal
+    interior allocations that have a supporting price, u is that price's
+    direction), so the estimate's trials are the accepted draws and the
+    rejected ones are never completed; conditioning at an allocation whose
+    supergradients are not parallel raises ValueError.  More than 1%
+    boundary-indeterminate draws raise ConvergenceError, and a conditioning
+    that rejects every draw raises ValueError.
     """
     w = econ.aggregate
+    Q, keep = economy.contour_screen(econ, f, eps, law.radius)
+    if conditioned:
+        if not Q.shape[1]:
+            raise ValueError("conditioning needs parallel supergradients at the allocation")
+        screen = keep
+
+        def keep(Y):
+            return screen(Y) & (Y[:, 0] > 0.0)
 
     def work(b, m):
-        Z = law.sample_block(b, m, seed_spec)
-        if price is not None:
-            Z = Z[Z @ price > 0.0]
-        acc = len(Z)
-        if acc == 0:
-            return 0, 0, 0
+        Y, Z = law.sample_projected_block(b, m, seed_spec, Q, keep)
+        acc = int(np.count_nonzero(Y[:, 0] > 0.0)) if conditioned else m
         member, indet = economy.scitovsky_members(econ, f, w[None, :] + Z, eps)
         return acc, int(np.count_nonzero(member)), int(np.count_nonzero(indet))
 
@@ -544,9 +556,7 @@ def run_thm2(config: ExperimentConfig):
         if conditioned and price is None:
             raise ValueError("conditioning needs an allocation with a supporting price")
         est, indet = _membership_counts(
-            econ, f, law, eps, config.trials, seed, config.threads,
-            price if conditioned else None,
-        )
+            econ, f, law, eps, config.trials, seed, config.threads, conditioned)
         bound = bounds.bound_thm2(eps, config.radius, law.dim, law.kappa)
         if conditioned:
             bound *= 2.0

@@ -15,8 +15,11 @@ associative.
 
 A block has one of two layouts, and each is drawn in a fixed order from the
 block's generator.  :meth:`PerturbationLaw.sample_block` draws an (m, d)
-array of normals, then m radius uniforms.
-:meth:`PerturbationLaw.sample_projected_block` draws a draw's coordinates in
+array of normals, then m radius uniforms; no runner draws through it: it
+stays as the reference stream that tests compare the projected one against,
+and as the benchmark tracer's sampler hook.
+:meth:`PerturbationLaw.sample_projected_block`, which every runner draws
+through, draws a draw's coordinates in
 the orthonormal columns of a d x k matrix Q first: an (m, k) array of
 normals, then m chi-square variates with d - k degrees of freedom (skipped
 when k = d), then m radius uniforms.  Only the rows its ``keep`` names are
@@ -234,7 +237,11 @@ class PerturbationLaw:
         return _fill_rows(n, self.dim, lambda b, m: self.sample_block(b, m, seed))
 
     def sample_block(self, block: int, m: int, seed: SeedSpec | int) -> np.ndarray:
-        """Block ``block`` of the law's stream: m normal rows, then m uniforms."""
+        """Block ``block`` of the law's stream: m normal rows, then m uniforms.
+
+        The reference layout behind :meth:`sample` and the plain
+        :func:`mc_probability`; no runner reaches it.
+        """
         quantile = self._radius_quantile()
         gen = generator_for_block(seed, block)
         z = gen.standard_normal((m, self.dim))

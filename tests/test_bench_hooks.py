@@ -5,15 +5,17 @@ arguments by position, so a refactor that renames or reorders them would
 silently blind the benchmark's per-layer numbers.  This test installs the
 tracer, runs a small threaded ``thm1``, a small ``thm2``, a small ``prop3``
 and the ``economy`` checks, and checks the spans of the benchmark's hot
-layers.  ``thm1`` draws its blocks through the projected sampler, which has
-no hook, so the uniform-ball sampler's spans come from ``thm2``.  ``prop3``
-computes its volumes exactly, so the simplex sampler's spans come from the
-``economy`` checks, and no run reaches ``geometry.contains``: its hook is only
-checked to be installed and restored.  The two event deciders work through
-a block in chunks inside one call, and a traced ``thm1`` and ``thm2`` check
-that the benchmark still sees one decider span per sampled block.  ``thm2``'s
-membership decider settles most rows itself and hands the exact margins only
-the rows it leaves open, so the margins span of a block carries those rows.
+layers.  Every runner draws its blocks through the projected sampler, which
+has no hook, so the uniform-ball sampler's spans come from a plain
+``mc_probability`` call.  ``prop3`` computes its volumes exactly, so the
+simplex sampler's spans come from the ``economy`` checks, and no run reaches
+``geometry.contains``: its hook is only checked to be installed and
+restored.  The two event deciders work through a block in chunks inside one
+call, and a traced ``thm1`` and ``thm2`` check that the benchmark still sees
+one decider span per sampled block.  ``thm2`` completes only the draws its
+contour screen keeps, and its membership decider settles most of those
+itself and hands the exact margins only the rows it leaves open, so the
+margins span of a block carries those rows.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ def test_tracer_hooks_record_the_hot_layers(tmp_path):
                         n_economies=2, family_trials=200, out_dir=str(tmp_path / "prop3"))
         for cfg in (thm1, thm2, prop3):
             experiments.run_experiment(cfg)
+        for d in (2, 8):
+            sampling.mc_probability(lambda Z: Z[:, 0] > 0.0,
+                                    sampling.PerturbationLaw("uniform-ball", d, 1.0), 200, 5)
         experiments._economy_checks(experiments.default_config("checks").seed_spec)
     finally:
         tracer.uninstall()
@@ -62,8 +67,7 @@ def test_tracer_hooks_record_the_hot_layers(tmp_path):
         assert layer in names, layer
     # ball blocks carry their size: draws x dimension, read from sample_block's m
     ball = [span for span in tracer.spans if span[1] == "sampling.ball"]
-    assert sum(span[7] // span[8] for span in ball) == 200 * len(thm2.dims) * len(thm2.eps_list)
-    assert {span[8] for span in ball} == set(thm2.dims)
+    assert [(span[7] // span[8], span[8]) for span in ball] == [(200, 2), (200, 8)]
     # one simplex draw, the economy checks' 1,000 points at d = 4: values x dimension
     simplex = [span for span in tracer.spans if span[1] == "sampling.simplex"]
     assert [(span[7], span[8]) for span in simplex] == [(4000, 4)]
@@ -127,18 +131,17 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
     decisions = [span for span in tracer.spans if span[1] == decider]
     assert len(decisions) == math.ceil(trials / sampling.BLOCK_DRAWS) * len(cfg.dims) * len(
         cfg.eps_list)
-    # each decider span carries the rows it decides: thm1 hands the decider
-    # only the rows its projected screen keeps, and its projected draws have
-    # no sampler span; thm2's membership decider takes each block whole (the
-    # rg sampler's values / dimension) and its margins span gets the open rows
+    # each decider span carries the rows it decides: both runners hand on only
+    # the rows their projected screens keep, and projected draws have no
+    # sampler span; thm2's membership decider takes each block's kept rows
+    # whole (an empty block too) and its margins span gets the open rows
+    assert 0 < sum(kept) < trials * len(cfg.dims) * len(cfg.eps_list)
+    assert not [span for span in tracer.spans if span[1].startswith("sampling.")
+                and span[1] != "sampling.mc_probability"]
     if experiment == "thm1":
         rows = kept
-        assert 0 < sum(kept) < trials * len(cfg.dims)
-        assert not [span for span in tracer.spans if span[1] == "sampling.ball"]
     else:
-        sampled = [span[7] // span[8] for span in tracer.spans if span[1] == "sampling.rg"]
-        assert kept == []
-        assert sorted(decided) == sorted(sampled)
+        assert sorted(decided) == sorted(kept)
         rows = left_open
-        assert 0 < sum(left_open) < sum(sampled)
+        assert 0 < sum(left_open) < sum(kept)
     assert sorted(span[7] for span in decisions) == sorted(rows)

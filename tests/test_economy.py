@@ -532,6 +532,108 @@ def test_scitovsky_members_match_the_exact_margin_classes(gamma, d, monkeypatch)
     assert 0 < sum(open_rows) and max(open_rows) < len(W)
 
 
+def _common_curvature_pair(rng, d, gamma):
+    """Two CRRA agents of curvature gamma with random priors, endowments 1/2 each."""
+    priors = rng.dirichlet(np.full(d, 0.5), size=2) + 1e-9
+    return economy.EconomySpec(
+        tuple(economy.Agent(CRRASEU(mu / mu.sum(), gamma), np.full(d, 0.5)) for mu in priors),
+        no_aggregate_uncertainty=True,
+    )
+
+
+def _along_the_cap_boundary(rng, u, w, eps, n, size):
+    """n draws eps/(1-eps) w + v with v orthogonal to u and |v| up to ``size``.
+
+    eps/(1-eps) w is where the cap's boundary (1-eps) u.z = eps u.w touches
+    the contour set (the base allocation scaled by 1/(1-eps)), so the max-min
+    margins there are within about |v|^2 of 0.
+    """
+    v = rng.standard_normal((n, len(w)))
+    v -= (v @ u)[:, None] * u
+    v *= (size * rng.uniform(0.0, 1.0, n) / np.linalg.norm(v, axis=1))[:, None]
+    return eps / (1.0 - eps) * w + v
+
+
+@st.composite
+def _contour_cases(draw):
+    """A two-agent common-curvature economy at a planner allocation, eps, and draws.
+
+    The draws are one plain ``sample_block`` of either law, and 60 rows near
+    where the cap's boundary touches the contour set, on the boundary and
+    1e-12 to either side of it: the rows :func:`contour_screen` comes closest
+    to dropping, many of them indeterminate.
+    """
+    d = draw(st.integers(2, 32))
+    gamma = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    econ = _common_curvature_pair(rng, d, gamma)
+    f, _ = economy.planner_allocation(econ, rng.uniform(0.05, 1.0, 2))
+    eps = draw(st.floats(0.0, 0.3))
+    law = sampling.PerturbationLaw(draw(st.sampled_from(["uniform-ball", "restricted-gaussian"])),
+                                   d, draw(st.floats(0.1, 1.2)))
+    Z = law.sample_block(draw(st.integers(0, 7)), 2_000, rng.integers(2**32))
+    s = preferences.supergradient(econ.agents[0].preference, f.acts[0])
+    u = s / np.linalg.norm(s)
+    edge = _along_the_cap_boundary(rng, u, econ.aggregate, eps, 20, draw(st.floats(1e-7, 1e-3)))
+    return econ, f, eps, np.vstack([Z, edge, edge + 1e-12 * u, edge - 1e-12 * u])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_contour_cases())
+def test_contour_screen_drops_no_member_or_indeterminate_row(case):
+    # the screen with the rows' largest length as the radius
+    econ, f, eps, Z = case
+    Q, keep = economy.contour_screen(econ, f, eps, float(np.linalg.norm(Z, axis=1).max()))
+    assert Q.shape == (econ.dim, 1) and abs(np.linalg.norm(Q) - 1.0) < 1e-15
+    kept = keep(Z @ Q)
+    assert not kept.all()
+    member, indeterminate = economy.scitovsky_members(econ, f, econ.aggregate + Z[~kept], eps)
+    assert not np.any(member | indeterminate)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("d", [2, 8, 32])
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+def test_contour_screen_keeps_members_just_inside_the_cap(gamma, d, eps):
+    # rows near where the cap's boundary touches the contour set, pushed along
+    # u until their max-min margin is 2 MEMBER_TOL: members whose coordinate
+    # clears the cap's boundary by about 1e-5 or less, so a level raised by a
+    # relative 1e-3 would drop them
+    rng = np.random.default_rng(SEED + d)
+    econ = _common_curvature_pair(rng, d, gamma)
+    f, _ = economy.planner_allocation(econ, rng.uniform(0.05, 1.0, 2))
+    w, tol = econ.aggregate, economy.MEMBER_TOL
+    Q, keep = economy.contour_screen(econ, f, eps, 1.0)
+    u = Q[:, 0]
+    edge = _along_the_cap_boundary(rng, u, w, eps, 200, 1e-3)
+    # bisection on the push t along u: the margin rises with t
+    lo, hi = np.zeros(len(edge)), np.full(len(edge), 1e-3)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = economy.scitovsky_margins_batch(econ, f, w + edge + mid[:, None] * u, eps) > 2 * tol
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    Z = edge + hi[:, None] * u
+    margins = economy.scitovsky_margins_batch(econ, f, w + Z, eps)
+    assert np.all(np.abs(margins - 2 * tol) < 0.5 * tol)
+    assert np.all(economy.scitovsky_members(econ, f, w + Z, eps)[0])
+    Y = Z @ Q
+    assert np.all(keep(Y))
+    assert np.all((1.0 - eps) * Y[:, 0] - eps * (u @ w) < 1e-5)
+
+
+def test_contour_screen_keeps_every_row_off_the_pareto_set():
+    # cru's literal allocation has non-parallel supergradients; an agent that
+    # holds nothing in a state under log utility has none
+    econ = _uniform_pair()
+    Y = np.random.default_rng(0).uniform(-1, 1, (50, 1))
+    for acts in ([[0.8, 0.2], [0.2, 0.8]], [[0.0, 0.5], [1.0, 0.5]]):
+        Q, keep = economy.contour_screen(econ, economy.Allocation(np.array(acts)), 0.1, 1.0)
+        assert Q.shape == (2, 0)
+        assert keep(Y[:, :0]).all()
+    Q, keep = economy.contour_screen(econ, economy.equal_split(econ), 0.1, 1.0)
+    assert np.allclose(Q[:, 0], np.full(2, 0.5**0.5)) and not keep(Y).all()
+
+
 def test_scitovsky_wasteful_allocation_is_dominated():
     # each agent holds the act the *other* one values: undoing the swap helps both
     econ = economy.EconomySpec(
@@ -622,11 +724,7 @@ def _chunked_frontier_cases(draw, size):
     n = _batch_rows(size, economy._FRONTIER_CHUNK_VALUES, d)
     gamma = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    priors = rng.dirichlet(np.full(d, 0.5), size=2) + 1e-9
-    econ = economy.EconomySpec(
-        tuple(economy.Agent(CRRASEU(mu / mu.sum(), gamma), np.full(d, 0.5)) for mu in priors),
-        no_aggregate_uncertainty=True,
-    )
+    econ = _common_curvature_pair(rng, d, gamma)
     f, _ = economy.planner_allocation(econ, rng.uniform(0.05, 1.0, 2))
     eps = draw(st.floats(0.0, 0.3))
     law = sampling.PerturbationLaw("uniform-ball", d, draw(st.floats(0.1, 1.2)))
@@ -674,7 +772,8 @@ def test_exact_margin_lies_between_the_half_weight_margins(data):
     # 1e-12, relative where the margin exceeds 1
     tol = 1e-12 * np.maximum(1.0, np.abs(exact))
     assert np.all(np.minimum(m1, m2) <= exact + tol)
-    assert np.all(exact <= np.maximum(m1, m2) + tol)
+    assert np.all(exact <= 0.5 * (m1 + m2) + tol)
+    assert np.all(0.5 * (m1 + m2) <= np.maximum(m1, m2))
 
 
 def test_frontier_holds_a_few_chunks_of_values_at_a_time():

@@ -409,6 +409,9 @@ def test_thm2_conditioning_doubles_bound_and_filters_draws():
         assert rc["conditioned"] is True
         assert rc["bound"] == 2.0 * rp["bound"]
         assert rc["n_accepted"] < rc["n"]  # a positive-price cut discards draws
+        # both draw the same stream, and every draw the contour screen keeps at
+        # eps > 0 has a positive price: the cut discards no member
+        assert rc["hits"] == rp["hits"] > 0
 
 
 def test_cru_smoke_identities():
@@ -617,6 +620,37 @@ def test_results_do_not_depend_on_thread_count():
         assert all(row["error"] is None and row["hits"] > 0 for row in one.rows)
 
 
+def test_thm2_and_cru_do_not_depend_on_thread_count():
+    # 40000 draws spans three scheduling blocks; thm2 screens its draws, and
+    # cru's literal allocation (non-parallel supergradients) keeps every one
+    for cfg in (_small("thm2", trials=40_000, dims=(2, 32)), _small("cru", trials=40_000)):
+        one = experiments.run_experiment(replace(cfg, threads=1))
+        three = experiments.run_experiment(replace(cfg, threads=3))
+        assert one.csv_text == three.csv_text
+        assert all(row["error"] is None for row in one.rows)
+        assert any(row["hits"] > 0 for row in one.rows)
+
+
+@pytest.mark.parametrize("law", ["uniform-ball", "restricted-gaussian"])
+def test_thm2_screened_estimate_agrees_with_plain_monte_carlo(law):
+    # the screened estimate against the membership decider on every plain draw
+    # of another stream, within 4 combined binomial standard errors in every
+    # default cell
+    cfg = replace(experiments.default_config("thm2"), law_kind=law, trials=20_000)
+    rows = experiments.run_experiment(cfg).rows
+    for row in rows:
+        d, eps = row["d"], row["eps"]
+        econ = experiments.build_economy(cfg, d, no_agg=True)
+        f, _ = experiments.resolve_allocation(cfg, econ)
+        law_d = sampling.PerturbationLaw(law, d, cfg.radius)
+        plain = sampling.mc_probability(
+            lambda Z: economy.scitovsky_members(econ, f, econ.aggregate + Z, eps)[0], law_d,
+            cfg.trials, sampling.SeedSpec(cfg.seed + 1))
+        p, q = row["p_hat"], plain.p_hat
+        se = math.sqrt((p * (1 - p) + q * (1 - q)) / cfg.trials)
+        assert abs(p - q) <= 4 * se, (d, eps, p, q)
+
+
 def test_thm1_projected_estimate_agrees_with_plain_monte_carlo():
     # the projected estimate against the decider on every plain draw of another
     # stream, within 4 combined binomial standard errors in every default cell
@@ -638,8 +672,8 @@ def test_thm1_projected_estimate_agrees_with_plain_monte_carlo():
 # results.csv sha256 of the runs that are cheap enough for every test run; a
 # refactor that keeps the numbers keeps these bytes
 PINNED_RESULTS = {
-    ("thm2", None): "3a2167994a065db376a977826cea44e737530f802571dd26bd3912e628ece5a1",
-    ("cru", None): "2cbdc642d303b089a5c5e8ef5da1459694a44c810fd89c35e613638f12226309",
+    ("thm2", None): "6638351a54698d8a631378759013ee566892c6b00152385c86da5ca434db0594",
+    ("cru", None): "293662d0e965c3c296f1972464526a875bbb689aa4d0e9d4af2752875098d93e",
     ("checks", 100_000): "b6a6925d4aee53b61265c963874057db0220fafe40bc0c7f73744bb02e7c9f14",
     # log-utility agents at the equilibrium allocation
     ("thm1", 20_000): "dbef17ad512a2a8683d69bec5ef12c5b994c05b347ec0b3769d0d7808d1ba0ec",
@@ -666,7 +700,7 @@ agent.bernoulli = log
 """
 PINNED_THM1_MAXMIN = "6efd5fd0bba0dbdb9c256b29dcb1212b91bef8402be3869a4ec620f449c8a8a1"
 # default thm2 under the restricted-Gaussian law, the benchmark's thm2-rg at its default seed
-PINNED_THM2_RG = "b708e948faf5c290543f24c1828e4ce45c7731bb6390a53e94a3905ea9135f59"
+PINNED_THM2_RG = "582866b41cc6e705e7fcc6fae2ff9d7d107e9cf5760b9d6ab682dcb2ed53d0c5"
 
 
 @functools.cache
