@@ -3,10 +3,9 @@
 An economy is a list of agents (preference + endowment).  On top of it this
 module provides:
 
-* a tatonnement equilibrium solver for log-utility (CRRA gamma = 1) economies,
-  with closed-form demands;
 * planner (Pareto-optimal) allocations with supporting prices for smooth
-  common-curvature economies;
+  common-curvature CRRA economies, and the Walrasian equilibrium among them:
+  the planner allocation at Negishi weights;
 * the event deciders the Monte Carlo experiments evaluate per draw —
   individual improvement and aggregate (Scitovsky-contour) membership;
 * scalar diagnostics: the coefficient of resource utilization (bisection),
@@ -37,9 +36,10 @@ exceeds 1e-9, indeterminate iff its size is at most 1e-9".  At lam = 1/2 the
 max-min margin is at least min(m1, m2), and at most (m1 + m2)/2, the largest
 average margin over all splits, so :func:`scitovsky_members` first settles
 every row that one evaluation at lam = 1/2 decides; only the rows it leaves
-open go to the exact margin, a safeguarded Newton iteration on the logit of
-the planner weight (exact up to float tolerance).  Other economies are
-refused.
+open go to the exact margin, one safeguarded Newton loop on the logit of
+the planner weight that bisects a row whose margins do not cross to its
+edge of the weight bracket (exact up to float tolerance).  Other economies
+are refused.
 """
 
 from __future__ import annotations
@@ -56,9 +56,12 @@ from . import geometry, preferences
 from .preferences import CRRASEU, Preference, utility_extended
 
 FEASIBILITY_TOL = 1e-9
-RESIDUAL_TOL = 1e-10
 MEMBER_TOL = 1e-9
-_TATONNEMENT_CAP = 10**5
+# Negishi weights: iteration cap, and the budget gap, relative to the largest
+# wealth, below which they have converged (the gap's rounding floor stayed
+# below 5e-15 in random economies with d <= 512 and gamma <= 256)
+_NEGISHI_CAP = 1000
+_BUDGET_TOL = 1e-14
 # the frontier solver's planner-weight bracket, as weights and as logits
 _LAM_LO, _LAM_HI = 1e-12, 1.0 - 1e-12
 _X_LO = math.log(_LAM_LO) - math.log1p(-_LAM_LO)
@@ -161,7 +164,7 @@ class EquilibriumResult:
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("price must be nonnegative with unit l1 norm")
         if self.residual > 1e-7:
-            raise ValueError(f"excess-demand residual {self.residual:.3e} exceeds 1e-7")
+            raise ValueError(f"budget residual {self.residual:.3e} exceeds 1e-7")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "price", p)
@@ -178,39 +181,39 @@ def equal_split(econ: EconomySpec) -> Allocation:
 
 
 def tatonnement_equilibrium(econ: EconomySpec) -> EquilibriumResult:
-    """Walrasian equilibrium of a log-utility economy by price iteration.
+    """Walrasian equilibrium of a common-curvature CRRA economy, at Negishi weights.
 
-    Log-utility demand is x_is = mu_is (p . w_i) / p_s, so market clearing
-    is the positive fixed point of p <- normalized sum_i mu_i (p . w_i); the
-    iteration is a power method on a positive matrix and converges linearly.
-    Stops when the worst excess demand is below 1e-10.
+    The equilibrium is the planner allocation g(lam) whose supporting price p
+    leaves every agent's budget balanced, p.g_i = p.w_i (Negishi,
+    *Metroeconomica* 12, 1960).  From equal weights the iteration
+    lam_i <- lam_i (p.w_i / p.g_i)^gamma, normalized to sum 1, raises the
+    weight of every agent who consumes less than its wealth; under log
+    utility it is the power iteration p <- normalized sum_i mu_i (p.w_i) on
+    market-clearing prices.  Stops when the largest budget gap
+    |p.w_i - p.g_i| is within 1e-14 of the largest wealth, a few times the
+    gap's rounding floor.  :func:`planner_allocation` refuses every economy
+    but common-curvature CRRA ones.
     """
-    if not all(isinstance(u, CRRASEU) and u.gamma == 1 for u in econ.preferences):
-        raise ValueError("tatonnement solver requires log-utility agents (CRRA gamma = 1)")
-    M = np.array([a.preference.prior for a in econ.agents])  # (I, d)
-    W = np.array([a.endowment for a in econ.agents])  # (I, d)
-    supply = econ.aggregate
-    if np.any(supply <= 0):
+    if np.any(econ.aggregate <= 0):
         raise ValueError("every state needs positive aggregate supply")
-
-    p = np.full(econ.dim, 1.0 / econ.dim)
+    W = np.array([a.endowment for a in econ.agents])  # (I, d)
+    lam = np.full(econ.n_agents, 1.0 / econ.n_agents)
     trace = []
-    for _ in range(_TATONNEMENT_CAP):
+    for _ in range(_NEGISHI_CAP):
+        f, p = planner_allocation(econ, lam)
         wealth = W @ p
         if np.any(wealth <= 0):
-            raise ValueError("an agent has zero wealth; tatonnement demand is undefined")
-        demand_value = M.T @ wealth  # sum_i mu_is (p . w_i)
-        residual = float(np.abs(demand_value / p - supply).max())
+            raise ValueError("an agent has zero wealth; the equilibrium is undefined")
+        spending = f.acts @ p
+        residual = float(np.abs(wealth - spending).max())
         trace.append(residual)
-        if residual < RESIDUAL_TOL:
-            F = M * wealth[:, None] / p[None, :]
-            return EquilibriumResult(p, Allocation(F).check_feasible(econ), residual)
-        # clearing means p_s supply_s = demand_value_s, so iterate the
-        # supply-scaled map (a positive matrix: power iteration converges)
-        p_next = demand_value / supply
-        p = p_next / p_next.sum()
+        if residual <= _BUDGET_TOL * wealth.max():
+            return EquilibriumResult(p, f, residual)
+        # planner_allocation has checked that every agent shares agent 0's gamma
+        lam = lam * (wealth / spending) ** econ.agents[0].preference.gamma
+        lam = lam / lam.sum()
     raise geometry.ConvergenceError(
-        f"tatonnement did not converge in {_TATONNEMENT_CAP} iterations; "
+        f"Negishi weights did not converge in {_NEGISHI_CAP} iterations; "
         f"last residuals {trace[-5:]}",
         value=trace[-1],
         gap=trace[-1],
@@ -230,7 +233,9 @@ def planner_allocation(econ: EconomySpec, weights=None) -> tuple[Allocation, np.
 
     Closed form for log / common-curvature CRRA agents: statewise shares
     proportional to (weight_i mu_is)^(1/gamma).  The supporting price is the
-    common weighted marginal utility, normalized to sum 1.
+    common weighted marginal utility weight_i mu_is g_is^(-gamma), normalized
+    to sum 1, taken in each state from the agent with the largest share
+    (another agent's share may underflow to 0).
     """
     q = _common_crra_exponent(econ.preferences)
     if q is None:
@@ -244,9 +249,9 @@ def planner_allocation(econ: EconomySpec, weights=None) -> tuple[Allocation, np.
     scores = (lam[:, None] * M) ** q
     shares = scores / scores.sum(axis=0, keepdims=True)
     F = shares * econ.aggregate[None, :]
-    gamma = 1.0 / q
-    # common FOC value lam_i mu_is g_is^(-gamma), identical across i by construction
-    price = lam[0] * M[0] * F[0] ** (-gamma)
+    top = np.argmax(shares, axis=0)
+    states = np.arange(econ.dim)
+    price = lam[top] * M[top, states] * F[top, states] ** (-1.0 / q)
     price = price / price.sum()
     return Allocation(F).check_feasible(econ, nonneg=True), price
 
@@ -451,22 +456,36 @@ def contour_screen(econ: EconomySpec, f: Allocation, eps: float, radius: float):
     return u[:, None], keep
 
 
-def _margins_on_frontier(M, logM, F_w, base, lam, q, eps):
+def _frontier(econ: EconomySpec, f: Allocation, W):
+    """``(W, frontier)``: the rows of W as an (n, d) array, and the frontier of econ at f.
+
+    The frontier is ``(M, log M, base, q)``: the two agents' priors, their
+    logs, the base utilities u_i(f_i) and the shared exponent q = 1/gamma.
+    Every economy but two agents with common CRRA curvature is refused.
+    """
+    q = _common_crra_exponent(econ.preferences)
+    if q is None or econ.n_agents != 2:
+        raise ValueError("batch margins need the 2-agent common-curvature closed form")
+    M = np.array([a.preference.prior for a in econ.agents])
+    base = np.array([utility_extended(a.preference, fi) for a, fi in zip(econ.agents, f.acts)])
+    return np.atleast_2d(np.asarray(W, dtype=float)), (M, np.log(M), base, q)
+
+
+def _margins_on_frontier(frontier, F_w, x, eps):
     """Margins (u_i((1-eps) g_i(lam)) - u_i(f_i)) on the 2-agent CRRA frontier.
 
-    lam is an (n,) array of planner weights, or a (1,) array of one weight
-    for every row; F_w an (n, d) array of candidate aggregates.  The
-    frontier share of agent 1 in state s is
-    expit(q [logit(lam) + log mu_1s - log mu_2s]), which keeps the algebra
-    stable for extreme weights and curvatures.  The third value is
-    d(m1 - m2)/dx at x = logit(lam): the share s has ds/dx = q s (1 - s), so
-    agent 1's margin rises at q sum_s mu_1s ((1-eps) g_1s)^(1-gamma) (1 - s)
-    and agent 2's falls at q sum_s mu_2s ((1-eps) g_2s)^(1-gamma) s (the
-    powers are 1 under log curvature).
+    x is an (n,) array of planner-weight logits x = logit(lam), or a (1,)
+    array of one logit for every row; F_w an (n, d) array of candidate
+    aggregates.  The frontier share of agent 1 in state s is
+    expit(q [x + log mu_1s - log mu_2s]), which keeps the algebra stable for
+    extreme weights and curvatures.  The third value is d(m1 - m2)/dx: the
+    share s has ds/dx = q s (1 - s), so agent 1's margin rises at
+    q sum_s mu_1s ((1-eps) g_1s)^(1-gamma) (1 - s) and agent 2's falls at
+    q sum_s mu_2s ((1-eps) g_2s)^(1-gamma) s (the powers are 1 under log
+    curvature).
     """
-    llam = np.log(lam) - np.log1p(-lam)
-    t = q * (llam[:, None] + logM[0][None, :] - logM[1][None, :])
-    share = expit(t)
+    M, logM, base, q = frontier
+    share = expit(q * (x[:, None] + logM[0][None, :] - logM[1][None, :]))
     g1 = F_w * share
     g2 = F_w - g1
     gamma = 1.0 / q
@@ -491,37 +510,46 @@ def _margins_on_frontier(M, logM, F_w, base, lam, q, eps):
     return u1 - base[0], u2 - base[1], slope
 
 
-def _frontier_crossing(M, logM, F_w, base, q, eps):
-    """The planner weight at which m1 = m2, per row of F_w.
+def _max_min_margins(frontier, W, eps):
+    """:func:`scitovsky_margins_batch` on one chunk W of its rows.
 
-    Every row must have m1 - m2 < 0 at lam = _LAM_LO and > 0 at _LAM_HI.
-    Safeguarded Newton on x = logit(lam): each evaluation narrows the row's
-    bracket [x_lo, x_hi] to the side its sign shows, and a Newton step that
-    leaves the bracket or is not finite is replaced by the bracket midpoint.
-    Only rows still moving are evaluated; a row stops once its step is
-    within 1e-14 (1 + |x|) or its difference is exactly 0.
+    diff = m1 - m2 rises with x = logit(lam), and the max-min margin sits
+    where it crosses 0.  Safeguarded Newton on x from x = 0, inside the
+    bracket [_X_LO, _X_HI]: each evaluation narrows a row's bracket to the
+    side the sign of diff shows, and a Newton step that leaves the bracket
+    or is not finite is replaced by the bracket midpoint, so a row whose
+    margins do not cross inside the bracket is bisected to the edge where
+    its smaller margin is largest.  Only rows still moving are evaluated; a
+    row stops once its step is within 1e-14 (1 + |x|), or its diff is 0 or
+    nan (both margins infinite at every weight: an infinite base utility, or
+    a zero entry under gamma >= 1), and keeps min(m1, m2) from its last
+    evaluation.  A row with a negative entry has
+    no nonnegative split: its margin is -inf.
     """
-    n = len(F_w)
+    n = len(W)
+    margins = np.full(n, -np.inf)
+    x = np.zeros(n)
     x_lo = np.full(n, _X_LO)
     x_hi = np.full(n, _X_HI)
-    x = np.zeros(n)
-    live = np.arange(n)
-    for _ in range(_NEWTON_CAP):
-        xl = x[live]
-        m1, m2, slope = _margins_on_frontier(M, logM, F_w[live], base, expit(xl), q, eps)
-        diff = m1 - m2
-        below = diff < 0
-        lo = np.where(below, xl, x_lo[live])
-        hi = np.where(below, x_hi[live], xl)
-        x_new = xl - diff / slope
-        x_new = np.where((x_new > lo) & (x_new < hi), x_new, 0.5 * (lo + hi))
-        done = (np.abs(x_new - xl) <= 1e-14 * (1.0 + np.abs(xl))) | (diff == 0)
-        x[live] = np.where(diff == 0, xl, x_new)
-        x_lo[live], x_hi[live] = lo, hi
-        live = live[~done]
-        if not len(live):
-            break
-    return expit(x)
+    live = np.flatnonzero(np.all(W >= 0, axis=1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(_NEWTON_CAP):
+            xl = x[live]
+            m1, m2, slope = _margins_on_frontier(frontier, W[live], xl, eps)
+            margins[live] = np.minimum(m1, m2)
+            diff = m1 - m2
+            below = diff < 0
+            lo = np.where(below, xl, x_lo[live])
+            hi = np.where(below, x_hi[live], xl)
+            x_new = xl - diff / slope
+            x_new = np.where((x_new > lo) & (x_new < hi), x_new, 0.5 * (lo + hi))
+            step_done = np.abs(x_new - xl) <= 1e-14 * (1.0 + np.abs(xl))
+            done = step_done | (diff == 0) | np.isnan(diff)
+            x[live], x_lo[live], x_hi[live] = x_new, lo, hi
+            live = live[~done]
+            if not len(live):
+                break
+    return margins
 
 
 def scitovsky_margins_batch(
@@ -531,66 +559,28 @@ def scitovsky_margins_batch(
 
     Exact two-agent path: the utility-possibility frontier of a common-
     curvature economy is a one-parameter planner family along which agent 1's
-    margin rises and agent 2's falls, so the max-min sits at their crossing.
-    Planner weights live in [1e-12, 1 - 1e-12].  A row whose margin
-    difference is already >= 0 at the low edge (or <= 0 at the high edge)
-    takes that edge's margins; a row that crosses inside is solved by a
-    safeguarded Newton iteration on logit(lam) (:func:`_frontier_crossing`).
-    The priors and base utilities are taken once per call; the edge tests,
-    the crossing and the final margins then run on chunks of at most
-    _FRONTIER_CHUNK_VALUES values of W.  Rows do not interact, but BLAS may
+    margin rises and agent 2's falls, so the max-min sits at their crossing,
+    or at an edge of the planner weights [1e-12, 1 - 1e-12] when they do
+    not cross there; :func:`_max_min_margins` finds it.  The frontier is set
+    up once per call, and the rows are then worked through in chunks of at
+    most _FRONTIER_CHUNK_VALUES values.  Rows do not interact, but BLAS may
     round a row's dot products differently among a different number of rows,
     and the Newton steps carry that into the margin at about 1e-14.
     """
-    q = _common_crra_exponent(econ.preferences)
-    if q is None or econ.n_agents != 2:
-        raise ValueError("batch margins need the 2-agent common-curvature closed form")
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    M = np.array([a.preference.prior for a in econ.agents])
-    logM = np.log(M)
-    base = np.array(
-        [utility_extended(a.preference, f.acts[i]) for i, a in enumerate(econ.agents)]
-    )
+    W, frontier = _frontier(econ, f, W)
     margins = np.empty(len(W))
     for rows in _row_chunks(W, _FRONTIER_CHUNK_VALUES):
-        margins[rows] = _chunk_margins(M, logM, W[rows], base, q, eps)
+        margins[rows] = _max_min_margins(frontier, W[rows], eps)
     return margins
 
 
 # Rows per frontier chunk hold at most this many values (128 KiB of float64).
-# Each of the ~9 frontier evaluations per row builds about a dozen temporaries
-# of the chunk's shape, and a dozen of them fit a 2 MiB L2.  On a 2-vCPU Xeon
-# with that L2, perfbench thm2-rg ran 0.36 s at 2^14, 0.40 s at 2^15 and
-# 0.42 s at 2^16 values.
+# Each frontier evaluation builds about a dozen temporaries of the chunk's
+# shape, and a dozen of them fit a 2 MiB L2.  Every row gets one evaluation at
+# lam = 1/2, and an open row of perfbench thm2-rg 4.3 more in the Newton loop.
+# On a 2-vCPU Xeon with that L2, perfbench thm2-rg ran 0.36 s at 2^14, 0.40 s
+# at 2^15 and 0.42 s at 2^16 values.
 _FRONTIER_CHUNK_VALUES = 1 << 14
-
-
-def _chunk_margins(M, logM, W, base, q, eps):
-    """:func:`scitovsky_margins_batch` on one chunk W of its rows."""
-    bad = np.any(W < 0, axis=1)  # no nonnegative split exists: margin -inf
-    W = np.where(bad[:, None], 1.0, W)
-    n = len(W)
-
-    # A -inf base act (or a zero entry under gamma >= 1) makes both margins
-    # infinite at every weight and diff = m1 - m2 nan.  nan comparisons are
-    # all False, so such rows neither take an edge rule nor cross, and their
-    # weight-free margin is read at the low edge.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        m1_lo, m2_lo, _ = _margins_on_frontier(M, logM, W, base, np.full(n, _LAM_LO), q, eps)
-        m1_hi, m2_hi, _ = _margins_on_frontier(M, logM, W, base, np.full(n, _LAM_HI), q, eps)
-        # diff = m1 - m2 is increasing in lam.
-        diff_lo, diff_hi = m1_lo - m2_lo, m1_hi - m2_hi
-        all_low = diff_lo >= 0  # already above: min is m2 at lam -> 0
-        all_high = diff_hi <= 0  # min is m1 throughout, best lam -> 1
-        margins = np.minimum(m1_lo, m2_lo)
-        cross = np.flatnonzero((diff_lo < 0) & (diff_hi > 0) & ~bad)
-        if len(cross):
-            Wc = W[cross]
-            lam = _frontier_crossing(M, logM, Wc, base, q, eps)
-            m1, m2, _ = _margins_on_frontier(M, logM, Wc, base, lam, q, eps)
-            margins[cross] = np.minimum(m1, m2)
-    margins = np.where(all_high, np.minimum(m1_hi, m2_hi), margins)
-    return np.where(bad, -np.inf, margins)
 
 
 def scitovsky_members(econ: EconomySpec, f: Allocation, W: np.ndarray, eps: float):
@@ -610,21 +600,15 @@ def scitovsky_members(econ: EconomySpec, f: Allocation, W: np.ndarray, eps: floa
     utility), get their exact margins from one call of
     :func:`scitovsky_margins_batch`.
     """
-    q = _common_crra_exponent(econ.preferences)
-    if q is None or econ.n_agents != 2:
-        raise ValueError("batch margins need the 2-agent common-curvature closed form")
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    M = np.array([a.preference.prior for a in econ.agents])
-    logM = np.log(M)
-    base = np.array([utility_extended(a.preference, fi) for a, fi in zip(econ.agents, f.acts)])
-    # one weight for every row: the frontier shares broadcast over the chunk
-    half = np.array([0.5])
+    W, frontier = _frontier(econ, f, W)
+    # logit(1/2) for every row: the frontier shares broadcast over the chunk
+    half = np.zeros(1)
     member = np.zeros(len(W), dtype=bool)
     settled = np.zeros(len(W), dtype=bool)
     for rows in _row_chunks(W, _FRONTIER_CHUNK_VALUES):
         chunk = W[rows]
         with np.errstate(invalid="ignore", divide="ignore"):
-            m1, m2, _ = _margins_on_frontier(M, logM, chunk, base, half, q, eps)
+            m1, m2, _ = _margins_on_frontier(frontier, chunk, half, eps)
         bad = np.any(chunk < 0, axis=1)
         member[rows] = ~bad & (np.minimum(m1, m2) > MEMBER_TOL)
         settled[rows] = member[rows] | bad | (0.5 * (m1 + m2) < -MEMBER_TOL)

@@ -426,29 +426,21 @@ def build_economy(config: ExperimentConfig, d: int, no_agg: bool = False) -> eco
     return economy.EconomySpec(agents, no_aggregate_uncertainty=no_agg)
 
 
-def resolve_allocation(config: ExperimentConfig, econ: economy.EconomySpec):
-    """The experiment's base allocation and (when available) a supporting price."""
+def resolve_allocation(config: ExperimentConfig, econ: economy.EconomySpec) -> economy.Allocation:
+    """The experiment's base allocation."""
     spec = config.allocation
     if spec == "equilibrium":
-        eq = economy.tatonnement_equilibrium(econ)
-        return eq.allocation, eq.price
+        return economy.tatonnement_equilibrium(econ).allocation
     if spec == "planner":
-        return economy.planner_allocation(econ)
+        return economy.planner_allocation(econ)[0]
     if spec == "equal-split":
-        f = economy.equal_split(econ)
-        try:
-            planner_f, price = economy.planner_allocation(econ)
-            if np.allclose(planner_f.acts, f.acts, atol=1e-12):
-                return f, price
-        except ValueError:
-            pass
-        return f, None
+        return economy.equal_split(econ)
     if spec.startswith("literal:"):
         rows = [
             [float(x) for x in chunk.split(",")]
             for chunk in spec[len("literal:"):].split("|")
         ]
-        return economy.Allocation(np.array(rows)).check_feasible(econ), None
+        return economy.Allocation(np.array(rows)).check_feasible(econ)
     raise ValueError(f"unknown allocation spec {spec!r}")
 
 
@@ -484,7 +476,7 @@ def run_thm1(config: ExperimentConfig):
 
     def measure(law, eps, seed):
         econ = build_economy(config, law.dim)
-        f, _ = resolve_allocation(config, econ)
+        f = resolve_allocation(config, econ)
         tau = min(float(a.endowment.min()) for a in econ.agents)
         if tau <= 0:
             raise ValueError("the tail bound needs strictly positive endowments (tau > 0)")
@@ -552,9 +544,7 @@ def run_thm2(config: ExperimentConfig):
 
     def measure(law, eps, seed):
         econ = build_economy(config, law.dim, no_agg=True)
-        f, price = resolve_allocation(config, econ)
-        if conditioned and price is None:
-            raise ValueError("conditioning needs an allocation with a supporting price")
+        f = resolve_allocation(config, econ)
         est, indet = _membership_counts(
             econ, f, law, eps, config.trials, seed, config.threads, conditioned)
         bound = bounds.bound_thm2(eps, config.radius, law.dim, law.kappa)
@@ -575,7 +565,7 @@ def run_cru(config: ExperimentConfig):
     """Resource-utilization coefficient, its improvement level, and the tail bound."""
     d = config.dims[0]
     econ = build_economy(config, d, no_agg=True)
-    f, _ = resolve_allocation(config, econ)
+    f = resolve_allocation(config, econ)
     beta = economy.cru(econ, f)
     if beta >= 1.0 - 5e-7:
         raise ValueError(

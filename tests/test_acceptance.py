@@ -138,7 +138,7 @@ def test_criterion_3_aggregate_improvement_and_grid_cross_check(record_criterion
 
     cfg = experiments.default_config("thm2")
     econ = experiments.build_economy(cfg, 2, no_agg=True)
-    f, _ = experiments.resolve_allocation(cfg, econ)
+    f = experiments.resolve_allocation(cfg, econ)
     base = [a.preference.utility(f.acts[i]) for i, a in enumerate(econ.agents)]
     law = sampling.PerturbationLaw("uniform-ball", 2, 1.0)
     W = econ.aggregate[None, :] + law.sample(GRID_DRAWS, GRID_SEED)

@@ -1,12 +1,13 @@
 """Exchange-economy solvers: equilibrium, improvement deciders, CRU, volumes.
 
-The tatonnement and CRU oracles were worked out by hand (market-clearing
+The equilibrium and CRU oracles were worked out by hand (market-clearing
 algebra, certainty-equivalent matching) before the implementations existed.
 """
 
 import math
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,9 +32,9 @@ def _cd_economy():
     )
 
 
-def _uniform_pair(d=2, gamma=1.0):
+def _uniform_pair(d=2):
     mu = np.full(d, 1.0 / d)
-    pref = CRRASEU(mu, gamma)
+    pref = CRRASEU(mu)
     w = np.full(d, 0.5)
     return economy.EconomySpec(
         (economy.Agent(pref, w), economy.Agent(pref, w)), no_aggregate_uncertainty=True
@@ -112,9 +113,64 @@ def test_equilibrium_no_trade_when_priors_agree():
     assert np.allclose(eq.price, mu, atol=1e-9)  # log utility prices the prior
 
 
-def test_tatonnement_rejects_non_cobb_douglas():
-    econ = _uniform_pair(gamma=2.0)
-    with pytest.raises(ValueError, match="gamma = 1"):
+def _random_crra_economy(rng, d, gamma):
+    """Three CRRA agents of curvature gamma with random priors and unequal endowments."""
+    return economy.EconomySpec(tuple(
+        economy.Agent(CRRASEU(rng.dirichlet(np.ones(d)), gamma), rng.uniform(0.1, 2.0, d))
+        for _ in range(3)))
+
+
+def _power_map_equilibrium(econ):
+    """The log-utility price iteration the Negishi solver replaced, run to its fixed point.
+
+    Log demand is x_is = mu_is (p . w_i) / p_s, so clearing prices are the
+    positive fixed point of p <- normalized sum_i mu_i (p . w_i) / supply, a
+    power iteration on a positive matrix.  It runs a fixed 1000 steps, past
+    the 1e-10 excess-demand stop it had, so the comparison measures the
+    solutions and not the two stopping rules.
+    """
+    M = np.array([a.preference.prior for a in econ.agents])
+    W = np.array([a.endowment for a in econ.agents])
+    supply = econ.aggregate
+    p = np.full(econ.dim, 1.0 / econ.dim)
+    for _ in range(1000):
+        p_next = M.T @ (W @ p) / supply
+        p = p_next / p_next.sum()
+    return M * (W @ p)[:, None] / p[None, :], p
+
+
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_negishi_equilibrium_is_the_log_power_map_fixed_point(d):
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        econ = _random_crra_economy(rng, d, 1.0)
+        acts, price = _power_map_equilibrium(econ)
+        eq = economy.tatonnement_equilibrium(econ)
+        assert np.abs(eq.allocation.acts - acts).max() <= 1e-13
+        assert np.abs(eq.price - price).max() <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 2.0, 4.0, 16.0])
+def test_negishi_equilibrium_clears_markets_at_any_common_curvature(gamma):
+    rng = np.random.default_rng(int(4 * gamma))
+    for d in (4, 64, 512):
+        econ = _random_crra_economy(rng, d, gamma)
+        eq = economy.tatonnement_equilibrium(econ)
+        acts, p = eq.allocation.acts, eq.price
+        assert np.abs(acts.sum(axis=0) - econ.aggregate).max() <= 1e-10
+        budgets = [p @ (fi - a.endowment) for a, fi in zip(econ.agents, acts)]
+        assert np.abs(budgets).max() <= 1e-10
+        # each agent's act is its demand at p: marginal utilities proportional to p
+        for a, fi in zip(econ.agents, acts):
+            ratio = a.preference.gradient(fi) / p
+            assert np.allclose(ratio, ratio[0], rtol=1e-8)
+
+
+def test_equilibrium_refuses_mixed_curvatures():
+    mu, w = np.array([0.6, 0.4]), np.ones(2)
+    econ = economy.EconomySpec(
+        (economy.Agent(CRRASEU(mu, 1.0), w), economy.Agent(CRRASEU(mu, 2.0), w)))
+    with pytest.raises(ValueError, match="common-curvature"):
         economy.tatonnement_equilibrium(econ)
 
 
@@ -141,6 +197,22 @@ def test_planner_allocation_foc():
         grad = agent.preference.gradient(f.acts[i])
         ratio = grad / price
         assert np.allclose(ratio, ratio[0], rtol=1e-8)
+
+
+def test_planner_price_survives_an_underflowing_share():
+    # at gamma = 1/4 shares go as (lam_i mu_is)^4: agent 0's prior of 1e-90 on
+    # state 1 underflows its share there to 0, where its FOC value is 0 * inf
+    econ = economy.EconomySpec(
+        (economy.Agent(CRRASEU(np.array([1.0, 1e-90]), 0.25), np.full(2, 0.5)),
+         economy.Agent(CRRASEU(np.array([0.5, 0.5]), 0.25), np.full(2, 0.5))),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, price = economy.planner_allocation(econ)
+        eq = economy.tatonnement_equilibrium(econ)
+    assert f.acts[0, 1] == 0.0 and eq.allocation.acts[0, 1] == 0.0
+    for p in (price, eq.price):
+        assert np.all(np.isfinite(p)) and np.all(p > 0)
 
 
 def test_planner_equal_priors_gives_equal_split():
@@ -256,13 +328,13 @@ def _thm1_maxmin_economy(d):
         "agent.preference = maxmin\nagent.prior = cap:ge:0:0.4\nagent.bernoulli = linear\n"
         "agent.preference = maxmin\nagent.prior = cap:le:0:0.6\nagent.bernoulli = log\n")
     econ = experiments.build_economy(cfg, d)
-    return econ, experiments.resolve_allocation(cfg, econ)[0], 0.1
+    return econ, experiments.resolve_allocation(cfg, econ), 0.1
 
 
 def _thm1_default_economy(d):
     cfg = experiments.default_config("thm1")
     econ = experiments.build_economy(cfg, d)
-    return econ, experiments.resolve_allocation(cfg, econ)[0], cfg.eps_list[0]
+    return econ, experiments.resolve_allocation(cfg, econ), cfg.eps_list[0]
 
 
 @pytest.mark.parametrize("build,d", [(_thm1_default_economy, 2), (_thm1_default_economy, 8),
@@ -328,7 +400,7 @@ def test_only_the_screen_takes_supergradients(monkeypatch):
 def test_oracle_hits_lie_in_the_agents_supporting_half_space(d):
     cfg = experiments.default_config("thm1")
     econ = experiments.build_economy(cfg, d)
-    f, _ = experiments.resolve_allocation(cfg, econ)
+    f = experiments.resolve_allocation(cfg, econ)
     eps = cfg.eps_list[0]
     Z = sampling.PerturbationLaw("uniform-ball", d, cfg.radius).sample(20_000, SEED)
     hits = 0
@@ -449,45 +521,14 @@ def _bisection_margins(econ, f, W, eps):
     return np.where(bad, -np.inf, margins), all_low & ~bad, all_high & ~bad
 
 
-@pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5])
-@pytest.mark.parametrize("d", [2, 8, 32])
-def test_scitovsky_newton_matches_reference_bisection(gamma, d):
-    gen = np.random.default_rng(d)
-    mu1, mu2 = gen.dirichlet(np.full(d, 0.5)), gen.dirichlet(np.full(d, 0.5))
-    econ = economy.EconomySpec(
-        (economy.Agent(CRRASEU(mu1, gamma), np.full(d, 0.5)),
-         economy.Agent(CRRASEU(mu2, gamma), np.full(d, 0.5))),
-        no_aggregate_uncertainty=True,
-    )
-    ones = np.ones(d)
-    # log margins reach an edge only along the prior tilt; CRRA ones where
-    # utilities vanish (tiny aggregates for gamma < 1, huge for gamma > 1)
-    tilt = (mu1 - mu2) / np.abs(mu1 - mu2).max()
-    extremes = [np.exp(k * tilt) for k in (-600, -300, -100, 100, 300, 600)]
-    extremes += [1e-30 * ones, 1e30 * ones, np.zeros(d), np.where(np.arange(d) == 0, 0.0, 1.0)]
-    extremes += [np.where(np.arange(d) == d - 1, -0.1, 1.0), -ones]
-    Z = sampling.PerturbationLaw("uniform-ball", d, 0.8).sample(400, SEED)
-    W = np.vstack([ones + Z, *extremes])
-    edges = []
-    for weights in ((0.8, 0.2), (0.2, 0.8)):
-        f, _ = economy.planner_allocation(econ, np.array(weights))
-        for eps in (0.0, 0.05, 0.2):
-            ref, low, high = _bisection_margins(econ, f, W, eps)
-            new = economy.scitovsky_margins_batch(econ, f, W, eps)
-            edges.append((low.any(), high.any()))
-            finite = np.isfinite(ref)
-            assert np.array_equal(finite, np.isfinite(new))
-            assert np.array_equal(ref[~finite], new[~finite])
-            # 1e-12 absolute; relative where the utility level exceeds 1
-            tol = 1e-12 * np.maximum(1.0, np.abs(ref[finite]))
-            assert np.all(np.abs(new[finite] - ref[finite]) <= tol)
-            assert np.array_equal(new > economy.MEMBER_TOL, ref > economy.MEMBER_TOL)
-    low_seen, high_seen = np.any(edges, axis=0)
-    assert low_seen and high_seen
-
-
 def _reference_frontier_cases(gamma, d):
-    """The economy and rows of :func:`test_scitovsky_newton_matches_reference_bisection`."""
+    """A two-agent economy of curvature gamma in d states, and aggregates to decide.
+
+    400 ball draws around 1 and extreme rows: log margins reach an edge of
+    the planner weights only along the prior tilt, CRRA ones where utilities
+    vanish (tiny aggregates for gamma < 1, huge for gamma > 1); zero and
+    negative entries too.
+    """
     gen = np.random.default_rng(d)
     mu1, mu2 = gen.dirichlet(np.full(d, 0.5)), gen.dirichlet(np.full(d, 0.5))
     econ = economy.EconomySpec(
@@ -502,6 +543,30 @@ def _reference_frontier_cases(gamma, d):
     extremes += [np.where(np.arange(d) == d - 1, -0.1, 1.0), -ones]
     Z = sampling.PerturbationLaw("uniform-ball", d, 0.8).sample(400, SEED)
     return econ, np.vstack([ones + Z, *extremes])
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5])
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_scitovsky_newton_matches_reference_bisection(gamma, d):
+    econ, W = _reference_frontier_cases(gamma, d)
+    edges = []
+    for weights in ((0.8, 0.2), (0.2, 0.8)):
+        f, _ = economy.planner_allocation(econ, np.array(weights))
+        for eps in (0.0, 0.05, 0.2):
+            ref, low, high = _bisection_margins(econ, f, W, eps)
+            new = economy.scitovsky_margins_batch(econ, f, W, eps)
+            edges.append((low.any(), high.any()))
+            finite = np.isfinite(ref)
+            assert np.array_equal(finite, np.isfinite(new))
+            assert np.array_equal(ref[~finite], new[~finite])
+            # 1e-12 absolute; relative where the utility level exceeds 1
+            tol = 1e-12 * np.maximum(1.0, np.abs(ref[finite]))
+            assert np.all(np.abs(new[finite] - ref[finite]) <= tol)
+            assert np.array_equal(new > economy.MEMBER_TOL, ref > economy.MEMBER_TOL)
+    # rows whose margins do not cross inside the weight bracket are bisected
+    # to its edges: both edges must be exercised
+    low_seen, high_seen = np.any(edges, axis=0)
+    assert low_seen and high_seen
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5])
@@ -766,8 +831,8 @@ def test_exact_margin_lies_between_the_half_weight_margins(data):
     M = np.array([a.preference.prior for a in econ.agents])
     base = np.array([a.preference.utility(fi) for a, fi in zip(econ.agents, f.acts)])
     q = economy._common_crra_exponent(econ.preferences)
-    m1, m2, _ = economy._margins_on_frontier(M, np.log(M), W, base, np.full(len(W), 0.5), q,
-                                              eps)
+    # logit(1/2) = 0 on every row
+    m1, m2, _ = economy._margins_on_frontier((M, np.log(M), base, q), W, np.zeros(len(W)), eps)
     assert np.all(np.isfinite(exact))
     # 1e-12, relative where the margin exceeds 1
     tol = 1e-12 * np.maximum(1.0, np.abs(exact))

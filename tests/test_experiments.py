@@ -414,6 +414,15 @@ def test_thm2_conditioning_doubles_bound_and_filters_draws():
         assert rc["hits"] == rp["hits"] > 0
 
 
+def test_thm2_conditioning_refuses_an_allocation_off_the_pareto_set():
+    # the equal split of the default economy (unequal priors) is not Pareto
+    # optimal: its supergradients point apart, so no price direction exists
+    cfg = _small("thm2", trials=200, dims=(2,), allocation="equal-split",
+                 condition_positive_price=True)
+    rows = experiments.run_experiment(cfg).rows
+    assert rows and all("parallel supergradients" in r["error"] for r in rows)
+
+
 def test_cru_smoke_identities():
     res = experiments.run_experiment(_small("cru", trials=500))
     assert res.columns == CRU_COLUMNS
@@ -641,7 +650,7 @@ def test_thm2_screened_estimate_agrees_with_plain_monte_carlo(law):
     for row in rows:
         d, eps = row["d"], row["eps"]
         econ = experiments.build_economy(cfg, d, no_agg=True)
-        f, _ = experiments.resolve_allocation(cfg, econ)
+        f = experiments.resolve_allocation(cfg, econ)
         law_d = sampling.PerturbationLaw(law, d, cfg.radius)
         plain = sampling.mc_probability(
             lambda Z: economy.scitovsky_members(econ, f, econ.aggregate + Z, eps)[0], law_d,
@@ -659,7 +668,7 @@ def test_thm1_projected_estimate_agrees_with_plain_monte_carlo():
     for row in rows:
         d, eps = row["d"], row["eps"]
         econ = experiments.build_economy(cfg, d)
-        f, _ = experiments.resolve_allocation(cfg, econ)
+        f = experiments.resolve_allocation(cfg, econ)
         law = sampling.PerturbationLaw(cfg.law_kind, d, cfg.radius)
         plain = sampling.mc_probability(
             lambda Z: economy.individual_improvement_event(econ, f, Z, eps), law,
