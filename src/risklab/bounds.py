@@ -90,6 +90,9 @@ def bound_lemma1(delta: float, r: float, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+_PREFACTOR_CHUNK = 1 << 16
+
+
 def prop7_prefactor(d) -> float | np.ndarray:
     """(2/alpha) * (alpha d / 2)^(1/d) with alpha = sqrt(pi)(sqrt(3)-1).
 
@@ -106,9 +109,15 @@ def prop7_prefactor(d) -> float | np.ndarray:
 
 
 def prop7_prefactor_below_4(d_max: int = 10**6) -> bool:
-    """Whether the prefactor stays <= 4 for every integer d in 1..d_max."""
-    d = np.arange(1, d_max + 1, dtype=float)
-    return bool(np.all(prop7_prefactor(d) <= 4.0))
+    """Whether the prefactor stays <= 4 for every integer d in 1..d_max.
+
+    Evaluated elementwise over _PREFACTOR_CHUNK dimensions at a time, so
+    the temporaries stay at 512 KiB each whatever d_max is.
+    """
+    return all(
+        np.all(prop7_prefactor(np.arange(lo, min(lo + _PREFACTOR_CHUNK, d_max + 1),
+                                         dtype=float)) <= 4.0)
+        for lo in range(1, d_max + 1, _PREFACTOR_CHUNK))
 
 
 def log_ball_volume_m(m: int, radius: float = 1.0) -> float:

@@ -37,8 +37,9 @@ max-min margin is at least min(m1, m2), and at most (m1 + m2)/2, the largest
 average margin over all splits, so :func:`scitovsky_members` first settles
 every row that one evaluation at lam = 1/2 decides; only the rows it leaves
 open go to the exact margin, one safeguarded Newton loop on the logit of
-the planner weight that bisects a row whose margins do not cross to its
-edge of the weight bracket (exact up to float tolerance).  Other economies
+the planner weight that starts from that evaluation and bisects a row whose
+margins do not cross to its edge of the weight bracket (exact up to float
+tolerance).  Other economies
 are refused.
 """
 
@@ -318,7 +319,9 @@ def improvement_screen(econ: EconomySpec, f: Allocation, eps: float, radius: flo
     (1-eps) Y . (Q^T s_i) > eps s_i.f_i - slack_i; every row when an agent
     has no finite supergradient.  A row it drops is one that
     :func:`individual_improvement_event` cannot flag, so the pair can be
-    handed to :func:`sampling.mc_probability` as its ``projection``.
+    handed to :func:`sampling.mc_probability` as its ``projection``; with
+    one column the rows it drops are an intersection of half-lines of Y, an
+    interval, as the sampler requires.
 
     A dropped row has U((1-eps)(f_i + z)) - U(f_i) <= (1-eps) s.z - eps s.f_i
     <= -slack in exact arithmetic, so the slack must cover every rounding
@@ -392,7 +395,8 @@ def contour_screen(econ: EconomySpec, f: Allocation, eps: float, radius: float):
     a finite supergradient, or non-parallel supergradients) Q is d x 0 and
     every row is kept.  A row it drops is one that :func:`scitovsky_members`
     calls neither member nor indeterminate, so the pair can be handed to
-    :meth:`sampling.PerturbationLaw.sample_projected_block`.
+    :meth:`sampling.PerturbationLaw.sample_projected_block`; the rows it
+    drops are a half-line of Y, as that method requires of one column.
 
     The decider calls a row W = w + z member or indeterminate only when its
     computed margins at some computed split g of W (the frontier shares
@@ -510,7 +514,7 @@ def _margins_on_frontier(frontier, F_w, x, eps):
     return u1 - base[0], u2 - base[1], slope
 
 
-def _max_min_margins(frontier, W, eps):
+def _max_min_margins(frontier, W, eps, first=None):
     """:func:`scitovsky_margins_batch` on one chunk W of its rows.
 
     diff = m1 - m2 rises with x = logit(lam), and the max-min margin sits
@@ -524,7 +528,9 @@ def _max_min_margins(frontier, W, eps):
     nan (both margins infinite at every weight: an infinite base utility, or
     a zero entry under gamma >= 1), and keeps min(m1, m2) from its last
     evaluation.  A row with a negative entry has
-    no nonnegative split: its margin is -inf.
+    no nonnegative split: its margin is -inf.  ``first``, when given, is
+    :func:`_margins_on_frontier` at x = 0 on every row of W, and stands in
+    for the loop's first evaluation.
     """
     n = len(W)
     margins = np.full(n, -np.inf)
@@ -535,7 +541,11 @@ def _max_min_margins(frontier, W, eps):
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(_NEWTON_CAP):
             xl = x[live]
-            m1, m2, slope = _margins_on_frontier(frontier, W[live], xl, eps)
+            if first is None:
+                m1, m2, slope = _margins_on_frontier(frontier, W[live], xl, eps)
+            else:
+                m1, m2, slope = (v[live] for v in first)
+                first = None
             margins[live] = np.minimum(m1, m2)
             diff = m1 - m2
             below = diff < 0
@@ -553,7 +563,7 @@ def _max_min_margins(frontier, W, eps):
 
 
 def scitovsky_margins_batch(
-    econ: EconomySpec, f: Allocation, W: np.ndarray, eps: float
+    econ: EconomySpec, f: Allocation, W: np.ndarray, eps: float, first=None
 ) -> np.ndarray:
     """Max-min improvement margin for each candidate aggregate row of W.
 
@@ -566,18 +576,23 @@ def scitovsky_margins_batch(
     most _FRONTIER_CHUNK_VALUES values.  Rows do not interact, but BLAS may
     round a row's dot products differently among a different number of rows,
     and the Newton steps carry that into the margin at about 1e-14.
+    ``first``, when given, is ``(m1, m2, slope)`` of
+    :func:`_margins_on_frontier` at lam = 1/2 for every row of W, an
+    evaluation the caller has made; the Newton loop starts from it.
     """
     W, frontier = _frontier(econ, f, W)
     margins = np.empty(len(W))
     for rows in _row_chunks(W, _FRONTIER_CHUNK_VALUES):
-        margins[rows] = _max_min_margins(frontier, W[rows], eps)
+        margins[rows] = _max_min_margins(
+            frontier, W[rows], eps, None if first is None else [v[rows] for v in first])
     return margins
 
 
 # Rows per frontier chunk hold at most this many values (128 KiB of float64).
 # Each frontier evaluation builds about a dozen temporaries of the chunk's
 # shape, and a dozen of them fit a 2 MiB L2.  Every row gets one evaluation at
-# lam = 1/2, and an open row of perfbench thm2-rg 4.3 more in the Newton loop.
+# lam = 1/2, and an open row of perfbench thm2-rg 3.3 more in the Newton loop,
+# which starts from that first one.
 # On a 2-vCPU Xeon with that L2, perfbench thm2-rg ran 0.36 s at 2^14, 0.40 s
 # at 2^15 and 0.42 s at 2^16 values.
 _FRONTIER_CHUNK_VALUES = 1 << 14
@@ -598,22 +613,25 @@ def scitovsky_members(econ: EconomySpec, f: Allocation, W: np.ndarray, eps: floa
     entry (no nonnegative split exists); neither is indeterminate.  The rows
     left open, including those whose ends are nan (an infinite base
     utility), get their exact margins from one call of
-    :func:`scitovsky_margins_batch`.
+    :func:`scitovsky_margins_batch`, which is handed their lam = 1/2
+    evaluation as its Newton loop's first.
     """
     W, frontier = _frontier(econ, f, W)
     # logit(1/2) for every row: the frontier shares broadcast over the chunk
     half = np.zeros(1)
     member = np.zeros(len(W), dtype=bool)
     settled = np.zeros(len(W), dtype=bool)
+    m1, m2, slope = (np.empty(len(W)) for _ in range(3))
     for rows in _row_chunks(W, _FRONTIER_CHUNK_VALUES):
         chunk = W[rows]
         with np.errstate(invalid="ignore", divide="ignore"):
-            m1, m2, _ = _margins_on_frontier(frontier, chunk, half, eps)
+            m1[rows], m2[rows], slope[rows] = _margins_on_frontier(frontier, chunk, half, eps)
         bad = np.any(chunk < 0, axis=1)
-        member[rows] = ~bad & (np.minimum(m1, m2) > MEMBER_TOL)
-        settled[rows] = member[rows] | bad | (0.5 * (m1 + m2) < -MEMBER_TOL)
+        member[rows] = ~bad & (np.minimum(m1[rows], m2[rows]) > MEMBER_TOL)
+        settled[rows] = member[rows] | bad | (0.5 * (m1[rows] + m2[rows]) < -MEMBER_TOL)
     open_rows = np.flatnonzero(~settled)
-    margins = scitovsky_margins_batch(econ, f, W[open_rows], eps)
+    margins = scitovsky_margins_batch(econ, f, W[open_rows], eps,
+                                      first=[v[open_rows] for v in (m1, m2, slope)])
     member[open_rows] = margins > MEMBER_TOL
     indeterminate = np.zeros(len(W), dtype=bool)
     indeterminate[open_rows] = np.abs(margins) <= MEMBER_TOL

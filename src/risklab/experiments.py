@@ -506,8 +506,9 @@ def _membership_counts(econ, f, law, eps, n, seed_spec, threads, conditioned=Fal
     ``conditioned``, only draws with Y = u . z > 0 are counted (rejection
     conditioning on the positive-price half-space: at the Pareto-optimal
     interior allocations that have a supporting price, u is that price's
-    direction), so the estimate's trials are the accepted draws and the
-    rejected ones are never completed; conditioning at an allocation whose
+    direction), so the estimate's trials are the accepted draws, counted on
+    every row's coordinates (:meth:`sampling.PerturbationLaw.sample_projected_coordinates`),
+    and the rejected ones are never completed; conditioning at an allocation whose
     supergradients are not parallel raises ValueError.  More than 1%
     boundary-indeterminate draws raise ConvergenceError, and a conditioning
     that rejects every draw raises ValueError.
@@ -523,8 +524,12 @@ def _membership_counts(econ, f, law, eps, n, seed_spec, threads, conditioned=Fal
             return screen(Y) & (Y[:, 0] > 0.0)
 
     def work(b, m):
-        Y, Z = law.sample_projected_block(b, m, seed_spec, Q, keep)
-        acc = int(np.count_nonzero(Y[:, 0] > 0.0)) if conditioned else m
+        if conditioned:
+            Y, Z = law.sample_projected_coordinates(b, m, seed_spec, Q, keep)
+            acc = int(np.count_nonzero(Y[:, 0] > 0.0))
+        else:
+            _, Z = law.sample_projected_block(b, m, seed_spec, Q, keep)
+            acc = m
         member, indet = economy.scitovsky_members(econ, f, w[None, :] + Z, eps)
         return acc, int(np.count_nonzero(member)), int(np.count_nonzero(indet))
 
@@ -778,9 +783,9 @@ def _lemma1_counts(seed: sampling.SeedSpec, trials: int, threads: int):
 
     ``estimates[delta, d]`` is the MCEstimate of P(z_1 >= delta/2), and
     ``bins[d]`` the counts of z_1 in the bins between :func:`_lemma1_cuts`.
-    Each d (index i in ``_LEMMA1_DIMS``) draws one projected stream,
-    ``seed.stream(100 + i)``, with Q = e_1 and no row completed, and every
-    count is taken on the same blocks.
+    Each d (index i in ``_LEMMA1_DIMS``) reads the coordinates along
+    Q = e_1 of one projected stream, ``seed.stream(100 + i)``, and completes
+    no row; every count is taken on the same blocks.
     """
     estimates, bins = {}, {}
     for i, d in enumerate(_LEMMA1_DIMS):
@@ -788,7 +793,8 @@ def _lemma1_counts(seed: sampling.SeedSpec, trials: int, threads: int):
         stream, e1, cuts = seed.stream(100 + i), np.eye(d, 1), _lemma1_cuts(d)
 
         def count(b: int, m: int) -> np.ndarray:
-            Y, _ = law.sample_projected_block(b, m, stream, e1, lambda Y: np.zeros(m, bool))
+            Y, _ = law.sample_projected_coordinates(b, m, stream, e1,
+                                                    lambda Y: np.zeros(m, bool))
             first = Y[:, 0]
             tails = [np.count_nonzero(first >= delta / 2.0) for delta in _LEMMA1_DELTAS]
             cells = np.bincount(np.searchsorted(cuts, first), minlength=_LEMMA1_BINS)

@@ -91,6 +91,10 @@ class CRRASEU:
         if not np.all(self.in_domain(f)):
             raise ValueError("domain violation: CRRA payoffs must be nonnegative "
                              "(strictly positive for gamma >= 1)")
+        return self._evaluate(f)
+
+    def _evaluate(self, f):
+        """U at acts f already checked to lie in the domain."""
         if self.gamma == 0:
             return f @ self.prior
         if self.gamma == 1:
@@ -154,6 +158,10 @@ class MaxMinEU:
         f = _acts(f, self.dim)
         if not np.all(self.in_domain(f)):
             raise ValueError("domain violation: log Bernoulli needs strictly positive payoffs")
+        return self._evaluate(f)
+
+    def _evaluate(self, f):
+        """U at acts f already checked to lie in the domain."""
         return np.min(self._index(f) @ self.prior_vertices.T, axis=-1)
 
     def worst_case_face(self, f) -> np.ndarray:
@@ -229,18 +237,18 @@ def utility_extended(pref: Preference, f):
     The extension is the monotone lower-semicontinuous completion: acts with
     nonpositive payoffs where the family demands positive ones are strictly
     worse than every interior act, so event deciders can treat them as
-    unimprovable rather than erroring mid-sweep.
+    unimprovable rather than erroring mid-sweep.  The domain is checked once.
     """
     f = _acts(f, pref.dim)
     ok = pref.in_domain(f)
     if np.all(ok):
-        return pref.utility(f)
+        return pref._evaluate(f)
     if f.ndim == 1:
         return -np.inf
     out = np.full(f.shape[:-1], -np.inf)
     if np.any(ok):
         safe = np.where(ok[..., None], f, 1.0)
-        out[ok] = pref.utility(safe)[ok]
+        out[ok] = pref._evaluate(safe)[ok]
     return out
 
 

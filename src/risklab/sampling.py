@@ -19,12 +19,32 @@ array of normals, then m radius uniforms; no runner draws through it: it
 stays as the reference stream that tests compare the projected one against,
 and as the benchmark tracer's sampler hook.
 :meth:`PerturbationLaw.sample_projected_block`, which every runner draws
-through, draws a draw's coordinates in
-the orthonormal columns of a d x k matrix Q first: an (m, k) array of
-normals, then m chi-square variates with d - k degrees of freedom (skipped
-when k = d), then m radius uniforms.  Only the rows its ``keep`` names are
-then completed to full draws, in row order, from (n_kept, d) more normals
-(none when k = d).  The two layouts give different streams of the same law.
+through, draws a draw's coordinates in the orthonormal columns of a d x k
+matrix Q first: an (m, k) array of normals A, then m chi-square variates C
+with d - k degrees of freedom (skipped when k = d), then m radius uniforms U.
+Only the rows its ``keep`` names are then completed to full draws, in row
+order, from (n_kept, d) more normals (none when k = d); when k = 0 those
+normals, scaled, are the draws.  The two layouts give different streams of
+the same law.  :meth:`PerturbationLaw.sample_projected_coordinates` gives
+the same kept draws together with every row's coordinates, for the callers
+that read them.
+
+A draw's coordinates are Y = fl(A fl(R / s)), with s = sqrt(|A|^2 + C) and R
+the radius quantile at U, and the quantile is the expensive step.  When
+k = 1, ``sample_projected_block`` takes it only for the rows that ``keep``
+names at radius 0 or at R+ = r (1 + 2^-30), a bound on every radius the
+quantile returns; every other row is dropped at its exact radius too, so the
+kept rows and their draws are those that taking every row's radius gives,
+bit for bit.  The argument: s > 0 is fixed per row and rounding is
+monotone, so fl(R / s) does not fall as R grows, and fl(A fl(R / s)) moves
+one way with it, by the sign of A; the exact Y therefore lies between Y = 0
+and Y at R+.  ``keep`` must drop an interval of the line, so a row dropped
+at both ends is dropped in between.  The uniform law's radius
+fl(r fl(U^(1/d))) is at most r, as U < 1.  The restricted Gaussian's
+sqrt(2 gammaincinv(d/2, U P(d/2, r^2/2))) exceeds r by the rounding of the
+inverse: one or two ulps at most d, at most 27 ulps over d <= 4000,
+r in [0.01, 37] and U near 1 (the worst at d = 1, r = 1.5), against the
+margin's 2^22 ulps.  With k = 0 or k >= 2 every row's radius is taken.
 
 Laws
 ----
@@ -60,6 +80,9 @@ _Z95 = 1.959963984540054
 _MAX_ARRAY_VALUES = 1 << 27
 # rows per norm pass hold at most this many values (512 KiB of float64)
 _NORM_CHUNK_VALUES = 1 << 16
+# r times this bounds every radius either law's quantile returns (see the
+# module docstring)
+_RADIUS_BOUND = 1.0 + 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -258,6 +281,45 @@ class PerturbationLaw:
             rows *= radius[lo : lo + step, None]
         return z
 
+    def _projected_draws(self, block: int, m: int, seed: SeedSpec | int, Q: np.ndarray):
+        """Block ``block`` of the projected stream: its generator and its first draws.
+
+        Returns ``(gen, A, C, U, norm)``: the (m, k) normals A, the m
+        chi-square variates C = |g_perp|^2 (zeros when Q spans R^d), the m
+        radius uniforms U, in that stream order, and each row's |g| =
+        sqrt(|A|^2 + C).  ``gen`` is left where the orthogonal parts of the
+        kept rows continue the stream.
+        """
+        d, k = self.dim, Q.shape[1]
+        if Q.shape[0] != d or k > d:
+            raise ValueError(f"Q must be {d} x k with k <= {d}, got {Q.shape}")
+        gen = generator_for_block(seed, block)
+        A = gen.standard_normal((m, k))
+        C = 2.0 * gen.standard_gamma(0.5 * (d - k), m) if k < d else np.zeros(m)
+        U = gen.random(m)
+        return gen, A, C, U, np.sqrt(np.einsum("ij,ij->i", A, A) + C)
+
+    def sample_projected_coordinates(
+        self,
+        block: int,
+        m: int,
+        seed: SeedSpec | int,
+        Q: np.ndarray,
+        keep: Callable[[np.ndarray], np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Block ``block`` of the law's projected stream: ``(Y, Z)``, every radius taken.
+
+        ``Y`` (m, k) holds the coordinates Q^T z of every draw, and ``Z`` the
+        full draws of the rows ``keep(Y)`` names, as
+        :meth:`sample_projected_block` gives them.  For callers that read
+        every row's coordinates.
+        """
+        quantile = self._radius_quantile()
+        gen, A, C, U, norm = self._projected_draws(block, m, seed, Q)
+        scale = quantile(U) / norm
+        Y = A * scale[:, None]
+        return Y, _completed_draws(gen, Q, Y, np.flatnonzero(keep(Y)), C, scale)
+
     def sample_projected_block(
         self,
         block: int,
@@ -266,36 +328,55 @@ class PerturbationLaw:
         Q: np.ndarray,
         keep: Callable[[np.ndarray], np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Block ``block`` of the law's projected stream: ``(Y, Z)``.
+        """Block ``block`` of the law's projected stream: ``(rows, Z)``.
 
         ``Q`` is a (dim, k) matrix with orthonormal columns, 0 <= k <= dim.
-        ``Y`` (m, k) holds the m draws' coordinates Q^T z.  ``keep(Y)``
-        returns m booleans, and ``Z`` holds the full draws of the kept rows,
-        in row order.  Only those rows are completed: their parts orthogonal
-        to Q are standard normals projected off Q and scaled to the length
-        the block's chi-square variates give them.
+        ``keep(Y)`` takes an (m, k) array of the draws' coordinates Y = Q^T z
+        and returns m booleans, each row's from that row (or its position)
+        alone.  ``rows`` holds the indices of the rows it keeps, and ``Z``
+        their full draws, in row order: their parts orthogonal to Q are
+        standard normals projected off Q and scaled to the length the
+        block's chi-square variates give them.  When k = 1 the coordinates
+        ``keep`` drops must form an interval of the line (the module
+        docstring says why): a keep that ignores Y, a half-line screen and an
+        intersection of them all qualify.
         """
-        d, k = self.dim, Q.shape[1]
-        if Q.shape[0] != d or k > d:
-            raise ValueError(f"Q must be {d} x k with k <= {d}, got {Q.shape}")
         quantile = self._radius_quantile()
-        gen = generator_for_block(seed, block)
-        A = gen.standard_normal((m, k))
-        # |g_perp|^2; there is no orthogonal part when Q spans R^d
-        C = 2.0 * gen.standard_gamma(0.5 * (d - k), m) if k < d else np.zeros(m)
-        scale = quantile(gen.random(m)) / np.sqrt(np.einsum("ij,ij->i", A, A) + C)
-        Y = A * scale[:, None]
+        gen, A, C, U, norm = self._projected_draws(block, m, seed, Q)
+        if Q.shape[1] == 1:
+            # the verdicts at radius 0 and at the bound on every radius bracket
+            # the exact one: only the rows either end keeps take their radius
+            scale = np.zeros(m)
+            Y = A * (self.radius * _RADIUS_BOUND / norm)[:, None]
+            at = np.flatnonzero(keep(np.zeros((m, 1))) | keep(Y))
+            scale[at] = quantile(U[at]) / norm[at]
+            Y[at] = A[at] * scale[at, None]
+        else:
+            scale = quantile(U) / norm
+            Y = A * scale[:, None]
         rows = np.flatnonzero(keep(Y))
-        Z = Y[rows] @ Q.T
-        if k < d:
-            P = gen.standard_normal((len(rows), d))
-            # projected twice, so the part left along Q is a rounding of |P|,
-            # not of the normals' own length ("twice is enough")
-            for _ in range(2):
-                P -= (P @ Q) @ Q.T
-            P *= (np.sqrt(C[rows]) * scale[rows] / np.linalg.norm(P, axis=1))[:, None]
-            Z += P
-        return Y, Z
+        return rows, _completed_draws(gen, Q, Y, rows, C, scale)
+
+
+def _completed_draws(gen, Q, Y, rows, C, scale):
+    """The full draws of the given rows of a projected block, continuing its stream from gen.
+
+    Y, C and scale are the block's coordinates, chi-square variates and
+    radius-over-|g| factors; only the given rows of each are read.
+    """
+    d, k = Q.shape
+    if k == d:
+        return Y[rows] @ Q.T
+    P = gen.standard_normal((len(rows), d))
+    if k:
+        # projected twice, so the part left along Q is a rounding of |P|,
+        # not of the normals' own length ("twice is enough")
+        for _ in range(2):
+            P -= (P @ Q) @ Q.T
+    P *= (np.sqrt(C[rows]) * scale[rows] / np.linalg.norm(P, axis=1))[:, None]
+    if k:
+        P += Y[rows] @ Q.T
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +444,7 @@ def mc_probability(
     :meth:`PerturbationLaw.sample_projected_block`: ``event`` then receives
     only the full draws of the rows ``keep`` names, and every other row
     counts as a miss, so ``keep`` must name every row on which the event can
-    hold.  The estimate is bit-identical for any ``threads`` value because
+    hold (and meet that method's condition on one-column screens).  The estimate is bit-identical for any ``threads`` value because
     block substreams are deterministic and their hit counts add exactly.
     No runner calls it without ``projection``: that plain path stays as the
     reference the projected estimates are tested against.

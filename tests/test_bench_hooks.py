@@ -100,9 +100,9 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
     projected = sampling.PerturbationLaw.sample_projected_block
 
     def recorded(self, block, m, seed, Q, keep):
-        Y, Z = projected(self, block, m, seed, Q, keep)
+        rows, Z = projected(self, block, m, seed, Q, keep)
         kept.append(len(Z))
-        return Y, Z
+        return rows, Z
 
     monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", recorded)
     # thm2: the rows each membership call is given, and those it leaves open
@@ -113,9 +113,9 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
         decided.append(len(W))
         return members(econ, f, W, eps)
 
-    def recorded_margins(econ, f, W, eps):
+    def recorded_margins(econ, f, W, eps, **kwargs):
         left_open.append(len(W))
-        return margins(econ, f, W, eps)
+        return margins(econ, f, W, eps, **kwargs)
 
     monkeypatch.setattr(economy, "scitovsky_members", recorded_members)
     monkeypatch.setattr(economy, "scitovsky_margins_batch", recorded_margins)

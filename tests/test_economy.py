@@ -348,7 +348,8 @@ def test_projected_screen_on_fully_completed_blocks(build, d):
     law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
     Q, keep = economy.improvement_screen(econ, f, eps, law.radius)
     assert Q.shape == (d, min(d, econ.n_agents))
-    Y, Z = law.sample_projected_block(0, 20_000, SEED, Q, lambda Y: np.ones(len(Y), bool))
+    Y, Z = law.sample_projected_coordinates(0, 20_000, SEED, Q,
+                                            lambda Y: np.ones(len(Y), bool))
     kept = keep(Y)
     flags = economy.individual_improvement_event(econ, f, Z, eps)
     assert 0 < kept.sum() < len(Y) and flags.any()
@@ -582,9 +583,9 @@ def test_scitovsky_members_match_the_exact_margin_classes(gamma, d, monkeypatch)
     open_rows = []
     exact_margins = economy.scitovsky_margins_batch
 
-    def recorded(econ, f, W, eps):
+    def recorded(econ, f, W, eps, **kwargs):
         open_rows.append(len(W))
-        return exact_margins(econ, f, W, eps)
+        return exact_margins(econ, f, W, eps, **kwargs)
 
     monkeypatch.setattr(economy, "scitovsky_margins_batch", recorded)
     for f in allocations:

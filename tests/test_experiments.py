@@ -478,7 +478,7 @@ def _lemma1_only(trials):
 
 def test_lemma1_draws_one_ball_stream_per_dimension(monkeypatch):
     calls = []
-    projected = sampling.PerturbationLaw.sample_projected_block
+    projected = sampling.PerturbationLaw.sample_projected_coordinates
 
     def counted(self, block, m, seed, Q, keep):
         Y, Z = projected(self, block, m, seed, Q, keep)
@@ -488,7 +488,7 @@ def test_lemma1_draws_one_ball_stream_per_dimension(monkeypatch):
     def unused(*args):
         raise AssertionError("lemma1 draws no full block")
 
-    monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", counted)
+    monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_coordinates", counted)
     monkeypatch.setattr(sampling.PerturbationLaw, "sample_block", unused)
     trials = 2 * sampling.BLOCK_DRAWS + 17
     res = experiments.run_experiment(_lemma1_only(trials))
@@ -710,6 +710,16 @@ agent.bernoulli = log
 PINNED_THM1_MAXMIN = "6efd5fd0bba0dbdb9c256b29dcb1212b91bef8402be3869a4ec620f449c8a8a1"
 # default thm2 under the restricted-Gaussian law, the benchmark's thm2-rg at its default seed
 PINNED_THM2_RG = "582866b41cc6e705e7fcc6fae2ff9d7d107e9cf5760b9d6ab682dcb2ed53d0c5"
+# (experiment, law, conditioned): the default runs under the sampler paths they
+# do not take by default; conditioning reads every draw's coordinates
+PINNED_SAMPLER_VARIANTS = {
+    ("thm2", "uniform-ball", True):
+        "dc513cb4a73bb728348aa5c44c0cc700f352e00d5950ca6167513b4208ef21c7",
+    ("thm2", "restricted-gaussian", True):
+        "500ac0f3602f5b110982fa521b5d6ba49297f8a38d5da5e766c3c8b3ebc10687",
+    ("cru", "restricted-gaussian", False):
+        "54cb2cfda8802df3c5e7a166131f1ccde1e0504d50e7a267a4fc3b479c959c5e",
+}
 
 
 @functools.cache
@@ -751,6 +761,14 @@ def test_thm1_maxmin_results_bytes_are_pinned():
 def test_thm2_restricted_gaussian_results_bytes_are_pinned():
     cfg = replace(experiments.default_config("thm2"), law_kind="restricted-gaussian")
     assert _results_sha256(cfg) == PINNED_THM2_RG, _pin_message("thm2 restricted-gaussian")
+
+
+@pytest.mark.parametrize("experiment,law,conditioned", list(PINNED_SAMPLER_VARIANTS))
+def test_sampler_variant_results_bytes_are_pinned(experiment, law, conditioned):
+    cfg = replace(experiments.default_config(experiment), law_kind=law,
+                  condition_positive_price=conditioned)
+    assert _results_sha256(cfg) == PINNED_SAMPLER_VARIANTS[experiment, law, conditioned], (
+        _pin_message(f"{experiment} {law}{' conditioned' if conditioned else ''}"))
 
 
 def test_cobb_douglas_agents_are_crra_agents_at_unit_gamma():

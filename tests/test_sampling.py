@@ -6,8 +6,10 @@ determinism tests require byte-identical arrays, not approximate ones.
 """
 
 import hashlib
+import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import betainc, gammainc
 
-from risklab import sampling
+from risklab import economy, experiments, sampling
 
 SEED = 4242
 
@@ -130,8 +132,10 @@ def test_projected_streams_match_golden_hashes(law, d, k):
     Q = np.eye(d, min(k, d))
     digest = hashlib.sha256()
     for block, m in ((0, sampling.BLOCK_DRAWS), (1, 17)):
-        Y, Z = sampler.sample_projected_block(block, m, SEED, Q, _every_third)
+        Y, Z = sampler.sample_projected_coordinates(block, m, SEED, Q, _every_third)
         assert Y.shape == (m, Q.shape[1]) and Z.shape == (len(range(0, m, 3)), d)
+        rows, Z_kept = sampler.sample_projected_block(block, m, SEED, Q, _every_third)
+        assert np.array_equal(rows, np.arange(0, m, 3)) and _bits(Z_kept) == _bits(Z)
         for part in (Y, Z):
             digest.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
     assert digest.hexdigest() == _PROJECTED_GOLDEN[law, d, k]
@@ -359,7 +363,7 @@ def _random_basis(d, k, rng):
 def test_projected_rows_are_their_draws_coordinates_and_stay_in_the_ball(kind, d, k):
     law = sampling.PerturbationLaw(kind, d, 1.5)
     Q = _random_basis(d, k, np.random.default_rng(d + k))
-    Y, Z = law.sample_projected_block(2, 3000, SEED, Q, lambda Y: np.ones(len(Y), bool))
+    Y, Z = law.sample_projected_coordinates(2, 3000, SEED, Q, lambda Y: np.ones(len(Y), bool))
     assert Y.shape == (3000, k) and Z.shape == (3000, d)
     assert np.allclose(Z @ Q, Y, rtol=0, atol=1e-14)
     assert np.linalg.norm(Z, axis=1).max() <= 1.5 * (1 + 1e-14)
@@ -368,13 +372,16 @@ def test_projected_rows_are_their_draws_coordinates_and_stay_in_the_ball(kind, d
 def test_projected_block_completes_only_the_kept_rows():
     law = sampling.PerturbationLaw("uniform-ball", 16, 1.0)
     Q = _random_basis(16, 3, np.random.default_rng(1))
-    Y_all, Z_all = law.sample_projected_block(0, 500, SEED, Q, lambda Y: np.ones(len(Y), bool))
-    Y, Z = law.sample_projected_block(0, 500, SEED, Q, lambda Y: Y[:, 0] > 0.2)
+    Y_all, Z_all = law.sample_projected_coordinates(0, 500, SEED, Q,
+                                                    lambda Y: np.ones(len(Y), bool))
+    Y, Z = law.sample_projected_coordinates(0, 500, SEED, Q, lambda Y: Y[:, 0] > 0.2)
     # the coordinates do not depend on which rows are kept; the kept rows are
     # completed in row order from the normals drawn after the block's uniforms
     assert np.array_equal(Y, Y_all)
     kept = np.flatnonzero(Y[:, 0] > 0.2)
     assert 0 < len(Z) == len(kept) < 500
+    rows, _ = law.sample_projected_block(0, 500, SEED, Q, lambda Y: Y[:, 0] > 0.2)
+    assert np.array_equal(rows, kept)
     assert np.allclose(Z @ Q, Y[kept], rtol=0, atol=1e-14)
     assert not np.array_equal(Z, Z_all[kept])
 
@@ -383,7 +390,7 @@ def test_projected_block_with_q_spanning_the_space_draws_no_normals():
     # k = d: no chi-square variate and no completion, and no 0/0 anywhere
     law = sampling.PerturbationLaw("uniform-ball", 3, 1.0)
     Q = _random_basis(3, 3, np.random.default_rng(2))
-    Y, Z = law.sample_projected_block(0, 1000, SEED, Q, lambda Y: np.ones(len(Y), bool))
+    Y, Z = law.sample_projected_coordinates(0, 1000, SEED, Q, lambda Y: np.ones(len(Y), bool))
     gen = sampling.generator_for_block(SEED, 0)
     A = gen.standard_normal((1000, 3))
     R = gen.random(1000) ** (1 / 3)
@@ -391,11 +398,165 @@ def test_projected_block_with_q_spanning_the_space_draws_no_normals():
     assert np.all(np.isfinite(Z)) and np.allclose(Z, Y @ Q.T, rtol=0, atol=1e-15)
 
 
+def _reference_projected_block(law, block, m, seed, Q, keep):
+    """``(Y, rows, Z)`` of the projected stream with every row's radius taken.
+
+    The sampler's layout written out plainly: a row's radius is taken before
+    ``keep`` is asked about it, so the sampler's bracketing of the radius
+    quantile must give these bits exactly.
+    """
+    d, k = law.dim, Q.shape[1]
+    quantile = law._radius_quantile()
+    gen = sampling.generator_for_block(seed, block)
+    A = gen.standard_normal((m, k))
+    C = 2.0 * gen.standard_gamma(0.5 * (d - k), m) if k < d else np.zeros(m)
+    scale = quantile(gen.random(m)) / np.sqrt(np.einsum("ij,ij->i", A, A) + C)
+    Y = A * scale[:, None]
+    rows = np.flatnonzero(keep(Y))
+    Z = Y[rows] @ Q.T
+    if k < d:
+        P = gen.standard_normal((len(rows), d))
+        for _ in range(2):
+            P -= (P @ Q) @ Q.T
+        P *= (np.sqrt(C[rows]) * scale[rows] / np.linalg.norm(P, axis=1))[:, None]
+        Z += P
+    return Y, rows, Z
+
+
+def _bits(a):
+    return a.shape, np.ascontiguousarray(a, dtype="<f8").tobytes()
+
+
+@pytest.fixture
+def quantile_rows(monkeypatch):
+    """The number of uniforms each radius quantile the laws build is handed."""
+    seen = []
+    quantile = sampling.PerturbationLaw._radius_quantile
+
+    def counted(self):
+        inverse = quantile(self)
+
+        def recorded(u):
+            seen.append(len(u))
+            return inverse(u)
+
+        return recorded
+
+    monkeypatch.setattr(sampling.PerturbationLaw, "_radius_quantile", counted)
+    return seen
+
+
+def _assert_matches_reference(law, Q, keep, quantile_rows, label, m=3000, block=1):
+    Y, rows, Z = _reference_projected_block(law, block, m, SEED, Q, keep)
+    del quantile_rows[:]
+    got_rows, got_Z = law.sample_projected_block(block, m, SEED, Q, keep)
+    assert np.array_equal(got_rows, rows), label
+    assert _bits(got_Z) == _bits(Z), label
+    got_Y, got_Z = law.sample_projected_coordinates(block, m, SEED, Q, keep)
+    assert _bits(got_Y) == _bits(Y) and _bits(got_Z) == _bits(Z), label
+    # the sampler's own quantile call: on every row unless Q has one column
+    seen = quantile_rows[0]
+    if Q.shape[1] == 1:
+        assert len(rows) <= seen <= m, label
+    else:
+        assert seen == m, label
+
+
+def _one_column_keeps(r):
+    """Keeps that each drop an interval of Y_0 (or ignore Y), named for messages."""
+    return {
+        "Y0 > 0.3 r": lambda Y: Y[:, 0] > 0.3 * r,
+        "Y0 > 0": lambda Y: Y[:, 0] > 0.0,
+        "Y0 >= -0.2 r": lambda Y: Y[:, 0] >= -0.2 * r,
+        "Y0 < 0.1 r": lambda Y: Y[:, 0] < 0.1 * r,
+        "|Y0| > 0.25 r": lambda Y: np.abs(Y[:, 0]) > 0.25 * r,
+        **_y_blind_keeps(),
+    }
+
+
+def _y_blind_keeps():
+    return {
+        "every third row": _every_third,
+        "no row": lambda Y: np.zeros(len(Y), bool),
+        "every row": lambda Y: np.ones(len(Y), bool),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_LAW_KINDS.values()))
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_one_column_projected_block_matches_every_radius_taken(kind, d, quantile_rows):
+    # bit for bit: the kept rows, every row's coordinates and the completed draws
+    r = 1.5
+    law = sampling.PerturbationLaw(kind, d, r)
+    Q = _random_basis(d, 1, np.random.default_rng(d))
+    for label, keep in _one_column_keeps(r).items():
+        _assert_matches_reference(law, Q, keep, quantile_rows, label)
+
+
+@pytest.mark.parametrize("kind", sorted(_LAW_KINDS.values()))
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_contour_screened_block_matches_every_radius_taken(kind, d, quantile_rows):
+    # the default thm2 economy's contour screen, and that screen conditioned on Y0 > 0
+    cfg = experiments.default_config("thm2")
+    econ = experiments.build_economy(cfg, d, no_agg=True)
+    f = experiments.resolve_allocation(cfg, econ)
+    law = sampling.PerturbationLaw(kind, d, cfg.radius)
+    for eps in (0.0, 0.05, 0.2):
+        Q, keep = economy.contour_screen(econ, f, eps, law.radius)
+        assert Q.shape == (d, 1)
+        _assert_matches_reference(law, Q, keep, quantile_rows, f"eps = {eps}")
+        _assert_matches_reference(law, Q, lambda Y: keep(Y) & (Y[:, 0] > 0.0),
+                                  quantile_rows, f"eps = {eps}, conditioned")
+
+
+@pytest.mark.parametrize("kind", sorted(_LAW_KINDS.values()))
+@pytest.mark.parametrize("d,k", [(2, 0), (8, 0), (32, 0), (8, 3), (32, 3)])
+def test_other_projected_blocks_take_every_radius(kind, d, k, quantile_rows):
+    law = sampling.PerturbationLaw(kind, d, 1.5)
+    Q = _random_basis(d, k, np.random.default_rng(d + k))
+    keeps = _y_blind_keeps() if k == 0 else _one_column_keeps(1.5)
+    for label, keep in keeps.items():
+        _assert_matches_reference(law, Q, keep, quantile_rows, label)
+
+
+def test_thm2_rg_screens_take_the_radius_of_fewer_rows_than_they_draw(quantile_rows):
+    # the benchmark's thm2-rg cells: each block's quantile sees the rows the
+    # contour screen keeps at radius 0 or at the radius bound, not every row
+    cfg = replace(experiments.default_config("thm2"), law_kind="restricted-gaussian")
+    m, seen = sampling.BLOCK_DRAWS, 0
+    for d, eps in itertools.product(cfg.dims, cfg.eps_list):
+        econ = experiments.build_economy(cfg, d, no_agg=True)
+        f = experiments.resolve_allocation(cfg, econ)
+        law = sampling.PerturbationLaw(cfg.law_kind, d, cfg.radius)
+        Q, keep = economy.contour_screen(econ, f, eps, law.radius)
+        del quantile_rows[:]
+        rows, _ = law.sample_projected_block(0, m, SEED, Q, keep)
+        assert len(rows) <= quantile_rows[0] < m, (d, eps)
+        seen += quantile_rows[0]
+    assert seen < 0.5 * m * len(cfg.dims) * len(cfg.eps_list)
+
+
+@pytest.mark.parametrize("kind", sorted(_LAW_KINDS.values()))
+def test_radius_bound_covers_every_quantile_near_one(kind):
+    # the largest uniforms, where the quantile comes closest to r
+    u = np.concatenate([1.0 - np.arange(1, 200) * 2.0**-53, np.linspace(0.999, 1.0, 200)[:-1]])
+    for d in [*range(1, 65), 100, 128, 256, 512, 4000]:
+        for r in (0.1, 1.0, 1.5, 3.0):
+            law = sampling.PerturbationLaw(kind, d, r)
+            if law.kind == "restricted-gaussian" and sampling.restricted_gaussian_acceptance(
+                    d, r) < np.finfo(float).tiny:
+                continue  # refused: its ball mass underflows
+            R = law._radius_quantile()(u)
+            assert R.max() <= r * sampling._RADIUS_BOUND, (d, r)
+
+
 def test_projected_block_refuses_a_basis_of_the_wrong_shape():
     law = sampling.PerturbationLaw("uniform-ball", 2, 1.0)
     for Q in (np.eye(3, 1), np.ones((2, 3))):
         with pytest.raises(ValueError, match="Q must be"):
             law.sample_projected_block(0, 10, SEED, Q, _every_third)
+        with pytest.raises(ValueError, match="Q must be"):
+            law.sample_projected_coordinates(0, 10, SEED, Q, _every_third)
 
 
 def _ks(sample, cdf):
@@ -454,7 +615,7 @@ def test_kept_rows_follow_the_law_conditioned_on_their_coordinates():
     d = 10
     law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
     Q = _random_basis(d, 2, np.random.default_rng(4))
-    Y, Z = law.sample_projected_block(1, 60_000, SEED, Q, lambda Y: Y[:, 0] > 0.3)
+    Y, Z = law.sample_projected_coordinates(1, 60_000, SEED, Q, lambda Y: Y[:, 0] > 0.3)
     kept = Y[Y[:, 0] > 0.3]
     assert np.allclose(Z @ Q, kept, rtol=0, atol=1e-14)
     outside = np.eye(d)[0] - Q @ Q[0]
@@ -569,8 +730,8 @@ def test_mc_probability_with_a_projection_hands_the_event_only_the_kept_rows():
     est = sampling.mc_probability(event, law, n, SEED, 2, (Q, lambda Y: Y[:, 0] > 0.25))
     expected, kept = 0, []
     for b, m in _block_specs(n):
-        Y, Z = law.sample_projected_block(b, m, sampling.as_seed(SEED), Q,
-                                          lambda Y: Y[:, 0] > 0.25)
+        Y, Z = law.sample_projected_coordinates(b, m, sampling.as_seed(SEED), Q,
+                                                lambda Y: Y[:, 0] > 0.25)
         expected += int(np.count_nonzero((Y[:, 0] > 0.25) & (Y[:, 1] > 0.0)))
         kept.append(len(Z))
     assert est == sampling.MCEstimate(expected, n)
