@@ -93,6 +93,11 @@ def bound_lemma1(delta: float, r: float, d: int) -> float:
 _PREFACTOR_CHUNK = 1 << 16
 
 
+def _log_prop7_prefactor(d: np.ndarray) -> np.ndarray:
+    """log of :func:`prop7_prefactor` at an array of dimensions d >= 1."""
+    return math.log(2.0 / ALPHA) + (math.log(ALPHA / 2.0) + np.log(d)) / d
+
+
 def prop7_prefactor(d) -> float | np.ndarray:
     """(2/alpha) * (alpha d / 2)^(1/d) with alpha = sqrt(pi)(sqrt(3)-1).
 
@@ -103,20 +108,21 @@ def prop7_prefactor(d) -> float | np.ndarray:
     d = np.asarray(d, dtype=float)
     if np.any(d < 1):
         raise ValueError("d must be >= 1")
-    log_pre = math.log(2.0 / ALPHA) + (math.log(ALPHA / 2.0) + np.log(d)) / d
-    out = np.exp(log_pre)
+    out = np.exp(_log_prop7_prefactor(d))
     return float(out) if out.ndim == 0 else out
 
 
 def prop7_prefactor_below_4(d_max: int = 10**6) -> bool:
     """Whether the prefactor stays <= 4 for every integer d in 1..d_max.
 
-    Evaluated elementwise over _PREFACTOR_CHUNK dimensions at a time, so
-    the temporaries stay at 512 KiB each whatever d_max is.
+    Compares the log prefactor with log 4, so no value is exponentiated,
+    over _PREFACTOR_CHUNK dimensions at a time, so the temporaries stay at
+    512 KiB each whatever d_max is.
     """
+    log_4 = math.log(4.0)
     return all(
-        np.all(prop7_prefactor(np.arange(lo, min(lo + _PREFACTOR_CHUNK, d_max + 1),
-                                         dtype=float)) <= 4.0)
+        np.all(_log_prop7_prefactor(np.arange(lo, min(lo + _PREFACTOR_CHUNK, d_max + 1),
+                                              dtype=float)) <= log_4)
         for lo in range(1, d_max + 1, _PREFACTOR_CHUNK))
 
 

@@ -267,14 +267,15 @@ def individual_improvement_event(
 ) -> np.ndarray:
     """For each perturbation z: does (1-eps)(f_i + z) beat f_i for SOME agent?
 
-    Vectorized over the rows of Z, every one of which is evaluated for every
-    agent.  Perturbed acts that leave an agent's utility domain (nonpositive
-    payoffs under log curvature) never improve: the monotone extension
-    assigns them -inf utility.  Each agent's base utility is taken once per
-    call; the rows of Z are then worked through in chunks of at most
-    _IMPROVEMENT_CHUNK_VALUES values, every agent in turn on each chunk, so
-    the chunk is read from memory once for all agents.  ``thm1`` hands it
-    only the rows that :func:`improvement_screen` keeps.
+    Vectorized over the rows of Z.  Perturbed acts that leave an agent's
+    utility domain (nonpositive payoffs under log curvature) never improve:
+    the monotone extension assigns them -inf utility.  Each agent's base
+    utility is taken once per call; the rows of Z are then worked through in
+    chunks of at most _IMPROVEMENT_CHUNK_VALUES values, every agent in turn
+    on each chunk, so the chunk is read from memory once for all agents.  An
+    agent is evaluated only on the chunk's rows that no earlier agent has
+    flagged, and a chunk every row of which is flagged stops there.
+    ``thm1`` hands it only the rows that :func:`improvement_screen` keeps.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
@@ -285,16 +286,24 @@ def individual_improvement_event(
     out = np.zeros(len(Z), dtype=bool)
     for rows in _row_chunks(Z, _IMPROVEMENT_CHUNK_VALUES):
         chunk, hit = Z[rows], out[rows]
+        todo = np.arange(len(chunk))  # the chunk's rows no agent has flagged yet
         for pref, fi, level in agents:
-            hit |= utility_extended(pref, (1.0 - eps) * (fi + chunk)) > level
+            acts = chunk if len(todo) == len(chunk) else chunk[todo]
+            flag = utility_extended(pref, (1.0 - eps) * (fi + acts)) > level
+            hit[todo[flag]] = True
+            todo = todo[~flag]
+            if not len(todo):
+                break
     return out
 
 
 # Rows per improvement chunk hold at most this many values (512 KiB of float64).
-# Every agent builds the perturbed acts of the chunk (two more arrays of its
-# size), so the chunk and its temporaries fit a 2 MiB L2 and the rows are read
-# from memory once for all agents; a block every row of which the screen keeps
-# (an agent without a finite supergradient) never takes more than that.
+# Every agent builds the perturbed acts of the rows it is given (two more
+# arrays of at most the chunk's size, and a gathered copy of the rows once an
+# earlier agent has flagged some), so the chunk and its temporaries fit a
+# 2 MiB L2 and the rows are read from memory once for all agents; a block every
+# row of which the screen keeps (an agent without a finite supergradient)
+# never takes more than that.
 _IMPROVEMENT_CHUNK_VALUES = 1 << 16
 # Relative slack of the improvement screen, and the largest |log x| over
 # positive finite doubles.
@@ -520,15 +529,19 @@ def _max_min_margins(frontier, W, eps, first=None):
     diff = m1 - m2 rises with x = logit(lam), and the max-min margin sits
     where it crosses 0.  Safeguarded Newton on x from x = 0, inside the
     bracket [_X_LO, _X_HI]: each evaluation narrows a row's bracket to the
-    side the sign of diff shows, and a Newton step that leaves the bracket
-    or is not finite is replaced by the bracket midpoint, so a row whose
-    margins do not cross inside the bracket is bisected to the edge where
-    its smaller margin is largest.  Only rows still moving are evaluated; a
-    row stops once its step is within 1e-14 (1 + |x|), or its diff is 0 or
-    nan (both margins infinite at every weight: an infinite base utility, or
-    a zero entry under gamma >= 1), and keeps min(m1, m2) from its last
-    evaluation.  A row with a negative entry has
-    no nonnegative split: its margin is -inf.  ``first``, when given, is
+    side the sign of diff shows.  A Newton step that leaves the bracket or
+    is not finite is replaced by the bracket's end on that side when that
+    end is still _X_LO or _X_HI and the row has not been sent to an edge
+    before, and by the bracket midpoint otherwise.  So a row whose margins
+    do not cross inside the bracket is evaluated at the edge where its
+    smaller margin is largest, finds diff with the same sign there, and
+    stops after two or three evaluations; a row that does cross is sent to
+    an edge at most once.  Only rows still moving are evaluated; a row
+    stops once its step is within 1e-14 (1 + |x|), or its diff is 0 or nan
+    (both margins infinite at every weight: an infinite base utility, or a
+    zero entry under gamma >= 1), and keeps min(m1, m2) from its last
+    evaluation.  A row with a negative entry has no nonnegative split: its
+    margin is -inf.  ``first``, when given, is
     :func:`_margins_on_frontier` at x = 0 on every row of W, and stands in
     for the loop's first evaluation.
     """
@@ -537,6 +550,7 @@ def _max_min_margins(frontier, W, eps, first=None):
     x = np.zeros(n)
     x_lo = np.full(n, _X_LO)
     x_hi = np.full(n, _X_HI)
+    sent_to_edge = np.zeros(n, dtype=bool)
     live = np.flatnonzero(np.all(W >= 0, axis=1))
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(_NEWTON_CAP):
@@ -552,7 +566,11 @@ def _max_min_margins(frontier, W, eps, first=None):
             lo = np.where(below, xl, x_lo[live])
             hi = np.where(below, x_hi[live], xl)
             x_new = xl - diff / slope
-            x_new = np.where((x_new > lo) & (x_new < hi), x_new, 0.5 * (lo + hi))
+            out = ~((x_new > lo) & (x_new < hi))
+            end = np.where(below, hi, lo)
+            to_edge = out & ~sent_to_edge[live] & (end == np.where(below, _X_HI, _X_LO))
+            x_new = np.where(to_edge, end, np.where(out, 0.5 * (lo + hi), x_new))
+            sent_to_edge[live] |= to_edge
             step_done = np.abs(x_new - xl) <= 1e-14 * (1.0 + np.abs(xl))
             done = step_done | (diff == 0) | np.isnan(diff)
             x[live], x_lo[live], x_hi[live] = x_new, lo, hi

@@ -736,22 +736,37 @@ def _check_row(family, check, passed, detail=""):
     return {"family": family, "check": check, "passed": bool(passed), "detail": detail}
 
 
-def _bm_checks(seed: sampling.SeedSpec):
+def _bm_pairs(seed: sampling.SeedSpec) -> dict:
+    """The 1000 random box pairs of the ``bm`` checks, stacked by dimension.
+
+    Each pair draws its dimension d in 2..6, its bounds and lam from one
+    stream, pair after pair.  Maps d to ``(A, B, lam)``: A and B the stacks
+    of that dimension's boxes, lam their (n,) weights, pairs in draw order.
+    """
     gen = sampling.generator_for_block(seed.stream(0), 0)
-    rows = []
-    violations = 0
-    worst = math.inf
+    pairs = {d: [] for d in range(2, 7)}
     for _ in range(1000):
         d = int(gen.integers(2, 7))
         lo_a = gen.random(d)
         lo_b = gen.random(d)
-        A = geometry.Box(lo_a, lo_a + 0.2 + gen.random(d))
-        B = geometry.Box(lo_b, lo_b + 0.2 + gen.random(d))
-        lam = 0.1 + 0.8 * gen.random()
+        pairs[d].append((lo_a, lo_a + 0.2 + gen.random(d), lo_b, lo_b + 0.2 + gen.random(d),
+                         0.1 + 0.8 * gen.random()))
+    stacks = {}
+    for d, drawn in pairs.items():
+        lo_a, hi_a, lo_b, hi_b, lam = (np.array(v) for v in zip(*drawn))
+        stacks[d] = geometry.Box(lo_a, hi_a), geometry.Box(lo_b, hi_b), lam
+    return stacks
+
+
+def _bm_checks(seed: sampling.SeedSpec):
+    """Brunn-Minkowski on random box pairs, one call per dimension, and on two homothetic pairs."""
+    rows = []
+    violations = 0
+    worst = math.inf
+    for A, B, lam in _bm_pairs(seed).values():
         res = geometry.bm_check(A, B, lam)
-        if not res.holds:
-            violations += 1
-        worst = min(worst, res.lhs_root - res.rhs_root)
+        violations += int(np.count_nonzero(~res.holds))
+        worst = min(worst, float(np.min(res.lhs_root - res.rhs_root)))
     rows.append(_check_row("bm", "random-boxes-1000", violations == 0,
                            f"violations={violations} worst_root_gap={worst:.3e}"))
     A = geometry.Box(np.zeros(3), np.array([1.0, 2.0, 0.5]))
@@ -778,6 +793,22 @@ def _lemma1_cuts(d: int) -> np.ndarray:
     return np.concatenate([-upper, [0.0], upper[::-1]])
 
 
+def _lemma1_block_counts(first: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """One block's counts of z_1: at or above each delta/2, then in each bin between the cuts.
+
+    The column is sorted once and the delta/2 and the cuts are located in
+    it: the values >= delta/2 are those from its leftmost insertion point
+    on, and the values <= a cut those before its rightmost one, so a value
+    equal to a cut falls in the bin below it.  The counts are those of
+    ``count_nonzero(first >= delta/2)`` and
+    ``bincount(searchsorted(cuts, first))``, a binary search per value.
+    """
+    z = np.sort(first)
+    tails = len(z) - np.searchsorted(z, np.divide(_LEMMA1_DELTAS, 2.0), side="left")
+    cells = np.diff(np.searchsorted(z, cuts, side="right"), prepend=0, append=len(z))
+    return np.concatenate([tails, cells])
+
+
 def _lemma1_counts(seed: sampling.SeedSpec, trials: int, threads: int):
     """``(estimates, bins)`` of z_1 under the uniform unit-ball law.
 
@@ -785,7 +816,8 @@ def _lemma1_counts(seed: sampling.SeedSpec, trials: int, threads: int):
     ``bins[d]`` the counts of z_1 in the bins between :func:`_lemma1_cuts`.
     Each d (index i in ``_LEMMA1_DIMS``) reads the coordinates along
     Q = e_1 of one projected stream, ``seed.stream(100 + i)``, and completes
-    no row; every count is taken on the same blocks.
+    no row; every count is taken on the same blocks
+    (:func:`_lemma1_block_counts`).
     """
     estimates, bins = {}, {}
     for i, d in enumerate(_LEMMA1_DIMS):
@@ -795,10 +827,7 @@ def _lemma1_counts(seed: sampling.SeedSpec, trials: int, threads: int):
         def count(b: int, m: int) -> np.ndarray:
             Y, _ = law.sample_projected_coordinates(b, m, stream, e1,
                                                     lambda Y: np.zeros(m, bool))
-            first = Y[:, 0]
-            tails = [np.count_nonzero(first >= delta / 2.0) for delta in _LEMMA1_DELTAS]
-            cells = np.bincount(np.searchsorted(cuts, first), minlength=_LEMMA1_BINS)
-            return np.concatenate([tails, cells])
+            return _lemma1_block_counts(Y[:, 0], cuts)
 
         counts = sum(sampling.map_blocks(count, trials, threads))
         for delta, k in zip(_LEMMA1_DELTAS, counts):
@@ -905,11 +934,10 @@ def _economy_checks(seed: sampling.SeedSpec):
     cfg2 = default_config("thm2")
     econ2 = build_economy(cfg2, 4, no_agg=True)
     f2, price2 = economy.planner_allocation(econ2)
-    v_ok = True
-    for _ in range(1000):
-        E = np.abs(gen.standard_normal((2, 4))) * 0.1 + 1e-9
-        v = ((f2.acts + E) / (1.0 - eps)).sum(axis=0)
-        v_ok &= bool(v @ price2 >= price2.sum() / (1.0 - eps) - 1e-8)
+    # 1000 perturbations of the (2, 4) allocation in one draw, the stream of 1000 draws of one
+    E = np.abs(gen.standard_normal((1000, 2, 4))) * 0.1 + 1e-9
+    v = ((f2.acts + E) / (1.0 - eps)).sum(axis=1)
+    v_ok = bool(np.all(v @ price2 >= price2.sum() / (1.0 - eps) - 1e-8))
     rows.append(_check_row("economy", "aggregate-contour-halfspace-inclusion", v_ok,
                            "contour members clear ||p||_1/(1-eps)"))
 

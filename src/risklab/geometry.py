@@ -70,7 +70,12 @@ class Ball:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box [lower_1, upper_1] x ... x [lower_d, upper_d]."""
+    """Axis-aligned box [lower_1, upper_1] x ... x [lower_d, upper_d], or a stack of them.
+
+    ``lower`` and ``upper`` are d-vectors, or (n, d) arrays whose row k
+    bounds box k; :func:`volume`, :func:`minkowski_combine` and
+    :func:`bm_check` work on a stack row by row.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -80,14 +85,14 @@ class Box:
         hi = np.asarray(self.upper, dtype=float)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("box bounds must be matching d-vectors")
+        if lo.shape != hi.shape or lo.ndim not in (1, 2):
+            raise ValueError("box bounds must be matching d-vectors or (n, d) stacks")
         if np.any(hi < lo):
             raise ValueError("empty set: upper < lower")
 
     @property
     def dim(self) -> int:
-        return self.lower.size
+        return self.lower.shape[-1]
 
     @property
     def sides(self) -> np.ndarray:
@@ -297,12 +302,18 @@ def contains(S, x: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
 # ---------------------------------------------------------------------------
 
 
-def minkowski_combine(A, B, lam: float):
-    """The Minkowski combination lam*A + (1-lam)*B of two boxes or two balls."""
-    if not 0.0 <= lam <= 1.0:
+def minkowski_combine(A, B, lam):
+    """The Minkowski combination lam*A + (1-lam)*B of two boxes or two balls.
+
+    Two stacks of n boxes combine row by row, with lam a scalar or an (n,)
+    array of one weight per pair.
+    """
+    w = np.asarray(lam, dtype=float)
+    if not np.all((w >= 0.0) & (w <= 1.0)):
         raise ValueError("lambda must lie in [0, 1]")
     if isinstance(A, Box) and isinstance(B, Box):
-        return Box(lam * A.lower + (1 - lam) * B.lower, lam * A.upper + (1 - lam) * B.upper)
+        w = w[..., None]
+        return Box(w * A.lower + (1 - w) * B.lower, w * A.upper + (1 - w) * B.upper)
     if isinstance(A, Ball) and isinstance(B, Ball):
         return Ball(lam * A.center + (1 - lam) * B.center, lam * A.radius + (1 - lam) * B.radius)
     raise ValueError("unsupported representation combination for Minkowski sum")
@@ -313,10 +324,14 @@ def minkowski_combine(A, B, lam: float):
 # ---------------------------------------------------------------------------
 
 
-def volume(S) -> float:
-    """Exact volume of a Box (side product) or Ball (Gamma formula); other bodies raise."""
+def volume(S) -> float | np.ndarray:
+    """Exact volume of a Box (side product) or Ball (Gamma formula); other bodies raise.
+
+    A stack of n boxes gives an (n,) array.
+    """
     if isinstance(S, Box):
-        return float(np.prod(S.sides))
+        vol = np.prod(S.sides, axis=-1)
+        return float(vol) if vol.ndim == 0 else vol
     if isinstance(S, Ball):
         return float(np.exp(bounds.log_ball_volume_m(S.dim, S.radius)))
     raise ValueError(f"no exact volume for {type(S).__name__}")
@@ -371,35 +386,42 @@ class BMCheckResult:
     Vol(combination) vs Vol(A)^lam * Vol(B)^(1-lam); ``lhs_root``/``rhs_root``
     are the additive 1/d-power sides.  The multiplicative form binds only for
     equal-volume homothetic pairs, the additive form for all homothetic pairs.
+    A stack of pairs gives (n,) arrays, entry k pair k's.
     """
 
-    lhs: float
-    rhs: float
-    holds: bool
-    lhs_root: float
-    rhs_root: float
-    root_equality: bool
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    holds: bool | np.ndarray
+    lhs_root: float | np.ndarray
+    rhs_root: float | np.ndarray
+    root_equality: bool | np.ndarray
 
 
-def bm_check(A, B, lam: float, rel_tol: float = 1e-12) -> BMCheckResult:
-    """Evaluate the Brunn-Minkowski inequality on an exactly-computable pair."""
-    vol_a = volume(A)
-    vol_b = volume(B)
+def bm_check(A, B, lam, rel_tol: float = 1e-12) -> BMCheckResult:
+    """Evaluate the Brunn-Minkowski inequality on exactly-computable pairs.
+
+    A and B are two balls, two boxes, or two stacks of n boxes in the same
+    dimension with lam a scalar or an (n,) array; a stack is decided in one
+    pass and gives (n,) fields.  A single pair is computed as a stack of one
+    and its fields returned as Python scalars, so pair k of a stack gets the
+    same bits as pair k checked alone.
+    """
     combo = minkowski_combine(A, B, lam)
-    vol_c = volume(combo)
+    # a single pair's volumes as arrays of one: its powers then run numpy's array
+    # loop, as a stack's do, not the scalar pow that can differ from it in the last bit
+    vol_a, vol_b, vol_c = (np.atleast_1d(volume(S)) for S in (A, B, combo))
+    lam = np.asarray(lam, dtype=float)
     rhs = vol_a**lam * vol_b ** (1.0 - lam)
     d = A.dim
     lhs_root = vol_c ** (1.0 / d)
     rhs_root = lam * vol_a ** (1.0 / d) + (1.0 - lam) * vol_b ** (1.0 / d)
-    scale = max(lhs_root, rhs_root, 1.0)
-    return BMCheckResult(
-        lhs=vol_c,
-        rhs=rhs,
-        holds=vol_c >= rhs * (1.0 - rel_tol),
-        lhs_root=lhs_root,
-        rhs_root=rhs_root,
-        root_equality=abs(lhs_root - rhs_root) <= rel_tol * scale,
-    )
+    scale = np.maximum(np.maximum(lhs_root, rhs_root), 1.0)
+    # in BMCheckResult's field order: lhs, rhs, holds, lhs_root, rhs_root, root_equality
+    fields = (vol_c, rhs, vol_c >= rhs * (1.0 - rel_tol), lhs_root, rhs_root,
+              np.abs(lhs_root - rhs_root) <= rel_tol * scale)
+    if not (isinstance(A, Box) and A.lower.ndim == 2):
+        fields = (v.item() for v in fields)
+    return BMCheckResult(*fields)
 
 
 def cap_fraction(d: int, r: float, t: float) -> float:

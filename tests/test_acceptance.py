@@ -227,30 +227,43 @@ def test_criterion_7_density_ratio_strictly_below_ceiling(record_criterion):
     assert ok, f"first violation (d, r, kappa)={worst}, {elapsed:.2f}s"
 
 
+def _box_stacks(pairs):
+    """``(A, B, lam)`` per dimension: the pairs drawn in it, stacked in draw order."""
+    for drawn in pairs.values():
+        if drawn:
+            lo_a, hi_a, lo_b, hi_b, lam = (np.array(v) for v in zip(*drawn))
+            yield geometry.Box(lo_a, hi_a), geometry.Box(lo_b, hi_b), lam
+
+
 def test_criterion_8_volume_inequality_on_random_boxes(record_criterion):
+    # the pairs are drawn one after another and decided in one bm_check per dimension
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260816)
-    violations = 0
+    random_pairs = {d: [] for d in range(1, 7)}
     for _ in range(1000):
         d = int(rng.integers(1, 7))
         lo_a = rng.uniform(-1.0, 1.0, d)
         lo_b = rng.uniform(-1.0, 1.0, d)
-        A = geometry.Box(lo_a, lo_a + rng.uniform(0.05, 2.0, d))
-        B = geometry.Box(lo_b, lo_b + rng.uniform(0.05, 2.0, d))
-        res = geometry.bm_check(A, B, float(0.05 + 0.9 * rng.random()))
-        if not res.holds or res.lhs_root < res.rhs_root * (1.0 - 1e-12):
-            violations += 1
-    equality_misses = 0
+        hi_a = lo_a + rng.uniform(0.05, 2.0, d)
+        hi_b = lo_b + rng.uniform(0.05, 2.0, d)
+        random_pairs[d].append((lo_a, hi_a, lo_b, hi_b, float(0.05 + 0.9 * rng.random())))
+    homothetic_pairs = {d: [] for d in range(1, 7)}
     for _ in range(50):
         d = int(rng.integers(1, 7))
         lo = rng.uniform(-1.0, 1.0, d)
         side = rng.uniform(0.1, 1.5, d)
         c = float(rng.uniform(0.3, 2.5))
         shift = rng.uniform(-1.0, 1.0, d)
-        A = geometry.Box(lo, lo + side)
-        B = geometry.Box(shift + c * lo, shift + c * (lo + side))
-        if not geometry.bm_check(A, B, 0.37, rel_tol=1e-9).root_equality:
-            equality_misses += 1
+        homothetic_pairs[d].append((lo, lo + side, shift + c * lo, shift + c * (lo + side), 0.37))
+    violations = 0
+    for A, B, lam in _box_stacks(random_pairs):
+        res = geometry.bm_check(A, B, lam)
+        violations += int(np.count_nonzero(
+            ~res.holds | (res.lhs_root < res.rhs_root * (1.0 - 1e-12))))
+    equality_misses = 0
+    for A, B, lam in _box_stacks(homothetic_pairs):
+        equality_misses += int(np.count_nonzero(
+            ~geometry.bm_check(A, B, lam, rel_tol=1e-9).root_equality))
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and equality_misses == 0 and elapsed < 5.0
     record_criterion(

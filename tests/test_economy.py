@@ -571,6 +571,33 @@ def test_scitovsky_newton_matches_reference_bisection(gamma, d):
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5])
+def test_rows_that_do_not_cross_stop_at_the_edge(gamma, monkeypatch):
+    # a row whose margins do not cross inside the weight bracket is evaluated
+    # at the edge its Newton step heads for, and stops there, rather than
+    # being bisected to it (47 evaluations)
+    econ, W = _reference_frontier_cases(gamma, 8)
+    evaluations, evaluate = [], economy._margins_on_frontier
+
+    def counted(*args):
+        evaluations.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(economy, "_margins_on_frontier", counted)
+    edge_rows = 0
+    for weights in ((0.8, 0.2), (0.2, 0.8)):
+        f, _ = economy.planner_allocation(econ, np.array(weights))
+        _, frontier = economy._frontier(econ, f, W)
+        for eps in (0.0, 0.2):
+            _, low, high = _bisection_margins(econ, f, W, eps)
+            for k in np.flatnonzero(low | high):
+                evaluations.clear()
+                economy._max_min_margins(frontier, W[k:k + 1], eps)
+                assert len(evaluations) <= 3, (weights, eps, k, len(evaluations))
+            edge_rows += np.count_nonzero(low | high)
+    assert edge_rows > 0
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5])
 @pytest.mark.parametrize("d", [2, 8, 32])
 def test_scitovsky_members_match_the_exact_margin_classes(gamma, d, monkeypatch):
     econ, W = _reference_frontier_cases(gamma, d)

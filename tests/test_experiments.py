@@ -520,6 +520,38 @@ def test_lemma1_counts_equal_per_delta_mc_probability(threads):
             assert estimates[delta, d] == ref, (delta, d)
 
 
+def _lemma1_counts_by_search(first, cuts):
+    """A block's lemma1 counts the direct way: one comparison and one binary search per value."""
+    tails = [np.count_nonzero(first >= delta / 2.0) for delta in experiments._LEMMA1_DELTAS]
+    cells = np.bincount(np.searchsorted(cuts, first), minlength=experiments._LEMMA1_BINS)
+    return np.concatenate([tails, cells])
+
+
+@pytest.mark.parametrize("i,d", list(enumerate(experiments._LEMMA1_DIMS)))
+def test_lemma1_block_counts_equal_the_per_value_search(i, d):
+    law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
+    stream, cuts = sampling.SeedSpec(7).stream(100 + i), experiments._lemma1_cuts(d)
+    e1 = np.eye(d, 1)
+    for b, m in ((0, sampling.BLOCK_DRAWS), (1, 300)):
+        Y, _ = law.sample_projected_coordinates(b, m, stream, e1, lambda Y: np.zeros(len(Y), bool))
+        counts = experiments._lemma1_block_counts(Y[:, 0], cuts)
+        assert np.array_equal(counts, _lemma1_counts_by_search(Y[:, 0], cuts))
+
+
+@pytest.mark.parametrize("d", experiments._LEMMA1_DIMS)
+def test_lemma1_block_counts_put_ties_where_the_search_does(d):
+    # values exactly at every cut (0.0 among them), -0.0, at every delta/2,
+    # one ulp either side of each, and the ball's ends, in shuffled order
+    cuts = experiments._lemma1_cuts(d)
+    halves = np.divide(experiments._LEMMA1_DELTAS, 2.0)
+    marks = np.concatenate([cuts, halves, [0.0, -0.0, -1.0, 1.0]])
+    column = np.concatenate([marks, marks, np.nextafter(marks, -2.0), np.nextafter(marks, 2.0)])
+    column = np.random.default_rng(d).permutation(column)
+    counts = experiments._lemma1_block_counts(column, cuts)
+    assert np.array_equal(counts, _lemma1_counts_by_search(column, cuts))
+    assert counts[len(halves):].sum() == len(column)
+
+
 @pytest.mark.parametrize("d", experiments._LEMMA1_DIMS)
 def test_lemma1_cuts_split_the_exact_law_into_equal_masses(d):
     cuts = experiments._lemma1_cuts(d)
@@ -769,6 +801,45 @@ def test_sampler_variant_results_bytes_are_pinned(experiment, law, conditioned):
                   condition_positive_price=conditioned)
     assert _results_sha256(cfg) == PINNED_SAMPLER_VARIANTS[experiment, law, conditioned], (
         _pin_message(f"{experiment} {law}{' conditioned' if conditioned else ''}"))
+
+
+def _improvements_by_agent(econ, f, Z, eps):
+    """(agents, rows) flags: does agent i improve on row z, every agent on all rows of Z at once."""
+    return np.array([
+        preferences.utility_extended(a.preference, (1.0 - eps) * (fi + Z))
+        > a.preference.utility(fi) + preferences.TOL_STRICT
+        for a, fi in zip(econ.agents, f.acts)])
+
+
+@pytest.mark.parametrize("economy_id", ["default", "crra-0.5", "crra-4", "maxmin"])
+def test_improvement_decider_skipping_flagged_rows_matches_every_agent(economy_id, monkeypatch):
+    # the pinned thm1 economies; the decider hands each agent only the rows no
+    # earlier agent flagged, and the BLAS products it takes on those must
+    # flag every row as the products on all rows do
+    base = replace(experiments.default_config("thm1"), trials=20_000)
+    cfg = {"default": base, "crra-0.5": _as_crra(base, 0.5, "planner"),
+           "crra-4": _as_crra(base, 4.0, "planner"),
+           "maxmin": experiments.parse_config_text(THM1_MAXMIN_TEXT)}[economy_id]
+    given, evaluate = [], economy.utility_extended
+    monkeypatch.setattr(economy, "utility_extended",
+                        lambda pref, F: given.append(len(F)) or evaluate(pref, F))
+    eps, skipped = cfg.eps_list[0], 0
+    for d in cfg.dims:
+        econ = experiments.build_economy(cfg, d)
+        f = experiments.resolve_allocation(cfg, econ)
+        Z = sampling.PerturbationLaw("uniform-ball", d, cfg.radius).sample(3000, cfg.seed)
+        Q, keep = economy.improvement_screen(econ, f, eps, cfg.radius)
+        # the rows the runner hands over (those the screen keeps), and every row
+        for rows in (Z[keep(Z @ Q)], Z):
+            given.clear()
+            flags = economy.individual_improvement_event(econ, f, rows, eps)
+            by_agent = _improvements_by_agent(econ, f, rows, eps)
+            assert np.array_equal(flags, by_agent.any(axis=0)), d
+            # each agent after the first is given the rows no earlier agent flags
+            open_rows = ~np.logical_or.accumulate(by_agent, axis=0)[:-1]
+            assert sum(given) == len(rows) + np.count_nonzero(open_rows), d
+            skipped += len(rows) * econ.n_agents - sum(given)
+    assert skipped > 0
 
 
 def test_cobb_douglas_agents_are_crra_agents_at_unit_gamma():

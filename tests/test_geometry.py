@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risklab import geometry
+from risklab import experiments, geometry
 from risklab.preferences import CRRASEU, belief_set, cap_prior_polytope
 
 SEED = 20260816
@@ -338,6 +338,39 @@ def test_bm_non_homothetic_boxes_strict():
     res = geometry.bm_check(A, B, 0.5)
     assert res.holds and not res.root_equality
     assert res.lhs > res.rhs * 1.5  # wildly non-homothetic, big slack
+
+
+_BM_FLAGS = ("holds", "root_equality")
+_BM_FIELDS = ("lhs", "rhs", "lhs_root", "rhs_root", *_BM_FLAGS)
+
+
+def test_bm_check_on_a_stack_gives_each_pair_its_own_bits():
+    # the checks run's 1,000 random pairs, decided in one call per dimension
+    stacks = experiments._bm_pairs(experiments.default_config("checks").seed_spec)
+    assert sum(len(lam) for _, _, lam in stacks.values()) == 1000
+    for d, (A, B, lam) in stacks.items():
+        res = geometry.bm_check(A, B, lam)
+        assert A.dim == d and all(getattr(res, f).shape == lam.shape for f in _BM_FIELDS)
+        for k in range(len(lam)):
+            alone = geometry.bm_check(geometry.Box(A.lower[k], A.upper[k]),
+                                      geometry.Box(B.lower[k], B.upper[k]), float(lam[k]))
+            for f in _BM_FIELDS:
+                assert type(getattr(alone, f)) is (bool if f in _BM_FLAGS else float)
+                assert getattr(res, f)[k] == getattr(alone, f), (d, k, f)
+
+
+def test_box_stacks_combine_and_measure_row_by_row():
+    lower = np.array([[0.0, 0.0], [1.0, -1.0]])
+    A = geometry.Box(lower, lower + np.array([[1.0, 2.0], [0.5, 4.0]]))
+    B = geometry.Box(lower, lower + 1.0)
+    assert A.dim == 2 and np.array_equal(geometry.volume(A), [2.0, 2.0])
+    combo = geometry.minkowski_combine(A, B, np.array([0.5, 0.25]))
+    assert np.array_equal(combo.sides, [[1.0, 1.5], [0.875, 1.75]])
+    assert np.array_equal(geometry.minkowski_combine(A, B, 1.0).sides, A.sides)
+    with pytest.raises(ValueError, match="lambda"):
+        geometry.minkowski_combine(A, B, np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="matching"):
+        geometry.Box(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
