@@ -537,7 +537,9 @@ def _max_min_margins(frontier, W, eps, first=None):
     smaller margin is largest, finds diff with the same sign there, and
     stops after two or three evaluations; a row that does cross is sent to
     an edge at most once.  Only rows still moving are evaluated; a row
-    stops once its step is within 1e-14 (1 + |x|), or its diff is 0 or nan
+    stops once its step is within 1e-14 (1 + |x|), tested on the Newton
+    step before the bracket (a converged step can round onto the bracket
+    end just set) and on its replacement, or its diff is 0 or nan
     (both margins infinite at every weight: an infinite base utility, or a
     zero entry under gamma >= 1), and keeps min(m1, m2) from its last
     evaluation.  A row with a negative entry has no nonnegative split: its
@@ -566,7 +568,8 @@ def _max_min_margins(frontier, W, eps, first=None):
             lo = np.where(below, xl, x_lo[live])
             hi = np.where(below, x_hi[live], xl)
             x_new = xl - diff / slope
-            out = ~((x_new > lo) & (x_new < hi))
+            close = np.abs(x_new - xl) <= 1e-14 * (1.0 + np.abs(xl))
+            out = ~(close | ((x_new > lo) & (x_new < hi)))
             end = np.where(below, hi, lo)
             to_edge = out & ~sent_to_edge[live] & (end == np.where(below, _X_HI, _X_LO))
             x_new = np.where(to_edge, end, np.where(out, 0.5 * (lo + hi), x_new))
@@ -742,26 +745,28 @@ class BeliefVolumeSplit:
         return min(self.vol_J, self.vol_Jc)
 
 
+def belief_sets(econ: EconomySpec, f: Allocation) -> list[geometry.Polytope]:
+    """Each agent's belief set (:func:`preferences.belief_set`) at its act in f."""
+    return [preferences.belief_set(a.preference, fi) for a, fi in zip(econ.agents, f.acts)]
+
+
 def belief_volume_split(
-    econ: EconomySpec, allocations: Sequence[Allocation], J: list[int]
+    sets: Sequence[Sequence[geometry.Polytope]], J: list[int]
 ) -> list[BeliefVolumeSplit]:
     """Exact relative simplex volumes of the two coalition belief-set intersections.
 
-    Returns one split per allocation in ``allocations``.  At an allocation,
-    B_J is the intersection of the belief sets of the agents in J at their
-    allocated acts (B_Jc for the complement), and each volume is its share
-    of the simplex by :func:`geometry.relative_volume`: 0.0 when a belief
-    set is lower-dimensional (a proper face of a cap, a single prior), the
+    ``sets`` holds the agents' belief sets at each allocation
+    (:func:`belief_sets`), and one split is returned per allocation.  B_J is
+    the intersection of the belief sets of the agents in J (B_Jc for the
+    complement), and each volume is its share of the simplex by
+    :func:`geometry.relative_volume`: 0.0 when a belief set is
+    lower-dimensional (a proper face of a cap, a single prior), the
     Beta(1, d-1) mass of the slab for caps and slabs on one coordinate, and
     ValueError for any other intersection.
     """
-    J = sorted(set(J))
-    if not J or not all(0 <= j < econ.n_agents for j in J) or len(J) == econ.n_agents:
+    J, n = sorted(set(J)), len(sets[0])
+    if not J or not all(0 <= j < n for j in J) or len(J) == n:
         raise ValueError("J must be a proper nonempty subset of the agents")
-    Jc = [i for i in range(econ.n_agents) if i not in J]
-
-    def volume(group, f):
-        return geometry.relative_volume(
-            [preferences.belief_set(econ.agents[i].preference, f.acts[i]) for i in group])
-
-    return [BeliefVolumeSplit(volume(J, f), volume(Jc, f)) for f in allocations]
+    Jc = [i for i in range(n) if i not in J]
+    return [BeliefVolumeSplit(geometry.relative_volume([B[i] for i in J]),
+                              geometry.relative_volume([B[i] for i in Jc])) for B in sets]

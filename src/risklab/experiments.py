@@ -28,6 +28,7 @@ import math
 import platform
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -349,7 +350,7 @@ class RunResult:
     config: ExperimentConfig
     wall_time_s: float
 
-    @property
+    @cached_property
     def csv_text(self) -> str:
         return rows_to_csv(self.columns, self.rows)
 
@@ -616,8 +617,11 @@ class AmbiguityInstance:
     d: int
     econ: economy.EconomySpec
     traded: economy.Allocation
-    constant: economy.Allocation
     eps: float
+
+    @property
+    def constant(self) -> economy.Allocation:
+        return economy.equal_split(self.econ)
 
 
 def _ambiguity_instance(d: int, a: float, b: float) -> AmbiguityInstance:
@@ -654,17 +658,20 @@ def _ambiguity_instance(d: int, a: float, b: float) -> AmbiguityInstance:
         raise ValueError("construction failed to hurt both agents")
     eps = 0.5 * min(G1, G2) / t
     traded = economy.Allocation(np.vstack([f1, f2])).check_feasible(econ, nonneg=True)
-    return AmbiguityInstance(d, econ, traded, economy.equal_split(econ), eps)
+    return AmbiguityInstance(d, econ, traded, eps)
 
 
-def _prop3_rows(inst: AmbiguityInstance, c_values, constant_phase: bool):
+def _prop3_rows(inst: AmbiguityInstance, c_values, traded_sets, dist: float,
+                constant_phase: bool):
     """Emptiness rows (both rho modes) at the traded acts, plus an optional volume row."""
     bound_columns = {f"bound_c{c:g}": bounds.bound_thm4(inst.eps, inst.d, c)
                      for c in c_values}
     mid_bound = bound_columns[f"bound_c{c_values[len(c_values) // 2]:g}"]
 
-    allocations = [inst.traded, inst.constant] if constant_phase else [inst.traded]
-    splits = economy.belief_volume_split(inst.econ, allocations, [0])
+    sets = [traded_sets]
+    if constant_phase:
+        sets.append(economy.belief_sets(inst.econ, inst.constant))
+    splits = economy.belief_volume_split(sets, [0])
 
     def row(experiment, phase, vols, **fields):
         return {
@@ -674,11 +681,6 @@ def _prop3_rows(inst: AmbiguityInstance, c_values, constant_phase: bool):
             "within_bound": vols.min_rel_vol <= mid_bound, "error": None, **fields,
         }
 
-    B = [
-        preferences.belief_set(inst.econ.agents[i].preference, inst.traded.acts[i])
-        for i in range(2)
-    ]
-    dist = geometry.polytope_distance(B[0], B[1]).value
     traded = row("prop3", "dominated", splits[0], dist=dist)
     rows = []
     for mode in ("definitional", "paper"):
@@ -704,7 +706,8 @@ def run_prop3_thm4(config: ExperimentConfig):
     sweep dimension (emptiness of the delta-extended belief sets at the
     constructed dominated allocation, delta = eps/rho in both rho modes),
     and a fixed disjoint-cap family across the dimension sweep whose
-    constant-act belief volumes trace the min-relative-volume trend.
+    constant-act belief volumes trace the min-relative-volume trend.  One
+    :func:`geometry.polytope_distance` call measures every traded pair.
 
     Every volume is exact (:func:`economy.belief_volume_split`): the belief
     sets at a traded act are proper faces of the caps, so both volumes are
@@ -714,16 +717,19 @@ def run_prop3_thm4(config: ExperimentConfig):
     ``family_trials`` and ``threads`` have no effect.
     """
     seed = config.seed_spec
-    rows = []
+    insts = []
     for e in range(config.n_economies):
         gen = sampling.generator_for_block(seed.stream(1000 + e), 0)
         a = 0.15 + 0.20 * gen.random()
         b = 0.55 + 0.25 * gen.random()
-        inst = _ambiguity_instance(config.dims[0], a, b)
-        rows += _prop3_rows(inst, config.c_values, False)
-    for d in config.dims:
-        rows += _prop3_rows(_ambiguity_instance(d, config.cap_high, config.cap_low),
-                            config.c_values, True)
+        insts.append(_ambiguity_instance(config.dims[0], a, b))
+    insts += [_ambiguity_instance(d, config.cap_high, config.cap_low) for d in config.dims]
+    traded = [economy.belief_sets(inst.econ, inst.traded) for inst in insts]
+    certs = geometry.polytope_distance(traded)
+    rows = []
+    for k, inst in enumerate(insts):
+        rows += _prop3_rows(inst, config.c_values, traded[k], certs[k].value,
+                            k >= config.n_economies)
     const = [r for r in rows if r["phase"] == "constant"]
     mid_c = config.c_values[len(config.c_values) // 2]
     return rows, _series(const, "thm4", ("min_rel_vol", f"bound_c{mid_c:g}"))

@@ -260,18 +260,30 @@ def distance_point_to_convex(x: np.ndarray, P: Polytope) -> float | np.ndarray:
     return float(dist) if np.ndim(x) == 1 else dist
 
 
-def polytope_distance(P: Polytope, Q: Polytope) -> DistanceCertificate:
-    """Distance between two polytopes, with the pair (a*, b*) realizing it.
+def polytope_distance(pairs) -> list[DistanceCertificate]:
+    """Distance between each pair (P, Q) of polytopes, with the pair (a*, b*) realizing it.
 
     The least-norm point of P - Q, the hull of the vertex differences
     a_i - b_j, is a* - b*; its pair weights split into the weights of a*
-    over P's vertices and of b* over Q's.
+    over P's vertices and of b* over Q's.  Pairs with the same number of
+    differences in the same dimension are solved in one lock-step
+    :func:`_min_norm_weights` call.  A single pair is a batch of one, and
+    certificate k has the bits of pair k solved alone.
     """
-    A, B = P.vertices, Q.vertices
-    lam = _min_norm_weights((A[:, None, :] - B[None, :, :]).reshape(1, -1, P.dim))
-    lam = lam.reshape(len(A), len(B))
-    a, b = lam.sum(axis=1) @ A, lam.sum(axis=0) @ B
-    return DistanceCertificate(float(np.linalg.norm(a - b)), a, b)
+    diffs = [(P.vertices[:, None, :] - Q.vertices[None, :, :]).reshape(-1, P.dim)
+             for P, Q in pairs]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, D in enumerate(diffs):
+        groups.setdefault(D.shape, []).append(k)
+    weights = {}
+    for ks in groups.values():
+        weights.update(zip(ks, _min_norm_weights(np.stack([diffs[k] for k in ks]))))
+    certs = []
+    for k, (P, Q) in enumerate(pairs):
+        w = weights[k].reshape(len(P.vertices), len(Q.vertices))
+        a, b = w.sum(axis=1) @ P.vertices, w.sum(axis=0) @ Q.vertices
+        certs.append(DistanceCertificate(float(np.linalg.norm(a - b)), a, b))
+    return certs
 
 
 # no runner reaches contains; the name stays because the benchmark tracer patches it,

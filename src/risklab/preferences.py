@@ -32,13 +32,14 @@ _BOUNDARY_GUARD = 1e-9
 _TINY = np.finfo(float).tiny
 
 
-def _as_prior(mu, strictly_positive: bool) -> np.ndarray:
+def _as_prior(mu, strictly_positive: bool, ndim: int = 1) -> np.ndarray:
+    """``mu`` read-only, checked as a prior, or with ndim = 2 as one prior per row."""
     mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or mu.size < 2:
+    if mu.ndim != ndim or mu.shape[-1] < 2:
         raise ValueError("prior must be a vector over at least 2 states")
     if not np.all(np.isfinite(mu)):
         raise ValueError("prior must be finite")
-    if abs(mu.sum() - 1.0) > _PRIOR_TOL:
+    if np.any(np.abs(mu.sum(axis=-1) - 1.0) > _PRIOR_TOL):
         raise ValueError("prior must sum to 1 within 1e-12")
     if strictly_positive:
         if np.any(mu <= 0):
@@ -133,11 +134,9 @@ class MaxMinEU:
         v = np.atleast_2d(np.asarray(self.prior_vertices, dtype=float))
         if v.size == 0:
             raise ValueError("prior polytope needs at least one vertex")
-        for row in v:
-            _as_prior(row, strictly_positive=False)
+        v = _as_prior(v, strictly_positive=False, ndim=2)
         if self.bernoulli not in ("linear", "log"):
             raise ValueError("bernoulli must be 'linear' or 'log'")
-        v.flags.writeable = False
         object.__setattr__(self, "prior_vertices", v)
         object.__setattr__(self, "prior_halfspaces", tuple(self.prior_halfspaces))
 

@@ -71,6 +71,8 @@ def test_tracer_hooks_record_the_hot_layers(tmp_path):
     # one simplex draw, the economy checks' 1,000 points at d = 4: values x dimension
     simplex = [span for span in tracer.spans if span[1] == "sampling.simplex"]
     assert [(span[7], span[8]) for span in simplex] == [(4000, 4)]
+    # the traced prop3 run measures all its traded pairs in one distance call
+    assert [span[1] for span in tracer.spans].count("geometry.polytope_distance") == 1
 
 
 def test_tracer_sees_the_two_batched_containment_distances():

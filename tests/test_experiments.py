@@ -917,7 +917,8 @@ def test_belief_volume_split_matches_per_set_contains(d, a, b):
     # binomial SE of the exact volumes (a face, of volume 0, takes no hit)
     inst = experiments._ambiguity_instance(d, a, b)
     n, seed = 100_000, 5000 + d
-    splits = economy.belief_volume_split(inst.econ, [inst.traded, inst.constant], [0])
+    splits = economy.belief_volume_split(
+        [economy.belief_sets(inst.econ, f) for f in (inst.traded, inst.constant)], [0])
     assert (splits[0].vol_J, splits[0].vol_Jc) == (0.0, 0.0)
     assert (splits[1].vol_J, splits[1].vol_Jc) == ((1 - a) ** (d - 1), 1 - (1 - b) ** (d - 1))
     for split, f in zip(splits, (inst.traded, inst.constant)):
@@ -965,24 +966,50 @@ def test_prop3_results_ignore_trials_and_family_trials(tmp_path):
 
 
 def test_prop3_measures_one_distance_per_economy(monkeypatch):
-    # the dist column and both rho modes' emptiness tests share one distance
-    calls = []
-    distance = geometry.polytope_distance
+    # the dist column and both rho modes' emptiness tests share one distance,
+    # and every economy's traded pair is measured in one batched call
+    batches, solves = [], []
+    distance, weights = geometry.polytope_distance, geometry._min_norm_weights
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return distance(*args, **kwargs)
+    def counted(pairs):
+        batches.append(len(pairs))
+        return distance(pairs)
+
+    def solved(G):
+        solves.append(G.shape)
+        return weights(G)
 
     monkeypatch.setattr(geometry, "polytope_distance", counted)
+    monkeypatch.setattr(geometry, "_min_norm_weights", solved)
     cfg = replace(experiments.default_config("prop3"), trials=200, dims=(3, 4),
-                  n_economies=2, family_trials=200)
+                  n_economies=5, family_trials=200)
     rows, _ = experiments.run_prop3_thm4(cfg)
-    assert len(calls) == cfg.n_economies + len(cfg.dims)
-    assert sum(r["phase"] == "dominated" for r in rows) == 2 * len(calls)
+    assert batches == [cfg.n_economies + len(cfg.dims)]
+    assert sum(r["phase"] == "dominated" for r in rows) == 2 * sum(batches)
+    # the random economies' pairs share one shape and one lock-step solve; the
+    # family's pair at the same d has fewer vertex differences and its own
+    assert sorted(n for n, _, d in solves if d == cfg.dims[0]) == [1, cfg.n_economies]
+
+
+def test_prop3_builds_only_the_sets_and_splits_it_reads(monkeypatch):
+    # the traded belief sets serve both the distance and the volume split, and
+    # only the dimension family builds (and reads) the constant equal split
+    built = {"equal_split": 0, "belief_set": 0}
+    for module, name in ((economy, "equal_split"), (preferences, "belief_set")):
+        def counted(*args, _build=getattr(module, name), _name=name):
+            built[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    cfg = replace(experiments.default_config("prop3"), dims=(3, 4), n_economies=5)
+    experiments.run_prop3_thm4(cfg)
+    traded_pairs = cfg.n_economies + len(cfg.dims)
+    assert built == {"equal_split": len(cfg.dims),
+                     "belief_set": 2 * traded_pairs + 2 * len(cfg.dims)}
 
 
 def _corral_distance_200_bit(P, Q):
-    """||a* - b*|| on the final corral of polytope_distance(P, Q), in 200-bit arithmetic."""
+    """||a* - b*|| on the final corral of the pair (P, Q)'s distance, in 200-bit arithmetic."""
     mp = pytest.importorskip("mpmath")
     A, B = P.vertices, Q.vertices
     lam = geometry._min_norm_weights((A[:, None, :] - B[None, :, :]).reshape(1, -1, P.dim))[0]
@@ -1013,7 +1040,8 @@ def test_prop3_traded_distances_are_accurate_to_the_last_bits():
         P, Q = (preferences.belief_set(inst.econ.agents[i].preference, inst.traded.acts[i])
                 for i in range(2))
         exact = _corral_distance_200_bit(P, Q)
-        value = geometry.polytope_distance(P, Q).value
+        (cert,) = geometry.polytope_distance([(P, Q)])
+        value = cert.value
         worst = max(worst, float(abs(value - exact)) / math.ulp(float(exact)))
     assert len(insts) == 110
     assert worst <= 1.56

@@ -44,7 +44,7 @@ def test_polytope_distance_between_caps_oracle():
     # (0.6, 0.2, 0.2) and (0.2, 0.4, 0.4) among others: every pair a, b on the
     # two level facets with a - b = (0.4, -0.2, -0.2) is a nearest pair.
     P, Q = _cap(3, 0, 0.6, "ge"), _cap(3, 0, 0.2, "le")
-    cert = geometry.polytope_distance(P, Q)
+    (cert,) = geometry.polytope_distance([(P, Q)])
     assert cert.value == pytest.approx(math.sqrt(0.24), abs=1e-9)
     assert geometry.contains(P, cert.point_a, tol=1e-12)
     assert geometry.contains(Q, cert.point_b, tol=1e-12)
@@ -53,7 +53,7 @@ def test_polytope_distance_between_caps_oracle():
 
 
 def test_polytope_distance_overlapping_sets_is_zero():
-    cert = geometry.polytope_distance(_cap(3, 0, 0.3, "ge"), _cap(3, 0, 0.7, "le"))
+    (cert,) = geometry.polytope_distance([(_cap(3, 0, 0.3, "ge"), _cap(3, 0, 0.7, "le"))])
     assert cert.value < 1e-8
 
 
@@ -61,7 +61,7 @@ def test_singleton_to_face_distance():
     # {e_0} versus conv{e_1, e_2}: nearest point is the midpoint, sqrt(3/2).
     P = geometry.Polytope(vertices=np.eye(3)[:1])
     Q = geometry.Polytope(vertices=np.eye(3)[1:])
-    cert = geometry.polytope_distance(P, Q)
+    (cert,) = geometry.polytope_distance([(P, Q)])
     assert cert.value == pytest.approx(math.sqrt(1.5), abs=1e-9)
 
 
@@ -160,9 +160,48 @@ def test_polytope_distance_matches_brute_force_on_small_hulls():
         B = rng.dirichlet(np.ones(d), int(rng.integers(1, 3)))
         diffs = (A[:, None, :] - B[None, :, :]).reshape(-1, d)
         best = _brute_force_distance(np.zeros(d), diffs)
-        cert = geometry.polytope_distance(geometry.Polytope(A), geometry.Polytope(B))
+        (cert,) = geometry.polytope_distance([(geometry.Polytope(A), geometry.Polytope(B))])
         assert cert.value == pytest.approx(best, abs=1e-9)
         assert np.linalg.norm(cert.point_a - cert.point_b) == pytest.approx(best, abs=1e-12)
+
+
+def _cap_or_face(draw, d, shape):
+    """A random cap of side shape ('ge' or 'le'), or a random face of ``shape`` vertices."""
+    if shape in ("ge", "le"):
+        level = draw(st.floats(0.05, 0.95))
+        return geometry.Polytope(cap_prior_polytope(d, draw(st.integers(0, d - 1)), level, shape)[0])
+    return geometry.Polytope(np.eye(d)[sorted(draw(st.permutations(range(d)))[:shape])])
+
+
+@st.composite
+def _polytope_pairs(draw):
+    """1 to 20 pairs of cap or face polytopes, in one to three shapes at d in [2, 12]."""
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(2, 12))
+        side = st.sampled_from(["ge", "le"]) | st.integers(1, d)
+        shapes.append((d, draw(side), draw(side)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 20))):
+        d, s, t = draw(st.sampled_from(shapes))
+        pairs.append((_cap_or_face(draw, d, s), _cap_or_face(draw, d, t)))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polytope_pairs())
+@example([(_cap(3, 0, 0.3, "ge"), _cap(3, 0, 0.7, "le")),  # overlapping: distance 0
+          (_cap(3, 0, 0.6, "ge"), _cap(3, 0, 0.2, "le")),
+          (_cap(3, 1, 0.5, "ge"), _cap(3, 2, 0.1, "le"))])
+def test_batched_polytope_distances_have_each_pairs_own_bits(pairs):
+    # pairs of one shape are solved in lock-step, and each keeps the bits of its lone call
+    certs = geometry.polytope_distance(pairs)
+    assert len(certs) == len(pairs)
+    for cert, pair in zip(certs, pairs):
+        (alone,) = geometry.polytope_distance([pair])
+        assert cert.value == alone.value
+        assert cert.point_a.tobytes() == alone.point_a.tobytes()
+        assert cert.point_b.tobytes() == alone.point_b.tobytes()
 
 
 @pytest.mark.parametrize("d", [3, 8])

@@ -87,6 +87,22 @@ def test_domain_validation():
         MaxMinEU(np.array([[0.5, 0.5]]), "cubic")
 
 
+@pytest.mark.parametrize("bad,message", [
+    ([0.5, 0.6, 0.0], "sum to 1"),
+    ([1.2, -0.2, 0.0], "nonnegative"),
+    ([np.nan, 0.5, 0.5], "finite"),
+])
+def test_maxmin_vertices_are_checked_at_once_with_each_rows_error(bad, message):
+    # one bad vertex among good ones raises the error it raises alone, in any row
+    for k in range(4):
+        with pytest.raises(ValueError, match=message):
+            MaxMinEU(np.insert(np.eye(3), k, bad, axis=0))
+    for shape in ((2, 1), (2, 2, 2)):
+        with pytest.raises(ValueError, match="at least 2 states"):
+            MaxMinEU(np.full(shape, 0.5))
+    assert not MaxMinEU(np.eye(3)).prior_vertices.flags.writeable
+
+
 def test_utility_extended_never_raises():
     pref = CRRASEU(np.array([0.5, 0.5]))
     assert utility_extended(pref, np.array([1.0, -1.0])) == -math.inf
@@ -264,7 +280,8 @@ def test_cap_polytope_validation():
 def _face_sets_distance_sqrt024():
     A = belief_set(_meu_cap(3, 0, 0.6, "ge"), np.full(3, 0.4))
     B = belief_set(_meu_cap(3, 0, 0.2, "le"), np.full(3, 0.4))
-    return geometry.polytope_distance(A, B).value
+    (cert,) = geometry.polytope_distance([(A, B)])
+    return cert.value
 
 
 def test_two_set_emptiness_exact_threshold():
