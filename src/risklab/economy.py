@@ -32,14 +32,14 @@ Aggregate membership is decided on the utility-possibility frontier of a
 two-agent economy with common CRRA curvature: the frontier is a one-parameter
 family of planner weights lam, along which agent 1's margin m1 rises and
 agent 2's margin m2 falls, and the rule is "member iff the max-min margin
-exceeds 1e-9, indeterminate iff its size is at most 1e-9".  At lam = 1/2 the
-max-min margin is at least min(m1, m2), and at most (m1 + m2)/2, the largest
-average margin over all splits, so :func:`scitovsky_members` first settles
-every row that one evaluation at lam = 1/2 decides; only the rows it leaves
-open go to the exact margin, one safeguarded Newton loop on the logit of
-the planner weight that starts from that evaluation and bisects a row whose
-margins do not cross to its edge of the weight bracket (exact up to float
-tolerance).  Other economies
+exceeds 1e-9, indeterminate iff its size is at most 1e-9".  At every lam the
+max-min margin is at least min(m1, m2) and at most lam m1 + (1 - lam) m2,
+the largest lam-weighted margin over all splits (Sion's minimax), so one
+safeguarded Newton loop on the logit of the planner weight, started at
+lam = 1/2, stops each row at the first weight whose two ends settle its
+class; :func:`scitovsky_margins_batch` without that stop runs the loop to
+the exact margin (up to float tolerance), or to the edge of the weight
+bracket for a row whose margins do not cross inside it.  Other economies
 are refused.
 """
 
@@ -487,11 +487,10 @@ def _frontier(econ: EconomySpec, f: Allocation, W):
 def _margins_on_frontier(frontier, F_w, x, eps):
     """Margins (u_i((1-eps) g_i(lam)) - u_i(f_i)) on the 2-agent CRRA frontier.
 
-    x is an (n,) array of planner-weight logits x = logit(lam), or a (1,)
-    array of one logit for every row; F_w an (n, d) array of candidate
-    aggregates.  The frontier share of agent 1 in state s is
-    expit(q [x + log mu_1s - log mu_2s]), which keeps the algebra stable for
-    extreme weights and curvatures.  The third value is d(m1 - m2)/dx: the
+    x is an (n,) array of planner-weight logits x = logit(lam), and F_w an
+    (n, d) array of candidate aggregates.  The frontier share of agent 1 in
+    state s is expit(q [x + log mu_1s - log mu_2s]), which keeps the algebra
+    stable for extreme weights and curvatures.  The third value is d(m1 - m2)/dx: the
     share s has ds/dx = q s (1 - s), so agent 1's margin rises at
     q sum_s mu_1s ((1-eps) g_1s)^(1-gamma) (1 - s) and agent 2's falls at
     q sum_s mu_2s ((1-eps) g_2s)^(1-gamma) s (the powers are 1 under log
@@ -511,7 +510,7 @@ def _margins_on_frontier(frontier, F_w, x, eps):
         slope = q * ((1.0 - share) @ M[0] + share @ M[1])
     else:
         p_ = 1.0 - gamma
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             U1 = np.maximum(scale * g1, 0.0) ** p_
             U2 = np.maximum(scale * g2, 0.0) ** p_
         u1 = (U1 @ M[0]) / p_
@@ -523,59 +522,71 @@ def _margins_on_frontier(frontier, F_w, x, eps):
     return u1 - base[0], u2 - base[1], slope
 
 
-def _max_min_margins(frontier, W, eps, first=None):
+def _margin_ends(m1, m2, x):
+    """``(lower, upper)``: the max-min margin's ends from the margins at planner logit x."""
+    return np.minimum(m1, m2), expit(x) * m1 + expit(-x) * m2
+
+
+def _max_min_margins(frontier, W, eps, tol):
     """:func:`scitovsky_margins_batch` on one chunk W of its rows.
 
     diff = m1 - m2 rises with x = logit(lam), and the max-min margin sits
-    where it crosses 0.  Safeguarded Newton on x from x = 0, inside the
-    bracket [_X_LO, _X_HI]: each evaluation narrows a row's bracket to the
-    side the sign of diff shows.  A Newton step that leaves the bracket or
-    is not finite is replaced by the bracket's end on that side when that
-    end is still _X_LO or _X_HI and the row has not been sent to an edge
-    before, and by the bracket midpoint otherwise.  So a row whose margins
-    do not cross inside the bracket is evaluated at the edge where its
-    smaller margin is largest, finds diff with the same sign there, and
-    stops after two or three evaluations; a row that does cross is sent to
-    an edge at most once.  Only rows still moving are evaluated; a row
-    stops once its step is within 1e-14 (1 + |x|), tested on the Newton
-    step before the bracket (a converged step can round onto the bracket
-    end just set) and on its replacement, or its diff is 0 or nan
-    (both margins infinite at every weight: an infinite base utility, or a
-    zero entry under gamma >= 1), and keeps min(m1, m2) from its last
-    evaluation.  A row with a negative entry has no nonnegative split: its
-    margin is -inf.  ``first``, when given, is
-    :func:`_margins_on_frontier` at x = 0 on every row of W, and stands in
-    for the loop's first evaluation.
+    where it crosses 0.  Every evaluation at x gives the margin two ends
+    (Sion's minimax): lower = min(m1, m2), the smaller margin of one split,
+    and upper = lam m1 + (1 - lam) m2, the largest lam-weighted margin over
+    all splits, which no split's smaller margin exceeds.  A row stops once
+    lower > tol (keeping lower) or upper < -tol (keeping upper): its class
+    against tol is then certain.  Otherwise safeguarded Newton on x from
+    x = 0, inside the bracket [_X_LO, _X_HI]: each evaluation narrows a
+    row's bracket to the side the sign of diff shows.  A Newton step that
+    leaves the bracket or is not finite is replaced by the bracket's end on
+    that side when that end is still _X_LO or _X_HI and the row has not been
+    sent to an edge before, and by the bracket midpoint otherwise; so is a
+    step larger than half the row's previous one (the zigzag bound of
+    Numerical Recipes' rtsafe).  So a row whose margins do not cross inside
+    the bracket is evaluated at the edge where its smaller margin is
+    largest, finds diff with the same sign there, and stops after two or
+    three evaluations; a row that does cross is sent to an edge at most
+    once.  Only rows still moving are evaluated; a row also stops once its
+    step is within 1e-14 (1 + |x|), tested on the Newton step before the
+    bracket (a converged step can round onto the bracket end just set) and
+    on its replacement, or its diff is 0 or nan (both margins infinite at
+    every weight: an infinite base utility, or a zero entry under
+    gamma >= 1), and keeps lower from its last evaluation.  A row with a
+    negative entry has no nonnegative split: its margin is -inf.
     """
     n = len(W)
     margins = np.full(n, -np.inf)
     x = np.zeros(n)
     x_lo = np.full(n, _X_LO)
     x_hi = np.full(n, _X_HI)
+    step = np.full(n, _X_HI - _X_LO)
     sent_to_edge = np.zeros(n, dtype=bool)
     live = np.flatnonzero(np.all(W >= 0, axis=1))
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(_NEWTON_CAP):
             xl = x[live]
-            if first is None:
-                m1, m2, slope = _margins_on_frontier(frontier, W[live], xl, eps)
-            else:
-                m1, m2, slope = (v[live] for v in first)
-                first = None
-            margins[live] = np.minimum(m1, m2)
+            m1, m2, slope = _margins_on_frontier(frontier, W[live], xl, eps)
+            lower, upper = _margin_ends(m1, m2, xl)
+            miss = upper < -tol
+            margins[live] = np.where(miss, upper, lower)
             diff = m1 - m2
             below = diff < 0
             lo = np.where(below, xl, x_lo[live])
             hi = np.where(below, x_hi[live], xl)
             x_new = xl - diff / slope
-            close = np.abs(x_new - xl) <= 1e-14 * (1.0 + np.abs(xl))
+            move = np.abs(x_new - xl)
+            close = move <= 1e-14 * (1.0 + np.abs(xl))
             out = ~(close | ((x_new > lo) & (x_new < hi)))
             end = np.where(below, hi, lo)
             to_edge = out & ~sent_to_edge[live] & (end == np.where(below, _X_HI, _X_LO))
-            x_new = np.where(to_edge, end, np.where(out, 0.5 * (lo + hi), x_new))
+            bisect = out | (~close & (move > 0.5 * step[live]))
+            x_new = np.where(to_edge, end, np.where(bisect, 0.5 * (lo + hi), x_new))
             sent_to_edge[live] |= to_edge
-            step_done = np.abs(x_new - xl) <= 1e-14 * (1.0 + np.abs(xl))
-            done = step_done | (diff == 0) | np.isnan(diff)
+            taken = np.abs(x_new - xl)
+            step[live] = taken
+            done = (taken <= 1e-14 * (1.0 + np.abs(xl))) | (diff == 0) | np.isnan(diff)
+            done |= miss | (lower > tol)
             x[live], x_lo[live], x_hi[live] = x_new, lo, hi
             live = live[~done]
             if not len(live):
@@ -584,7 +595,7 @@ def _max_min_margins(frontier, W, eps, first=None):
 
 
 def scitovsky_margins_batch(
-    econ: EconomySpec, f: Allocation, W: np.ndarray, eps: float, first=None
+    econ: EconomySpec, f: Allocation, W: np.ndarray, eps: float, tol: float = math.inf
 ) -> np.ndarray:
     """Max-min improvement margin for each candidate aggregate row of W.
 
@@ -592,30 +603,25 @@ def scitovsky_margins_batch(
     curvature economy is a one-parameter planner family along which agent 1's
     margin rises and agent 2's falls, so the max-min sits at their crossing,
     or at an edge of the planner weights [1e-12, 1 - 1e-12] when they do
-    not cross there; :func:`_max_min_margins` finds it.  The frontier is set
-    up once per call, and the rows are then worked through in chunks of at
-    most _FRONTIER_CHUNK_VALUES values.  Rows do not interact, but BLAS may
+    not cross there; :func:`_max_min_margins` finds it.  With a finite
+    ``tol`` a row's margin is exact only as far as its class against tol:
+    the solver stops a row once its lower end exceeds tol or its upper end
+    is below -tol, and returns that end.  The frontier is set up once per
+    call, and the rows are then worked through in chunks of at most
+    _FRONTIER_CHUNK_VALUES values.  Rows do not interact, but BLAS may
     round a row's dot products differently among a different number of rows,
     and the Newton steps carry that into the margin at about 1e-14.
-    ``first``, when given, is ``(m1, m2, slope)`` of
-    :func:`_margins_on_frontier` at lam = 1/2 for every row of W, an
-    evaluation the caller has made; the Newton loop starts from it.
     """
     W, frontier = _frontier(econ, f, W)
     margins = np.empty(len(W))
     for rows in _row_chunks(W, _FRONTIER_CHUNK_VALUES):
-        margins[rows] = _max_min_margins(
-            frontier, W[rows], eps, None if first is None else [v[rows] for v in first])
+        margins[rows] = _max_min_margins(frontier, W[rows], eps, tol)
     return margins
 
 
 # Rows per frontier chunk hold at most this many values (128 KiB of float64).
 # Each frontier evaluation builds about a dozen temporaries of the chunk's
-# shape, and a dozen of them fit a 2 MiB L2.  Every row gets one evaluation at
-# lam = 1/2, and an open row of perfbench thm2-rg 3.3 more in the Newton loop,
-# which starts from that first one.
-# On a 2-vCPU Xeon with that L2, perfbench thm2-rg ran 0.36 s at 2^14, 0.40 s
-# at 2^15 and 0.42 s at 2^16 values.
+# shape, and a dozen of them fit a 2 MiB L2.
 _FRONTIER_CHUNK_VALUES = 1 << 14
 
 
@@ -624,39 +630,15 @@ def scitovsky_members(econ: EconomySpec, f: Allocation, W: np.ndarray, eps: floa
 
     A row is a member when its max-min margin (:func:`scitovsky_margins_batch`)
     exceeds MEMBER_TOL and indeterminate when the margin's size is at most
-    MEMBER_TOL.  At lam = 1/2 the frontier split is the planner split that
-    maximizes U_1 + U_2, so (m1 + m2)/2 there is the largest average margin
-    over all splits of the row, and no split's smaller margin exceeds it:
-    min(m1, m2) <= max-min margin <= (m1 + m2)/2.  One evaluation at
-    lam = 1/2 per chunk of at most _FRONTIER_CHUNK_VALUES values therefore
-    settles a row as a member when its lower end exceeds MEMBER_TOL, and as
-    a miss when its upper end is below -MEMBER_TOL or it has a negative
-    entry (no nonnegative split exists); neither is indeterminate.  The rows
-    left open, including those whose ends are nan (an infinite base
-    utility), get their exact margins from one call of
-    :func:`scitovsky_margins_batch`, which is handed their lam = 1/2
-    evaluation as its Newton loop's first.
+    MEMBER_TOL.  The margins are solved only as far as these classes need
+    (``tol = MEMBER_TOL``): a row stops at the first planner weight whose
+    two ends settle it, most at the first, lam = 1/2, where the upper end is
+    the mean margin (m1 + m2)/2.  A row with a negative entry (no
+    nonnegative split exists) is a miss, and one whose margins are nan (an
+    infinite base utility) is neither member nor indeterminate.
     """
-    W, frontier = _frontier(econ, f, W)
-    # logit(1/2) for every row: the frontier shares broadcast over the chunk
-    half = np.zeros(1)
-    member = np.zeros(len(W), dtype=bool)
-    settled = np.zeros(len(W), dtype=bool)
-    m1, m2, slope = (np.empty(len(W)) for _ in range(3))
-    for rows in _row_chunks(W, _FRONTIER_CHUNK_VALUES):
-        chunk = W[rows]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m1[rows], m2[rows], slope[rows] = _margins_on_frontier(frontier, chunk, half, eps)
-        bad = np.any(chunk < 0, axis=1)
-        member[rows] = ~bad & (np.minimum(m1[rows], m2[rows]) > MEMBER_TOL)
-        settled[rows] = member[rows] | bad | (0.5 * (m1[rows] + m2[rows]) < -MEMBER_TOL)
-    open_rows = np.flatnonzero(~settled)
-    margins = scitovsky_margins_batch(econ, f, W[open_rows], eps,
-                                      first=[v[open_rows] for v in (m1, m2, slope)])
-    member[open_rows] = margins > MEMBER_TOL
-    indeterminate = np.zeros(len(W), dtype=bool)
-    indeterminate[open_rows] = np.abs(margins) <= MEMBER_TOL
-    return member, indeterminate
+    m = scitovsky_margins_batch(econ, f, W, eps, MEMBER_TOL)
+    return m > MEMBER_TOL, np.abs(m) <= MEMBER_TOL
 
 
 def scitovsky_member_grid(econ: EconomySpec, f: Allocation, w: np.ndarray, eps: float) -> bool:
@@ -687,10 +669,10 @@ def cru(econ: EconomySpec, f: Allocation) -> float:
     Requires aggregate endowment exactly 1 in every state, and the two-agent
     common-curvature economy that :func:`scitovsky_members` decides (other
     economies raise its ValueError at the first membership test).  Bisection
-    on that decider's member flag along the symmetric ray, so a scaling the
-    one frontier evaluation at lam = 1/2 settles takes no Newton solve;
-    Pareto-optimal allocations return exactly 1.0.  Allocations dominated by
-    arbitrarily small aggregate scalings are degenerate and raise an error.
+    on that decider's member flag along the symmetric ray, so each scaling
+    is solved only until its class is certain; Pareto-optimal allocations
+    return exactly 1.0.  Allocations dominated by arbitrarily small
+    aggregate scalings are degenerate and raise an error.
     """
     if not econ.no_aggregate_uncertainty or np.abs(econ.aggregate - 1.0).max() > FEASIBILITY_TOL:
         raise ValueError("resource-utilization decider needs aggregate endowment = 1 per state")

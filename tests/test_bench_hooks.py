@@ -13,9 +13,9 @@ simplex sampler's spans come from the ``economy`` checks, and no run reaches
 restored.  The two event deciders work through a block in chunks inside one
 call, and a traced ``thm1`` and ``thm2`` check that the benchmark still sees
 one decider span per sampled block.  ``thm2`` completes only the draws its
-contour screen keeps, and its membership decider settles most of those
-itself and hands the exact margins only the rows it leaves open, so the
-margins span of a block carries those rows.
+contour screen keeps, and its membership decider hands all of them to the
+margin solver, which stops each row once its class is certain, so the
+margins span of a block carries the block's kept rows.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from risklab import economy, experiments, geometry, sampling
+from risklab import experiments, geometry, sampling
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -107,20 +107,6 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
         return rows, Z
 
     monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", recorded)
-    # thm2: the rows each membership call is given, and those it leaves open
-    decided, left_open = [], []
-    members, margins = economy.scitovsky_members, economy.scitovsky_margins_batch
-
-    def recorded_members(econ, f, W, eps):
-        decided.append(len(W))
-        return members(econ, f, W, eps)
-
-    def recorded_margins(econ, f, W, eps, **kwargs):
-        left_open.append(len(W))
-        return margins(econ, f, W, eps, **kwargs)
-
-    monkeypatch.setattr(economy, "scitovsky_members", recorded_members)
-    monkeypatch.setattr(economy, "scitovsky_margins_batch", recorded_margins)
     trials = 2 * sampling.BLOCK_DRAWS + 100
     cfg = replace(experiments.default_config(experiment), trials=trials, dims=(2, 32),
                   law_kind=law, threads=threads)
@@ -134,16 +120,9 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
     assert len(decisions) == math.ceil(trials / sampling.BLOCK_DRAWS) * len(cfg.dims) * len(
         cfg.eps_list)
     # each decider span carries the rows it decides: both runners hand on only
-    # the rows their projected screens keep, and projected draws have no
-    # sampler span; thm2's membership decider takes each block's kept rows
-    # whole (an empty block too) and its margins span gets the open rows
+    # the rows their projected screens keep (an empty block too), and
+    # projected draws have no sampler span
     assert 0 < sum(kept) < trials * len(cfg.dims) * len(cfg.eps_list)
     assert not [span for span in tracer.spans if span[1].startswith("sampling.")
                 and span[1] != "sampling.mc_probability"]
-    if experiment == "thm1":
-        rows = kept
-    else:
-        assert sorted(decided) == sorted(kept)
-        rows = left_open
-        assert 0 < sum(left_open) < sum(kept)
-    assert sorted(span[7] for span in decisions) == sorted(rows)
+    assert sorted(span[7] for span in decisions) == sorted(kept)
