@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 #: Default for the unknown universal decay constant.
 DEFAULT_C = 1.0
@@ -132,7 +131,7 @@ def log_ball_volume_m(m: int, radius: float = 1.0) -> float:
         raise ValueError("m must be >= 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return 0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0) + m * math.log(radius)
+    return 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0) + m * math.log(radius)
 
 
 @dataclass(frozen=True)

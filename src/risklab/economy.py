@@ -50,7 +50,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import geometry, preferences
 # utility_extended is imported by name: the benchmark tracer patches this binding
@@ -484,6 +483,16 @@ def _frontier(econ: EconomySpec, f: Allocation, W):
     return np.atleast_2d(np.asarray(W, dtype=float)), (M, np.log(M), base, q)
 
 
+def _expit(z):
+    """The logistic function 1 / (1 + e^(-z)), elementwise.
+
+    e^(-z) overflows to inf below z = -709, where the quotient is the 0 it
+    should be, so the overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _margins_on_frontier(frontier, F_w, x, eps):
     """Margins (u_i((1-eps) g_i(lam)) - u_i(f_i)) on the 2-agent CRRA frontier.
 
@@ -497,7 +506,7 @@ def _margins_on_frontier(frontier, F_w, x, eps):
     curvature).
     """
     M, logM, base, q = frontier
-    share = expit(q * (x[:, None] + logM[0][None, :] - logM[1][None, :]))
+    share = _expit(q * (x[:, None] + logM[0][None, :] - logM[1][None, :]))
     g1 = F_w * share
     g2 = F_w - g1
     gamma = 1.0 / q
@@ -524,7 +533,7 @@ def _margins_on_frontier(frontier, F_w, x, eps):
 
 def _margin_ends(m1, m2, x):
     """``(lower, upper)``: the max-min margin's ends from the margins at planner logit x."""
-    return np.minimum(m1, m2), expit(x) * m1 + expit(-x) * m2
+    return np.minimum(m1, m2), _expit(x) * m1 + _expit(-x) * m2
 
 
 def _max_min_margins(frontier, W, eps, tol):

@@ -13,7 +13,7 @@ Configs are flat ``key = value`` text files with repeated ``agent.`` blocks
 are printed with 17 significant digits, and all randomness flows through
 seeded block substreams, so re-running a config byte-for-byte reproduces
 ``results.csv`` regardless of thread count.  ``manifest.txt`` records the
-config hash, schema and tool versions, the Python, numpy and scipy versions,
+config hash, schema and tool versions, the Python and numpy versions,
 the thread count, and the results hash; its wall-time line is the only part
 allowed to differ between runs of one config on one installation.
 ``config.txt`` holds the canonical config text the hash is taken over, ready
@@ -33,10 +33,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
-from scipy.special import betaincinv, chdtrc
 
-from . import bounds, economy, geometry, preferences, sampling
+from . import bounds, economy, geometry, preferences, sampling, special
 from ._version import __version__
 
 SCHEMA_VERSION = "risklab-results-v1"
@@ -370,7 +368,6 @@ class RunResult:
             # the Monte Carlo streams depend on numpy's generators and LAPACK's QR
             f"python = {platform.python_version()}",
             f"numpy = {np.__version__}",
-            f"scipy = {scipy.__version__}",
             f"threads = {self.config.threads}",
             f"experiment = {self.experiment_id}",
             f"config_sha256 = {self.config.sha256()}",
@@ -787,16 +784,16 @@ def _bm_checks(seed: sampling.SeedSpec):
     return rows
 
 
-def _lemma1_cuts(d: int) -> np.ndarray:
-    """The ``_LEMMA1_BINS - 1`` cut points splitting z_1 into bins of equal mass.
+def _lemma1_cuts() -> dict[int, np.ndarray]:
+    """Each d's ``_LEMMA1_BINS - 1`` cut points splitting z_1 into bins of equal mass.
 
     Under the uniform unit-ball law P(z_1 >= t) = 0.5 I_{1-t^2}((d+1)/2, 1/2)
-    for t >= 0 (:func:`geometry.cap_fraction`), that is
-    I_{t^2}(1/2, (d+1)/2) = 1 - 2 P(z_1 >= t), and z_1 is symmetric about 0.
+    for t >= 0 (:func:`geometry.cap_fraction`), and z_1 is symmetric about
+    0, so the upper cuts are the cap heights of the tails k / ``_LEMMA1_BINS``.
     """
     tail = np.arange(1, _LEMMA1_BINS // 2) / _LEMMA1_BINS
-    upper = np.sqrt(betaincinv(0.5, 0.5 * (d + 1), 1.0 - 2.0 * tail))
-    return np.concatenate([-upper, [0.0], upper[::-1]])
+    upper = special.cap_height(_LEMMA1_DIMS, tail)
+    return {d: np.concatenate([-row, [0.0], row[::-1]]) for d, row in zip(_LEMMA1_DIMS, upper)}
 
 
 def _lemma1_block_counts(first: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -825,10 +822,10 @@ def _lemma1_counts(seed: sampling.SeedSpec, trials: int, threads: int):
     no row; every count is taken on the same blocks
     (:func:`_lemma1_block_counts`).
     """
-    estimates, bins = {}, {}
+    estimates, bins, cuts_by_dim = {}, {}, _lemma1_cuts()
     for i, d in enumerate(_LEMMA1_DIMS):
         law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
-        stream, e1, cuts = seed.stream(100 + i), np.eye(d, 1), _lemma1_cuts(d)
+        stream, e1, cuts = seed.stream(100 + i), np.eye(d, 1), cuts_by_dim[d]
 
         def count(b: int, m: int) -> np.ndarray:
             Y, _ = law.sample_projected_coordinates(b, m, stream, e1,
@@ -867,7 +864,7 @@ def _lemma1_checks(seed: sampling.SeedSpec, trials: int, threads: int, plot: dic
     expected = trials / _LEMMA1_BINS
     for d in _LEMMA1_DIMS:
         chi2 = float(np.sum((bins[d] - expected) ** 2) / expected)
-        p = float(chdtrc(_LEMMA1_BINS - 1, chi2))
+        p = special.chi2_sf(_LEMMA1_BINS - 1, chi2)
         rows.append(_check_row(
             "lemma1", f"marginal-chi2-{_LEMMA1_BINS}bins-d{d}", p > _LEMMA1_CHI2_P,
             f"chi2={chi2:.6g} df={_LEMMA1_BINS - 1} p={p:.3g}",

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc
 
-from . import bounds
+from . import bounds, special
 
 
 class ConvergenceError(RuntimeError):
@@ -221,7 +220,8 @@ def _resolve_corrals(G: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """
     corral = lam > 0
     size = corral.sum(axis=1)
-    for k in np.unique(size[size > 1]):
+    # the corral sizes above 1 in ascending order; np.unique would import numpy.ma
+    for k in np.flatnonzero(np.bincount(size)[2:]) + 2:
         rows = np.flatnonzero(size == k)
         cols = np.nonzero(corral[rows])[1].reshape(len(rows), k)
         gens = G[rows[:, None], cols]
@@ -440,7 +440,8 @@ def cap_fraction(d: int, r: float, t: float) -> float:
     """Fraction of Vol(Ball_d(r)) lying in {z : u.z >= t} for a unit vector u.
 
     Computed through the regularized incomplete beta function:
-    P(u.z >= t) = 0.5 * I_{1 - (t/r)^2}((d+1)/2, 1/2) for t in [0, r].
+    P(u.z >= t) = 0.5 * I_{1 - (t/r)^2}((d+1)/2, 1/2) for t in [0, r], by
+    Lentz's continued fraction (:func:`special.cap_fraction`).
     Validated against MC and, for d=2, the circular-segment area formula.
     """
     if d < 1:
@@ -452,8 +453,7 @@ def cap_fraction(d: int, r: float, t: float) -> float:
     if t > r:
         warnings.warn("cap height exceeds the radius: degenerate empty cap", RuntimeWarning)
         return 0.0
-    x = 1.0 - (t / r) ** 2
-    return float(0.5 * betainc(0.5 * (d + 1), 0.5, x))
+    return special.cap_fraction(d, 1.0 - (t / r) ** 2)
 
 
 # the name stays because the benchmark tracer patches it, until its refresh (ROADMAP 5(a))

@@ -41,9 +41,10 @@ one way with it, by the sign of A; the exact Y therefore lies between Y = 0
 and Y at R+.  ``keep`` must drop an interval of the line, so a row dropped
 at both ends is dropped in between.  The uniform law's radius
 fl(r fl(U^(1/d))) is at most r, as U < 1.  The restricted Gaussian's
-sqrt(2 gammaincinv(d/2, U P(d/2, r^2/2))) exceeds r by the rounding of the
-inverse: one or two ulps at most d, at most 27 ulps over d <= 4000,
-r in [0.01, 37] and U near 1 (the worst at d = 1, r = 1.5), against the
+radius sqrt(2 x), x the root of P(d/2, x) = U P(d/2, r^2/2)
+(:func:`special.gammainc_inverse`), exceeds r by the rounding of the
+inverse: at most 9 ulps over d in 1..64 and 100..4000, 80 radii in
+[0.01, 37] and U near 1 (the worst at d = 256, r = 14.5), against the
 margin's 2^22 ulps.  With k = 0 or k >= 2 every row's radius is taken.
 
 Laws
@@ -51,8 +52,9 @@ Laws
 Two perturbation laws are provided: the uniform law on the Euclidean ball
 B(r) and the standard Gaussian restricted to that ball.  Both are drawn
 exactly as a Gaussian direction times the inverse CDF of the radius at a
-uniform: r U^(1/d) for the uniform law, sqrt(2 gammaincinv(d/2, U P(d/2, r^2/2)))
-for the restricted Gaussian (Devroye, *Non-Uniform Random Variate
+uniform: r U^(1/d) for the uniform law, and for the restricted Gaussian
+sqrt(2 x) with P(d/2, x) = U P(d/2, r^2/2), P being the regularized lower
+incomplete gamma function (Devroye, *Non-Uniform Random Variate
 Generation*, 1986, ch. V).  The projected layout is exact too: for a
 standard normal g in R^d, Q^T g, |g_perp|^2 (chi-square with d - k degrees
 of freedom) and the direction of g_perp, its part orthogonal to Q, are
@@ -71,7 +73,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, hyp1f1
+from numpy.random import Generator, Philox, SeedSequence
+
+from . import special
 
 BLOCK_DRAWS = 1 << 14
 _BLOCK_COUNTER_STRIDE = 1 << 64
@@ -111,14 +115,14 @@ def as_seed(seed: SeedSpec | int | None) -> SeedSpec:
     return SeedSpec(int(seed))
 
 
-def generator_for_block(seed: SeedSpec | int, block: int) -> np.random.Generator:
+def generator_for_block(seed: SeedSpec | int, block: int) -> Generator:
     """The Philox generator owning block ``block`` of the given stream."""
     seed = as_seed(seed)
-    key = np.random.SeedSequence((seed.master_seed, seed.stream_id))
-    bitgen = np.random.Philox(key=key.generate_state(2, np.uint64))
+    key = SeedSequence((seed.master_seed, seed.stream_id))
+    bitgen = Philox(key=key.generate_state(2, np.uint64))
     if block:
         bitgen.advance(block * _BLOCK_COUNTER_STRIDE)
-    return np.random.Generator(bitgen)
+    return Generator(bitgen)
 
 
 def _blocks(n: int):
@@ -169,8 +173,8 @@ def _fill_rows(n: int, d: int, block: Callable[[int, int], np.ndarray]) -> np.nd
 
 
 def restricted_gaussian_acceptance(d: int, r: float) -> float:
-    """Gaussian ball mass P(||N(0, I_d)|| <= r) = gammainc(d/2, r^2/2)."""
-    return float(gammainc(0.5 * d, 0.5 * r * r))
+    """Gaussian ball mass P(||N(0, I_d)|| <= r) = P(d/2, r^2/2)."""
+    return special.gammainc(0.5 * d, 0.5 * r * r)
 
 
 def sample_uniform_simplex(d: int, n: int, seed: SeedSpec | int) -> np.ndarray:
@@ -195,14 +199,16 @@ def gaussian_kappa_ratio(d: int, r: float) -> float:
     the reciprocal of E[e^(-||z||^2/2)] under the uniform ball law.  With
     t = rho^2/r^2 that mean is 1F1(d/2; d/2+1; -r^2/2), so
     kappa = 1 / 1F1(d/2; d/2+1; -r^2/2) = e^(r^2/2) / 1F1(1; d/2+1; r^2/2)
-    by Kummer's transformation.  The first form is evaluated: it needs no
-    e^(r^2/2), which overflows above r = 37.7.  kappa lies in [1, e^(r^2/2)).
+    by Kummer's transformation.  The first form is evaluated, as
+    e^(-r^2/2) S(r^2/2) with S the positive series of
+    :func:`special.kummer_mean`: it needs no e^(r^2/2), which overflows above
+    r = 37.7.  kappa lies in [1, e^(r^2/2)).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if r <= 0:
         raise ValueError("r must be positive")
-    mean = float(hyp1f1(0.5 * d, 0.5 * d + 1.0, -0.5 * r * r))
+    mean = special.kummer_mean(0.5 * d, 0.5 * r * r)
     if not mean > 1.0 / np.finfo(float).max:
         raise ValueError(f"kappa overflows a float at d={d}, r={r}")
     return 1.0 / mean
@@ -248,7 +254,7 @@ class PerturbationLaw:
                 f"restricted-Gaussian ball mass {mass:.3g} underflows at d={d} and r={r}; "
                 "its radius inverse would return 0"
             )
-        return lambda u: np.sqrt(2.0 * gammaincinv(0.5 * d, u * mass))
+        return lambda u: np.sqrt(2.0 * special.gammainc_inverse(0.5 * d, 0.5 * r * r, u))
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
         """n draws of the law as one (n, dim) array, blockwise per the module contract.

@@ -18,7 +18,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy
 
 from risklab import bounds, economy, experiments, geometry, sampling
 
@@ -356,7 +355,7 @@ def test_criterion_10_isoperimetric_prefactor_bounded(record_criterion):
 PINNED_DEFAULT_RESULTS = {
     "thm1": "cd1bae5d853c1ad6ec7e85ec6ae95ec7ab283538820dec56e0f7ba91af0e7b45",
     "prop3": "bc4d19db8de11e92be5102889a2e971027957b002c11b82d3a8b5d1b64d43e78",
-    "checks": "367dfbde5a91653140901c807abfea3c84d975c99b3d999b286fa53395eecd5f",
+    "checks": "4db97e8aa472f97a486e9f104ea99d69aed498bcfb494fcbb28661bbe08ea0e9",
 }
 
 
@@ -365,8 +364,8 @@ def test_default_results_bytes_are_pinned(thm1_full, prop3_full, checks_full):
     moved = {name: hashlib.sha256(run.csv_text.encode()).hexdigest()
              for name, run in runs.items()}
     assert moved == PINNED_DEFAULT_RESULTS, (
-        f"default results.csv moved; the pins were recorded under numpy 2.4.6 and scipy "
-        f"1.17.1, this run has numpy {np.__version__} and scipy {scipy.__version__}")
+        f"default results.csv moved; the pins were recorded under numpy 2.4.6, "
+        f"this run has numpy {np.__version__}")
 
 
 def test_criterion_11_byte_identical_results(record_criterion, tmp_path):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import json
 import math
 import os
 import platform
@@ -19,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -324,7 +324,7 @@ def test_manifest_hashes_and_layout(tmp_path):
     assert man["plotdata"] == ",".join(sorted(res.plotdata))
     assert man["python"] == platform.python_version()
     assert (man["numpy"], man["threads"]) == (np.__version__, str(cfg.threads))
-    assert man["scipy"] == scipy.__version__
+    assert "scipy" not in man
     assert (man["error_rows"], man["failed_checks"]) == ("0", "0")
     assert res.manifest_text().splitlines()[-3:-1] == ["error_rows = 0", "failed_checks = 0"]
     assert res.manifest_text().splitlines()[-1].startswith("wall_time_s = ")
@@ -530,7 +530,7 @@ def _lemma1_counts_by_search(first, cuts):
 @pytest.mark.parametrize("i,d", list(enumerate(experiments._LEMMA1_DIMS)))
 def test_lemma1_block_counts_equal_the_per_value_search(i, d):
     law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
-    stream, cuts = sampling.SeedSpec(7).stream(100 + i), experiments._lemma1_cuts(d)
+    stream, cuts = sampling.SeedSpec(7).stream(100 + i), experiments._lemma1_cuts()[d]
     e1 = np.eye(d, 1)
     for b, m in ((0, sampling.BLOCK_DRAWS), (1, 300)):
         Y, _ = law.sample_projected_coordinates(b, m, stream, e1, lambda Y: np.zeros(len(Y), bool))
@@ -542,7 +542,7 @@ def test_lemma1_block_counts_equal_the_per_value_search(i, d):
 def test_lemma1_block_counts_put_ties_where_the_search_does(d):
     # values exactly at every cut (0.0 among them), -0.0, at every delta/2,
     # one ulp either side of each, and the ball's ends, in shuffled order
-    cuts = experiments._lemma1_cuts(d)
+    cuts = experiments._lemma1_cuts()[d]
     halves = np.divide(experiments._LEMMA1_DELTAS, 2.0)
     marks = np.concatenate([cuts, halves, [0.0, -0.0, -1.0, 1.0]])
     column = np.concatenate([marks, marks, np.nextafter(marks, -2.0), np.nextafter(marks, 2.0)])
@@ -554,7 +554,7 @@ def test_lemma1_block_counts_put_ties_where_the_search_does(d):
 
 @pytest.mark.parametrize("d", experiments._LEMMA1_DIMS)
 def test_lemma1_cuts_split_the_exact_law_into_equal_masses(d):
-    cuts = experiments._lemma1_cuts(d)
+    cuts = experiments._lemma1_cuts()[d]
     n = experiments._LEMMA1_BINS
     assert len(cuts) == n - 1 and np.all(np.diff(cuts) > 0)
     for j, t in enumerate(cuts, start=1):
@@ -715,7 +715,7 @@ def test_thm1_projected_estimate_agrees_with_plain_monte_carlo():
 PINNED_RESULTS = {
     ("thm2", None): "6638351a54698d8a631378759013ee566892c6b00152385c86da5ca434db0594",
     ("cru", None): "293662d0e965c3c296f1972464526a875bbb689aa4d0e9d4af2752875098d93e",
-    ("checks", 100_000): "b6a6925d4aee53b61265c963874057db0220fafe40bc0c7f73744bb02e7c9f14",
+    ("checks", 100_000): "10727b04e03ab5390db154ae9c8a9faa0d86953d25907e88509978b48e7b4126",
     # log-utility agents at the equilibrium allocation
     ("thm1", 20_000): "dbef17ad512a2a8683d69bec5ef12c5b994c05b347ec0b3769d0d7808d1ba0ec",
 }
@@ -766,8 +766,8 @@ def _as_crra(cfg, gamma, allocation):
 
 
 def _pin_message(what):
-    return (f"{what} results.csv moved; the pin was recorded under numpy 2.4.6 and "
-            f"scipy 1.17.1, this run has numpy {np.__version__} and scipy {scipy.__version__}")
+    return (f"{what} results.csv moved; the pin was recorded under numpy 2.4.6, "
+            f"this run has numpy {np.__version__}")
 
 
 @pytest.mark.parametrize("experiment,trials", list(PINNED_RESULTS))
@@ -1125,17 +1125,54 @@ def test_cli_version_flag(capsys):
     assert "risklab" in capsys.readouterr().out
 
 
-def test_cli_import_loads_no_scipy_integrate_or_optimize():
-    # each of these pulls in scipy.linalg and scipy.sparse.linalg, about
-    # 0.4 s of start-up per process
+# every runner at a tiny size, thm1, thm2 and cru under both laws
+_TINY_RUNS = """
+import json, sys
+from dataclasses import replace
+import risklab.cli
+from risklab import experiments
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+runs = [(f"{name} {law}", name, {"dims": (2,), "law_kind": law})
+        for name in ("thm1", "thm2", "cru") for law in ("uniform-ball", "restricted-gaussian")]
+runs += [("prop3-thm4", "prop3", {"dims": (3, 4), "n_economies": 2, "family_trials": 200}),
+         ("checks", "checks", {})]
+report = {"import": scipy_modules(), "runs": {}}
+for run, name, changes in runs:
+    cfg = replace(experiments.default_config(name), trials=200, **changes)
+    before = set(sys.modules)
+    experiments.run_experiment(cfg)
+    report["runs"][run] = sorted(set(sys.modules) - before)
+report["after_runs"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+@functools.cache
+def _tiny_runs_report():
+    """What a fresh interpreter loads: after ``import risklab.cli``, and during each tiny run."""
     src = str(Path(experiments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import risklab.cli, sys; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", _TINY_RUNS], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return json.loads(out)
+
+
+def test_cli_import_and_every_runner_load_no_scipy():
+    # importing scipy.special alone costs about 0.25 s and 25 MB per process
+    report = _tiny_runs_report()
+    assert report["import"] == [] and report["after_runs"] == []
+
+
+def test_run_experiment_loads_no_module():
+    # a module first loaded inside run_experiment moves its cost from set-up
+    # into the timed run
+    report = _tiny_runs_report()
+    assert len(report["runs"]) == 8
+    assert report["runs"] == {run: [] for run in report["runs"]}
 
 
 def test_cli_condition_flag_is_thm2_only():
