@@ -273,7 +273,9 @@ def individual_improvement_event(
     chunks of at most _IMPROVEMENT_CHUNK_VALUES values, every agent in turn
     on each chunk, so the chunk is read from memory once for all agents.  An
     agent is evaluated only on the chunk's rows that no earlier agent has
-    flagged, and a chunk every row of which is flagged stops there.
+    flagged, and a chunk every row of which is flagged stops there.  Each
+    agent's perturbed acts are built, and their utility taken, in one
+    scratch array of the chunk's size.
     ``thm1`` hands it only the rows that :func:`improvement_screen` keeps.
     """
     if not 0.0 <= eps < 1.0:
@@ -283,12 +285,21 @@ def individual_improvement_event(
     agents = [(a.preference, fi, a.preference.utility(fi) + preferences.TOL_STRICT)
               for a, fi in zip(econ.agents, f.acts)]
     out = np.zeros(len(Z), dtype=bool)
-    for rows in _row_chunks(Z, _IMPROVEMENT_CHUNK_VALUES):
+    chunks = _row_chunks(Z, _IMPROVEMENT_CHUNK_VALUES)
+    scratch = np.empty(Z[chunks[0]].shape) if chunks else None
+    for rows in chunks:
         chunk, hit = Z[rows], out[rows]
         todo = np.arange(len(chunk))  # the chunk's rows no agent has flagged yet
         for pref, fi, level in agents:
-            acts = chunk if len(todo) == len(chunk) else chunk[todo]
-            flag = utility_extended(pref, (1.0 - eps) * (fi + acts)) > level
+            # (1 - eps)(f_i + z), in the scratch rows
+            acts = scratch[: len(todo)]
+            if len(todo) == len(chunk):
+                np.add(chunk, fi, out=acts)
+            else:
+                np.take(chunk, todo, axis=0, out=acts)
+                acts += fi
+            acts *= 1.0 - eps
+            flag = utility_extended(pref, acts, overwrite=True) > level
             hit[todo[flag]] = True
             todo = todo[~flag]
             if not len(todo):
@@ -297,9 +308,8 @@ def individual_improvement_event(
 
 
 # Rows per improvement chunk hold at most this many values (512 KiB of float64).
-# Every agent builds the perturbed acts of the rows it is given (two more
-# arrays of at most the chunk's size, and a gathered copy of the rows once an
-# earlier agent has flagged some), so the chunk and its temporaries fit a
+# Every agent builds the perturbed acts of the rows it is given in one scratch
+# array of at most the chunk's size, so the chunk and the scratch fit a
 # 2 MiB L2 and the rows are read from memory once for all agents; a block every
 # row of which the screen keeps (an agent without a finite supergradient)
 # never takes more than that.
@@ -327,7 +337,7 @@ def improvement_screen(econ: EconomySpec, f: Allocation, eps: float, radius: flo
     (1-eps) Y . (Q^T s_i) > eps s_i.f_i - slack_i; every row when an agent
     has no finite supergradient.  A row it drops is one that
     :func:`individual_improvement_event` cannot flag, so the pair can be
-    handed to :func:`sampling.mc_probability` as its ``projection``; with
+    handed to :func:`sampling.block_hits` as its ``projection``; with
     one column the rows it drops are an intersection of half-lines of Y, an
     interval, as the sampler requires.
 

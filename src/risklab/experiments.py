@@ -447,23 +447,35 @@ def resolve_allocation(config: ExperimentConfig, econ: economy.EconomySpec) -> e
 # ---------------------------------------------------------------------------
 
 
-def _sweep(config: ExperimentConfig, measure, **fixed) -> list[dict]:
+def _sweep(config: ExperimentConfig, prepare, **fixed) -> list[dict]:
     """One row per (eps, d) cell, each with its own law and seed stream.
 
-    ``measure(law, eps, seed)`` returns the cell's measured columns; a cell
-    whose economy or solver fails gets the message in its ``error`` column.
+    ``prepare(law, eps, seed)`` sets a cell up (its economy, allocation and
+    screen) and returns ``(block, finish)``: ``block(b, m)`` measures block b
+    of the cell's ``trials`` draws, and ``finish(results)`` turns the block
+    results, in block order, into the cell's measured columns.  Every cell
+    is prepared first, then the blocks of all of them run in one
+    :func:`sampling.map_blocks` call, and then each cell is finished.  A
+    cell whose economy, solver or blocks fail with ValueError or
+    ConvergenceError gets the message in its ``error`` column.
     """
-    rows = []
-    cells = itertools.product(config.eps_list, config.dims)
-    for cell, (eps, d) in enumerate(cells):
+    rows, prepared = [], []
+    for cell, (eps, d) in enumerate(itertools.product(config.eps_list, config.dims)):
         law = sampling.PerturbationLaw(config.law_kind, d, config.radius)
         row = {**fixed, "d": d, "eps": eps, "r": config.radius, "n": config.trials,
                "error": None}
+        rows.append(row)
         try:
-            row.update(measure(law, eps, config.seed_spec.stream(cell)))
+            prepared.append((row, *prepare(law, eps, config.seed_spec.stream(cell))))
         except (ValueError, geometry.ConvergenceError) as exc:
             row["error"] = str(exc)
-        rows.append(row)
+    results = sampling.map_blocks(lambda cell, b, m: prepared[cell][1](b, m),
+                                  [config.trials] * len(prepared), config.threads)
+    for (row, _, finish), blocks in zip(prepared, results):
+        try:
+            row.update(finish(sampling.cell_results(blocks)))
+        except (ValueError, geometry.ConvergenceError) as exc:
+            row["error"] = str(exc)
     return rows
 
 
@@ -472,7 +484,7 @@ def run_thm1(config: ExperimentConfig):
     if len(config.eps_list) != 1:
         raise ValueError("this experiment takes a single eps")
 
-    def measure(law, eps, seed):
+    def prepare(law, eps, seed):
         econ = build_economy(config, law.dim)
         f = resolve_allocation(config, econ)
         tau = min(float(a.endowment.min()) for a in econ.agents)
@@ -485,19 +497,24 @@ def run_thm1(config: ExperimentConfig):
         def event(Z):
             return economy.individual_improvement_event(econ, f, Z, eps)
 
-        est = sampling.mc_probability(event, law, config.trials, seed, config.threads,
-                                      projection)
-        bound = bounds.bound_thm1(eps, tau, config.radius, law.dim, law.kappa)
-        return {"tau": tau, "kappa": law.kappa, **_estimate_columns(est, bound)}
+        def finish(hits):
+            est = sampling.MCEstimate(sum(hits), config.trials)
+            bound = bounds.bound_thm1(eps, tau, config.radius, law.dim, law.kappa)
+            return {"tau": tau, "kappa": law.kappa, **_estimate_columns(est, bound)}
 
-    rows = _sweep(config, measure, experiment="thm1")
+        return sampling.block_hits(event, law, seed, projection), finish
+
+    rows = _sweep(config, prepare, experiment="thm1")
     return rows, _series(rows, "thm1", ("p_hat", "ci_high", "bound"))
 
 
-def _membership_counts(econ, f, law, eps, n, seed_spec, threads, conditioned=False):
-    """Blockwise aggregate membership: the estimate over accepted draws, and indeterminates.
+def _membership_counts(econ, f, law, eps, n, seed_spec, conditioned=False):
+    """Blockwise aggregate membership: ``(work, tally)``.
 
-    Every block is drawn by :meth:`sampling.PerturbationLaw.sample_projected_block`
+    ``work(b, m)`` decides block b of m draws, and ``tally(results)`` turns
+    the block results of all n draws into the estimate over accepted draws
+    and the count of indeterminate ones.  Every block is drawn by
+    :meth:`sampling.PerturbationLaw.sample_projected_block`
     with :func:`economy.contour_screen`: only the draws in the contour cap are
     completed, and one :func:`economy.scitovsky_members` call per block (an
     empty one too) decides them; every other draw is a miss.  When
@@ -507,9 +524,9 @@ def _membership_counts(econ, f, law, eps, n, seed_spec, threads, conditioned=Fal
     direction), so the estimate's trials are the accepted draws, counted on
     every row's coordinates (:meth:`sampling.PerturbationLaw.sample_projected_coordinates`),
     and the rejected ones are never completed; conditioning at an allocation whose
-    supergradients are not parallel raises ValueError.  More than 1%
-    boundary-indeterminate draws raise ConvergenceError, and a conditioning
-    that rejects every draw raises ValueError.
+    supergradients are not parallel raises ValueError.  In ``tally``, more
+    than 1% boundary-indeterminate draws raise ConvergenceError, and a
+    conditioning that rejects every draw raises ValueError.
     """
     w = econ.aggregate
     Q, keep = economy.contour_screen(econ, f, eps, law.radius)
@@ -531,32 +548,40 @@ def _membership_counts(econ, f, law, eps, n, seed_spec, threads, conditioned=Fal
         member, indet = economy.scitovsky_members(econ, f, w[None, :] + Z, eps)
         return acc, int(np.count_nonzero(member)), int(np.count_nonzero(indet))
 
-    acc, hits, indet = (sum(col) for col in zip(*sampling.map_blocks(work, n, threads)))
-    if indet > 0.01 * n:
-        raise geometry.ConvergenceError(
-            f"{indet} boundary-indeterminate draws (> 1% of {n})", value=indet, gap=indet / n,
-        )
-    if acc == 0:
-        raise ValueError("conditioning rejected every draw")
-    return sampling.MCEstimate(hits=hits, trials=acc), indet
+    def tally(results):
+        acc, hits, indet = (sum(col) for col in zip(*results))
+        if indet > 0.01 * n:
+            raise geometry.ConvergenceError(
+                f"{indet} boundary-indeterminate draws (> 1% of {n})", value=indet,
+                gap=indet / n,
+            )
+        if acc == 0:
+            raise ValueError("conditioning rejected every draw")
+        return sampling.MCEstimate(hits=hits, trials=acc), indet
+
+    return work, tally
 
 
 def run_thm2(config: ExperimentConfig):
     """Aggregate-improvement (Scitovsky membership) probability vs its bound."""
     conditioned = config.condition_positive_price
 
-    def measure(law, eps, seed):
+    def prepare(law, eps, seed):
         econ = build_economy(config, law.dim, no_agg=True)
         f = resolve_allocation(config, econ)
-        est, indet = _membership_counts(
-            econ, f, law, eps, config.trials, seed, config.threads, conditioned)
-        bound = bounds.bound_thm2(eps, config.radius, law.dim, law.kappa)
-        if conditioned:
-            bound *= 2.0
-        return {"kappa": law.kappa, "n_accepted": est.trials, "indeterminate": indet,
-                **_estimate_columns(est, bound)}
+        work, tally = _membership_counts(econ, f, law, eps, config.trials, seed, conditioned)
 
-    rows = _sweep(config, measure, experiment="thm2", conditioned=conditioned)
+        def finish(results):
+            est, indet = tally(results)
+            bound = bounds.bound_thm2(eps, config.radius, law.dim, law.kappa)
+            if conditioned:
+                bound *= 2.0
+            return {"kappa": law.kappa, "n_accepted": est.trials, "indeterminate": indet,
+                    **_estimate_columns(est, bound)}
+
+        return work, finish
+
+    rows = _sweep(config, prepare, experiment="thm2", conditioned=conditioned)
     plot = {}
     for eps in config.eps_list:
         plot.update(_series([r for r in rows if r["eps"] == eps], f"thm2_eps{eps:g}",
@@ -576,9 +601,11 @@ def run_cru(config: ExperimentConfig):
         )
     improvement = 1.0 - beta * beta
     law = sampling.PerturbationLaw(config.law_kind, d, config.radius)
-    est, indet = _membership_counts(
-        econ, f, law, improvement, config.trials, config.seed_spec.stream(0), config.threads
-    )
+    work, tally = _membership_counts(econ, f, law, improvement, config.trials,
+                                     config.seed_spec.stream(0))
+    results = sampling.map_blocks(lambda cell, b, m: work(b, m), [config.trials],
+                                  config.threads)[0]
+    est, indet = tally(sampling.cell_results(results))
     row = {
         "experiment": "cru", "d": d, "beta": beta, "improvement": improvement,
         "r": config.radius, "n": config.trials, "n_accepted": est.trials,
@@ -820,19 +847,21 @@ def _lemma1_counts(seed: sampling.SeedSpec, trials: int, threads: int):
     Each d (index i in ``_LEMMA1_DIMS``) reads the coordinates along
     Q = e_1 of one projected stream, ``seed.stream(100 + i)``, and completes
     no row; every count is taken on the same blocks
-    (:func:`_lemma1_block_counts`).
+    (:func:`_lemma1_block_counts`).  The d are the cells of one
+    :func:`sampling.map_blocks` call.
     """
-    estimates, bins, cuts_by_dim = {}, {}, _lemma1_cuts()
-    for i, d in enumerate(_LEMMA1_DIMS):
-        law = sampling.PerturbationLaw("uniform-ball", d, 1.0)
-        stream, e1, cuts = seed.stream(100 + i), np.eye(d, 1), cuts_by_dim[d]
+    estimates, bins, cuts = {}, {}, _lemma1_cuts()
+    cells = [(sampling.PerturbationLaw("uniform-ball", d, 1.0), seed.stream(100 + i),
+              np.eye(d, 1), cuts[d]) for i, d in enumerate(_LEMMA1_DIMS)]
 
-        def count(b: int, m: int) -> np.ndarray:
-            Y, _ = law.sample_projected_coordinates(b, m, stream, e1,
-                                                    lambda Y: np.zeros(m, bool))
-            return _lemma1_block_counts(Y[:, 0], cuts)
+    def count(i: int, b: int, m: int) -> np.ndarray:
+        law, stream, e1, cut = cells[i]
+        Y, _ = law.sample_projected_coordinates(b, m, stream, e1, lambda Y: np.zeros(m, bool))
+        return _lemma1_block_counts(Y[:, 0], cut)
 
-        counts = sum(sampling.map_blocks(count, trials, threads))
+    results = sampling.map_blocks(count, [trials] * len(_LEMMA1_DIMS), threads)
+    for d, blocks in zip(_LEMMA1_DIMS, results):
+        counts = sum(sampling.cell_results(blocks))
         for delta, k in zip(_LEMMA1_DELTAS, counts):
             estimates[delta, d] = sampling.MCEstimate(int(k), trials)
         bins[d] = counts[len(_LEMMA1_DELTAS):]

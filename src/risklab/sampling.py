@@ -10,8 +10,11 @@ keyed by ``SeedSequence((master_seed, stream_id))`` and advanced by
 are frozen constants of the implementation, so the resulting sample stream is
 bit-identical no matter how blocks are scheduled across threads or runs.
 :func:`map_blocks` is the one scheduler every sampler and estimator goes
-through.  Estimator accumulation is exact integer counting and therefore
-associative.
+through: a run hands it all of its (cell, block) tasks at once, a cell being
+one stream of draws (one (eps, d) point of a sweep), and they run in that
+order, on one pool of worker threads when the run has more than one, so no
+worker waits for a cell's last block before the next cell's blocks start.
+Estimator accumulation is exact integer counting and therefore associative.
 
 A block has one of two layouts, and each is drawn in a fixed order from the
 block's generator.  :meth:`PerturbationLaw.sample_block` draws an (m, d)
@@ -60,17 +63,20 @@ standard normal g in R^d, Q^T g, |g_perp|^2 (chi-square with d - k degrees
 of freedom) and the direction of g_perp, its part orthogonal to Q, are
 independent, so the draw R g/|g| can be built from the first two and its
 radius R alone, and its orthogonal part added later from any other standard
-normal projected off Q.  The restricted Gaussian is refused where its ball
-mass P(d/2, r^2/2) underflows.  Its density ratio against the uniform law has
-the closed form computed by :func:`gaussian_kappa_ratio`.
+normal projected off Q.  The restricted Gaussian's radius inverse works
+from log u + log P(d/2, r^2/2), so a ball mass below the smallest normal
+float (at r = 1, from d = 300 on) needs no special case.  Its density ratio
+against the uniform law has the closed form computed by
+:func:`gaussian_kappa_ratio`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -115,11 +121,18 @@ def as_seed(seed: SeedSpec | int | None) -> SeedSpec:
     return SeedSpec(int(seed))
 
 
+@functools.lru_cache(maxsize=1024)
+def _stream_key(master_seed: int, stream_id: int) -> np.ndarray:
+    """The Philox key of stream ``(master_seed, stream_id)``, hashed once per stream."""
+    key = SeedSequence((master_seed, stream_id)).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
+
+
 def generator_for_block(seed: SeedSpec | int, block: int) -> Generator:
     """The Philox generator owning block ``block`` of the given stream."""
     seed = as_seed(seed)
-    key = SeedSequence((seed.master_seed, seed.stream_id))
-    bitgen = Philox(key=key.generate_state(2, np.uint64))
+    bitgen = Philox(key=_stream_key(seed.master_seed, seed.stream_id))
     if block:
         bitgen.advance(block * _BLOCK_COUNTER_STRIDE)
     return Generator(bitgen)
@@ -134,17 +147,45 @@ def _blocks(n: int):
         yield full, rem
 
 
-def map_blocks(fn: Callable[[int, int], object], n: int, threads: int = 1) -> list:
-    """``[fn(b, m) for (b, m) in _blocks(n)]`` in block order.
+def map_blocks(fn: Callable[[int, int, int], object], counts: Sequence[int],
+               threads: int = 1) -> list:
+    """Each cell's ``[fn(cell, b, m) for (b, m) in _blocks(counts[cell])]``, one list per cell.
 
-    The blocks run on a pool of ``threads`` workers when ``threads > 1``;
-    the result list is in block order either way.
+    All the (cell, block) tasks are queued at once, cell by cell and in
+    block order within a cell, and run on one pool of ``threads`` workers
+    when ``threads > 1``, in the calling thread in that order otherwise.  A
+    task that raises ends its cell: the cell's entry is then the exception
+    of its first failing block in block order (:func:`cell_results` raises
+    it), its later blocks are skipped or their results dropped, and the
+    other cells run on.
     """
-    specs = list(_blocks(n))
+    results = [[None] * -(-n // BLOCK_DRAWS) for n in counts]
+
+    def run(cell: int, b: int, m: int) -> None:
+        # only a block after a failed one is skipped, so the first failing block runs
+        if any(isinstance(r, Exception) for r in results[cell][:b]):
+            return
+        try:
+            results[cell][b] = fn(cell, b, m)
+        except Exception as exc:
+            results[cell][b] = exc
+
+    tasks = [(cell, b, m) for cell, n in enumerate(counts) for b, m in _blocks(n)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda spec: fn(*spec), specs))
-    return [fn(b, m) for b, m in specs]
+            for future in [pool.submit(run, *task) for task in tasks]:
+                future.result()
+    else:
+        for task in tasks:
+            run(*task)
+    return [next((r for r in blocks if isinstance(r, Exception)), blocks) for blocks in results]
+
+
+def cell_results(entry):
+    """A cell's block results from :func:`map_blocks`, or the exception that ended the cell, raised."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 def _fill_rows(n: int, d: int, block: Callable[[int, int], np.ndarray]) -> np.ndarray:
@@ -160,10 +201,10 @@ def _fill_rows(n: int, d: int, block: Callable[[int, int], np.ndarray]) -> np.nd
         )
     out = np.empty((n, d))
 
-    def fill(b: int, m: int) -> None:
+    def fill(cell: int, b: int, m: int) -> None:
         out[b * BLOCK_DRAWS : b * BLOCK_DRAWS + m] = block(b, m)
 
-    map_blocks(fill, n)
+    cell_results(map_blocks(fill, [n])[0])
     return out
 
 
@@ -222,9 +263,7 @@ class PerturbationLaw:
     Gaussian direction times the inverse CDF of the radius at a uniform.
     ``kappa`` is the law's density bound relative to the uniform ball law:
     1 for the uniform law itself, the closed-form radial ratio
-    (< e^(r^2/2)) for the restricted Gaussian.  A restricted Gaussian whose
-    ball mass underflows is refused when it is sampled, not when it is built,
-    so a sweep records the refusal as that cell's error.
+    (< e^(r^2/2)) for the restricted Gaussian.
     """
 
     kind: str
@@ -248,12 +287,6 @@ class PerturbationLaw:
         d, r = self.dim, self.radius
         if self.kind == "uniform-ball":
             return lambda u: r * u ** (1.0 / d)
-        mass = restricted_gaussian_acceptance(d, r)
-        if mass < np.finfo(float).tiny:
-            raise ValueError(
-                f"restricted-Gaussian ball mass {mass:.3g} underflows at d={d} and r={r}; "
-                "its radius inverse would return 0"
-            )
         return lambda u: np.sqrt(2.0 * special.gammainc_inverse(0.5 * d, 0.5 * r * r, u))
 
     def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
@@ -301,9 +334,12 @@ class PerturbationLaw:
             raise ValueError(f"Q must be {d} x k with k <= {d}, got {Q.shape}")
         gen = generator_for_block(seed, block)
         A = gen.standard_normal((m, k))
-        C = 2.0 * gen.standard_gamma(0.5 * (d - k), m) if k < d else np.zeros(m)
+        C = gen.standard_gamma(0.5 * (d - k), m) if k < d else np.zeros(m)
+        C *= 2.0
         U = gen.random(m)
-        return gen, A, C, U, np.sqrt(np.einsum("ij,ij->i", A, A) + C)
+        norm = np.einsum("ij,ij->i", A, A)
+        norm += C
+        return gen, A, C, U, np.sqrt(norm, out=norm)
 
     def sample_projected_coordinates(
         self,
@@ -321,9 +357,10 @@ class PerturbationLaw:
         every row's coordinates.
         """
         quantile = self._radius_quantile()
-        gen, A, C, U, norm = self._projected_draws(block, m, seed, Q)
-        scale = quantile(U) / norm
-        Y = A * scale[:, None]
+        gen, Y, C, U, norm = self._projected_draws(block, m, seed, Q)
+        scale = quantile(U)
+        scale /= norm
+        Y *= scale[:, None]
         return Y, _completed_draws(gen, Q, Y, np.flatnonzero(keep(Y)), C, scale)
 
     def sample_projected_block(
@@ -351,15 +388,17 @@ class PerturbationLaw:
         gen, A, C, U, norm = self._projected_draws(block, m, seed, Q)
         if Q.shape[1] == 1:
             # the verdicts at radius 0 and at the bound on every radius bracket
-            # the exact one: only the rows either end keeps take their radius
-            scale = np.zeros(m)
-            Y = A * (self.radius * _RADIUS_BOUND / norm)[:, None]
+            # the exact one: only the rows either end keeps take their radius.
+            # Every kept row is among them, so the others' scale is never read.
+            scale = np.divide(self.radius * _RADIUS_BOUND, norm)
+            Y = A * scale[:, None]
             at = np.flatnonzero(keep(np.zeros((m, 1))) | keep(Y))
             scale[at] = quantile(U[at]) / norm[at]
             Y[at] = A[at] * scale[at, None]
         else:
-            scale = quantile(U) / norm
-            Y = A * scale[:, None]
+            scale = quantile(U)
+            scale /= norm
+            Y = np.multiply(A, scale[:, None], out=A)
         rows = np.flatnonzero(keep(Y))
         return rows, _completed_draws(gen, Q, Y, rows, C, scale)
 
@@ -368,20 +407,26 @@ def _completed_draws(gen, Q, Y, rows, C, scale):
     """The full draws of the given rows of a projected block, continuing its stream from gen.
 
     Y, C and scale are the block's coordinates, chi-square variates and
-    radius-over-|g| factors; only the given rows of each are read.
+    radius-over-|g| factors; only the given rows of each are read.  Each
+    product with Q.T and the squares behind each row's |P| (the terms
+    ``np.linalg.norm`` sums, in its order) go through one scratch array.
     """
     d, k = Q.shape
     if k == d:
         return Y[rows] @ Q.T
     P = gen.standard_normal((len(rows), d))
+    T = np.empty_like(P)
     if k:
         # projected twice, so the part left along Q is a rounding of |P|,
         # not of the normals' own length ("twice is enough")
         for _ in range(2):
-            P -= (P @ Q) @ Q.T
-    P *= (np.sqrt(C[rows]) * scale[rows] / np.linalg.norm(P, axis=1))[:, None]
+            P -= np.matmul(P @ Q, Q.T, out=T)
+    factor = np.sqrt(C[rows])
+    factor *= scale[rows]
+    factor /= np.sqrt(np.add.reduce(np.multiply(P, P, out=T), axis=1))
+    P *= factor[:, None]
     if k:
-        P += Y[rows] @ Q.T
+        P += np.matmul(Y[rows], Q.T, out=T)
     return P
 
 
@@ -454,12 +499,26 @@ def mc_probability(
     block substreams are deterministic and their hit counts add exactly.
     No runner calls it without ``projection``: that plain path stays as the
     reference the projected estimates are tested against.
+
+    This is the one-cell call: a sweep hands every cell's
+    :func:`block_hits` to one :func:`map_blocks` call instead.
     """
     if n < 100:
         raise ValueError("n must be >= 100 for a meaningful estimate")
-    seed = as_seed(seed)
+    hits = block_hits(event, law, as_seed(seed), projection)
+    blocks = map_blocks(lambda cell, b, m: hits(b, m), [n], threads)[0]
+    return MCEstimate(hits=sum(cell_results(blocks)), trials=n)
 
-    def run_block(b: int, m: int) -> int:
+
+def block_hits(
+    event: Callable[[np.ndarray], np.ndarray],
+    law: PerturbationLaw,
+    seed: SeedSpec,
+    projection: tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]] | None = None,
+) -> Callable[[int, int], int]:
+    """``hits(b, m)``: the count of block b (m draws) of :func:`mc_probability`'s estimate."""
+
+    def hits(b: int, m: int) -> int:
         if projection is None:
             z = law.sample_block(b, m, seed)
         else:
@@ -476,4 +535,4 @@ def mc_probability(
                 f"event predicate returned shape {flags.shape}, wanted ({len(z)},)")
         return int(np.count_nonzero(flags))
 
-    return MCEstimate(hits=sum(map_blocks(run_block, n, threads)), trials=n)
+    return hits

@@ -306,6 +306,65 @@ def test_improvement_event_matches_the_oracle(case):
     assert np.array_equal(flags, _oracle_improvement_event(econ, f, Z, eps))
 
 
+def _improvement_event_reference(econ, f, Z, eps):
+    """The decider written with fresh arrays: each agent's
+    utility_extended(pref, (1 - eps)(f_i + z)) > U(f_i) + TOL_STRICT, on the
+    decider's chunks and on the rows no earlier agent flagged, so that every
+    BLAS product has the decider's operands."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    agents = [(a.preference, fi, a.preference.utility(fi) + preferences.TOL_STRICT)
+              for a, fi in zip(econ.agents, f.acts)]
+    out = np.zeros(len(Z), dtype=bool)
+    step = max(1, economy._IMPROVEMENT_CHUNK_VALUES // Z.shape[1])
+    for lo in range(0, len(Z), step):
+        chunk, hit = Z[lo : lo + step], out[lo : lo + step]
+        todo = np.arange(len(chunk))
+        for pref, fi, level in agents:
+            acts = chunk if len(todo) == len(chunk) else chunk[todo]
+            flag = preferences.utility_extended(pref, (1.0 - eps) * (fi + acts)) > level
+            hit[todo[flag]] = True
+            todo = todo[~flag]
+            if not len(todo):
+                break
+    return out
+
+
+@st.composite
+def _in_place_improvement_cases(draw):
+    """CRRA agents at gamma 0, 1/2, 1 and 4 and max-min agents; rows that
+    leave the domain, NaN rows, and chunks of a few rows."""
+    d = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    agents, acts = [], []
+    for kind in draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 4.0, "linear", "log"]),
+                              min_size=2, max_size=3)):
+        if isinstance(kind, str):
+            v = rng.uniform(0.0, 1.0, (draw(st.integers(1, 4)), d))
+            pref = MaxMinEU(v / v.sum(axis=1, keepdims=True), kind)
+        else:
+            mu = rng.uniform(0.01, 1.0, d)
+            pref = CRRASEU(mu / mu.sum(), kind)
+        agents.append(economy.Agent(pref, np.ones(d)))
+        acts.append(rng.uniform(0.05, 3.0, d))
+    n = draw(st.integers(1, 300))
+    Z = rng.standard_normal((n, d)) * np.exp(rng.uniform(-4.0, 1.5, n))[:, None]
+    nan_rows = rng.choice(n, size=draw(st.integers(0, min(n, 5))), replace=False)
+    Z[nan_rows, rng.integers(0, d, len(nan_rows))] = np.nan
+    eps = draw(st.floats(0.0, 0.5, exclude_max=True))
+    chunk = draw(st.sampled_from([d, 16, 64, 1 << 16]))
+    return economy.EconomySpec(tuple(agents)), economy.Allocation(np.array(acts)), eps, Z, chunk
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_in_place_improvement_cases())
+def test_in_place_improvement_event_matches_the_fresh_array_reference(case):
+    econ, f, eps, Z, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(economy, "_IMPROVEMENT_CHUNK_VALUES", chunk)
+        flags = economy.individual_improvement_event(econ, f, Z, eps)
+        assert np.array_equal(flags, _improvement_event_reference(econ, f, Z, eps))
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_improvement_cases())
 def test_projected_screen_drops_no_oracle_hit(case):

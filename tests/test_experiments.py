@@ -615,16 +615,66 @@ def test_unknown_law_kind_raises():
         experiments.run_experiment(cfg)
 
 
-def test_underflowing_restricted_gaussian_cell_is_an_error_row(tmp_path):
-    # the r = 1 Gaussian ball mass underflows at d = 512 but not at d = 256
+def test_restricted_gaussian_cell_at_an_underflowing_ball_mass_is_a_result_row(tmp_path):
+    # the r = 1 Gaussian ball mass is below the smallest normal float at d = 512;
+    # the radius inverse works from its log, so the cell is measured like d = 256
+    assert sampling.restricted_gaussian_acceptance(512, 1.0) == 0.0
     cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(256, 512),
                  law_kind="restricted-gaussian")
     experiments.run_experiment(cfg).write(tmp_path)
     with open(tmp_path / "results.csv", newline="") as fh:
         rows = {row["d"]: row for row in csv.DictReader(fh)}
-    assert rows["256"]["error"] == "" and int(rows["256"]["hits"]) > 0
-    assert "underflows at d=512 and r=1.0" in rows["512"]["error"]
-    assert rows["512"]["hits"] == "" and rows["512"]["within_bound"] == ""
+    assert int(rows["256"]["hits"]) > 0
+    for row in rows.values():
+        assert row["error"] == "" and row["hits"] != "" and row["within_bound"] == "true"
+    assert float(rows["512"]["kappa"]) == pytest.approx(1.6455, abs=1e-4)
+
+
+@pytest.mark.parametrize("cfg,cells", [
+    (_small("thm1", trials=2 * sampling.BLOCK_DRAWS + 100, threads=2), 5),
+    (_small("thm2", trials=SMOKE_TRIALS, threads=2), 6),
+    (_small("cru", trials=SMOKE_TRIALS, threads=2), 1),
+    (replace(_lemma1_only(SMOKE_TRIALS), threads=2), len(experiments._LEMMA1_DIMS)),
+], ids=["thm1", "thm2", "cru", "lemma1"])
+def test_a_threaded_run_schedules_its_blocks_in_one_call_on_one_pool(cfg, cells, monkeypatch):
+    pools, calls = [], []
+    map_blocks = sampling.map_blocks
+
+    class CountedPool(sampling.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    def counted(fn, counts, threads=1):
+        calls.append(len(counts))
+        return map_blocks(fn, counts, threads)
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(sampling, "map_blocks", counted)
+    rows = experiments.run_experiment(cfg).rows
+    assert len(pools) == 1 and calls == [cells]
+    assert all(row.get("error") is None for row in rows)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_block_makes_only_its_cell_an_error_row(threads, monkeypatch):
+    cfg = _small("thm1", trials=2 * sampling.BLOCK_DRAWS + 100, dims=(2, 8, 32),
+                 threads=threads)
+    clean = experiments.run_experiment(cfg).csv_text.splitlines()
+    projected = sampling.PerturbationLaw.sample_projected_block
+
+    def failing(self, block, m, seed, Q, keep):
+        if self.dim == 8 and block == 1:
+            raise ValueError("block 1 of the d = 8 cell failed")
+        return projected(self, block, m, seed, Q, keep)
+
+    monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", failing)
+    res = experiments.run_experiment(cfg)
+    assert [row["error"] for row in res.rows] == [None, "block 1 of the d = 8 cell failed",
+                                                  None]
+    lines = res.csv_text.splitlines()
+    # the header and the d = 2 and d = 32 rows are those of the run without the failure
+    assert lines[:2] + lines[3:] == clean[:2] + clean[3:] and lines[2] != clean[2]
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +872,7 @@ def test_improvement_decider_skipping_flagged_rows_matches_every_agent(economy_i
            "maxmin": experiments.parse_config_text(THM1_MAXMIN_TEXT)}[economy_id]
     given, evaluate = [], economy.utility_extended
     monkeypatch.setattr(economy, "utility_extended",
-                        lambda pref, F: given.append(len(F)) or evaluate(pref, F))
+                        lambda pref, F, **kw: given.append(len(F)) or evaluate(pref, F, **kw))
     eps, skipped = cfg.eps_list[0], 0
     for d in cfg.dims:
         econ = experiments.build_economy(cfg, d)

@@ -8,6 +8,7 @@ determinism tests require byte-identical arrays, not approximate ones.
 import hashlib
 import itertools
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -238,20 +239,33 @@ def test_auto_switches_to_radial_at_tiny_acceptance():
     assert np.linalg.norm(Z, axis=1).max() <= r
 
 
-def test_underflowing_ball_mass_is_refused_when_sampled():
-    # at r = 1 the ball mass gammainc(d/2, 1/2) is 0.0 at d = 512, where the
-    # radius inverse would return all-zero rows
+def test_draws_at_an_underflowing_ball_mass_lie_in_the_ball():
+    # at r = 1 the ball mass gammainc(d/2, 1/2) is 0.0 as a float at d = 512;
+    # the radius inverse works from its log, so the draws are nonzero and in the ball
     assert sampling.restricted_gaussian_acceptance(512, 1.0) == 0.0
     law = sampling.PerturbationLaw("restricted-gaussian", 512, 1.0)
-    with pytest.raises(ValueError, match=r"d=512 and r=1\.0"):
-        law.sample_block(0, 100, sampling.as_seed(SEED))
-    with pytest.raises(ValueError, match="underflows"):
-        sampling.PerturbationLaw("restricted-gaussian", 512, 1.0).sample(100, SEED)
-    # just inside the normal floats the draws are nonzero and in the ball
-    assert sampling.restricted_gaussian_acceptance(299, 1.0) >= np.finfo(float).tiny
-    Z = sampling.PerturbationLaw("restricted-gaussian", 299, 1.0).sample(1000, SEED)
-    norms = np.linalg.norm(Z, axis=1)
-    assert 0.9 < norms.min() and norms.max() <= 1.0
+    Z = law.sample(1000, SEED)
+    Q = np.eye(512, 3)
+    _, Z_projected = law.sample_projected_block(0, 1000, SEED, Q, _every_third)
+    for draws in (Z, Z_projected):
+        norms = np.linalg.norm(draws, axis=1)
+        assert 0.9 < norms.min() and norms.max() <= 1.0 + 1e-12
+
+
+def test_radius_quantile_at_an_underflowing_ball_mass_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    d, r = 512, 1.0
+    u = np.array([1e-300, 1e-100, 1e-10, 0.1, 0.5, 0.9, 1.0 - 1e-10, 1.0 - 1e-16])
+    R = sampling.PerturbationLaw("restricted-gaussian", d, r)._radius_quantile()(u)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(d) / 2
+        mass = mpmath.gammainc(a, 0, mpmath.mpf(r) ** 2 / 2, regularized=True)
+        for ui, Ri in zip(u, R):
+            target = mpmath.mpf(float(ui)) * mass
+            x = mpmath.findroot(
+                lambda x: mpmath.log(mpmath.gammainc(a, 0, x, regularized=True) / target),
+                mpmath.mpf(float(Ri)) ** 2 / 2)
+            assert Ri == pytest.approx(float(mpmath.sqrt(2 * x)), rel=1e-12, abs=0), ui
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +557,6 @@ def test_radius_bound_covers_every_quantile_near_one(kind):
     for d in [*range(1, 65), 100, 128, 256, 512, 4000]:
         for r in (0.1, 1.0, 1.5, 3.0):
             law = sampling.PerturbationLaw(kind, d, r)
-            if law.kind == "restricted-gaussian" and sampling.restricted_gaussian_acceptance(
-                    d, r) < np.finfo(float).tiny:
-                continue  # refused: its ball mass underflows
             R = law._radius_quantile()(u)
             assert R.max() <= r * sampling._RADIUS_BOUND, (d, r)
 
@@ -606,6 +617,42 @@ def test_completed_draws_follow_the_restricted_gaussian_radial_law():
     Q = _random_basis(d, 2, np.random.default_rng(3))
     _, Z = law.sample_projected_block(0, n, SEED, Q, lambda Y: np.ones(len(Y), bool))
     assert _ks(np.linalg.norm(Z, axis=1), lambda x: _radial_cdf(x, d, r)) < _ks_limit(n)
+
+
+def _completed_draws_reference(gen, Q, Y, rows, C, scale):
+    """``sampling._completed_draws`` written with a fresh array for every step."""
+    d, k = Q.shape
+    if k == d:
+        return Y[rows] @ Q.T
+    P = gen.standard_normal((len(rows), d))
+    if k:
+        for _ in range(2):
+            P -= (P @ Q) @ Q.T
+    P *= (np.sqrt(C[rows]) * scale[rows] / np.linalg.norm(P, axis=1))[:, None]
+    if k:
+        P += Y[rows] @ Q.T
+    return P
+
+
+@pytest.mark.parametrize("kind", sorted(_LAW_KINDS.values()))
+@pytest.mark.parametrize("d,k", [(8, 0), (8, 1), (8, 3), (8, 8), (64, 0), (64, 1), (64, 3),
+                                 (64, 64)])
+def test_completed_draws_match_the_fresh_array_reference(kind, d, k):
+    # the scratch-array products and squares give the reference's bits
+    law = sampling.PerturbationLaw(kind, d, 1.3)
+    Q = _random_basis(d, k, np.random.default_rng(d + k))
+    for block, m in ((0, 3000), (2, 257)):
+        gen = sampling.generator_for_block(SEED, block)
+        A = gen.standard_normal((m, k))
+        C = 2.0 * gen.standard_gamma(0.5 * (d - k), m) if k < d else np.zeros(m)
+        scale = law._radius_quantile()(gen.random(m)) / np.sqrt(
+            np.einsum("ij,ij->i", A, A) + C)
+        Y = A * scale[:, None]
+        rows = np.flatnonzero(_every_third(Y))
+        state = gen.bit_generator.state
+        Z = sampling._completed_draws(gen, Q, Y, rows, C, scale)
+        gen.bit_generator.state = state
+        assert _bits(Z) == _bits(_completed_draws_reference(gen, Q, Y, rows, C, scale))
 
 
 def test_kept_rows_follow_the_law_conditioned_on_their_coordinates():
@@ -750,9 +797,51 @@ def _block_specs(n):
 
 
 def test_map_blocks_returns_block_order():
-    n = 2 * sampling.BLOCK_DRAWS + 5
+    counts = [2 * sampling.BLOCK_DRAWS + 5, 100, sampling.BLOCK_DRAWS]
     for threads in (1, 3):
-        assert sampling.map_blocks(lambda b, m: (b, m), n, threads) == _block_specs(n)
+        assert sampling.map_blocks(lambda c, b, m: (c, b, m), counts, threads) == [
+            [(c, b, m) for b, m in _block_specs(n)] for c, n in enumerate(counts)]
+
+
+def test_map_blocks_runs_the_cells_of_one_call_at_the_same_time():
+    # two cells of one block each: on one pool of two workers both blocks wait
+    # at the barrier together; a pool per cell would leave each waiting alone
+    barrier = threading.Barrier(2, timeout=5)
+
+    def wait(cell, b, m):
+        return barrier.wait()
+
+    results = sampling.map_blocks(wait, [100, 100], threads=2)
+    assert sorted(cell[0] for cell in results) == [0, 1]
+
+
+def test_map_blocks_runs_one_thread_in_task_order():
+    order = []
+    counts = [2 * sampling.BLOCK_DRAWS + 5, 100]
+    sampling.map_blocks(lambda c, b, m: order.append((c, b)), counts, 1)
+    assert order == [(0, 0), (0, 1), (0, 2), (1, 0)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_block_ends_only_its_own_cell(threads):
+    counts = [3 * sampling.BLOCK_DRAWS] * 3
+    ran = []
+
+    def fn(cell, b, m):
+        ran.append((cell, b))
+        if cell == 1 and b >= 1:
+            raise ValueError(f"block {b} failed")
+        return b
+
+    results = sampling.map_blocks(fn, counts, threads)
+    assert results[0] == results[2] == [0, 1, 2]
+    # the first failing block in block order ends the cell; with one thread
+    # its later blocks never run
+    assert isinstance(results[1], ValueError) and str(results[1]) == "block 1 failed"
+    with pytest.raises(ValueError, match="block 1 failed"):
+        sampling.cell_results(results[1])
+    if threads == 1:
+        assert (1, 2) not in ran
 
 
 def _simplex_block(d, seed, b, m):
@@ -778,7 +867,8 @@ def test_samplers_are_their_blocks_stacked_under_any_thread_count(n, threads):
                   lambda b, m, s: _simplex_block(5, s, b, m)))
     for out, block in cases:
         expected = np.vstack([block(b, m, seed) for b, m in _block_specs(n)])
-        mapped = np.vstack(sampling.map_blocks(lambda b, m: block(b, m, seed), n, threads))
+        mapped = np.vstack(sampling.map_blocks(lambda c, b, m: block(b, m, seed), [n],
+                                               threads)[0])
         assert out.tobytes() == expected.tobytes() == mapped.tobytes()
 
 
