@@ -273,6 +273,8 @@ def _read_lines(text: str) -> tuple[dict, list]:
                 agent_blocks.append({})
             elif not agent_blocks:
                 raise ValueError(f"config line {ln}: agent.{akey} before agent.preference")
+            elif akey in agent_blocks[-1]:
+                raise ValueError(f"config line {ln}: duplicate key {key!r}")
             agent_blocks[-1][akey] = value
         else:
             if key not in CONFIG_FIELDS:

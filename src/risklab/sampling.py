@@ -200,11 +200,8 @@ def _fill_rows(n: int, d: int, block: Callable[[int, int], np.ndarray]) -> np.nd
             f"{n} x {d} draws exceed the {_MAX_ARRAY_VALUES}-value array ceiling (1 GiB)"
         )
     out = np.empty((n, d))
-
-    def fill(cell: int, b: int, m: int) -> None:
+    for b, m in _blocks(n):
         out[b * BLOCK_DRAWS : b * BLOCK_DRAWS + m] = block(b, m)
-
-    cell_results(map_blocks(fill, [n])[0])
     return out
 
 

@@ -15,18 +15,23 @@ call, and a traced ``thm1`` and ``thm2`` check that the benchmark still sees
 one decider span per sampled block.  ``thm2`` completes only the draws its
 contour screen keeps, and its membership decider hands all of them to the
 margin solver, which stops each row once its class is certain, so the
-margins span of a block carries the block's kept rows.
+margins span of a block carries the block's kept rows.  Last, no module of
+the package may bind a patched function under a second name, which the
+tracer would not see.
 """
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import math
+import pkgutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import risklab
 from risklab import experiments, geometry, sampling
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -126,3 +131,21 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
     assert not [span for span in tracer.spans if span[1].startswith("sampling.")
                 and span[1] != "sampling.mc_probability"]
     assert sorted(span[7] for span in decisions) == sorted(kept)
+
+
+def test_no_package_name_escapes_the_tracer():
+    # the tracer patches each function in its home module; a second binding of a
+    # patched original anywhere else in the package would be called untraced
+    modules = [risklab] + [importlib.import_module(f"risklab.{info.name}")
+                           for info in pkgutil.iter_modules(risklab.__path__)]
+    tracer = _load_tracer().Tracer("hooks")
+    tracer.install()
+    try:
+        originals = {id(original) for _, _, original in tracer._patched}
+        patched = {(owner, attr) for owner, attr, _ in tracer._patched}
+        escapes = [f"{module.__name__}.{attr}" for module in modules
+                   for attr, value in vars(module).items()
+                   if id(value) in originals and (module, attr) not in patched]
+    finally:
+        tracer.uninstall()
+    assert escapes == []

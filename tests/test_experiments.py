@@ -257,6 +257,20 @@ def test_out_of_range_seed_is_refused_at_parse_time(seed, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_repeated_agent_key_is_refused(tmp_path, capsys):
+    # a second agent.prior in one block used to win silently over the first
+    text = experiments.EXPERIMENTS["thm1"].default_text.replace(
+        "agent.prior = spike:0:0.9\n", "agent.prior = spike:0:0.9\nagent.prior = uniform\n", 1)
+    message = "config line 11: duplicate key 'agent.prior'"
+    with pytest.raises(ValueError, match=message):
+        experiments.parse_config_text(text)
+    (tmp_path / "dup.txt").write_text(text)
+    rc = cli.main(["thm1", "--config", str(tmp_path / "dup.txt"), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_spike_prior_state_outside_the_cell_dimension_is_an_error_row():
     cfg = experiments.parse_config_text(
         "experiment = thm1\nseed = 5\ntrials = 200\ndims = 2,8\n"
@@ -1229,9 +1243,3 @@ def test_cli_condition_flag_is_thm2_only():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["thm1", "--condition-positive-price"])
 
-
-def test_package_exports_resolve_and_are_listed_once():
-    import risklab
-
-    assert len(set(risklab.__all__)) == len(risklab.__all__)
-    assert [name for name in risklab.__all__ if not hasattr(risklab, name)] == []
