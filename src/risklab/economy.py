@@ -57,11 +57,8 @@ from .preferences import CRRASEU, Preference, utility_extended
 
 FEASIBILITY_TOL = 1e-9
 MEMBER_TOL = 1e-9
-# Negishi weights: iteration cap, and the budget gap, relative to the largest
-# wealth, below which they have converged (the gap's rounding floor stayed
-# below 5e-15 in random economies with d <= 512 and gamma <= 256)
+# Negishi weights: iteration cap
 _NEGISHI_CAP = 1000
-_BUDGET_TOL = 1e-14
 # the frontier solver's planner-weight bracket, as weights and as logits
 _LAM_LO, _LAM_HI = 1e-12, 1.0 - 1e-12
 _X_LO = math.log(_LAM_LO) - math.log1p(-_LAM_LO)
@@ -189,9 +186,13 @@ def tatonnement_equilibrium(econ: EconomySpec) -> EquilibriumResult:
     lam_i <- lam_i (p.w_i / p.g_i)^gamma, normalized to sum 1, raises the
     weight of every agent who consumes less than its wealth; under log
     utility it is the power iteration p <- normalized sum_i mu_i (p.w_i) on
-    market-clearing prices.  Stops when the largest budget gap
-    |p.w_i - p.g_i| is within 1e-14 of the largest wealth, a few times the
-    gap's rounding floor.  :func:`planner_allocation` refuses every economy
+    market-clearing prices.  The largest budget gap |p.w_i - p.g_i| falls to
+    a rounding floor that grows with d: each dot product has d terms, rounded
+    within a few (d + 4) u times the sum of its terms' magnitudes (u the unit
+    round-off, as in :func:`improvement_screen`).  So the iteration stops at
+    the first gap within 64 (d + 4) u max_i (|w_i|.p + |g_i|.p) that is no
+    smaller than the one before; a gap that stalls above that bound is a
+    failure to converge.  :func:`planner_allocation` refuses every economy
     but common-curvature CRRA ones.
     """
     if np.any(econ.aggregate <= 0):
@@ -207,7 +208,8 @@ def tatonnement_equilibrium(econ: EconomySpec) -> EquilibriumResult:
         spending = f.acts @ p
         residual = float(np.abs(wealth - spending).max())
         trace.append(residual)
-        if residual <= _BUDGET_TOL * wealth.max():
+        bound = 64 * (econ.dim + 4) * 2.0**-53 * float(((np.abs(W) + np.abs(f.acts)) @ p).max())
+        if len(trace) > 1 and trace[-2] <= residual <= bound:
             return EquilibriumResult(p, f, residual)
         # planner_allocation has checked that every agent shares agent 0's gamma
         lam = lam * (wealth / spending) ** econ.agents[0].preference.gamma

@@ -817,7 +817,7 @@ def _lemma1_cuts() -> dict[int, np.ndarray]:
     """Each d's ``_LEMMA1_BINS - 1`` cut points splitting z_1 into bins of equal mass.
 
     Under the uniform unit-ball law P(z_1 >= t) = 0.5 I_{1-t^2}((d+1)/2, 1/2)
-    for t >= 0 (:func:`geometry.cap_fraction`), and z_1 is symmetric about
+    for t >= 0 (:func:`special.cap_fraction`), and z_1 is symmetric about
     0, so the upper cuts are the cap heights of the tails k / ``_LEMMA1_BINS``.
     """
     tail = np.arange(1, _LEMMA1_BINS // 2) / _LEMMA1_BINS

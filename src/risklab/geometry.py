@@ -1,12 +1,12 @@
 """Convex-geometry primitives used throughout the laboratory.
 
-Belief sets as polytopes on the probability simplex, their projections,
-distances, membership tests and exact relative simplex volumes; exact
-volumes of boxes and balls and the Brunn-Minkowski check on them; and the
-exact spherical-cap fraction that the ``lemma1`` rows compare with the
-separation bound.
+Belief sets as polytopes on the probability simplex, their distances,
+membership tests and exact relative simplex volumes; the Brunn-Minkowski
+check on boxes and balls, whose volumes are exact; and the exact
+spherical-cap fraction that the ``lemma1`` rows compare with the separation
+bound.
 
-Every projection and set distance is one nearest-point problem, solved by
+Every point and set distance is one nearest-point problem, solved by
 Wolfe's min-norm-point algorithm: exact on its final corral, finite, and
 stopped on a Frank-Wolfe certificate rather than on an iteration budget.
 
@@ -15,13 +15,12 @@ Conventions
 * A :class:`Polytope` is a set of priors: the convex hull of at least one
   vertex on the standard probability simplex.  Its optional half-spaces cut
   the same set out of the simplex and serve batch membership tests.
-* :class:`Ball` and :class:`Box` serve the volume and Brunn-Minkowski
-  checks, :class:`HalfSpace` membership.
+* :class:`Ball` and :class:`Box` serve the Brunn-Minkowski check,
+  :class:`HalfSpace` membership.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,8 +71,7 @@ class Box:
     """Axis-aligned box [lower_1, upper_1] x ... x [lower_d, upper_d], or a stack of them.
 
     ``lower`` and ``upper`` are d-vectors, or (n, d) arrays whose row k
-    bounds box k; :func:`volume`, :func:`minkowski_combine` and
-    :func:`bm_check` work on a stack row by row.
+    bounds box k; :func:`bm_check` works on a stack row by row.
     """
 
     lower: np.ndarray
@@ -234,18 +232,6 @@ def _resolve_corrals(G: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-def project_point(x: np.ndarray, P: Polytope) -> np.ndarray:
-    """Euclidean projection onto P of a point, or of each row of an (n, d) batch.
-
-    Each row is certified: max over the vertices v of (x - y).(v - y) is at
-    rounding level for its projection y.
-    """
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    lam = _min_norm_weights(P.vertices[None, :, :] - X[:, None, :])
-    Y = lam @ P.vertices
-    return Y[0] if np.ndim(x) == 1 else Y
-
-
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
@@ -254,10 +240,14 @@ def project_point(x: np.ndarray, P: Polytope) -> np.ndarray:
 def distance_point_to_convex(x: np.ndarray, P: Polytope) -> float | np.ndarray:
     """Euclidean distance inf_{a in P} ||x - a||; zero iff x lies in P.
 
-    A point gives a float and an (n, d) batch an (n,) array.
+    A point gives a float and an (n, d) batch an (n,) array.  Each row's
+    nearest point y is certified: max over the vertices v of (x - y).(v - y)
+    is at rounding level.
     """
-    dist = np.linalg.norm(x - project_point(x, P), axis=-1)
-    return float(dist) if np.ndim(x) == 1 else dist
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    lam = _min_norm_weights(P.vertices[None, :, :] - X[:, None, :])
+    dist = np.linalg.norm(X - lam @ P.vertices, axis=-1)
+    return float(dist[0]) if np.ndim(x) == 1 else dist
 
 
 def polytope_distance(pairs) -> list[DistanceCertificate]:
@@ -310,43 +300,8 @@ def contains(S, x: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
 
 
 # ---------------------------------------------------------------------------
-# Minkowski combination
-# ---------------------------------------------------------------------------
-
-
-def minkowski_combine(A, B, lam):
-    """The Minkowski combination lam*A + (1-lam)*B of two boxes or two balls.
-
-    Two stacks of n boxes combine row by row, with lam a scalar or an (n,)
-    array of one weight per pair.
-    """
-    w = np.asarray(lam, dtype=float)
-    if not np.all((w >= 0.0) & (w <= 1.0)):
-        raise ValueError("lambda must lie in [0, 1]")
-    if isinstance(A, Box) and isinstance(B, Box):
-        w = w[..., None]
-        return Box(w * A.lower + (1 - w) * B.lower, w * A.upper + (1 - w) * B.upper)
-    if isinstance(A, Ball) and isinstance(B, Ball):
-        return Ball(lam * A.center + (1 - lam) * B.center, lam * A.radius + (1 - lam) * B.radius)
-    raise ValueError("unsupported representation combination for Minkowski sum")
-
-
-# ---------------------------------------------------------------------------
 # volumes
 # ---------------------------------------------------------------------------
-
-
-def volume(S) -> float | np.ndarray:
-    """Exact volume of a Box (side product) or Ball (Gamma formula); other bodies raise.
-
-    A stack of n boxes gives an (n,) array.
-    """
-    if isinstance(S, Box):
-        vol = np.prod(S.sides, axis=-1)
-        return float(vol) if vol.ndim == 0 else vol
-    if isinstance(S, Ball):
-        return float(np.exp(bounds.log_ball_volume_m(S.dim, S.radius)))
-    raise ValueError(f"no exact volume for {type(S).__name__}")
 
 
 def relative_volume(sets) -> float:
@@ -386,7 +341,7 @@ def relative_volume(sets) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brunn-Minkowski check and cap fractions
+# Brunn-Minkowski check and the separation bound
 # ---------------------------------------------------------------------------
 
 
@@ -416,13 +371,27 @@ def bm_check(A, B, lam, rel_tol: float = 1e-12) -> BMCheckResult:
     dimension with lam a scalar or an (n,) array; a stack is decided in one
     pass and gives (n,) fields.  A single pair is computed as a stack of one
     and its fields returned as Python scalars, so pair k of a stack gets the
-    same bits as pair k checked alone.
+    same bits as pair k checked alone.  The volumes are exact: a box's is
+    its side product, a ball's the Gamma formula; other bodies are refused.
     """
-    combo = minkowski_combine(A, B, lam)
-    # a single pair's volumes as arrays of one: its powers then run numpy's array
-    # loop, as a stack's do, not the scalar pow that can differ from it in the last bit
-    vol_a, vol_b, vol_c = (np.atleast_1d(volume(S)) for S in (A, B, combo))
     lam = np.asarray(lam, dtype=float)
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
+        raise ValueError("lambda must lie in [0, 1]")
+    # the volumes of A, B and lam*A + (1-lam)*B; a single pair's as arrays of one: its
+    # powers then run numpy's array loop, as a stack's do, not the scalar pow that can
+    # differ from it in the last bit
+    if isinstance(A, Box) and isinstance(B, Box):
+        w = lam[..., None]
+        sides = (w * A.upper + (1 - w) * B.upper) - (w * A.lower + (1 - w) * B.lower)
+        vol_a, vol_b, vol_c = (np.atleast_1d(np.prod(x, axis=-1))
+                               for x in (A.sides, B.sides, sides))
+    elif isinstance(A, Ball) and isinstance(B, Ball) and A.dim == B.dim:
+        radii = (A.radius, B.radius, lam * A.radius + (1 - lam) * B.radius)
+        vol_a, vol_b, vol_c = (np.atleast_1d(np.exp(bounds.log_ball_volume_m(A.dim, r)))
+                               for r in radii)
+    else:
+        raise ValueError(f"no exact Brunn-Minkowski check for {type(A).__name__} "
+                         f"and {type(B).__name__}; it needs two boxes or two balls")
     rhs = vol_a**lam * vol_b ** (1.0 - lam)
     d = A.dim
     lhs_root = vol_c ** (1.0 / d)
@@ -436,32 +405,15 @@ def bm_check(A, B, lam, rel_tol: float = 1e-12) -> BMCheckResult:
     return BMCheckResult(*fields)
 
 
-def cap_fraction(d: int, r: float, t: float) -> float:
-    """Fraction of Vol(Ball_d(r)) lying in {z : u.z >= t} for a unit vector u.
-
-    Computed through the regularized incomplete beta function:
-    P(u.z >= t) = 0.5 * I_{1 - (t/r)^2}((d+1)/2, 1/2) for t in [0, r], by
-    Lentz's continued fraction (:func:`special.cap_fraction`).
-    Validated against MC and, for d=2, the circular-segment area formula.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t > r:
-        warnings.warn("cap height exceeds the radius: degenerate empty cap", RuntimeWarning)
-        return 0.0
-    return special.cap_fraction(d, 1.0 - (t / r) ** 2)
-
-
 # the name stays because the benchmark tracer patches it, until its refresh (ROADMAP 5(a))
 def separation_bound_check(delta: float, d: int, r: float = 1.0) -> tuple[float, float]:
     """(exact, bound) for the caps {z_1 >= delta/2} and {z_1 <= -delta/2} of Ball_d(r).
 
     The caps lie delta apart and have equal mass; ``exact`` is that mass as a
-    fraction of the ball, and ``bound`` is :func:`bounds.bound_lemma1`, which
-    Lemma 1 puts above it.
+    fraction of the ball, 0.5 I_{1 - (delta/2r)^2}((d+1)/2, 1/2) by the
+    regularized incomplete beta function (:func:`special.cap_fraction`, 0
+    once delta/2 exceeds r), and ``bound`` is :func:`bounds.bound_lemma1`,
+    which Lemma 1 puts above it and which refuses delta < 0, r <= 0 and d < 1.
     """
-    return cap_fraction(d, r, delta / 2.0), bounds.bound_lemma1(delta, r, d)
+    bound = bounds.bound_lemma1(delta, r, d)
+    return special.cap_fraction(d, 1.0 - (delta / 2.0 / r) ** 2), bound

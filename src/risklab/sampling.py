@@ -16,21 +16,20 @@ order, on one pool of worker threads when the run has more than one, so no
 worker waits for a cell's last block before the next cell's blocks start.
 Estimator accumulation is exact integer counting and therefore associative.
 
-A block has one of two layouts, and each is drawn in a fixed order from the
-block's generator.  :meth:`PerturbationLaw.sample_block` draws an (m, d)
-array of normals, then m radius uniforms; no runner draws through it: it
-stays as the reference stream that tests compare the projected one against,
-and as the benchmark tracer's sampler hook.
+A block has one layout, drawn in a fixed order from the block's generator.
 :meth:`PerturbationLaw.sample_projected_block`, which every runner draws
 through, draws a draw's coordinates in the orthonormal columns of a d x k
 matrix Q first: an (m, k) array of normals A, then m chi-square variates C
 with d - k degrees of freedom (skipped when k = d), then m radius uniforms U.
 Only the rows its ``keep`` names are then completed to full draws, in row
 order, from (n_kept, d) more normals (none when k = d); when k = 0 those
-normals, scaled, are the draws.  The two layouts give different streams of
-the same law.  :meth:`PerturbationLaw.sample_projected_coordinates` gives
-the same kept draws together with every row's coordinates, for the callers
-that read them.
+normals, scaled, are the draws.
+:meth:`PerturbationLaw.sample_projected_coordinates` gives the same kept
+draws together with every row's coordinates, for the callers that read them.
+The plain stream of :meth:`PerturbationLaw.sample_block` is the Q = I case
+with every row kept: an (m, d) array of normals, then m radius uniforms.  No
+runner draws through it; it stays as the reference stream that tests
+compare against, and as the benchmark tracer's sampler hook.
 
 A draw's coordinates are Y = fl(A fl(R / s)), with s = sqrt(|A|^2 + C) and R
 the radius quantile at U, and the quantile is the expensive step.  When
@@ -88,8 +87,6 @@ _BLOCK_COUNTER_STRIDE = 1 << 64
 _Z95 = 1.959963984540054
 # a whole-array sample holds at most 1 GiB of float64
 _MAX_ARRAY_VALUES = 1 << 27
-# rows per norm pass hold at most this many values (512 KiB of float64)
-_NORM_CHUNK_VALUES = 1 << 16
 # r times this bounds every radius either law's quantile returns (see the
 # module docstring)
 _RADIUS_BOUND = 1.0 + 2.0**-30
@@ -296,38 +293,29 @@ class PerturbationLaw:
         return _fill_rows(n, self.dim, lambda b, m: self.sample_block(b, m, seed))
 
     def sample_block(self, block: int, m: int, seed: SeedSpec | int) -> np.ndarray:
-        """Block ``block`` of the law's stream: m normal rows, then m uniforms.
+        """Block ``block`` of the law's stream: the projected layout at Q = I, every row kept.
 
-        The reference layout behind :meth:`sample` and the plain
+        The draws are :meth:`sample_projected_coordinates`'s coordinates
+        with Q = I, bit for bit, built without a d x d identity.  The
+        reference stream behind :meth:`sample` and the plain
         :func:`mc_probability`; no runner reaches it.
         """
-        quantile = self._radius_quantile()
-        gen = generator_for_block(seed, block)
-        z = gen.standard_normal((m, self.dim))
-        radius = quantile(gen.random(m))
-        # normalize and scale a few rows at a time: norm squares its input into a
-        # copy, and a whole-block copy (64 MiB at d = 512) per thread made the peak
-        # RSS of a threaded run depend on whether the threads' copies overlapped;
-        # scaling the rows while they are in cache saves a pass over the block.
-        # Each row's norm is its own reduction, so the chunks give the same bits.
-        step = max(1, _NORM_CHUNK_VALUES // self.dim)
-        for lo in range(0, m, step):
-            rows = z[lo : lo + step]
-            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-            rows *= radius[lo : lo + step, None]
+        _, z, _, U, norm = self._projected_draws(block, m, seed, None)
+        z *= (self._radius_quantile()(U) / norm)[:, None]
         return z
 
-    def _projected_draws(self, block: int, m: int, seed: SeedSpec | int, Q: np.ndarray):
+    def _projected_draws(self, block: int, m: int, seed: SeedSpec | int, Q: np.ndarray | None):
         """Block ``block`` of the projected stream: its generator and its first draws.
 
         Returns ``(gen, A, C, U, norm)``: the (m, k) normals A, the m
         chi-square variates C = |g_perp|^2 (zeros when Q spans R^d), the m
         radius uniforms U, in that stream order, and each row's |g| =
         sqrt(|A|^2 + C).  ``gen`` is left where the orthogonal parts of the
-        kept rows continue the stream.
+        kept rows continue the stream.  ``Q = None`` stands for the identity.
         """
-        d, k = self.dim, Q.shape[1]
-        if Q.shape[0] != d or k > d:
+        d = self.dim
+        k = d if Q is None else Q.shape[1]
+        if Q is not None and (Q.shape[0] != d or k > d):
             raise ValueError(f"Q must be {d} x k with k <= {d}, got {Q.shape}")
         gen = generator_for_block(seed, block)
         A = gen.standard_normal((m, k))

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from risklab import economy, experiments, preferences, sampling
+from risklab import economy, experiments, geometry, preferences, sampling
 from risklab.preferences import CRRASEU, MaxMinEU, cap_prior_polytope
 
 SEED = 314159
@@ -164,6 +164,53 @@ def test_negishi_equilibrium_clears_markets_at_any_common_curvature(gamma):
         for a, fi in zip(econ.agents, acts):
             ratio = a.preference.gradient(fi) / p
             assert np.allclose(ratio, ratio[0], rtol=1e-8)
+
+
+def _budget_bound(econ, eq):
+    """The Negishi stop's bound on the budget gaps: 64 (d + 4) u max_i (|w_i|.p + |g_i|.p)."""
+    W = np.array([a.endowment for a in econ.agents])
+    scale = (np.abs(W) + np.abs(eq.allocation.acts)) @ eq.price
+    return 64 * (econ.dim + 4) * 2.0**-53 * scale.max()
+
+
+def _budget_gaps(econ, eq):
+    p = eq.price
+    return np.array([abs(p @ a.endowment - p @ fi)
+                     for a, fi in zip(econ.agents, eq.allocation.acts)])
+
+
+@pytest.mark.parametrize("d", [1000, 1500, 2500, 3000, 4000, 8000])
+def test_default_thm1_economy_reaches_equilibrium_at_large_d(d):
+    # an absolute 1e-14 stop left the budget gaps stalled above it at these d
+    econ = experiments.build_economy(experiments.default_config("thm1"), d)
+    eq = economy.tatonnement_equilibrium(econ)
+    bound = _budget_bound(econ, eq)
+    assert eq.residual <= bound
+    assert _budget_gaps(econ, eq).max() <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 512),
+       gamma=st.sampled_from([0.5, 1.0, 2.0]))
+def test_negishi_equilibrium_returns_only_within_its_rounding_bound(seed, d, gamma):
+    econ = _random_crra_economy(np.random.default_rng(seed), d, gamma)
+    try:
+        eq = economy.tatonnement_equilibrium(econ)
+    except geometry.ConvergenceError:
+        return
+    bound = _budget_bound(econ, eq)
+    assert eq.residual <= bound
+    assert _budget_gaps(econ, eq).max() <= bound
+
+
+def test_negishi_stop_holds_at_a_skewed_two_state_economy():
+    # a near-degenerate prior at gamma = 4: the gaps stall a few times above
+    # d u of the budgets, inside the bound
+    econ = economy.EconomySpec((
+        economy.Agent(CRRASEU(np.array([0.85, 0.15]), 4.0), np.array([1.25, 1.60])),
+        economy.Agent(CRRASEU(np.array([4e-6, 1 - 4e-6]), 4.0), np.array([1.39, 0.03]))))
+    eq = economy.tatonnement_equilibrium(econ)
+    assert eq.residual <= _budget_bound(econ, eq)
 
 
 def test_equilibrium_refuses_mixed_curvatures():

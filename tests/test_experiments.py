@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from risklab import cli, economy, experiments, geometry, preferences, sampling
+from risklab import cli, economy, experiments, geometry, preferences, sampling, special
 
 SMOKE_TRIALS = 200
 
@@ -572,7 +572,7 @@ def test_lemma1_cuts_split_the_exact_law_into_equal_masses(d):
     n = experiments._LEMMA1_BINS
     assert len(cuts) == n - 1 and np.all(np.diff(cuts) > 0)
     for j, t in enumerate(cuts, start=1):
-        upper = geometry.cap_fraction(d, 1.0, abs(t))
+        upper = special.cap_fraction(d, 1.0 - t * t)
         assert (upper if t >= 0 else 1.0 - upper) == pytest.approx((n - j) / n, rel=1e-12)
 
 
@@ -1124,6 +1124,16 @@ def test_cli_runs_thm1_and_writes_outputs(tmp_path, capsys):
     assert (out / "results.csv").exists()
     assert (out / "manifest.txt").exists()
     assert "thm1: 1 rows" in capsys.readouterr().out
+
+
+def test_cli_thm1_at_the_anchor_dimension_writes_a_result_row(tmp_path, capsys):
+    # d = 4000 stalled the Negishi weights under an absolute budget stop
+    out = tmp_path / "o"
+    assert cli.main(["thm1", "--dims", "4000", "--out", str(out)]) == 0
+    assert "error rows" not in capsys.readouterr().out
+    with open(out / "results.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["d"] == "4000" and row["error"] == "" and row["within_bound"] == "true"
 
 
 def test_cli_rejects_config_for_another_experiment(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Geometry primitives: projections, distances, volumes, and the BM check.
+"""Geometry primitives: distances and their nearest points, volumes, and the BM check.
 
 Frozen numbers were computed from independent closed forms (KKT conditions,
 the circular-segment area formula, Gamma-function volume identities) before
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risklab import experiments, geometry
+from risklab import experiments, geometry, special
 from risklab.preferences import CRRASEU, belief_set, cap_prior_polytope
 
 SEED = 20260816
@@ -22,6 +22,14 @@ SEED = 20260816
 def _cap(d, idx, level, side):
     verts, hs = cap_prior_polytope(d, idx, level, side)
     return geometry.Polytope(vertices=verts, halfspaces=(hs,))
+
+
+def _project(x, P):
+    """Nearest points of P to x (a point or an (n, d) batch), from the weights
+    that :func:`geometry.distance_point_to_convex` solves for."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    Y = geometry._min_norm_weights(P.vertices[None, :, :] - X[:, None, :]) @ P.vertices
+    return Y[0] if np.ndim(x) == 1 else Y
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +43,7 @@ def test_distance_to_cap_polytope_kkt_oracle():
     cap = _cap(3, 0, 0.6, "ge")
     x = np.array([0.4, 0.4, 0.4])
     assert geometry.distance_point_to_convex(x, cap) == pytest.approx(math.sqrt(0.12), abs=1e-9)
-    p = geometry.project_point(x, cap)
+    p = _project(x, cap)
     assert np.allclose(p, [0.6, 0.2, 0.2], atol=1e-7)
 
 
@@ -70,12 +78,12 @@ def test_projection_random_points_land_inside():
     cap = _cap(4, 1, 0.5, "ge")
     for _ in range(50):
         x = rng.normal(size=4)
-        p = geometry.project_point(x, cap)
+        p = _project(x, cap)
         assert abs(p.sum() - 1.0) < 1e-9
         assert p[1] >= 0.5 - 1e-9
         assert np.all(p >= -1e-9)
         # projecting the projection moves nothing beyond solver tolerance
-        assert np.linalg.norm(geometry.project_point(p, cap) - p) < 1e-6
+        assert np.linalg.norm(_project(p, cap) - p) < 1e-6
 
 
 def test_contains_batch_halfspace_and_polytope():
@@ -101,7 +109,7 @@ def test_distance_to_cap_polytope_kkt_oracle_batched():
     assert dist.shape == (2,)
     assert dist[0] == pytest.approx(math.sqrt(0.12), abs=1e-9)
     assert dist[1] <= 1e-9
-    Y = geometry.project_point(X, cap)
+    Y = _project(X, cap)
     assert Y.shape == X.shape
     assert np.allclose(Y[0], [0.6, 0.2, 0.2], atol=1e-7)
 
@@ -119,7 +127,7 @@ def test_projection_certifies_every_point_near_thin_caps(d, level):
     verts = _cap(d, 0, level, "le").vertices
     rng = np.random.default_rng(SEED + d)
     X = np.vstack([rng.dirichlet(np.ones(d), 500), rng.uniform(-1.0, 2.0, (500, d))])
-    Y = geometry.project_point(X, geometry.Polytope(verts))
+    Y = _project(X, geometry.Polytope(verts))
     assert np.all(_fw_certificate(X, Y, verts) <= 1e-12)
     assert np.allclose(Y.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(Y[:, 0] <= level + 1e-12) and np.all(Y >= -1e-12)
@@ -248,9 +256,9 @@ def _hull_and_batch(draw):
 @given(_hull_and_batch())
 def test_batched_projection_matches_each_row_and_is_certified(case):
     P, X, k = case
-    Y = geometry.project_point(X, P)
+    Y = _project(X, P)
     assert Y.shape == X.shape
-    assert np.max(np.abs(Y[k] - geometry.project_point(X[k], P))) <= 1e-12
+    assert np.max(np.abs(Y[k] - _project(X[k], P))) <= 1e-12
     assert np.all(_fw_certificate(X, Y, P.vertices) <= 1e-12)
     dist = geometry.distance_point_to_convex(X, P)
     assert dist.shape == (len(X),)
@@ -268,21 +276,28 @@ def test_polytope_refuses_an_empty_vertex_list():
 # ---------------------------------------------------------------------------
 
 
+# at lam = 1 the check's rhs Vol(A)^lam Vol(B)^(1-lam) is Vol(A), and its lhs
+# the volume of the combination lam*A + (1-lam)*B
+
+
 def test_ball_volume_low_dims():
-    assert geometry.volume(geometry.Ball(np.zeros(2), 1.0)) == pytest.approx(math.pi)
-    assert geometry.volume(geometry.Ball(np.zeros(3), 2.0)) == pytest.approx(
-        4.0 / 3.0 * math.pi * 8.0
-    )
+    small, large = geometry.Ball(np.zeros(2), 1.0), geometry.Ball(np.zeros(3), 2.0)
+    assert geometry.bm_check(small, small, 1.0).rhs == pytest.approx(math.pi)
+    assert geometry.bm_check(large, large, 1.0).rhs == pytest.approx(4.0 / 3.0 * math.pi * 8.0)
 
 
 def test_box_volume_exact():
     box = geometry.Box(np.array([0.0, -1.0]), np.array([2.0, 1.0]))
-    assert geometry.volume(box) == 4.0
+    res = geometry.bm_check(box, box, 1.0)
+    assert res.lhs == res.rhs == 4.0
 
 
 def test_volume_refuses_bodies_without_closed_form():
-    with pytest.raises(ValueError, match="no exact volume"):
-        geometry.volume(_cap(2, 0, 0.6, "ge"))
+    cap, ball = _cap(2, 0, 0.6, "ge"), geometry.Ball(np.zeros(2), 1.0)
+    box = geometry.Box(np.zeros(2), np.ones(2))
+    for A, B in ((cap, cap), (ball, box), (ball, geometry.Ball(np.zeros(3), 1.0))):
+        with pytest.raises(ValueError, match="no exact Brunn-Minkowski check"):
+            geometry.bm_check(A, B, 0.5)
 
 
 @pytest.mark.parametrize("d", [2, 3, 12, 512])
@@ -402,12 +417,13 @@ def test_box_stacks_combine_and_measure_row_by_row():
     lower = np.array([[0.0, 0.0], [1.0, -1.0]])
     A = geometry.Box(lower, lower + np.array([[1.0, 2.0], [0.5, 4.0]]))
     B = geometry.Box(lower, lower + 1.0)
-    assert A.dim == 2 and np.array_equal(geometry.volume(A), [2.0, 2.0])
-    combo = geometry.minkowski_combine(A, B, np.array([0.5, 0.25]))
-    assert np.array_equal(combo.sides, [[1.0, 1.5], [0.875, 1.75]])
-    assert np.array_equal(geometry.minkowski_combine(A, B, 1.0).sides, A.sides)
+    assert A.dim == 2 and np.array_equal(geometry.bm_check(A, B, 1.0).rhs, [2.0, 2.0])
+    # the combinations' sides are [[1, 1.5], [0.875, 1.75]]
+    res = geometry.bm_check(A, B, np.array([0.5, 0.25]))
+    assert np.array_equal(res.lhs, [1.5, 0.875 * 1.75])
+    assert np.array_equal(geometry.bm_check(A, B, 1.0).lhs, [2.0, 2.0])
     with pytest.raises(ValueError, match="lambda"):
-        geometry.minkowski_combine(A, B, np.array([0.5, 1.5]))
+        geometry.bm_check(A, B, np.array([0.5, 1.5]))
     with pytest.raises(ValueError, match="matching"):
         geometry.Box(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))
 
@@ -416,11 +432,13 @@ def test_box_stacks_combine_and_measure_row_by_row():
 # cap fractions and the separation bound
 # ---------------------------------------------------------------------------
 
+# special.cap_fraction(d, x) is the share of the unit d-ball above the height sqrt(1 - x)
+
 
 def test_cap_fraction_matches_circular_segment():
     t = 0.2
     segment = (math.acos(t) - t * math.sqrt(1.0 - t * t)) / math.pi
-    val = geometry.cap_fraction(2, 1.0, t)
+    val = special.cap_fraction(2, 1.0 - t * t)
     assert val == pytest.approx(segment, rel=1e-12)
     assert val == pytest.approx(0.3735300390523313, rel=1e-12)
 
@@ -430,27 +448,28 @@ def test_cap_fraction_mc_confirmation():
 
     Z = sampling.PerturbationLaw("uniform-ball", 3, 1.0).sample(200_000, SEED)
     frac = float(np.mean(Z[:, 0] >= 0.3))
-    assert geometry.cap_fraction(3, 1.0, 0.3) == pytest.approx(frac, abs=0.004)
+    assert special.cap_fraction(3, 1.0 - 0.3**2) == pytest.approx(frac, abs=0.004)
 
 
 def test_cap_fraction_half_at_zero_and_zero_beyond_radius():
-    assert geometry.cap_fraction(5, 2.0, 0.0) == pytest.approx(0.5, rel=1e-12)
-    with pytest.warns(RuntimeWarning):
-        assert geometry.cap_fraction(5, 1.0, 1.5) == 0.0
+    # caps at height delta/2 of Ball_5(r): delta = 0 halves the ball, delta/2 > r is empty
+    assert geometry.separation_bound_check(0.0, 5, 2.0)[0] == pytest.approx(0.5, rel=1e-12)
+    assert geometry.separation_bound_check(3.0, 5, 1.0)[0] == 0.0
 
 
 def test_cap_fraction_monotone_decreasing_in_height():
-    vals = [geometry.cap_fraction(6, 1.0, t) for t in np.linspace(0.0, 0.99, 25)]
+    vals = [special.cap_fraction(6, 1.0 - t * t) for t in np.linspace(0.0, 0.99, 25)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_cap_fraction_input_errors():
-    with pytest.raises(ValueError):
-        geometry.cap_fraction(0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        geometry.cap_fraction(2, -1.0, 0.1)
-    with pytest.raises(ValueError):
-        geometry.cap_fraction(2, 1.0, -0.1)
+    # the separation check computes the cap fraction of Ball_d(r) at delta/2
+    with pytest.raises(ValueError, match="d must be"):
+        geometry.separation_bound_check(0.2, 0)
+    with pytest.raises(ValueError, match="r must be"):
+        geometry.separation_bound_check(0.2, 2, -1.0)
+    with pytest.raises(ValueError, match="delta must be"):
+        geometry.separation_bound_check(-0.2, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -463,7 +482,7 @@ def test_cap_fraction_input_errors():
 def test_separation_bound_check_halfspace_pair(d, delta):
     # Lemma 1 on the caps {z_1 >= delta/2} and {z_1 <= -delta/2} of the unit ball
     exact, bound = geometry.separation_bound_check(delta, d)
-    assert exact == geometry.cap_fraction(d, 1.0, delta / 2.0)
+    assert exact == special.cap_fraction(d, 1.0 - (delta / 2.0) ** 2)
     assert bound == pytest.approx(math.exp(-delta * delta * d / 8.0), rel=1e-12)
     assert exact <= bound
 
@@ -480,9 +499,8 @@ def test_convergence_error_carries_diagnostics():
 
 
 def test_minkowski_combine_balls():
-    combo = geometry.minkowski_combine(
-        geometry.Ball(np.zeros(2), 1.0), geometry.Ball(np.array([2.0, 0.0]), 3.0), 0.25
-    )
-    assert isinstance(combo, geometry.Ball)
-    assert np.allclose(combo.center, [1.5, 0.0])
-    assert combo.radius == pytest.approx(0.25 * 1.0 + 0.75 * 3.0)
+    # 0.25 B(0, 1) + 0.75 B((2, 0), 3) is the disc of radius 2.5
+    res = geometry.bm_check(geometry.Ball(np.zeros(2), 1.0),
+                            geometry.Ball(np.array([2.0, 0.0]), 3.0), 0.25)
+    assert res.lhs == pytest.approx(math.pi * 2.5**2, rel=1e-12)
+    assert res.root_equality

@@ -74,14 +74,15 @@ def test_restricted_gaussian_deterministic_both_methods():
 # SHA-256 of the little-endian float64 bytes of each sampler's output at
 # SEED with BLOCK_DRAWS + 17 draws (two blocks, the second partial).  The
 # rg and ball hashes together pin the direction-times-radius draw both laws
-# share.  A change that moves any draw must update them on purpose.
+# share, rounded as the projected layout rounds it at Q = I.  A change that
+# moves any draw must update them on purpose.
 _GOLDEN = {
-    ("rg", 2): "e91207b88d1f25e0d61d5d0bf3fd759698a466ca8737dbb68de6d1aa7ecafe10",
-    ("rg", 8): "c5b1a93a82e29f286665cbbe1d084fc2fe9a619cec2e76ecedc600c64d0a1c49",
-    ("rg", 32): "bcb5490a83c4a024fd49aa68ae540865fae867dfb3578342d4500cb3161af18e",
-    ("ball", 2): "7a0b5b1dae56ad7cea99c399075220dff51d210631630e9d367a65fc2919f1b1",
-    ("ball", 8): "c4b99ae797a4d87ad6ff252c656249128c044bbf79da7a27ae7654932a43b7d8",
-    ("ball", 32): "9ce5cdc54c698262e1e64491905614194d4f453db9a69793e0aae48324a9843e",
+    ("rg", 2): "e3b2ceaac0a0ec099773e1d05a047b6c81083815661af4e01efa63797d8a13c6",
+    ("rg", 8): "4ca7138154ba90565bcbe3a3f3991fb4075649e1cdcde8e1f58978465f6dd929",
+    ("rg", 32): "6582e01a2337fed61ec0e7fa6d0306bb080ee9a9d7a17dd4f6b7e5d0007038e5",
+    ("ball", 2): "d31fc29a27b591c525242bd535a8c16197966d3374f131b8f6a1e63cc526d7dc",
+    ("ball", 8): "b9b4594498c0137cef405cd33df857e70f35030c0526d93f615a98f8d6b58dac",
+    ("ball", 32): "79f5c51b2181dd602ce8abd532dddd1c3f4a1ed655e3bfb042256fc82fc269a3",
     ("simplex", 2): "43780529e04efb442e0ebd07fe83af3a2b425e0f92b78e6929eb53718b5f7537",
     ("simplex", 8): "9b2a91f0d08e0c930674d4bb9e4bee72864a297fa47c7ef53572638dd1935026",
     ("simplex", 32): "e65a94c482586ed98a78b23f6808160eba91df1c3e762ebba58d33c47c2a2e14",
@@ -344,6 +345,21 @@ def test_law_kappa_values():
     assert ball.kappa == 1.0
     gauss = sampling.PerturbationLaw("restricted-gaussian", 4, 1.0)
     assert gauss.kappa == pytest.approx(sampling.gaussian_kappa_ratio(4, 1.0))
+
+
+def _keep_none(Y):
+    return np.zeros(len(Y), bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_LAW_KINDS.values())), d=st.integers(1, 64),
+       block=st.integers(0, 2**20), m=st.integers(0, 300), r=st.sampled_from([0.5, 1.0, 3.0]))
+def test_plain_block_is_the_projected_layout_at_the_identity(kind, d, block, m, r):
+    # one layout: the plain stream is the projected one with Q = I, bit for bit
+    law = sampling.PerturbationLaw(kind, d, r)
+    Y, Z = law.sample_projected_coordinates(block, m, SEED, np.eye(d), _keep_none)
+    assert Z.shape == (0, d)
+    assert _bits(law.sample_block(block, m, sampling.as_seed(SEED))) == _bits(Y)
 
 
 def test_law_sample_is_its_first_block():
