@@ -21,7 +21,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import experiments
+from . import experiments, geometry
 
 # config key -> add_argument options of the flag that sets it
 _FLAGS = {
@@ -87,7 +87,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         result = experiments.run_experiment(config)
-    except ValueError as exc:
+    except (ValueError, geometry.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     n_err, n_fail = result.error_rows, result.failed_checks

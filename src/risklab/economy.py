@@ -322,6 +322,12 @@ _SCREEN_SLACK = 1e-9
 _LOG_RANGE = 745.0
 
 
+def _rounding_size(pref, fi, s, reach: float) -> float:
+    """|U(f_i)| + _LOG_RANGE + ||s||_1 (||f_i||_inf + reach): an agent's screen slack size."""
+    return (abs(float(pref.utility(fi))) + _LOG_RANGE
+            + float(np.abs(s).sum()) * (float(np.abs(fi).max()) + reach))
+
+
 def _row_chunks(X, values):
     """Slices of the rows of X, each holding at most ``values`` values (and at least one row)."""
     step = max(1, values // max(1, X.shape[1]))
@@ -339,7 +345,7 @@ def improvement_screen(econ: EconomySpec, f: Allocation, eps: float, radius: flo
     (1-eps) Y . (Q^T s_i) > eps s_i.f_i - slack_i; every row when an agent
     has no finite supergradient.  A row it drops is one that
     :func:`individual_improvement_event` cannot flag, so the pair can be
-    handed to :func:`sampling.block_hits` as its ``projection``; with
+    handed to :meth:`sampling.PerturbationLaw.sample_projected_block`; with
     one column the rows it drops are an intersection of half-lines of Y, an
     interval, as the sampler requires.
 
@@ -382,8 +388,8 @@ def improvement_screen(econ: EconomySpec, f: Allocation, eps: float, radius: flo
     # per agent: Q^T s and the level its screen compares (1-eps) Y . (Q^T s) with
     screens = []
     for pref, fi, s in ([] if every_row else grads):
-        size = abs(float(pref.utility(fi))) + float(s.sum()) * (float(np.abs(fi).max()) + radius)
-        screens.append((Q.T @ s, eps * float(s @ fi) - _SCREEN_SLACK * (size + _LOG_RANGE)))
+        level = eps * float(s @ fi) - _SCREEN_SLACK * _rounding_size(pref, fi, s, radius)
+        screens.append((Q.T @ s, level))
 
     def keep(Y):
         out = np.full(len(Y), every_row)
@@ -466,9 +472,7 @@ def contour_screen(econ: EconomySpec, f: Allocation, eps: float, radius: float):
             slack = float(np.abs(w).sum()) + radius
             level = float(u @ f.acts.sum(axis=0)) - (1.0 - eps) * float(u @ w)
             for a, fi, s, alpha, res in zip(econ.agents, f.acts, grads, alphas, resid):
-                size = abs(float(a.preference.utility(fi))) + _LOG_RANGE + float(
-                    np.abs(s).sum()) * (float(np.abs(fi).max()) + w_inf + radius)
-                slack += size / alpha
+                slack += _rounding_size(a.preference, fi, s, w_inf + radius) / alpha
                 level -= (MEMBER_TOL + res * (w_norm + radius + float(np.linalg.norm(fi)))) / alpha
             level -= _SCREEN_SLACK * slack
     if level is None:
@@ -753,23 +757,21 @@ def belief_sets(econ: EconomySpec, f: Allocation) -> list[geometry.Polytope]:
     return [preferences.belief_set(a.preference, fi) for a, fi in zip(econ.agents, f.acts)]
 
 
-def belief_volume_split(
-    sets: Sequence[Sequence[geometry.Polytope]], J: list[int]
-) -> list[BeliefVolumeSplit]:
+def belief_volume_split(sets: Sequence[geometry.Polytope], J: list[int]) -> BeliefVolumeSplit:
     """Exact relative simplex volumes of the two coalition belief-set intersections.
 
-    ``sets`` holds the agents' belief sets at each allocation
-    (:func:`belief_sets`), and one split is returned per allocation.  B_J is
-    the intersection of the belief sets of the agents in J (B_Jc for the
-    complement), and each volume is its share of the simplex by
+    ``sets`` holds the agents' belief sets at one allocation
+    (:func:`belief_sets`).  B_J is the intersection of the belief sets of
+    the agents in J (B_Jc for the complement), and each volume is its share
+    of the simplex by
     :func:`geometry.relative_volume`: 0.0 when a belief set is
     lower-dimensional (a proper face of a cap, a single prior), the
     Beta(1, d-1) mass of the slab for caps and slabs on one coordinate, and
     ValueError for any other intersection.
     """
-    J, n = sorted(set(J)), len(sets[0])
+    J, n = sorted(set(J)), len(sets)
     if not J or not all(0 <= j < n for j in J) or len(J) == n:
         raise ValueError("J must be a proper nonempty subset of the agents")
     Jc = [i for i in range(n) if i not in J]
-    return [BeliefVolumeSplit(geometry.relative_volume([B[i] for i in J]),
-                              geometry.relative_volume([B[i] for i in Jc])) for B in sets]
+    return BeliefVolumeSplit(geometry.relative_volume([sets[i] for i in J]),
+                             geometry.relative_volume([sets[i] for i in Jc]))

@@ -27,7 +27,7 @@ import itertools
 import math
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -453,12 +453,13 @@ def _sweep(config: ExperimentConfig, prepare, **fixed) -> list[dict]:
     """One row per (eps, d) cell, each with its own law and seed stream.
 
     ``prepare(law, eps, seed)`` sets a cell up (its economy, allocation and
-    screen) and returns ``(block, finish)``: ``block(b, m)`` measures block b
-    of the cell's ``trials`` draws, and ``finish(results)`` turns the block
-    results, in block order, into the cell's measured columns.  Every cell
-    is prepared first, then the blocks of all of them run in one
+    screen) and returns ``(block, finish)``: ``block(b, m)`` draws block b
+    of the cell's ``trials`` draws through the screen, decides the kept
+    draws and counts them, and ``finish(results)`` turns the block counts,
+    in block order, into the cell's measured columns.  Every cell is
+    prepared first, then the blocks of all of them run in one
     :func:`sampling.map_blocks` call, and then each cell is finished.  A
-    cell whose economy, solver or blocks fail with ValueError or
+    cell whose setup, sampler or decider fails with ValueError or
     ConvergenceError gets the message in its ``error`` column.
     """
     rows, prepared = [], []
@@ -494,41 +495,37 @@ def run_thm1(config: ExperimentConfig):
             raise ValueError("the tail bound needs strictly positive endowments (tau > 0)")
         # the screen takes every agent's supergradient and utility once before
         # sampling, so an act outside its agent's domain makes an error row
-        projection = economy.improvement_screen(econ, f, eps, law.radius)
+        Q, keep = economy.improvement_screen(econ, f, eps, law.radius)
 
-        def event(Z):
-            return economy.individual_improvement_event(econ, f, Z, eps)
+        def block(b, m):
+            _, Z = law.sample_projected_block(b, m, seed, Q, keep)
+            return int(np.count_nonzero(economy.individual_improvement_event(econ, f, Z, eps)))
 
         def finish(hits):
             est = sampling.MCEstimate(sum(hits), config.trials)
             bound = bounds.bound_thm1(eps, tau, config.radius, law.dim, law.kappa)
             return {"tau": tau, "kappa": law.kappa, **_estimate_columns(est, bound)}
 
-        return sampling.block_hits(event, law, seed, projection), finish
+        return block, finish
 
     rows = _sweep(config, prepare, experiment="thm1")
     return rows, _series(rows, "thm1", ("p_hat", "ci_high", "bound"))
 
 
 def _membership_counts(econ, f, law, eps, n, seed_spec, conditioned=False):
-    """Blockwise aggregate membership: ``(work, tally)``.
+    """Blockwise aggregate membership, the block kernel of ``thm2`` and ``cru``: ``(work, tally)``.
 
-    ``work(b, m)`` decides block b of m draws, and ``tally(results)`` turns
-    the block results of all n draws into the estimate over accepted draws
-    and the count of indeterminate ones.  Every block is drawn by
-    :meth:`sampling.PerturbationLaw.sample_projected_block`
-    with :func:`economy.contour_screen`: only the draws in the contour cap are
-    completed, and one :func:`economy.scitovsky_members` call per block (an
-    empty one too) decides them; every other draw is a miss.  When
-    ``conditioned``, only draws with Y = u . z > 0 are counted (rejection
-    conditioning on the positive-price half-space: at the Pareto-optimal
-    interior allocations that have a supporting price, u is that price's
-    direction), so the estimate's trials are the accepted draws, counted on
-    every row's coordinates (:meth:`sampling.PerturbationLaw.sample_projected_coordinates`),
-    and the rejected ones are never completed; conditioning at an allocation whose
-    supergradients are not parallel raises ValueError.  In ``tally``, more
-    than 1% boundary-indeterminate draws raise ConvergenceError, and a
-    conditioning that rejects every draw raises ValueError.
+    ``work(b, m)`` draws block b of m draws through :func:`economy.contour_screen`,
+    completing only the draws in the contour cap, and decides them in one
+    :func:`economy.scitovsky_members` call (an empty one too); every other
+    draw is a miss.  ``tally(results)`` turns the block counts of all n draws
+    into the estimate over accepted draws and the count of indeterminate
+    ones: more than 1% of them raise ConvergenceError.  When ``conditioned``,
+    only draws with Y = u . z > 0 are accepted, u being the supporting
+    price's direction at a Pareto-optimal interior allocation; they are
+    counted on every row's coordinates, and the rejected ones are never
+    completed.  Conditioning where the supergradients are not parallel, or
+    that rejects every draw, raises ValueError.
     """
     w = econ.aggregate
     Q, keep = economy.contour_screen(econ, f, eps, law.radius)
@@ -592,7 +589,10 @@ def run_thm2(config: ExperimentConfig):
 
 
 def run_cru(config: ExperimentConfig):
-    """Resource-utilization coefficient, its improvement level, and the tail bound."""
+    """Resource-utilization coefficient, its improvement level, and the tail bound.
+
+    A failing setup ends the run; the estimate at eps = 1 - beta^2 is one :func:`_sweep` cell.
+    """
     d = config.dims[0]
     econ = build_economy(config, d, no_agg=True)
     f = resolve_allocation(config, econ)
@@ -602,25 +602,22 @@ def run_cru(config: ExperimentConfig):
             "allocation is Pareto optimal (beta = 1); the utilization experiment needs waste"
         )
     improvement = 1.0 - beta * beta
-    law = sampling.PerturbationLaw(config.law_kind, d, config.radius)
-    work, tally = _membership_counts(econ, f, law, improvement, config.trials,
-                                     config.seed_spec.stream(0))
-    results = sampling.map_blocks(lambda cell, b, m: work(b, m), [config.trials],
-                                  config.threads)[0]
-    est, indet = tally(sampling.cell_results(results))
-    row = {
-        "experiment": "cru", "d": d, "beta": beta, "improvement": improvement,
-        "r": config.radius, "n": config.trials, "n_accepted": est.trials,
-        "indeterminate": indet,
-        **_estimate_columns(est, bounds.bound_cru(beta, config.radius, d)), "error": None,
-    }
-    plot = {
-        "cru_bound_vs_d.csv": _two_column(
-            (dd, bounds.bound_cru(beta, config.radius, dd))
-            for dd in sorted(set(config.dims) | {2, 8, 32, 128, 512, 4000})
-        )
-    }
-    return [row], plot
+
+    def prepare(law, eps, seed):
+        work, tally = _membership_counts(econ, f, law, eps, config.trials, seed)
+
+        def finish(results):
+            est, indet = tally(results)
+            return {"n_accepted": est.trials, "indeterminate": indet,
+                    **_estimate_columns(est, bounds.bound_cru(beta, config.radius, d))}
+
+        return work, finish
+
+    rows = _sweep(replace(config, dims=(d,), eps_list=(improvement,)), prepare,
+                  experiment="cru", beta=beta, improvement=improvement)
+    plot_dims = sorted(set(config.dims) | {2, 8, 32, 128, 512, 4000})
+    return rows, {"cru_bound_vs_d.csv": _two_column(
+        (dd, bounds.bound_cru(beta, config.radius, dd)) for dd in plot_dims)}
 
 
 # -- the two-agent ambiguity construction ------------------------------------
@@ -644,10 +641,6 @@ class AmbiguityInstance:
     econ: economy.EconomySpec
     traded: economy.Allocation
     eps: float
-
-    @property
-    def constant(self) -> economy.Allocation:
-        return economy.equal_split(self.econ)
 
 
 def _ambiguity_instance(d: int, a: float, b: float) -> AmbiguityInstance:
@@ -694,11 +687,6 @@ def _prop3_rows(inst: AmbiguityInstance, c_values, traded_sets, dist: float,
                      for c in c_values}
     mid_bound = bound_columns[f"bound_c{c_values[len(c_values) // 2]:g}"]
 
-    sets = [traded_sets]
-    if constant_phase:
-        sets.append(economy.belief_sets(inst.econ, inst.constant))
-    splits = economy.belief_volume_split(sets, [0])
-
     def row(experiment, phase, vols, **fields):
         return {
             "experiment": experiment, "phase": phase, "d": inst.d, "eps": inst.eps,
@@ -707,7 +695,8 @@ def _prop3_rows(inst: AmbiguityInstance, c_values, traded_sets, dist: float,
             "within_bound": vols.min_rel_vol <= mid_bound, "error": None, **fields,
         }
 
-    traded = row("prop3", "dominated", splits[0], dist=dist)
+    traded = row("prop3", "dominated", economy.belief_volume_split(traded_sets, [0]),
+                 dist=dist)
     rows = []
     for mode in ("definitional", "paper"):
         rho_v = economy.rho(inst.econ, mode=mode)
@@ -720,8 +709,10 @@ def _prop3_rows(inst: AmbiguityInstance, c_values, traded_sets, dist: float,
             r["error"] = str(exc)
         rows.append(r)
     if constant_phase:
-        rows.append(row("thm4", "constant", splits[1], rho_mode=None, rho=None,
-                        delta=None, dist=None, empty_intersection=None))
+        constant = economy.belief_sets(inst.econ, economy.equal_split(inst.econ))
+        rows.append(row("thm4", "constant", economy.belief_volume_split(constant, [0]),
+                        rho_mode=None, rho=None, delta=None, dist=None,
+                        empty_intersection=None))
     return rows
 
 

@@ -473,37 +473,27 @@ def mc_probability(
     threads: int = 1,
     projection: tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> MCEstimate:
-    """Estimate P(event) under the law by blockwise Monte Carlo.
+    """Estimate P(event) under the law by blockwise Monte Carlo: the library's one-cell call.
 
-    ``event`` receives an (m, d) block of samples and returns m booleans.
-    With ``projection = (Q, keep)`` the blocks are drawn by
-    :meth:`PerturbationLaw.sample_projected_block`: ``event`` then receives
-    only the full draws of the rows ``keep`` names, and every other row
-    counts as a miss, so ``keep`` must name every row on which the event can
-    hold (and meet that method's condition on one-column screens).  The estimate is bit-identical for any ``threads`` value because
-    block substreams are deterministic and their hit counts add exactly.
-    No runner calls it without ``projection``: that plain path stays as the
-    reference the projected estimates are tested against.
-
-    This is the one-cell call: a sweep hands every cell's
-    :func:`block_hits` to one :func:`map_blocks` call instead.
+    ``event`` receives an (m, d) block of samples and returns m booleans; one
+    that raises is reported as a RuntimeError naming the block, and one that
+    returns the wrong shape is refused.  With ``projection = (Q, keep)`` the
+    blocks are drawn by :meth:`PerturbationLaw.sample_projected_block`:
+    ``event`` then receives only the full draws of the rows ``keep`` names,
+    and every other row counts as a miss, so ``keep`` must name every row on
+    which the event can hold (and meet that method's condition on one-column
+    screens).  The
+    estimate is bit-identical for any ``threads`` value because block
+    substreams are deterministic and their hit counts add exactly.  No runner
+    calls it (a sweep hands all its cells' blocks to one :func:`map_blocks`
+    call); its plain path is the reference the projected estimates are
+    tested against.
     """
     if n < 100:
         raise ValueError("n must be >= 100 for a meaningful estimate")
-    hits = block_hits(event, law, as_seed(seed), projection)
-    blocks = map_blocks(lambda cell, b, m: hits(b, m), [n], threads)[0]
-    return MCEstimate(hits=sum(cell_results(blocks)), trials=n)
+    seed = as_seed(seed)
 
-
-def block_hits(
-    event: Callable[[np.ndarray], np.ndarray],
-    law: PerturbationLaw,
-    seed: SeedSpec,
-    projection: tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]] | None = None,
-) -> Callable[[int, int], int]:
-    """``hits(b, m)``: the count of block b (m draws) of :func:`mc_probability`'s estimate."""
-
-    def hits(b: int, m: int) -> int:
+    def hits(cell: int, b: int, m: int) -> int:
         if projection is None:
             z = law.sample_block(b, m, seed)
         else:
@@ -520,4 +510,5 @@ def block_hits(
                 f"event predicate returned shape {flags.shape}, wanted ({len(z)},)")
         return int(np.count_nonzero(flags))
 
-    return hits
+    blocks = map_blocks(hits, [n], threads)[0]
+    return MCEstimate(hits=sum(cell_results(blocks)), trials=n)

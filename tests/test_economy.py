@@ -1207,8 +1207,8 @@ def _meu_economy(d, hi=0.6, lo=0.2):
 @pytest.mark.parametrize("d", [3, 5])
 def test_belief_volume_split_disjoint_caps(d):
     econ = _meu_economy(d)
-    (split,) = economy.belief_volume_split(
-        [economy.belief_sets(econ, economy.equal_split(econ))], [0])
+    split = economy.belief_volume_split(
+        economy.belief_sets(econ, economy.equal_split(econ)), [0])
     # the caps {mu_0 >= 0.6} and {mu_0 <= 0.2}: mu_0 is Beta(1, d-1) on the simplex
     assert split.vol_J == (1 - 0.6) ** (d - 1)
     assert split.vol_Jc == 1 - (1 - 0.2) ** (d - 1)
@@ -1220,14 +1220,14 @@ def test_belief_volume_split_validates_coalition():
     f = economy.equal_split(econ)
     for bad in ([], [0, 1], [5]):
         with pytest.raises(ValueError):
-            economy.belief_volume_split([economy.belief_sets(econ, f)], bad)
+            economy.belief_volume_split(economy.belief_sets(econ, f), bad)
 
 
 def test_belief_volume_split_singleton_belief_sets_have_no_volume():
     # log-utility belief sets are single priors, of measure zero on the simplex
     econ = experiments.build_economy(experiments.default_config("thm2"), 3)
     f, _ = economy.planner_allocation(econ)
-    (split,) = economy.belief_volume_split([economy.belief_sets(econ, f)], [0])
+    split = economy.belief_volume_split(economy.belief_sets(econ, f), [0])
     assert (split.vol_J, split.vol_Jc, split.min_rel_vol) == (0.0, 0.0, 0.0)
 
 
@@ -1237,7 +1237,7 @@ def test_belief_volume_split_faces_at_a_trade_have_no_volume():
     h = np.array([0.1, -0.1 / 3, -0.1 / 3, -0.1 / 3])
     f = economy.Allocation(np.vstack([0.5 - h, 0.5 + h])).check_feasible(econ)
     const = economy.equal_split(econ)
-    traded, constant = economy.belief_volume_split(
-        [economy.belief_sets(econ, g) for g in (f, const)], [1])
+    traded, constant = (economy.belief_volume_split(economy.belief_sets(econ, g), [1])
+                        for g in (f, const))
     assert (traded.vol_J, traded.vol_Jc) == (0.0, 0.0)
     assert (constant.vol_J, constant.vol_Jc) == (1 - (1 - 0.2) ** 3, (1 - 0.6) ** 3)

@@ -15,6 +15,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -670,25 +671,60 @@ def test_a_threaded_run_schedules_its_blocks_in_one_call_on_one_pool(cfg, cells,
     assert all(row.get("error") is None for row in rows)
 
 
+# the cell that fails, per family: thm1's d = 8, thm2's (eps, d) = (0.05, 8), cru's one
+_FAILING_CELL = {"thm1": 1, "thm2": 1, "cru": 0}
+_DECIDERS = {"thm1": "individual_improvement_event", "thm2": "scitovsky_members",
+             "cru": "scitovsky_members"}
+
+
+@functools.lru_cache(maxsize=None)
+def _clean_run(family, threads):
+    dims = {"thm1": (2, 8, 32), "thm2": (2, 8), "cru": (2,)}[family]
+    cfg = _small(family, trials=2 * sampling.BLOCK_DRAWS + 100, dims=dims, threads=threads)
+    return cfg, experiments.run_experiment(cfg)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_failing_block_makes_only_its_cell_an_error_row(threads, monkeypatch):
-    cfg = _small("thm1", trials=2 * sampling.BLOCK_DRAWS + 100, dims=(2, 8, 32),
-                 threads=threads)
-    clean = experiments.run_experiment(cfg).csv_text.splitlines()
-    projected = sampling.PerturbationLaw.sample_projected_block
+@pytest.mark.parametrize("error", [ValueError, geometry.ConvergenceError])
+@pytest.mark.parametrize("layer", ["sampler", "decider"])
+@pytest.mark.parametrize("family", ["thm1", "thm2", "cru"])
+def test_a_failing_block_makes_only_its_cell_an_error_row(family, layer, error, threads,
+                                                          monkeypatch):
+    cfg, clean = _clean_run(family, threads)
+    cell = _FAILING_CELL[family]
+    exc = (error("block 1 failed") if error is ValueError
+           else error("block 1 failed", value=0.0, gap=1.0))
+    if layer == "sampler":
+        projected = sampling.PerturbationLaw.sample_projected_block
 
-    def failing(self, block, m, seed, Q, keep):
-        if self.dim == 8 and block == 1:
-            raise ValueError("block 1 of the d = 8 cell failed")
-        return projected(self, block, m, seed, Q, keep)
+        def failing(self, block, m, seed, Q, keep):
+            if seed.stream_id == cell and block == 1:
+                raise exc
+            return projected(self, block, m, seed, Q, keep)
 
-    monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", failing)
+        monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", failing)
+    else:
+        decider, row, calls = getattr(economy, _DECIDERS[family]), clean.rows[cell], []
+        lock = threading.Lock()
+
+        def failing(econ, f, X, eps):
+            # every call of the cell's decider after its first fails
+            if econ.dim == row["d"] and eps == row["eps"]:
+                with lock:
+                    calls.append(None)
+                    if len(calls) > 1:
+                        raise exc
+            return decider(econ, f, X, eps)
+
+        monkeypatch.setattr(economy, _DECIDERS[family], failing)
     res = experiments.run_experiment(cfg)
-    assert [row["error"] for row in res.rows] == [None, "block 1 of the d = 8 cell failed",
-                                                  None]
-    lines = res.csv_text.splitlines()
-    # the header and the d = 2 and d = 32 rows are those of the run without the failure
-    assert lines[:2] + lines[3:] == clean[:2] + clean[3:] and lines[2] != clean[2]
+    assert [r["error"] for r in res.rows] == [
+        str(exc) if k == cell else None for k in range(len(clean.rows))]
+    lines, before = res.csv_text.splitlines(), clean.csv_text.splitlines()
+    # every line but the failing cell's (after the header) is that of the clean run
+    failed = cell + 1
+    assert lines[:failed] + lines[failed + 1:] == before[:failed] + before[failed + 1:]
+    assert lines[failed] != before[failed]
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +991,7 @@ def test_ambiguity_instance_trade_hurts_both_agents(d, a, b):
     assert np.all(inst.traded.acts >= 0)
     floor = 2.0 * inst.eps * 0.5  # eps = min utility drop / (2 t), t = 0.5
     for i, agent in enumerate(inst.econ.agents):
-        u_const = agent.preference.utility(inst.constant.acts[i])
+        u_const = agent.preference.utility(economy.equal_split(inst.econ).acts[i])
         u_trade = agent.preference.utility(inst.traded.acts[i])
         assert u_const - u_trade >= floor - 1e-12
 
@@ -981,11 +1017,12 @@ def test_belief_volume_split_matches_per_set_contains(d, a, b):
     # binomial SE of the exact volumes (a face, of volume 0, takes no hit)
     inst = experiments._ambiguity_instance(d, a, b)
     n, seed = 100_000, 5000 + d
-    splits = economy.belief_volume_split(
-        [economy.belief_sets(inst.econ, f) for f in (inst.traded, inst.constant)], [0])
+    allocations = (inst.traded, economy.equal_split(inst.econ))
+    splits = [economy.belief_volume_split(economy.belief_sets(inst.econ, f), [0])
+              for f in allocations]
     assert (splits[0].vol_J, splits[0].vol_Jc) == (0.0, 0.0)
     assert (splits[1].vol_J, splits[1].vol_Jc) == ((1 - a) ** (d - 1), 1 - (1 - b) ** (d - 1))
-    for split, f in zip(splits, (inst.traded, inst.constant)):
+    for split, f in zip(splits, allocations):
         hits = _per_set_hits(inst.econ, f, [0], n, seed)
         for vol, k in zip((split.vol_J, split.vol_Jc), hits):
             assert abs(k - n * vol) <= 5.0 * math.sqrt(n * vol * (1.0 - vol)), (vol, k)
@@ -1142,6 +1179,33 @@ def test_cli_rejects_config_for_another_experiment(tmp_path, capsys):
     rc = cli.main(["thm1", "--config", str(path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_a_stalled_cru_setup_as_an_error(tmp_path, capsys, monkeypatch):
+    def stalled(econ, f):
+        raise geometry.ConvergenceError("utilization bisection stalled", value=0.5, gap=0.1)
+
+    monkeypatch.setattr(economy, "cru", stalled)
+    rc = cli.main(["cru", "--trials", "200", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: utilization bisection stalled") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("allocation = literal:0.8,0.2|0.2,0.8", "allocation = planner", "Pareto optimal"),
+    ("agent.preference = cobb-douglas\nagent.prior = uniform",
+     "agent.preference = maxmin\nagent.prior = cap:ge:0:0.6", "2-agent common-curvature"),
+], ids=["pareto-optimal", "maxmin-agent"])
+def test_cli_cru_setup_refusal_exits_2(old, new, message, tmp_path, capsys):
+    text = experiments.EXPERIMENTS["cru"].default_text.replace(old, new, 1)
+    (tmp_path / "cru.cfg").write_text(text)
+    rc = cli.main(["cru", "--config", str(tmp_path / "cru.cfg"), "--trials", "200",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_checks_accepts_single_family_config(tmp_path):
