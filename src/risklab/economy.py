@@ -275,9 +275,7 @@ def individual_improvement_event(
     chunks of at most _IMPROVEMENT_CHUNK_VALUES values, every agent in turn
     on each chunk, so the chunk is read from memory once for all agents.  An
     agent is evaluated only on the chunk's rows that no earlier agent has
-    flagged, and a chunk every row of which is flagged stops there.  Each
-    agent's perturbed acts are built, and their utility taken, in one
-    scratch array of the chunk's size.
+    flagged, and a chunk every row of which is flagged stops there.
     ``thm1`` hands it only the rows that :func:`improvement_screen` keeps.
     """
     if not 0.0 <= eps < 1.0:
@@ -287,21 +285,11 @@ def individual_improvement_event(
     agents = [(a.preference, fi, a.preference.utility(fi) + preferences.TOL_STRICT)
               for a, fi in zip(econ.agents, f.acts)]
     out = np.zeros(len(Z), dtype=bool)
-    chunks = _row_chunks(Z, _IMPROVEMENT_CHUNK_VALUES)
-    scratch = np.empty(Z[chunks[0]].shape) if chunks else None
-    for rows in chunks:
+    for rows in _row_chunks(Z, _IMPROVEMENT_CHUNK_VALUES):
         chunk, hit = Z[rows], out[rows]
         todo = np.arange(len(chunk))  # the chunk's rows no agent has flagged yet
         for pref, fi, level in agents:
-            # (1 - eps)(f_i + z), in the scratch rows
-            acts = scratch[: len(todo)]
-            if len(todo) == len(chunk):
-                np.add(chunk, fi, out=acts)
-            else:
-                np.take(chunk, todo, axis=0, out=acts)
-                acts += fi
-            acts *= 1.0 - eps
-            flag = utility_extended(pref, acts, overwrite=True) > level
+            flag = utility_extended(pref, (chunk[todo] + fi) * (1.0 - eps)) > level
             hit[todo[flag]] = True
             todo = todo[~flag]
             if not len(todo):
@@ -310,11 +298,11 @@ def individual_improvement_event(
 
 
 # Rows per improvement chunk hold at most this many values (512 KiB of float64).
-# Every agent builds the perturbed acts of the rows it is given in one scratch
-# array of at most the chunk's size, so the chunk and the scratch fit a
-# 2 MiB L2 and the rows are read from memory once for all agents; a block every
-# row of which the screen keeps (an agent without a finite supergradient)
-# never takes more than that.
+# An agent's perturbed acts and their log are at most the chunk's size each, so
+# the chunk and these two arrays fit a 2 MiB L2 and the rows are read from
+# memory once for all agents; a block every row of which the screen keeps (an
+# agent without a finite supergradient) never takes more than that, even at
+# d = 4000.
 _IMPROVEMENT_CHUNK_VALUES = 1 << 16
 # Relative slack of the improvement screen, and the largest |log x| over
 # positive finite doubles.

@@ -94,12 +94,12 @@ class CRRASEU:
                              "(strictly positive for gamma >= 1)")
         return self._evaluate(f)
 
-    def _evaluate(self, f, overwrite=False):
-        """U at acts f already checked to lie in the domain; ``overwrite`` lets it reuse f."""
+    def _evaluate(self, f):
+        """U at acts f already checked to lie in the domain."""
         if self.gamma == 0:
             return f @ self.prior
         if self.gamma == 1:
-            return np.log(f, out=f if overwrite else None) @ self.prior
+            return np.log(f) @ self.prior
         q = 1.0 - self.gamma
         return (f**q @ self.prior) / q
 
@@ -150,10 +150,10 @@ class MaxMinEU:
             return np.ones(f.shape[:-1], dtype=bool) if f.ndim > 1 else np.bool_(True)
         return np.all(f > 0, axis=-1)
 
-    def _index(self, f, overwrite=False) -> np.ndarray:
+    def _index(self, f) -> np.ndarray:
         if self.bernoulli == "linear":
             return f
-        return np.log(f, out=f if overwrite else None)
+        return np.log(f)
 
     def utility(self, f):
         f = _acts(f, self.dim)
@@ -161,9 +161,9 @@ class MaxMinEU:
             raise ValueError("domain violation: log Bernoulli needs strictly positive payoffs")
         return self._evaluate(f)
 
-    def _evaluate(self, f, overwrite=False):
-        """U at acts f already checked to lie in the domain; ``overwrite`` lets it reuse f."""
-        return np.min(self._index(f, overwrite) @ self.prior_vertices.T, axis=-1)
+    def _evaluate(self, f):
+        """U at acts f already checked to lie in the domain."""
+        return np.min(self._index(f) @ self.prior_vertices.T, axis=-1)
 
     def worst_case_face(self, f) -> np.ndarray:
         """Vertices attaining the worst-case value at f, within MEU_FACE_TOL."""
@@ -232,27 +232,25 @@ def supergradient(pref: Preference, f) -> np.ndarray | None:
     return None if np.any(f < _TINY) else v / f
 
 
-def utility_extended(pref: Preference, f, overwrite: bool = False):
+def utility_extended(pref: Preference, f):
     """Utility extended by -inf outside the domain (batch-safe, never raises).
 
     The extension is the monotone lower-semicontinuous completion: acts with
     nonpositive payoffs where the family demands positive ones are strictly
     worse than every interior act, so event deciders can treat them as
     unimprovable rather than erroring mid-sweep.  The domain is checked once.
-    With ``overwrite`` the float array f is used as scratch and its values
-    are lost.
     """
     f = _acts(f, pref.dim)
     ok = pref.in_domain(f)
     if np.all(ok):
-        return pref._evaluate(f, overwrite)
+        return pref._evaluate(f)
     if f.ndim == 1:
         return -np.inf
     out = np.full(f.shape[:-1], -np.inf)
     if np.any(ok):
-        safe = f if overwrite else f.copy()
+        safe = f.copy()
         safe[~ok] = 1.0
-        out[ok] = pref._evaluate(safe, True)[ok]
+        out[ok] = pref._evaluate(safe)[ok]
     return out
 
 

@@ -392,26 +392,20 @@ def _completed_draws(gen, Q, Y, rows, C, scale):
     """The full draws of the given rows of a projected block, continuing its stream from gen.
 
     Y, C and scale are the block's coordinates, chi-square variates and
-    radius-over-|g| factors; only the given rows of each are read.  Each
-    product with Q.T and the squares behind each row's |P| (the terms
-    ``np.linalg.norm`` sums, in its order) go through one scratch array.
+    radius-over-|g| factors; only the given rows of each are read.
     """
     d, k = Q.shape
     if k == d:
         return Y[rows] @ Q.T
     P = gen.standard_normal((len(rows), d))
-    T = np.empty_like(P)
     if k:
         # projected twice, so the part left along Q is a rounding of |P|,
         # not of the normals' own length ("twice is enough")
         for _ in range(2):
-            P -= np.matmul(P @ Q, Q.T, out=T)
-    factor = np.sqrt(C[rows])
-    factor *= scale[rows]
-    factor /= np.sqrt(np.add.reduce(np.multiply(P, P, out=T), axis=1))
-    P *= factor[:, None]
+            P -= (P @ Q) @ Q.T
+    P *= (np.sqrt(C[rows]) * scale[rows] / np.linalg.norm(P, axis=1))[:, None]
     if k:
-        P += np.matmul(Y[rows], Q.T, out=T)
+        P += Y[rows] @ Q.T
     return P
 
 

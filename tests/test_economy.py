@@ -4,6 +4,7 @@ The equilibrium and CRU oracles were worked out by hand (market-clearing
 algebra, certainty-equivalent matching) before the implementations existed.
 """
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -520,6 +521,78 @@ def test_oracle_hits_lie_in_the_agents_supporting_half_space(d):
         assert np.all((1.0 - eps) * (Z[hit] @ s) > eps * (s @ fi))
         hits += int(hit.sum())
     assert hits > 0
+
+
+def _bisect(below, lo, hi, steps=36):
+    """Where ``below`` turns False in each [lo, hi], for a ``below`` that holds on a
+    (possibly empty) left part of the interval and fails on the rest."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        left = below(mid)
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _disk_improvement_probability(econ, f, eps, n_angles=1 << 15):
+    """P(some agent eps-improves) for z uniform on the unit disk, with no sampling.
+
+    Along the ray t u(theta), agent i's margin U_i((1 - eps)(f_i + t u)) - U_i(f_i)
+    - TOL_STRICT is concave in t and -inf off the domain, so its positive part on
+    [0, 1] is one interval [a, b]: the peak is where the slope changes sign, and
+    each end is where the margin does.  The radius CDF is F_R(t) = t^2, so a ray
+    contributes the F_R-measure of the union of the agents' intervals (by
+    inclusion-exclusion), and p is its mean over midpoint angles.  The agents are
+    Cobb-Douglas, U_i(x) = mu_i . log x.
+    """
+    theta = (np.arange(n_angles) + 0.5) * (2.0 * np.pi / n_angles)
+    prefs = [a.preference for a in econ.agents]
+    assert econ.dim == 2 and all(isinstance(p, CRRASEU) and p.gamma == 1 for p in prefs)
+    # one (agent, angle) array per state s: mu_is, f_is and the ray's u_s
+    states = list(zip(np.array([p.prior for p in prefs]).T[:, :, None], f.acts.T[:, :, None],
+                      (np.cos(theta), np.sin(theta))))
+    level = sum(m * np.log(x) for m, x, _ in states) + preferences.TOL_STRICT
+
+    def margin(t):  # bisection takes only points strictly inside [0, top)
+        return sum(m * np.log((1.0 - eps) * (x + t * c)) for m, x, c in states) - level
+
+    def rising(t):
+        return sum(m * c / (x + t * c) for m, x, c in states) > 0
+
+    # where the ray leaves the domain, or the disk
+    top = np.min([np.where(c < 0, -x / c, 1.0) for _, x, c in states], axis=0).clip(max=1.0)
+    zero = np.zeros_like(top)
+    peak = _bisect(rising, zero, top)
+    a = _bisect(lambda t: margin(t) <= 0, zero, peak)
+    b = np.where(margin(peak) > 0, _bisect(lambda t: margin(t) > 0, peak, top), a)
+    p = np.zeros(n_angles)
+    for k in range(1, len(prefs) + 1):
+        for group in map(list, itertools.combinations(range(len(prefs)), k)):
+            lo, hi = a[group].max(axis=0), b[group].min(axis=0)
+            p += (-1) ** (k + 1) * np.maximum(hi * hi - lo * lo, 0.0)
+    return float(p.mean())
+
+
+def test_thm1_d2_row_matches_the_exact_disk_probability():
+    econ, f, eps = _thm1_default_economy(2)
+    p = _disk_improvement_probability(econ, f, eps)
+    assert p == pytest.approx(0.3971255, abs=1e-6)
+    # cell 0 of a one-d sweep draws the default sweep's d = 2 stream
+    (row,) = experiments.run_thm1(replace(experiments.default_config("thm1"), dims=(2,)))[0]
+    assert row["error"] is None
+    assert abs(row["p_hat"] - p) <= 4.0 * math.sqrt(p * (1.0 - p) / row["n"])
+
+
+@pytest.mark.parametrize("d", [8, 512, 4000])
+def test_improvement_flips_at_the_closed_form_threshold_along_state_zero(d):
+    # with z = h e_0 every rest state keeps its payoff, so agent i improves
+    # exactly when mu_i0 log(1 + h / f_i0) + log(1 - eps) > TOL_STRICT
+    econ, f, eps = _thm1_default_economy(d)
+    h = min(fi[0] * math.expm1((preferences.TOL_STRICT - math.log1p(-eps))
+                               / a.preference.prior[0])
+            for a, fi in zip(econ.agents, f.acts))
+    assert h == pytest.approx(0.1315006070, abs=1e-9)
+    Z = np.outer([h * (1.0 - 1e-9), h * (1.0 + 1e-9)], np.eye(d)[0])
+    assert economy.individual_improvement_event(econ, f, Z, eps).tolist() == [False, True]
 
 
 def test_scitovsky_exact_matches_grid_on_random_draws():

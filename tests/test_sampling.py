@@ -654,7 +654,8 @@ def _completed_draws_reference(gen, Q, Y, rows, C, scale):
 @pytest.mark.parametrize("d,k", [(8, 0), (8, 1), (8, 3), (8, 8), (64, 0), (64, 1), (64, 3),
                                  (64, 64)])
 def test_completed_draws_match_the_fresh_array_reference(kind, d, k):
-    # the scratch-array products and squares give the reference's bits
+    # the completed draws keep this fresh-array reference's bits, so a rewrite of
+    # the products or of |P| (in place, or in another order) that moves one fails here
     law = sampling.PerturbationLaw(kind, d, 1.3)
     Q = _random_basis(d, k, np.random.default_rng(d + k))
     for block, m in ((0, 3000), (2, 257)):
