@@ -285,7 +285,7 @@ def individual_improvement_event(
     agents = [(a.preference, fi, a.preference.utility(fi) + preferences.TOL_STRICT)
               for a, fi in zip(econ.agents, f.acts)]
     out = np.zeros(len(Z), dtype=bool)
-    for rows in _row_chunks(Z, _IMPROVEMENT_CHUNK_VALUES):
+    for rows in _row_chunks(*Z.shape, _IMPROVEMENT_CHUNK_VALUES):
         chunk, hit = Z[rows], out[rows]
         todo = np.arange(len(chunk))  # the chunk's rows no agent has flagged yet
         for pref, fi, level in agents:
@@ -316,10 +316,10 @@ def _rounding_size(pref, fi, s, reach: float) -> float:
             + float(np.abs(s).sum()) * (float(np.abs(fi).max()) + reach))
 
 
-def _row_chunks(X, values):
-    """Slices of the rows of X, each holding at most ``values`` values (and at least one row)."""
-    step = max(1, values // max(1, X.shape[1]))
-    return [slice(lo, lo + step) for lo in range(0, len(X), step)]
+def _row_chunks(n, width, values):
+    """Slices of n rows of ``width`` values, each holding at most ``values`` values (and at least one row)."""
+    step = max(1, values // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def improvement_screen(econ: EconomySpec, f: Allocation, eps: float, radius: float):
@@ -472,19 +472,81 @@ def contour_screen(econ: EconomySpec, f: Allocation, eps: float, radius: float):
     return u[:, None], keep
 
 
-def _frontier(econ: EconomySpec, f: Allocation, W):
-    """``(W, frontier)``: the rows of W as an (n, d) array, and the frontier of econ at f.
+@dataclass(frozen=True, eq=False)
+class _Frontier:
+    """The two-agent common-curvature frontier of an economy at f, for margins at level eps.
 
-    The frontier is ``(M, log M, base, q)``: the two agents' priors, their
-    logs, the base utilities u_i(f_i) and the shared exponent q = 1/gamma.
-    Every economy but two agents with common CRRA curvature is refused.
+    Agent 1's share of state s on the frontier depends on s only through
+    c_s = log mu_1s - log mu_2s, so the states fall into the K classes of
+    equal c_s (K = 2 for a spike prior against a flat one, d at worst).
+    ``c`` holds the classes' log-ratios in ascending order and ``mass`` the
+    two agents' prior masses on each class, (2, K); ``order`` is the stable
+    sort of the states by c_s, ``starts`` the first position of each class
+    in it, and ``prior`` the two priors.  ``base`` holds the
+    base utilities u_i(f_i), ``q`` the shared exponent 1/gamma and
+    ``scale`` 1 - eps.
+    """
+
+    c: np.ndarray
+    mass: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    prior: np.ndarray
+    base: np.ndarray
+    q: float
+    scale: float
+
+    @property
+    def log(self) -> bool:
+        return abs(1.0 / self.q - 1.0) < 1e-14
+
+
+def _frontier(econ: EconomySpec, f: Allocation, eps: float) -> _Frontier:
+    """The frontier of econ at f; every economy but two agents with common CRRA curvature is refused.
+
+    The classes are found by a stable sort and a scan for changes of c_s
+    (``np.unique`` would load ``numpy.ma`` inside a run).
     """
     q = _common_crra_exponent(econ.preferences)
     if q is None or econ.n_agents != 2:
         raise ValueError("batch margins need the 2-agent common-curvature closed form")
     M = np.array([a.preference.prior for a in econ.agents])
+    c = np.log(M[0]) - np.log(M[1])
+    order = np.argsort(c, kind="stable")
+    c = c[order]
+    starts = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
     base = np.array([utility_extended(a.preference, fi) for a, fi in zip(econ.agents, f.acts)])
-    return np.atleast_2d(np.asarray(W, dtype=float)), (M, np.log(M), base, q)
+    return _Frontier(c[starts], np.add.reduceat(M[:, order], starts, axis=1), order, starts, M,
+                     base, q, 1.0 - eps)
+
+
+def _class_sums(frontier: _Frontier, W):
+    """``(S1, S2)``: the sums over the d states of each row of W that its margins need.
+
+    Under log curvature S_i = sum_s mu_is log W_s + log(1-eps) - u_i(f_i),
+    an (n,) array.  Otherwise, with p = 1 - gamma, S_i[:, u] = sum over the
+    states s of class u of mu_is ((1-eps) W_s)^p, an (n, K) array.  A zero
+    entry makes S_i -inf, or inf under gamma > 1, so the utility is -inf;
+    a negative entry makes it nan.  The rows are read in chunks of at most
+    _FRONTIER_CHUNK_VALUES values.
+    """
+    fr = frontier
+    n, d = W.shape
+    shape = (n,) if fr.log else (n, len(fr.c))
+    sums = np.empty((2, *shape))
+    prior = fr.prior[:, fr.order]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rows in _row_chunks(n, d, _FRONTIER_CHUNK_VALUES):
+            if fr.log:
+                logs = np.log(W[rows])
+                for i in range(2):
+                    sums[i, rows] = (np.einsum("ij,j->i", logs, fr.prior[i])
+                                     + (math.log(fr.scale) - fr.base[i]))
+            else:
+                powers = (fr.scale * np.take(W[rows], fr.order, axis=1)) ** (1.0 - 1.0 / fr.q)
+                for i in range(2):
+                    sums[i, rows] = np.add.reduceat(powers * prior[i], fr.starts, axis=1)
+    return sums[0], sums[1]
 
 
 def _expit(z):
@@ -497,42 +559,36 @@ def _expit(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _margins_on_frontier(frontier, F_w, x, eps):
+def _margins_on_frontier(frontier: _Frontier, sums, x):
     """Margins (u_i((1-eps) g_i(lam)) - u_i(f_i)) on the 2-agent CRRA frontier.
 
-    x is an (n,) array of planner-weight logits x = logit(lam), and F_w an
-    (n, d) array of candidate aggregates.  The frontier share of agent 1 in
-    state s is expit(q [x + log mu_1s - log mu_2s]), which keeps the algebra
-    stable for extreme weights and curvatures.  The third value is d(m1 - m2)/dx: the
-    share s has ds/dx = q s (1 - s), so agent 1's margin rises at
-    q sum_s mu_1s ((1-eps) g_1s)^(1-gamma) (1 - s) and agent 2's falls at
-    q sum_s mu_2s ((1-eps) g_2s)^(1-gamma) s (the powers are 1 under log
-    curvature).
+    x is an (n,) array of planner-weight logits x = logit(lam), and sums the
+    rows' :func:`_class_sums`.  The frontier share of agent 1 in class u is
+    s_u = expit(q [x + c_u]) and agent 2's is expit(-q [x + c_u]), its exact
+    complement, which keeps the algebra stable for extreme weights and
+    curvatures.  The third value is d(m1 - m2)/dx: ds_u/dx = q s_u (1 - s_u),
+    so agent 1's margin rises at q sum_u (1 - s_u) s_u^p S1_u and agent 2's
+    falls at q sum_u s_u (1 - s_u)^p S2_u (mass_iu for S_iu, and no power,
+    under log curvature).  Every sum runs along a row, so a row's margins do
+    not depend on the rows it is evaluated with.
     """
-    M, logM, base, q = frontier
-    share = _expit(q * (x[:, None] + logM[0][None, :] - logM[1][None, :]))
-    g1 = F_w * share
-    g2 = F_w - g1
-    gamma = 1.0 / q
-    scale = 1.0 - eps
-    if abs(gamma - 1.0) < 1e-14:
-        u1 = np.where(np.all(g1 > 0, axis=1), np.log(np.maximum(g1, 1e-300)) @ M[0], -np.inf)
-        u2 = np.where(np.all(g2 > 0, axis=1), np.log(np.maximum(g2, 1e-300)) @ M[1], -np.inf)
-        u1 = u1 + math.log(scale)
-        u2 = u2 + math.log(scale)
-        slope = q * ((1.0 - share) @ M[0] + share @ M[1])
+    fr = frontier
+    z = fr.q * (x[:, None] + fr.c)
+    s1, s2 = _expit(z), _expit(-z)
+    if fr.log:
+        with np.errstate(divide="ignore"):
+            m1 = sums[0] + np.einsum("ij,j->i", np.log(s1), fr.mass[0])
+            m2 = sums[1] + np.einsum("ij,j->i", np.log(s2), fr.mass[1])
+        slope = fr.q * (np.einsum("ij,j->i", s2, fr.mass[0]) + np.einsum("ij,j->i", s1, fr.mass[1]))
     else:
-        p_ = 1.0 - gamma
+        p_ = 1.0 - 1.0 / fr.q
         with np.errstate(divide="ignore", over="ignore"):
-            U1 = np.maximum(scale * g1, 0.0) ** p_
-            U2 = np.maximum(scale * g2, 0.0) ** p_
-        u1 = (U1 @ M[0]) / p_
-        u2 = (U2 @ M[1]) / p_
-        if gamma > 1:
-            u1 = np.where(np.all(g1 > 0, axis=1), u1, -np.inf)
-            u2 = np.where(np.all(g2 > 0, axis=1), u2, -np.inf)
-        slope = q * ((U1 * (1.0 - share)) @ M[0] + (U2 * share) @ M[1])
-    return u1 - base[0], u2 - base[1], slope
+            U1 = s1**p_ * sums[0]
+            U2 = s2**p_ * sums[1]
+        m1 = np.einsum("ij->i", U1) / p_ - fr.base[0]
+        m2 = np.einsum("ij->i", U2) / p_ - fr.base[1]
+        slope = fr.q * (np.einsum("ij,ij->i", U1, s2) + np.einsum("ij,ij->i", U2, s1))
+    return m1, m2, slope
 
 
 def _margin_ends(m1, m2, x):
@@ -540,8 +596,8 @@ def _margin_ends(m1, m2, x):
     return np.minimum(m1, m2), _expit(x) * m1 + _expit(-x) * m2
 
 
-def _max_min_margins(frontier, W, eps, tol):
-    """:func:`scitovsky_margins_batch` on one chunk W of its rows.
+def _max_min_margins(frontier: _Frontier, sums, tol):
+    """:func:`scitovsky_margins_batch` on the rows whose :func:`_class_sums` are ``sums``.
 
     diff = m1 - m2 rises with x = logit(lam), and the max-min margin sits
     where it crosses 0.  Every evaluation at x gives the margin two ends
@@ -560,50 +616,48 @@ def _max_min_margins(frontier, W, eps, tol):
     the bracket is evaluated at the edge where its smaller margin is
     largest, finds diff with the same sign there, and stops after two or
     three evaluations; a row that does cross is sent to an edge at most
-    once.  Only rows still moving are evaluated; a row also stops once its
-    step is within 1e-14 (1 + |x|), tested on the Newton step before the
-    bracket (a converged step can round onto the bracket end just set) and
-    on its replacement, or its diff is 0 or nan (both margins infinite at
-    every weight: an infinite base utility, or a zero entry under
-    gamma >= 1), and keeps lower from its last evaluation.  A row with a
-    negative entry has no nonnegative split: its margin is -inf.
+    once.  Each pass evaluates only the rows still moving, packed together;
+    a row also stops once its step is within 1e-14 (1 + |x|), tested on the
+    Newton step before the bracket (a converged step can round onto the
+    bracket end just set) and on its replacement, or its diff is 0 or nan
+    (both margins infinite at every weight: an infinite base utility, or a
+    zero entry under gamma >= 1), and keeps lower from its last evaluation.
     """
-    n = len(W)
-    margins = np.full(n, -np.inf)
+    n = len(sums[0])
+    margins = np.empty(n)
+    rows = np.arange(n)
     x = np.zeros(n)
     x_lo = np.full(n, _X_LO)
     x_hi = np.full(n, _X_HI)
     step = np.full(n, _X_HI - _X_LO)
     sent_to_edge = np.zeros(n, dtype=bool)
-    live = np.flatnonzero(np.all(W >= 0, axis=1))
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(_NEWTON_CAP):
-            xl = x[live]
-            m1, m2, slope = _margins_on_frontier(frontier, W[live], xl, eps)
-            lower, upper = _margin_ends(m1, m2, xl)
+            m1, m2, slope = _margins_on_frontier(frontier, sums, x)
+            lower, upper = _margin_ends(m1, m2, x)
             miss = upper < -tol
-            margins[live] = np.where(miss, upper, lower)
+            margins[rows] = np.where(miss, upper, lower)
             diff = m1 - m2
             below = diff < 0
-            lo = np.where(below, xl, x_lo[live])
-            hi = np.where(below, x_hi[live], xl)
-            x_new = xl - diff / slope
-            move = np.abs(x_new - xl)
-            close = move <= 1e-14 * (1.0 + np.abs(xl))
+            lo = np.where(below, x, x_lo)
+            hi = np.where(below, x_hi, x)
+            x_new = x - diff / slope
+            move = np.abs(x_new - x)
+            close = move <= 1e-14 * (1.0 + np.abs(x))
             out = ~(close | ((x_new > lo) & (x_new < hi)))
             end = np.where(below, hi, lo)
-            to_edge = out & ~sent_to_edge[live] & (end == np.where(below, _X_HI, _X_LO))
-            bisect = out | (~close & (move > 0.5 * step[live]))
+            to_edge = out & ~sent_to_edge & (end == np.where(below, _X_HI, _X_LO))
+            bisect = out | (~close & (move > 0.5 * step))
             x_new = np.where(to_edge, end, np.where(bisect, 0.5 * (lo + hi), x_new))
-            sent_to_edge[live] |= to_edge
-            taken = np.abs(x_new - xl)
-            step[live] = taken
-            done = (taken <= 1e-14 * (1.0 + np.abs(xl))) | (diff == 0) | np.isnan(diff)
+            step = np.abs(x_new - x)
+            done = (step <= 1e-14 * (1.0 + np.abs(x))) | (diff == 0) | np.isnan(diff)
             done |= miss | (lower > tol)
-            x[live], x_lo[live], x_hi[live] = x_new, lo, hi
-            live = live[~done]
-            if not len(live):
+            going = np.flatnonzero(~done)
+            if not len(going):
                 break
+            rows, x, x_lo, x_hi, step = rows[going], x_new[going], lo[going], hi[going], step[going]
+            sent_to_edge = (sent_to_edge | to_edge)[going]
+            sums = (sums[0][going], sums[1][going])
     return margins
 
 
@@ -619,22 +673,26 @@ def scitovsky_margins_batch(
     not cross there; :func:`_max_min_margins` finds it.  With a finite
     ``tol`` a row's margin is exact only as far as its class against tol:
     the solver stops a row once its lower end exceeds tol or its upper end
-    is below -tol, and returns that end.  The frontier is set up once per
-    call, and the rows are then worked through in chunks of at most
-    _FRONTIER_CHUNK_VALUES values.  Rows do not interact, but BLAS may
-    round a row's dot products differently among a different number of rows,
-    and the Newton steps carry that into the margin at about 1e-14.
+    is below -tol, and returns that end.  A row with a negative entry has
+    no nonnegative split: its margin is -inf.  The frontier is set up once
+    per call, each row's class sums are taken once, and Newton then runs
+    on chunks of rows whose class sums hold at most _FRONTIER_CHUNK_VALUES
+    values, so each evaluation costs O(K) per row.  A row's margin does not
+    depend on the other rows of W.
     """
-    W, frontier = _frontier(econ, f, W)
-    margins = np.empty(len(W))
-    for rows in _row_chunks(W, _FRONTIER_CHUNK_VALUES):
-        margins[rows] = _max_min_margins(frontier, W[rows], eps, tol)
+    W = np.atleast_2d(np.ascontiguousarray(W, dtype=float))
+    frontier = _frontier(econ, f, eps)
+    margins = np.full(len(W), -np.inf)
+    for rows in _row_chunks(len(W), len(frontier.c), _FRONTIER_CHUNK_VALUES):
+        live = np.flatnonzero(np.all(W[rows] >= 0, axis=1))
+        sums = _class_sums(frontier, W[rows])
+        margins[rows.start + live] = _max_min_margins(frontier, (sums[0][live], sums[1][live]), tol)
     return margins
 
 
-# Rows per frontier chunk hold at most this many values (128 KiB of float64).
-# Each frontier evaluation builds about a dozen temporaries of the chunk's
-# shape, and a dozen of them fit a 2 MiB L2.
+# The frontier holds at most this many values per array (128 KiB of float64):
+# the class sums are taken over chunks of rows of at most this many states, and
+# Newton runs on chunks of rows whose (rows, K) class sums hold at most this many.
 _FRONTIER_CHUNK_VALUES = 1 << 14
 
 

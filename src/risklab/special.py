@@ -74,7 +74,8 @@ def _series(a: float, x):
     """S(x) = sum_k x^k / (a+1)_k, for 0 <= x < a + 1.
 
     For an array, a term's share of the sum rises with x, so the terms the
-    largest x needs serve every x; they are summed by Horner's rule.
+    largest x needs serve every x; they are summed by Horner's rule, in
+    place.
     """
     top = x if isinstance(x, float) else float(x.max())
     n, term, total = 0, 1.0, 1.0
@@ -86,9 +87,11 @@ def _series(a: float, x):
         total += term
     if x is top:
         return total
-    acc = 1.0
-    for k in range(n, 0, -1):
-        acc = 1.0 + acc * x / (a + k)
+    acc = x / (a + n) + 1.0
+    for k in range(n - 1, 0, -1):
+        acc *= x
+        acc /= a + k
+        acc += 1.0
     return acc
 
 

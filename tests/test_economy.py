@@ -765,12 +765,13 @@ def test_rows_that_do_not_cross_stop_at_the_edge(gamma, monkeypatch):
     edge_rows = 0
     for weights in ((0.8, 0.2), (0.2, 0.8)):
         f, _ = economy.planner_allocation(econ, np.array(weights))
-        _, frontier = economy._frontier(econ, f, W)
         for eps in (0.0, 0.2):
+            frontier = economy._frontier(econ, f, eps)
             _, low, high = _bisection_margins(econ, f, W, eps)
             for k in np.flatnonzero(low | high):
+                sums = economy._class_sums(frontier, W[k:k + 1])
                 evaluations.clear()
-                economy._max_min_margins(frontier, W[k:k + 1], eps, math.inf)
+                economy._max_min_margins(frontier, sums, math.inf)
                 assert len(evaluations) <= 3, (weights, eps, k, len(evaluations))
             edge_rows += np.count_nonzero(low | high)
     assert edge_rows > 0
@@ -796,10 +797,11 @@ def test_converged_newton_steps_stop_at_the_bracket_end(gamma, d, monkeypatch):
     monkeypatch.setattr(economy, "_margins_on_frontier", counted)
     for weights in ((0.8, 0.2), (0.2, 0.8)):
         f, _ = economy.planner_allocation(econ, np.array(weights))
-        _, frontier = economy._frontier(econ, f, W)
         for eps in (0.0, 0.05, 0.2):
+            frontier = economy._frontier(econ, f, eps)
+            sums = economy._class_sums(frontier, W[:400])
             passes.clear()
-            economy._max_min_margins(frontier, W[:400], eps, math.inf)
+            economy._max_min_margins(frontier, sums, math.inf)
             assert len(passes) <= 14, (weights, eps, len(passes))
 
 
@@ -1002,20 +1004,39 @@ def test_improvement_flags_do_not_depend_on_the_chunks(size, data):
     assert np.array_equal(flags, _oracle_improvement_event(econ, f, Z, eps))
 
 
-@st.composite
-def _chunked_frontier_cases(draw, size):
-    """A two-agent common-curvature economy, an allocation, eps, and aggregates around 1.
+def _grouped_pair(rng, d, k, gamma):
+    """Two CRRA agents of curvature gamma whose priors are constant on the same k classes of states.
 
-    The batch has the given size; a radius above 1 gives some rows a
+    A class's states share both priors' values, so they share a prior
+    log-ratio and the frontier has at most k classes (k = d: generic priors).
+    """
+    classes = rng.permutation(np.arange(d) % k)
+    values = rng.dirichlet(np.full(k, 0.5), size=2) + 1e-9
+    priors = [v[classes] / v[classes].sum() for v in values]
+    return economy.EconomySpec(
+        tuple(economy.Agent(CRRASEU(mu, gamma), np.full(d, 0.5)) for mu in priors),
+        no_aggregate_uncertainty=True,
+    )
+
+
+@st.composite
+def _chunked_frontier_cases(draw, size, gamma=None):
+    """A two-agent economy of curvature gamma (drawn if None), an allocation, eps, and aggregates around 1.
+
+    The frontier has K classes, from d/8 to d, and the batch has the given
+    size in the solver's chunks of rows (each holding at most
+    _FRONTIER_CHUNK_VALUES class sums); a radius above 1 gives some rows a
     negative entry, which have no nonnegative split.
     """
-    d = draw(st.integers(2, 32))
-    n = _batch_rows(size, economy._FRONTIER_CHUNK_VALUES, d)
-    gamma = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    d = draw(st.integers(2, 512))
+    k = draw(st.integers(max(1, d // 8), d))
+    if gamma is None:
+        gamma = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    econ = _common_curvature_pair(rng, d, gamma)
+    econ = _grouped_pair(rng, d, k, gamma)
     f, _ = economy.planner_allocation(econ, rng.uniform(0.05, 1.0, 2))
     eps = draw(st.floats(0.0, 0.3))
+    n = _batch_rows(size, economy._FRONTIER_CHUNK_VALUES, len(economy._frontier(econ, f, eps).c))
     law = sampling.PerturbationLaw("uniform-ball", d, draw(st.floats(0.1, 1.2)))
     W = 1.0 + law.sample(n, rng.integers(2**32))
     cuts = draw(st.lists(st.integers(0, n), max_size=4))
@@ -1026,22 +1047,27 @@ def _chunked_frontier_cases(draw, size):
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_frontier_margins_do_not_depend_on_the_chunks(size, data):
-    econ, f, eps, W, cuts = data.draw(_chunked_frontier_cases(size))
-    margins = economy.scitovsky_margins_batch(econ, f, W, eps)
-    sliced = _by_slices(lambda X: economy.scitovsky_margins_batch(econ, f, X, eps), W, cuts)
-    finite = np.isfinite(margins)
-    assert np.array_equal(finite, np.isfinite(sliced))
-    assert np.array_equal(margins[~finite], sliced[~finite])
-    # BLAS rounds a row's dot product according to how many rows it is given
-    # with, which moves the Newton steps, and each row stops within 1e-14 of
-    # its crossing: 1e-12 absolute, relative where the margin exceeds 1
-    a, b = margins[finite], sliced[finite]
-    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a)))
-    # member and indeterminate classes agree away from the decision lines
-    tol = economy.MEMBER_TOL
-    far = np.abs(np.abs(margins) - tol) > 1e-12
-    assert np.array_equal((margins > tol)[far], (sliced > tol)[far])
-    assert np.array_equal((np.abs(margins) <= tol)[far], (np.abs(sliced) <= tol)[far])
+    # every sum runs along a row, so a row's margin and flags are the same
+    # bits alone, in the block, in slices of it and in a shuffled block,
+    # under log curvature and under power curvature either side of it
+    for gamma in (0.5, 1.0, 2.0, 4.0):
+        econ, f, eps, W, cuts = data.draw(_chunked_frontier_cases(size, gamma))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shuffled = rng.permutation(len(W))
+        alone = rng.choice(len(W), size=min(len(W), 24), replace=False)
+
+        def margins(X):
+            return economy.scitovsky_margins_batch(econ, f, X, eps)
+
+        def flags(X):
+            return np.column_stack(economy.scitovsky_members(econ, f, X, eps))
+
+        for decide in (margins, flags):
+            whole = decide(W)
+            assert np.array_equal(whole, _by_slices(decide, W, cuts), equal_nan=True)
+            assert np.array_equal(whole[shuffled], decide(W[shuffled]), equal_nan=True)
+            for k in alone:
+                assert np.array_equal(whole[k:k + 1], decide(W[k:k + 1]), equal_nan=True)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1052,11 +1078,10 @@ def test_exact_margin_lies_between_the_half_weight_margins(data):
     econ, f, eps, W, _ = data.draw(_chunked_frontier_cases((1, 1)))
     W = W[np.all(W >= 0, axis=1)]
     exact = economy.scitovsky_margins_batch(econ, f, W, eps)
-    M = np.array([a.preference.prior for a in econ.agents])
-    base = np.array([a.preference.utility(fi) for a, fi in zip(econ.agents, f.acts)])
-    q = economy._common_crra_exponent(econ.preferences)
+    frontier = economy._frontier(econ, f, eps)
     # logit(1/2) = 0 on every row
-    m1, m2, _ = economy._margins_on_frontier((M, np.log(M), base, q), W, np.zeros(len(W)), eps)
+    m1, m2, _ = economy._margins_on_frontier(
+        frontier, economy._class_sums(frontier, W), np.zeros(len(W)))
     assert np.all(np.isfinite(exact))
     # 1e-12, relative where the margin exceeds 1
     tol = 1e-12 * np.maximum(1.0, np.abs(exact))
@@ -1078,9 +1103,10 @@ def test_margin_ends_bracket_the_exact_margin_at_any_weight(gamma, d, weight, ep
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(len(W)) * 10.0 ** rng.uniform(-2.0, 1.5, len(W))
     x = np.clip(x, economy._X_LO, economy._X_HI)
-    _, frontier = economy._frontier(econ, f, W)
+    frontier = economy._frontier(econ, f, eps)
     with np.errstate(invalid="ignore", divide="ignore"):
-        lower, upper = economy._margin_ends(*economy._margins_on_frontier(frontier, W, x, eps)[:2], x)
+        m1, m2, _ = economy._margins_on_frontier(frontier, economy._class_sums(frontier, W), x)
+        lower, upper = economy._margin_ends(m1, m2, x)
     exact = economy.scitovsky_margins_batch(econ, f, W, eps)
     finite = np.isfinite(exact)
     assert finite.sum() >= 400
@@ -1097,9 +1123,9 @@ def test_default_thm2_makes_few_frontier_evaluations(monkeypatch):
     # evaluation leaves open to its exact margin takes 26,865
     rows, evaluate = [], economy._margins_on_frontier
 
-    def counted(frontier, F_w, x, eps):
-        rows.append(len(F_w))
-        return evaluate(frontier, F_w, x, eps)
+    def counted(frontier, sums, x):
+        rows.append(len(x))
+        return evaluate(frontier, sums, x)
 
     monkeypatch.setattr(economy, "_margins_on_frontier", counted)
     experiments.run_experiment(experiments.default_config("thm2"))
