@@ -62,20 +62,17 @@ def _config_from_args(args: argparse.Namespace) -> experiments.ExperimentConfig:
     exp = args.experiment
     if args.config:
         config = experiments.load_config(args.config)
-        if experiments.experiment_for(config.experiment_id) is not exp:
+        if experiments.experiment_for(config.experiment) is not exp:
             raise ValueError(
-                f"config is for experiment {config.experiment_id!r}, "
+                f"config is for experiment {config.experiment!r}, "
                 f"but the {args.command} subcommand was invoked"
             )
     else:
         config = experiments.default_config(exp.id)
-    overrides = {}
-    for key in _FLAGS.keys() & exp.keys:
-        value = getattr(args, key)
-        if value is not None:
-            field = experiments.CONFIG_FIELDS[key]
-            overrides[field.attr] = field.parse(value) if isinstance(value, str) else value
-    overrides.setdefault("out_dir", config.out_dir or f"runs/{config.experiment_id}")
+    flags = {key: getattr(args, key) for key in _FLAGS.keys() & exp.keys}
+    overrides = {key: experiments.CONFIG_FIELDS[key].parse(v) if isinstance(v, str) else v
+                 for key, v in flags.items() if v is not None}
+    overrides.setdefault("out", config.out or f"runs/{config.experiment}")
     return replace(config, **overrides)
 
 
@@ -87,11 +84,11 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         result = experiments.run_experiment(config)
-    except (ValueError, geometry.ConvergenceError) as exc:
+    except (OSError, ValueError, geometry.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     n_err, n_fail = result.error_rows, result.failed_checks
-    print(f"{config.experiment_id}: {len(result.rows)} rows -> {config.out_dir}"
+    print(f"{config.experiment}: {len(result.rows)} rows -> {config.out}"
           + (f" ({n_err} error rows)" if n_err else "")
           + (f" ({n_fail} failed checks)" if n_fail else ""))
     return 1 if n_fail else 0

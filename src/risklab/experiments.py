@@ -38,7 +38,6 @@ from . import bounds, economy, geometry, preferences, sampling, special
 from ._version import __version__
 
 SCHEMA_VERSION = "risklab-results-v1"
-CHECK_FAMILIES = ("bm", "lemma1", "kappa", "prop7", "economy")
 _LEMMA1_DIMS = (2, 8, 32, 128, 512)
 _LEMMA1_DELTAS = (0.1, 0.2, 0.4)
 # largest |p_hat - exact| a lemma1 row accepts, in binomial standard errors of the exact law
@@ -53,6 +52,13 @@ _LEMMA1_CHI2_P = 1e-6
 # ---------------------------------------------------------------------------
 
 
+def _numbers(spec: str, matrix: bool = False) -> np.ndarray:
+    """The numbers of a spec: a vector from 'a,b,...', or with ``matrix`` one row per '|' part."""
+    parts = spec.split("|") if matrix else [spec]
+    rows = np.array([[float(x) for x in part.split(",")] for part in parts])
+    return rows if matrix else rows[0]
+
+
 @dataclass(frozen=True)
 class AgentTemplate:
     """Dimension-independent agent description instantiated per sweep cell.
@@ -62,32 +68,32 @@ class AgentTemplate:
     'cap:le:IDX:LEVEL', or 'vertices:v1|v2|...' with comma-separated
     coordinates.  Endowments: 'ones', 'equal-share', or a comma list.
 
-    Kinds: 'crra' takes ``gamma``; 'maxmin' takes ``bernoulli``;
-    'cobb-douglas' is 'crra' at gamma = 1 and takes neither.  A key a kind
-    does not take must keep its default, so it cannot change the run's hash.
-    Another kind, a negative or non-finite crra ``gamma`` and a max-min
+    Preferences: 'crra' takes ``gamma``; 'maxmin' takes ``bernoulli``;
+    'cobb-douglas' is 'crra' at gamma = 1 and takes neither.  A key one does
+    not take must keep its default, so it cannot change the run's hash.  Any
+    other preference, a negative or non-finite crra ``gamma`` and a max-min
     ``bernoulli`` other than 'linear' or 'log' are refused at parse time.
     """
 
-    kind: str
+    preference: str
     prior: str = "uniform"
     gamma: float = 1.0
     bernoulli: str = "linear"
     endowment: str = "ones"
 
     def __post_init__(self):
-        if self.kind not in ("cobb-douglas", "crra", "maxmin"):
+        if self.preference not in ("cobb-douglas", "crra", "maxmin"):
             raise ValueError("agent.preference must be 'cobb-douglas', 'crra' or 'maxmin', "
-                             f"got {self.kind!r}")
-        if self.kind == "crra" and not (math.isfinite(self.gamma) and self.gamma >= 0):
+                             f"got {self.preference!r}")
+        if self.preference == "crra" and not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"agent.gamma must be a finite nonnegative real, got {self.gamma!r}")
-        if self.kind == "maxmin" and self.bernoulli not in ("linear", "log"):
+        if self.preference == "maxmin" and self.bernoulli not in ("linear", "log"):
             raise ValueError(f"agent.bernoulli must be 'linear' or 'log', got {self.bernoulli!r}")
-        if self.kind in ("cobb-douglas", "maxmin") and self.gamma != 1.0:
-            raise ValueError(f"agent.gamma has no effect on a {self.kind} agent; "
+        if self.preference in ("cobb-douglas", "maxmin") and self.gamma != 1.0:
+            raise ValueError(f"agent.gamma has no effect on a {self.preference} agent; "
                              f"leave it at 1.0, got {self.gamma!r}")
-        if self.kind in ("cobb-douglas", "crra") and self.bernoulli != "linear":
-            raise ValueError(f"agent.bernoulli has no effect on a {self.kind} agent; "
+        if self.preference in ("cobb-douglas", "crra") and self.bernoulli != "linear":
+            raise ValueError(f"agent.bernoulli has no effect on a {self.preference} agent; "
                              f"leave it at 'linear', got {self.bernoulli!r}")
 
     def _prior_vector(self, d: int) -> np.ndarray:
@@ -104,13 +110,13 @@ class AgentTemplate:
             mu = np.full(d, (1.0 - p) / (d - 1))
             mu[idx] = p
             return mu
-        mu = np.array([float(x) for x in s.split(",")])
+        mu = _numbers(s)
         if len(mu) != d:
             raise ValueError(f"literal prior has {len(mu)} entries, cell dimension is {d}")
         return mu
 
-    def _preference(self, d: int) -> preferences.Preference:
-        if self.kind != "maxmin":
+    def _utility(self, d: int) -> preferences.Preference:
+        if self.preference != "maxmin":
             return preferences.CRRASEU(self._prior_vector(d), self.gamma)
         s = self.prior
         if s.startswith("cap:"):
@@ -118,11 +124,8 @@ class AgentTemplate:
             verts, hs = preferences.cap_prior_polytope(d, int(idx), float(level), side)
             return preferences.MaxMinEU(verts, self.bernoulli, (hs,))
         if s.startswith("vertices:"):
-            rows = [
-                [float(x) for x in chunk.split(",")]
-                for chunk in s[len("vertices:"):].split("|")
-            ]
-            return preferences.MaxMinEU(np.array(rows), self.bernoulli)
+            return preferences.MaxMinEU(_numbers(s[len("vertices:"):], matrix=True),
+                                        self.bernoulli)
         raise ValueError(f"max-min agents need a cap: or vertices: prior, got {s!r}")
 
     def instantiate(self, d: int, n_agents: int) -> economy.Agent:
@@ -131,23 +134,23 @@ class AgentTemplate:
         elif self.endowment == "equal-share":
             w = np.ones(d) / n_agents
         else:
-            w = np.array([float(x) for x in self.endowment.split(",")])
+            w = _numbers(self.endowment)
             if len(w) != d:
                 raise ValueError(f"literal endowment has {len(w)} entries, cell dimension {d}")
-        return economy.Agent(self._preference(d), w)
+        return economy.Agent(self._utility(d), w)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment_id: str
+    experiment: str
     seed: int
     trials: int
     dims: tuple = (2,)
-    eps_list: tuple = (0.1,)
+    eps: tuple = (0.1,)
     radius: float = 1.0
-    law_kind: str = "uniform-ball"
+    law: str = "uniform-ball"
     threads: int = 1
-    out_dir: str | None = None
+    out: str | None = None
     allocation: str = "equilibrium"
     condition_positive_price: bool = False
     n_economies: int = 100
@@ -158,7 +161,7 @@ class ExperimentConfig:
     agents: tuple = ()
 
     def __post_init__(self):
-        experiment_for(self.experiment_id)
+        experiment_for(self.experiment)
         sampling.SeedSpec(self.seed)  # refuse a seed outside [0, 2^64) before any cell runs
         if self.trials < 100:
             raise ValueError("trials must be >= 100")
@@ -178,14 +181,14 @@ class ExperimentConfig:
         gives this config back, less its output directory (where a run is
         written is not part of what it computes).
         """
-        keys = experiment_for(self.experiment_id).keys
+        keys = experiment_for(self.experiment).keys
         lines = [
-            f"{key} = {f.render(getattr(self, f.attr))}"
+            f"{key} = {f.render(getattr(self, key))}"
             for key, f in CONFIG_FIELDS.items() if key in keys and f.render
         ]
         for agent in self.agents:
             lines += [
-                f"agent.{key} = {f.render(getattr(agent, f.attr))}"
+                f"agent.{key} = {f.render(getattr(agent, key))}"
                 for key, f in _AGENT_FIELDS.items()
             ]
         return "\n".join(lines) + "\n"
@@ -204,12 +207,11 @@ def _parse_bool(v: str) -> bool:
 
 @dataclass(frozen=True)
 class ConfigField:
-    """A config key: the attribute it sets, its parser, and its renderer.
+    """A config key's parser and renderer; the key is the name of the attribute it sets.
 
     ``render`` is None for a key that is not part of the run's identity.
     """
 
-    attr: str
     parse: Callable[[str], object]
     render: Callable[[object], str] | None
 
@@ -228,29 +230,29 @@ def _csv(kind):
 
 
 CONFIG_FIELDS = {
-    "experiment": ConfigField("experiment_id", *_TEXT),
-    "seed": ConfigField("seed", *_INT),
-    "trials": ConfigField("trials", *_INT),
-    "dims": ConfigField("dims", *_csv(_INT)),
-    "eps": ConfigField("eps_list", *_csv(_FLOAT)),
-    "radius": ConfigField("radius", *_FLOAT),
-    "law": ConfigField("law_kind", *_TEXT),
-    "threads": ConfigField("threads", *_INT),
-    "out": ConfigField("out_dir", str, None),
-    "allocation": ConfigField("allocation", *_TEXT),
-    "condition_positive_price": ConfigField("condition_positive_price", *_BOOL),
-    "n_economies": ConfigField("n_economies", *_INT),
-    "family_trials": ConfigField("family_trials", *_INT),
-    "cap_high": ConfigField("cap_high", *_FLOAT),
-    "cap_low": ConfigField("cap_low", *_FLOAT),
-    "c_values": ConfigField("c_values", *_csv(_FLOAT)),
+    "experiment": ConfigField(*_TEXT),
+    "seed": ConfigField(*_INT),
+    "trials": ConfigField(*_INT),
+    "dims": ConfigField(*_csv(_INT)),
+    "eps": ConfigField(*_csv(_FLOAT)),
+    "radius": ConfigField(*_FLOAT),
+    "law": ConfigField(*_TEXT),
+    "threads": ConfigField(*_INT),
+    "out": ConfigField(str, None),
+    "allocation": ConfigField(*_TEXT),
+    "condition_positive_price": ConfigField(*_BOOL),
+    "n_economies": ConfigField(*_INT),
+    "family_trials": ConfigField(*_INT),
+    "cap_high": ConfigField(*_FLOAT),
+    "cap_low": ConfigField(*_FLOAT),
+    "c_values": ConfigField(*_csv(_FLOAT)),
 }
 _AGENT_FIELDS = {
-    "preference": ConfigField("kind", *_TEXT),
-    "prior": ConfigField("prior", *_TEXT),
-    "gamma": ConfigField("gamma", *_FLOAT),
-    "bernoulli": ConfigField("bernoulli", *_TEXT),
-    "endowment": ConfigField("endowment", *_TEXT),
+    "preference": ConfigField(*_TEXT),
+    "prior": ConfigField(*_TEXT),
+    "gamma": ConfigField(*_FLOAT),
+    "bernoulli": ConfigField(*_TEXT),
+    "endowment": ConfigField(*_TEXT),
 }
 
 
@@ -286,7 +288,7 @@ def _read_lines(text: str) -> tuple[dict, list]:
 
 
 def _parsed(fields: dict, raw: dict) -> dict:
-    return {fields[key].attr: fields[key].parse(value) for key, value in raw.items()}
+    return {key: fields[key].parse(value) for key, value in raw.items()}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -312,8 +314,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(Path(path).read_text())
 
 
-def default_config(experiment_id: str) -> ExperimentConfig:
-    return parse_config_text(EXPERIMENTS[experiment_id].default_text)
+def default_config(experiment: str) -> ExperimentConfig:
+    return parse_config_text(EXPERIMENTS[experiment].default_text)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,7 @@ def rows_to_csv(columns: list[str], rows: list[dict]) -> str:
 
 @dataclass(frozen=True)
 class RunResult:
-    experiment_id: str
+    experiment: str
     columns: list
     rows: list
     plotdata: dict
@@ -371,7 +373,7 @@ class RunResult:
             f"python = {platform.python_version()}",
             f"numpy = {np.__version__}",
             f"threads = {self.config.threads}",
-            f"experiment = {self.experiment_id}",
+            f"experiment = {self.experiment}",
             f"config_sha256 = {self.config.sha256()}",
             "columns = " + ",".join(self.columns),
             f"rows = {len(self.rows)}",
@@ -384,8 +386,8 @@ class RunResult:
         ]
         return "\n".join(lines) + "\n"
 
-    def write(self, out_dir: str | Path) -> Path:
-        out = Path(out_dir)
+    def write(self, out: str | Path) -> Path:
+        out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "results.csv").write_text(self.csv_text)
         (out / "manifest.txt").write_text(self.manifest_text())
@@ -436,11 +438,8 @@ def resolve_allocation(config: ExperimentConfig, econ: economy.EconomySpec) -> e
     if spec == "equal-split":
         return economy.equal_split(econ)
     if spec.startswith("literal:"):
-        rows = [
-            [float(x) for x in chunk.split(",")]
-            for chunk in spec[len("literal:"):].split("|")
-        ]
-        return economy.Allocation(np.array(rows)).check_feasible(econ)
+        acts = _numbers(spec[len("literal:"):], matrix=True)
+        return economy.Allocation(acts).check_feasible(econ)
     raise ValueError(f"unknown allocation spec {spec!r}")
 
 
@@ -449,34 +448,58 @@ def resolve_allocation(config: ExperimentConfig, econ: economy.EconomySpec) -> e
 # ---------------------------------------------------------------------------
 
 
-def _sweep(config: ExperimentConfig, prepare, **fixed) -> list[dict]:
-    """One row per (eps, d) cell, each with its own law and seed stream.
+def _sweep(config: ExperimentConfig, prepare, positive_price: bool = False, **fixed) -> list[dict]:
+    """One row per (eps, d) cell, each with its own law and seed stream: the one sampled kernel.
 
-    ``prepare(law, eps, seed)`` sets a cell up (its economy, allocation and
-    screen) and returns ``(block, finish)``: ``block(b, m)`` draws block b
-    of the cell's ``trials`` draws through the screen, decides the kept
-    draws and counts them, and ``finish(results)`` turns the block counts,
-    in block order, into the cell's measured columns.  Every cell is
-    prepared first, then the blocks of all of them run in one
-    :func:`sampling.map_blocks` call, and then each cell is finished.  A
-    cell whose setup, sampler or decider fails with ValueError or
-    ConvergenceError gets the message in its ``error`` column.
+    ``prepare(law, eps)`` sets a cell up and returns ``(screen, decide,
+    columns)``: the cell's ``(Q, keep)`` screen, ``decide(Z)`` the
+    ``(hits, indeterminate)`` counts of the kept draws Z, and
+    ``columns(est, indeterminate)`` the measured columns.  Every cell is
+    prepared, then all their blocks run in one :func:`sampling.map_blocks`
+    call, each drawn through the screen and decided in one call (an empty
+    one too), every dropped draw a miss.  With ``positive_price`` only the
+    draws with Y = z . u > 0 (u the screen's one column, the supporting
+    price's direction) are accepted; they are counted on every row's
+    coordinates, and the rejected ones are never completed.  A failing
+    setup, sampler or decider (ValueError or ConvergenceError), more than 1%
+    indeterminate draws or no accepted one gives the cell an ``error``.
     """
     rows, prepared = [], []
-    for cell, (eps, d) in enumerate(itertools.product(config.eps_list, config.dims)):
-        law = sampling.PerturbationLaw(config.law_kind, d, config.radius)
+    for cell, (eps, d) in enumerate(itertools.product(config.eps, config.dims)):
+        law = sampling.PerturbationLaw(config.law, d, config.radius)
         row = {**fixed, "d": d, "eps": eps, "r": config.radius, "n": config.trials,
                "error": None}
         rows.append(row)
         try:
-            prepared.append((row, *prepare(law, eps, config.seed_spec.stream(cell))))
+            (Q, keep), decide, columns = prepare(law, eps)
+            if positive_price and not Q.shape[1]:
+                raise ValueError("conditioning needs parallel supergradients at the allocation")
+            prepared.append((row, law, config.seed_spec.stream(cell), Q, keep, decide, columns))
         except (ValueError, geometry.ConvergenceError) as exc:
             row["error"] = str(exc)
-    results = sampling.map_blocks(lambda cell, b, m: prepared[cell][1](b, m),
-                                  [config.trials] * len(prepared), config.threads)
-    for (row, _, finish), blocks in zip(prepared, results):
+
+    def block(cell, b, m):
+        _, law, seed, Q, keep, decide, _ = prepared[cell]
+        if positive_price:
+            Y, Z = law.sample_projected_coordinates(
+                b, m, seed, Q, lambda Y: keep(Y) & (Y[:, 0] > 0.0))
+            accepted = int(np.count_nonzero(Y[:, 0] > 0.0))
+        else:
+            _, Z = law.sample_projected_block(b, m, seed, Q, keep)
+            accepted = m
+        return (accepted, *decide(Z))
+
+    n = config.trials
+    results = sampling.map_blocks(block, [n] * len(prepared), config.threads)
+    for (row, *_, columns), blocks in zip(prepared, results):
         try:
-            row.update(finish(sampling.cell_results(blocks)))
+            accepted, hits, indet = (sum(col) for col in zip(*sampling.cell_results(blocks)))
+            if indet > 0.01 * n:
+                raise geometry.ConvergenceError(f"{indet} boundary-indeterminate draws "
+                                                f"(> 1% of {n})", value=indet, gap=indet / n)
+            if accepted == 0:
+                raise ValueError("conditioning rejected every draw")
+            row.update(columns(sampling.MCEstimate(hits, accepted), indet))
         except (ValueError, geometry.ConvergenceError) as exc:
             row["error"] = str(exc)
     return rows
@@ -484,105 +507,63 @@ def _sweep(config: ExperimentConfig, prepare, **fixed) -> list[dict]:
 
 def run_thm1(config: ExperimentConfig):
     """Individual-improvement probability vs its tail bound across the d sweep."""
-    if len(config.eps_list) != 1:
+    if len(config.eps) != 1:
         raise ValueError("this experiment takes a single eps")
 
-    def prepare(law, eps, seed):
+    def prepare(law, eps):
         econ = build_economy(config, law.dim)
         f = resolve_allocation(config, econ)
         tau = min(float(a.endowment.min()) for a in econ.agents)
         if tau <= 0:
             raise ValueError("the tail bound needs strictly positive endowments (tau > 0)")
-        # the screen takes every agent's supergradient and utility once before
-        # sampling, so an act outside its agent's domain makes an error row
-        Q, keep = economy.improvement_screen(econ, f, eps, law.radius)
 
-        def block(b, m):
-            _, Z = law.sample_projected_block(b, m, seed, Q, keep)
-            return int(np.count_nonzero(economy.individual_improvement_event(econ, f, Z, eps)))
+        def decide(Z):
+            return int(np.count_nonzero(economy.individual_improvement_event(econ, f, Z, eps))), 0
 
-        def finish(hits):
-            est = sampling.MCEstimate(sum(hits), config.trials)
+        def columns(est, indet):
             bound = bounds.bound_thm1(eps, tau, config.radius, law.dim, law.kappa)
             return {"tau": tau, "kappa": law.kappa, **_estimate_columns(est, bound)}
 
-        return block, finish
+        # the screen takes every agent's supergradient and utility once before
+        # sampling, so an act outside its agent's domain makes an error row
+        return economy.improvement_screen(econ, f, eps, law.radius), decide, columns
 
     rows = _sweep(config, prepare, experiment="thm1")
     return rows, _series(rows, "thm1", ("p_hat", "ci_high", "bound"))
 
 
-def _membership_counts(econ, f, law, eps, n, seed_spec, conditioned=False):
-    """Blockwise aggregate membership, the block kernel of ``thm2`` and ``cru``: ``(work, tally)``.
-
-    ``work(b, m)`` draws block b of m draws through :func:`economy.contour_screen`,
-    completing only the draws in the contour cap, and decides them in one
-    :func:`economy.scitovsky_members` call (an empty one too); every other
-    draw is a miss.  ``tally(results)`` turns the block counts of all n draws
-    into the estimate over accepted draws and the count of indeterminate
-    ones: more than 1% of them raise ConvergenceError.  When ``conditioned``,
-    only draws with Y = u . z > 0 are accepted, u being the supporting
-    price's direction at a Pareto-optimal interior allocation; they are
-    counted on every row's coordinates, and the rejected ones are never
-    completed.  Conditioning where the supergradients are not parallel, or
-    that rejects every draw, raises ValueError.
-    """
+def _membership(econ, f, law, eps):
+    """The ``(screen, decide)`` of ``thm2`` and ``cru``: aggregate membership of w + Z."""
     w = econ.aggregate
-    Q, keep = economy.contour_screen(econ, f, eps, law.radius)
-    if conditioned:
-        if not Q.shape[1]:
-            raise ValueError("conditioning needs parallel supergradients at the allocation")
-        screen = keep
 
-        def keep(Y):
-            return screen(Y) & (Y[:, 0] > 0.0)
-
-    def work(b, m):
-        if conditioned:
-            Y, Z = law.sample_projected_coordinates(b, m, seed_spec, Q, keep)
-            acc = int(np.count_nonzero(Y[:, 0] > 0.0))
-        else:
-            _, Z = law.sample_projected_block(b, m, seed_spec, Q, keep)
-            acc = m
+    def decide(Z):
         member, indet = economy.scitovsky_members(econ, f, w[None, :] + Z, eps)
-        return acc, int(np.count_nonzero(member)), int(np.count_nonzero(indet))
+        return int(np.count_nonzero(member)), int(np.count_nonzero(indet))
 
-    def tally(results):
-        acc, hits, indet = (sum(col) for col in zip(*results))
-        if indet > 0.01 * n:
-            raise geometry.ConvergenceError(
-                f"{indet} boundary-indeterminate draws (> 1% of {n})", value=indet,
-                gap=indet / n,
-            )
-        if acc == 0:
-            raise ValueError("conditioning rejected every draw")
-        return sampling.MCEstimate(hits=hits, trials=acc), indet
-
-    return work, tally
+    return economy.contour_screen(econ, f, eps, law.radius), decide
 
 
 def run_thm2(config: ExperimentConfig):
     """Aggregate-improvement (Scitovsky membership) probability vs its bound."""
     conditioned = config.condition_positive_price
 
-    def prepare(law, eps, seed):
+    def prepare(law, eps):
         econ = build_economy(config, law.dim, no_agg=True)
         f = resolve_allocation(config, econ)
-        work, tally = _membership_counts(econ, f, law, eps, config.trials, seed, conditioned)
 
-        def finish(results):
-            est, indet = tally(results)
+        def columns(est, indet):
             bound = bounds.bound_thm2(eps, config.radius, law.dim, law.kappa)
             if conditioned:
                 bound *= 2.0
             return {"kappa": law.kappa, "n_accepted": est.trials, "indeterminate": indet,
                     **_estimate_columns(est, bound)}
 
-        return work, finish
+        return (*_membership(econ, f, law, eps), columns)
 
-    rows = _sweep(config, prepare, experiment="thm2", conditioned=conditioned)
+    rows = _sweep(config, prepare, positive_price=conditioned, experiment="thm2",
+                  conditioned=conditioned)
     plot = {}
-    for eps in config.eps_list:
+    for eps in config.eps:
         plot.update(_series([r for r in rows if r["eps"] == eps], f"thm2_eps{eps:g}",
                             ("p_hat", "bound")))
     return rows, plot
@@ -603,17 +584,12 @@ def run_cru(config: ExperimentConfig):
         )
     improvement = 1.0 - beta * beta
 
-    def prepare(law, eps, seed):
-        work, tally = _membership_counts(econ, f, law, eps, config.trials, seed)
+    def columns(est, indet):
+        return {"n_accepted": est.trials, "indeterminate": indet,
+                **_estimate_columns(est, bounds.bound_cru(beta, config.radius, d))}
 
-        def finish(results):
-            est, indet = tally(results)
-            return {"n_accepted": est.trials, "indeterminate": indet,
-                    **_estimate_columns(est, bounds.bound_cru(beta, config.radius, d))}
-
-        return work, finish
-
-    rows = _sweep(replace(config, dims=(d,), eps_list=(improvement,)), prepare,
+    rows = _sweep(replace(config, dims=(d,), eps=(improvement,)),
+                  lambda law, eps: (*_membership(econ, f, law, eps), columns),
                   experiment="cru", beta=beta, improvement=improvement)
     plot_dims = sorted(set(config.dims) | {2, 8, 32, 128, 512, 4000})
     return rows, {"cru_bound_vs_d.csv": _two_column(
@@ -984,20 +960,23 @@ def _economy_checks(seed: sampling.SeedSpec):
     return rows
 
 
+# the check families in run order (the checks bytes depend on it): (config, plot) -> rows
+_CHECK_SUITES = {
+    "bm": lambda c, plot: _bm_checks(c.seed_spec),
+    "lemma1": lambda c, plot: _lemma1_checks(c.seed_spec, c.trials, c.threads, plot),
+    "kappa": lambda c, plot: _kappa_checks(),
+    "prop7": lambda c, plot: _prop7_checks(),
+    "economy": lambda c, plot: _economy_checks(c.seed_spec),
+}
+CHECK_FAMILIES = tuple(_CHECK_SUITES)
+
+
 def run_support_checks(config: ExperimentConfig):
     """Invariant suites over geometry, sampling, bounds, and economy wiring."""
-    seed = config.seed_spec
     plot = {}
-    suites = {
-        "bm": lambda: _bm_checks(seed),
-        "lemma1": lambda: _lemma1_checks(seed, config.trials, config.threads, plot),
-        "kappa": _kappa_checks,
-        "prop7": _prop7_checks,
-        "economy": lambda: _economy_checks(seed),
-    }
-    fam = config.experiment_id
+    fam = config.experiment
     families = CHECK_FAMILIES if fam == "checks" else (fam,)
-    return [row for name in families for row in suites[name]()], plot
+    return [row for name in families for row in _CHECK_SUITES[name](config, plot)], plot
 
 
 def reproduce_paper_anchors() -> list[tuple[str, float, str]]:
@@ -1139,8 +1118,8 @@ cap_low = 0.2
 c_values = 0.5,1,2
 """),
     Experiment(
-        "checks", ("prop7", "lemma1", "kappa", "bm", "economy"), "checks",
-        "support invariants: bm, lemma1, kappa, prop7, economy wiring",
+        "checks", CHECK_FAMILIES, "checks",
+        f"support invariants: {', '.join(CHECK_FAMILIES)} wiring",
         ("family", "check", "passed", "detail"),
         run_support_checks, _COMMON_KEYS, """\
 experiment = checks
@@ -1160,11 +1139,11 @@ def experiment_for(config_id: str) -> Experiment:
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    exp = experiment_for(config.experiment_id)
+    exp = experiment_for(config.experiment)
     t0 = time.perf_counter()
     rows, plot = exp.runner(config)
-    result = RunResult(config.experiment_id, exp.columns_for(config), rows, plot, config,
+    result = RunResult(config.experiment, exp.columns_for(config), rows, plot, config,
                        time.perf_counter() - t0)
-    if config.out_dir:
-        result.write(config.out_dir)
+    if config.out:
+        result.write(config.out)
     return result

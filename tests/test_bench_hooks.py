@@ -53,7 +53,7 @@ def test_tracer_hooks_record_the_hot_layers(tmp_path):
         thm1 = replace(experiments.default_config("thm1"), trials=200, threads=2)
         thm2 = replace(experiments.default_config("thm2"), trials=200, dims=(2, 8))
         prop3 = replace(experiments.default_config("prop3"), trials=200, dims=(3,),
-                        n_economies=2, family_trials=200, out_dir=str(tmp_path / "prop3"))
+                        n_economies=2, family_trials=200, out=str(tmp_path / "prop3"))
         for cfg in (thm1, thm2, prop3):
             experiments.run_experiment(cfg)
         for d in (2, 8):
@@ -114,7 +114,7 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
     monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", recorded)
     trials = 2 * sampling.BLOCK_DRAWS + 100
     cfg = replace(experiments.default_config(experiment), trials=trials, dims=(2, 32),
-                  law_kind=law, threads=threads)
+                  law=law, threads=threads)
     tracer = _load_tracer().Tracer("hooks")
     tracer.install()
     try:
@@ -123,11 +123,11 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
         tracer.uninstall()
     decisions = [span for span in tracer.spans if span[1] == decider]
     assert len(decisions) == math.ceil(trials / sampling.BLOCK_DRAWS) * len(cfg.dims) * len(
-        cfg.eps_list)
+        cfg.eps)
     # each decider span carries the rows it decides: both runners hand on only
     # the rows their projected screens keep (an empty block too), and
     # projected draws have no sampler span
-    assert 0 < sum(kept) < trials * len(cfg.dims) * len(cfg.eps_list)
+    assert 0 < sum(kept) < trials * len(cfg.dims) * len(cfg.eps)
     assert not [span for span in tracer.spans if span[1].startswith("sampling.")
                 and span[1] != "sampling.mc_probability"]
     assert sorted(span[7] for span in decisions) == sorted(kept)

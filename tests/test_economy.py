@@ -441,7 +441,7 @@ def _thm1_maxmin_economy(d):
 def _thm1_default_economy(d):
     cfg = experiments.default_config("thm1")
     econ = experiments.build_economy(cfg, d)
-    return econ, experiments.resolve_allocation(cfg, econ), cfg.eps_list[0]
+    return econ, experiments.resolve_allocation(cfg, econ), cfg.eps[0]
 
 
 @pytest.mark.parametrize("build,d", [(_thm1_default_economy, 2), (_thm1_default_economy, 8),
@@ -509,7 +509,7 @@ def test_oracle_hits_lie_in_the_agents_supporting_half_space(d):
     cfg = experiments.default_config("thm1")
     econ = experiments.build_economy(cfg, d)
     f = experiments.resolve_allocation(cfg, econ)
-    eps = cfg.eps_list[0]
+    eps = cfg.eps[0]
     Z = sampling.PerturbationLaw("uniform-ball", d, cfg.radius).sample(20_000, SEED)
     hits = 0
     for i, agent in enumerate(econ.agents):

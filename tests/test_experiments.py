@@ -16,7 +16,7 @@ import platform
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +71,7 @@ def _manifest_dict(text):
 ])
 def test_default_configs_parse(experiment_id, seed):
     cfg = experiments.default_config(experiment_id)
-    assert cfg.experiment_id == experiment_id
+    assert cfg.experiment == experiment_id
     assert cfg.seed == seed
 
 
@@ -91,9 +91,31 @@ def test_default_canonical_text_parses_back(experiment_id):
     assert experiments.parse_config_text(cfg.canonical_text()) == cfg
 
 
+# each default config's sha256, the run identity its manifest records
+PINNED_CONFIG_SHA256 = {
+    "checks": "4b9c2904505c8c16b15160e6149392c81b7891166745db06d38e453758d32c40",
+    "cru": "d04e0c8b15cced8daa40353e59c0cc74d2c7ce1ad1b99c395da04e7b28e68581",
+    "prop3": "3d8955cf84cbf61cf621808c92f8fe164d36925224eb26a08b3eca2b2f13ed4e",
+    "thm1": "cc44d3836b67bd631385090a0cdb5118c9e24f5e930e83e2736bb54978623651",
+    "thm2": "5635fb62c5e5f4a0bcd11f9bddc29796cbff767b38182c52db7505d9f8b1b098",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(experiments.EXPERIMENTS))
+def test_default_config_hashes_are_pinned(experiment):
+    assert experiments.default_config(experiment).sha256() == PINNED_CONFIG_SHA256[experiment]
+
+
+def test_every_config_key_is_the_name_of_the_attribute_it_sets():
+    # so parsing, canonical text and the CLI all use the key itself
+    config_attrs = {f.name for f in fields(experiments.ExperimentConfig)}
+    assert set(experiments.CONFIG_FIELDS) == config_attrs - {"agents"}
+    assert set(experiments._AGENT_FIELDS) == {f.name for f in fields(experiments.AgentTemplate)}
+
+
 def test_sha_distinguishes_nearby_floats():
     a = experiments.default_config("thm1")
-    assert replace(a, eps_list=(0.1000001,)).sha256() != a.sha256()
+    assert replace(a, eps=(0.1000001,)).sha256() != a.sha256()
     assert replace(a, radius=1.0000004).sha256() != a.sha256()
 
 
@@ -124,7 +146,7 @@ _KIND_KEYS = {
 }
 _AGENTS = st.lists(st.sampled_from(sorted(_KIND_KEYS)).flatmap(lambda kind: st.builds(
     experiments.AgentTemplate,
-    kind=st.just(kind),
+    preference=st.just(kind),
     prior=st.sampled_from(["uniform", "spike:0:0.9", "0.25,0.75", "cap:ge:0:0.4"]),
     endowment=st.sampled_from(["ones", "equal-share", "1,2"]),
     **_KIND_KEYS[kind],
@@ -138,9 +160,9 @@ def _configs(draw, experiment_id):
     values = draw(st.fixed_dictionaries(
         {key: _KEY_VALUES[key] for key in sorted(exp.keys - {"experiment", "out"})}))
     return experiments.ExperimentConfig(
-        experiment_id=draw(st.sampled_from((exp.id, *exp.aliases))),
+        experiment=draw(st.sampled_from((exp.id, *exp.aliases))),
         agents=draw(_AGENTS) if exp.agents else (),
-        **{experiments.CONFIG_FIELDS[key].attr: value for key, value in values.items()},
+        **{key: value for key, value in values.items()},
     )
 
 
@@ -174,7 +196,7 @@ def test_comments_and_blank_lines_are_ignored():
         "experiment = checks   # trailing comment\n"
         "seed = 12\n"
     )
-    assert cfg.experiment_id == "checks"
+    assert cfg.experiment == "checks"
     assert cfg.seed == 12
 
 
@@ -303,7 +325,7 @@ def test_thm1_cell_outside_an_agents_domain_is_an_error_row(tmp_path):
         "allocation = literal:2,0|0,2\n"
         "agent.preference = cobb-douglas\nagent.preference = cobb-douglas\n"
     )
-    (row,) = experiments.run_experiment(replace(cfg, out_dir=str(tmp_path / "o"))).rows
+    (row,) = experiments.run_experiment(replace(cfg, out=str(tmp_path / "o"))).rows
     assert "domain violation" in row["error"] and "p_hat" not in row
     assert (tmp_path / "o" / "results.csv").exists()
 
@@ -358,20 +380,20 @@ def test_manifest_hashes_and_layout(tmp_path):
 
 
 def test_config_txt_replays_the_run(tmp_path):
-    cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(2,), eps_list=(0.1000001,),
-                 out_dir=str(tmp_path / "a"))
+    cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(2,), eps=(0.1000001,),
+                 out=str(tmp_path / "a"))
     first = experiments.run_experiment(cfg)
     text = (tmp_path / "a" / "config.txt").read_text()
     assert text == cfg.canonical_text()
     man = _manifest_dict((tmp_path / "a" / "manifest.txt").read_text())
     assert man["config_sha256"] == hashlib.sha256(text.encode()).hexdigest()
     replayed = experiments.load_config(tmp_path / "a" / "config.txt")
-    assert replayed == replace(cfg, out_dir=None)
+    assert replayed == replace(cfg, out=None)
     assert experiments.run_experiment(replayed).csv_text == first.csv_text
 
 
 def test_run_experiment_writes_when_out_dir_set(tmp_path):
-    cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(2,), out_dir=str(tmp_path / "auto"))
+    cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(2,), out=str(tmp_path / "auto"))
     experiments.run_experiment(cfg)
     assert (tmp_path / "auto" / "results.csv").exists()
     assert (tmp_path / "auto" / "manifest.txt").exists()
@@ -482,13 +504,13 @@ def test_checks_smoke_all_pass():
 @pytest.mark.parametrize("family", experiments.CHECK_FAMILIES)
 def test_each_check_family_runs_alone(family):
     res = experiments.run_experiment(replace(_small("checks", trials=20_000),
-                                             experiment_id=family))
+                                             experiment=family))
     assert res.rows and {r["family"] for r in res.rows} == {family}
     assert all(r["passed"] is True for r in res.rows)
 
 
 def _lemma1_only(trials):
-    return replace(_small("checks", trials=trials), experiment_id="lemma1")
+    return replace(_small("checks", trials=trials), experiment="lemma1")
 
 
 def test_lemma1_draws_one_ball_stream_per_dimension(monkeypatch):
@@ -619,13 +641,13 @@ def test_lemma1_marginal_row_fails_when_the_bins_miss_the_exact_law(monkeypatch)
 def test_single_family_config_runs_only_that_family():
     cfg = experiments.parse_config_text("experiment = bm\nseed = 3\ntrials = 200\n")
     res = experiments.run_experiment(cfg)
-    assert res.experiment_id == "bm"
+    assert res.experiment == "bm"
     assert {r["family"] for r in res.rows} == {"bm"}
     assert all(r["passed"] is True for r in res.rows)
 
 
 def test_unknown_law_kind_raises():
-    cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(2,), law_kind="bogus")
+    cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(2,), law="bogus")
     with pytest.raises(ValueError):
         experiments.run_experiment(cfg)
 
@@ -635,7 +657,7 @@ def test_restricted_gaussian_cell_at_an_underflowing_ball_mass_is_a_result_row(t
     # the radius inverse works from its log, so the cell is measured like d = 256
     assert sampling.restricted_gaussian_acceptance(512, 1.0) == 0.0
     cfg = _small("thm1", trials=SMOKE_TRIALS, dims=(256, 512),
-                 law_kind="restricted-gaussian")
+                 law="restricted-gaussian")
     experiments.run_experiment(cfg).write(tmp_path)
     with open(tmp_path / "results.csv", newline="") as fh:
         rows = {row["d"]: row for row in csv.DictReader(fh)}
@@ -777,7 +799,7 @@ def test_thm2_screened_estimate_agrees_with_plain_monte_carlo(law):
     # the screened estimate against the membership decider on every plain draw
     # of another stream, within 4 combined binomial standard errors in every
     # default cell
-    cfg = replace(experiments.default_config("thm2"), law_kind=law, trials=20_000)
+    cfg = replace(experiments.default_config("thm2"), law=law, trials=20_000)
     rows = experiments.run_experiment(cfg).rows
     for row in rows:
         d, eps = row["d"], row["eps"]
@@ -801,7 +823,7 @@ def test_thm1_projected_estimate_agrees_with_plain_monte_carlo():
         d, eps = row["d"], row["eps"]
         econ = experiments.build_economy(cfg, d)
         f = experiments.resolve_allocation(cfg, econ)
-        law = sampling.PerturbationLaw(cfg.law_kind, d, cfg.radius)
+        law = sampling.PerturbationLaw(cfg.law, d, cfg.radius)
         plain = sampling.mc_probability(
             lambda Z: economy.individual_improvement_event(econ, f, Z, eps), law,
             cfg.trials, sampling.SeedSpec(cfg.seed + 1))
@@ -861,7 +883,7 @@ def _results_sha256(cfg):
 
 def _as_crra(cfg, gamma, allocation):
     """cfg with every agent a crra agent of curvature gamma, at the given allocation."""
-    agents = tuple(replace(a, kind="crra", gamma=gamma) for a in cfg.agents)
+    agents = tuple(replace(a, preference="crra", gamma=gamma) for a in cfg.agents)
     return replace(cfg, agents=agents, allocation=allocation)
 
 
@@ -891,13 +913,13 @@ def test_thm1_maxmin_results_bytes_are_pinned():
 
 
 def test_thm2_restricted_gaussian_results_bytes_are_pinned():
-    cfg = replace(experiments.default_config("thm2"), law_kind="restricted-gaussian")
+    cfg = replace(experiments.default_config("thm2"), law="restricted-gaussian")
     assert _results_sha256(cfg) == PINNED_THM2_RG, _pin_message("thm2 restricted-gaussian")
 
 
 @pytest.mark.parametrize("experiment,law,conditioned", list(PINNED_SAMPLER_VARIANTS))
 def test_sampler_variant_results_bytes_are_pinned(experiment, law, conditioned):
-    cfg = replace(experiments.default_config(experiment), law_kind=law,
+    cfg = replace(experiments.default_config(experiment), law=law,
                   condition_positive_price=conditioned)
     assert _results_sha256(cfg) == PINNED_SAMPLER_VARIANTS[experiment, law, conditioned], (
         _pin_message(f"{experiment} {law}{' conditioned' if conditioned else ''}"))
@@ -923,7 +945,7 @@ def test_improvement_decider_skipping_flagged_rows_matches_every_agent(economy_i
     given, evaluate = [], economy.utility_extended
     monkeypatch.setattr(economy, "utility_extended",
                         lambda pref, F, **kw: given.append(len(F)) or evaluate(pref, F, **kw))
-    eps, skipped = cfg.eps_list[0], 0
+    eps, skipped = cfg.eps[0], 0
     for d in cfg.dims:
         econ = experiments.build_economy(cfg, d)
         f = experiments.resolve_allocation(cfg, econ)
@@ -1060,7 +1082,7 @@ def test_prop3_results_ignore_trials_and_family_trials(tmp_path):
         for family_trials in (200, 10**6):
             out = tmp_path / f"{trials}-{family_trials}"
             cfg = replace(experiments.default_config("prop3"), trials=trials, dims=(3, 4, 5),
-                          n_economies=3, family_trials=family_trials, out_dir=str(out))
+                          n_economies=3, family_trials=family_trials, out=str(out))
             experiments.run_experiment(cfg)
             outputs.add((out / "results.csv").read_bytes())
     assert len(outputs) == 1
@@ -1181,6 +1203,22 @@ def test_cli_rejects_config_for_another_experiment(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_reports_a_missing_config_file_as_an_error(tmp_path, capsys):
+    rc = cli.main(["thm1", "--config", str(tmp_path / "missing.cfg")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cfg" in err and "Traceback" not in err
+
+
+def test_cli_reports_an_unwritable_out_directory_as_an_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    rc = cli.main(["thm1", "--trials", "200", "--dims", "2", "--out", str(tmp_path / "file" / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "file" / "o").exists()
+
+
 def test_cli_reports_a_stalled_cru_setup_as_an_error(tmp_path, capsys, monkeypatch):
     def stalled(econ, f):
         raise geometry.ConvergenceError("utilization bisection stalled", value=0.5, gap=0.1)
@@ -1273,7 +1311,7 @@ from risklab import experiments
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-runs = [(f"{name} {law}", name, {"dims": (2,), "law_kind": law})
+runs = [(f"{name} {law}", name, {"dims": (2,), "law": law})
         for name in ("thm1", "thm2", "cru") for law in ("uniform-ball", "restricted-gaussian")]
 runs += [("prop3-thm4", "prop3", {"dims": (3, 4), "n_economies": 2, "family_trials": 200}),
          ("checks", "checks", {})]

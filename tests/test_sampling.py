@@ -552,18 +552,18 @@ def test_other_projected_blocks_take_every_radius(kind, d, k, quantile_rows):
 def test_thm2_rg_screens_take_the_radius_of_fewer_rows_than_they_draw(quantile_rows):
     # the benchmark's thm2-rg cells: each block's quantile sees the rows the
     # contour screen keeps at radius 0 or at the radius bound, not every row
-    cfg = replace(experiments.default_config("thm2"), law_kind="restricted-gaussian")
+    cfg = replace(experiments.default_config("thm2"), law="restricted-gaussian")
     m, seen = sampling.BLOCK_DRAWS, 0
-    for d, eps in itertools.product(cfg.dims, cfg.eps_list):
+    for d, eps in itertools.product(cfg.dims, cfg.eps):
         econ = experiments.build_economy(cfg, d, no_agg=True)
         f = experiments.resolve_allocation(cfg, econ)
-        law = sampling.PerturbationLaw(cfg.law_kind, d, cfg.radius)
+        law = sampling.PerturbationLaw(cfg.law, d, cfg.radius)
         Q, keep = economy.contour_screen(econ, f, eps, law.radius)
         del quantile_rows[:]
         rows, _ = law.sample_projected_block(0, m, SEED, Q, keep)
         assert len(rows) <= quantile_rows[0] < m, (d, eps)
         seen += quantile_rows[0]
-    assert seen < 0.5 * m * len(cfg.dims) * len(cfg.eps_list)
+    assert seen < 0.5 * m * len(cfg.dims) * len(cfg.eps)
 
 
 @pytest.mark.parametrize("kind", sorted(_LAW_KINDS.values()))
