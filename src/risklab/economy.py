@@ -183,23 +183,23 @@ def tatonnement_equilibrium(econ: EconomySpec) -> EquilibriumResult:
     The equilibrium is the planner allocation g(lam) whose supporting price p
     leaves every agent's budget balanced, p.g_i = p.w_i (Negishi,
     *Metroeconomica* 12, 1960).  From equal weights the iteration
-    lam_i <- lam_i (p.w_i / p.g_i)^gamma, normalized to sum 1, raises the
-    weight of every agent who consumes less than its wealth; under log
-    utility it is the power iteration p <- normalized sum_i mu_i (p.w_i) on
-    market-clearing prices.  The largest budget gap |p.w_i - p.g_i| falls to
-    a rounding floor that grows with d: each dot product has d terms, rounded
-    within a few (d + 4) u times the sum of its terms' magnitudes (u the unit
-    round-off, as in :func:`improvement_screen`).  So the iteration stops at
-    the first gap within 64 (d + 4) u max_i (|w_i|.p + |g_i|.p) that is no
-    smaller than the one before; a gap that stalls above that bound is a
-    failure to converge.  :func:`planner_allocation` refuses every economy
-    but common-curvature CRRA ones.
+    lam_i <- lam_i (p.w_i / p.g_i)^k, normalized to sum 1, raises the weight
+    of every agent who consumes less than its wealth; at k = gamma = 1 it is
+    the power iteration p <- normalized sum_i mu_i (p.w_i) on market-clearing
+    prices.  The largest budget gap |p.w_i - p.g_i| falls to a rounding floor
+    that grows with d: each dot product has d terms, rounded within a few
+    (d + 4) u times the sum of its terms' magnitudes (u the unit round-off,
+    as in :func:`improvement_screen`).  So the iteration stops at the first
+    gap within 64 (d + 4) u max_i (|w_i|.p + |g_i|.p) that is no smaller than
+    the one before.  A gap above that bound that does not fall halves k,
+    which starts at gamma: with skewed priors and gamma > 1 the full step can
+    cycle.  :func:`planner_allocation` refuses all but common-curvature CRRA.
     """
     if np.any(econ.aggregate <= 0):
         raise ValueError("every state needs positive aggregate supply")
     W = np.array([a.endowment for a in econ.agents])  # (I, d)
     lam = np.full(econ.n_agents, 1.0 / econ.n_agents)
-    trace = []
+    damp, trace = 1.0, []
     for _ in range(_NEGISHI_CAP):
         f, p = planner_allocation(econ, lam)
         wealth = W @ p
@@ -209,10 +209,12 @@ def tatonnement_equilibrium(econ: EconomySpec) -> EquilibriumResult:
         residual = float(np.abs(wealth - spending).max())
         trace.append(residual)
         bound = 64 * (econ.dim + 4) * 2.0**-53 * float(((np.abs(W) + np.abs(f.acts)) @ p).max())
-        if len(trace) > 1 and trace[-2] <= residual <= bound:
-            return EquilibriumResult(p, f, residual)
+        if len(trace) > 1 and trace[-2] <= residual:
+            if residual <= bound:
+                return EquilibriumResult(p, f, residual)
+            damp /= 2
         # planner_allocation has checked that every agent shares agent 0's gamma
-        lam = lam * (wealth / spending) ** econ.agents[0].preference.gamma
+        lam = lam * (wealth / spending) ** (damp * econ.agents[0].preference.gamma)
         lam = lam / lam.sum()
     raise geometry.ConvergenceError(
         f"Negishi weights did not converge in {_NEGISHI_CAP} iterations; "

@@ -404,11 +404,6 @@ def _two_column(pairs) -> str:
     return "\n".join(f"{_fmt(a)},{_fmt(b)}" for a, b in pairs) + "\n"
 
 
-def _estimate_columns(est: sampling.MCEstimate, bound: float) -> dict:
-    return {"hits": est.hits, "p_hat": est.p_hat, "ci_low": est.ci_low,
-            "ci_high": est.ci_high, "bound": bound, "within_bound": est.ci_low <= bound}
-
-
 def _series(rows, prefix: str, ys) -> dict:
     """Plot files ``<prefix>_<y>.csv`` of (d, y) over the rows without an error."""
     ok = [r for r in rows if r["error"] is None]
@@ -448,21 +443,20 @@ def resolve_allocation(config: ExperimentConfig, econ: economy.EconomySpec) -> e
 # ---------------------------------------------------------------------------
 
 
-def _sweep(config: ExperimentConfig, prepare, positive_price: bool = False, **fixed) -> list[dict]:
+def _sweep(config: ExperimentConfig, prepare, **fixed) -> list[dict]:
     """One row per (eps, d) cell, each with its own law and seed stream: the one sampled kernel.
 
     ``prepare(law, eps)`` sets a cell up and returns ``(screen, decide,
-    columns)``: the cell's ``(Q, keep)`` screen, ``decide(Z)`` the
-    ``(hits, indeterminate)`` counts of the kept draws Z, and
-    ``columns(est, indeterminate)`` the measured columns.  Every cell is
+    columns)``: the cell's ``(Q, keep)`` screen, ``decide(Y, Z)`` the
+    ``(accepted, hits, indeterminate)`` counts of a block drawn through it
+    (the ``(Y, Z)`` of :meth:`sampling.PerturbationLaw.sample_projected_block`)
+    and the cell's own columns, ``bound`` among them.  Every cell is
     prepared, then all their blocks run in one :func:`sampling.map_blocks`
-    call, each drawn through the screen and decided in one call (an empty
-    one too), every dropped draw a miss.  With ``positive_price`` only the
-    draws with Y = z . u > 0 (u the screen's one column, the supporting
-    price's direction) are accepted; they are counted on every row's
-    coordinates, and the rejected ones are never completed.  A failing
-    setup, sampler or decider (ValueError or ConvergenceError), more than 1%
-    indeterminate draws or no accepted one gives the cell an ``error``.
+    call, each drawn in one sampler call and decided in one call (an empty
+    one too), every dropped draw a miss.  Each cell's counts make its
+    estimate, whose columns its row takes here.  A failing setup, sampler or
+    decider (ValueError or ConvergenceError), more than 1% indeterminate
+    draws or no accepted one gives the cell an ``error``.
     """
     rows, prepared = [], []
     for cell, (eps, d) in enumerate(itertools.product(config.eps, config.dims)):
@@ -471,35 +465,28 @@ def _sweep(config: ExperimentConfig, prepare, positive_price: bool = False, **fi
                "error": None}
         rows.append(row)
         try:
-            (Q, keep), decide, columns = prepare(law, eps)
-            if positive_price and not Q.shape[1]:
-                raise ValueError("conditioning needs parallel supergradients at the allocation")
-            prepared.append((row, law, config.seed_spec.stream(cell), Q, keep, decide, columns))
+            prepared.append((row, law, config.seed_spec.stream(cell), *prepare(law, eps)))
         except (ValueError, geometry.ConvergenceError) as exc:
             row["error"] = str(exc)
 
     def block(cell, b, m):
-        _, law, seed, Q, keep, decide, _ = prepared[cell]
-        if positive_price:
-            Y, Z = law.sample_projected_coordinates(
-                b, m, seed, Q, lambda Y: keep(Y) & (Y[:, 0] > 0.0))
-            accepted = int(np.count_nonzero(Y[:, 0] > 0.0))
-        else:
-            _, Z = law.sample_projected_block(b, m, seed, Q, keep)
-            accepted = m
-        return (accepted, *decide(Z))
+        _, law, seed, screen, decide, _ = prepared[cell]
+        return decide(*law.sample_projected_block(b, m, seed, *screen))
 
     n = config.trials
     results = sampling.map_blocks(block, [n] * len(prepared), config.threads)
     for (row, *_, columns), blocks in zip(prepared, results):
         try:
-            accepted, hits, indet = (sum(col) for col in zip(*sampling.cell_results(blocks)))
+            accepted, hits, indet = (int(sum(c)) for c in zip(*sampling.cell_results(blocks)))
             if indet > 0.01 * n:
                 raise geometry.ConvergenceError(f"{indet} boundary-indeterminate draws "
                                                 f"(> 1% of {n})", value=indet, gap=indet / n)
             if accepted == 0:
                 raise ValueError("conditioning rejected every draw")
-            row.update(columns(sampling.MCEstimate(hits, accepted), indet))
+            est = sampling.MCEstimate(hits, accepted)
+            row.update(columns, hits=hits, p_hat=est.p_hat, ci_low=est.ci_low,
+                       ci_high=est.ci_high, n_accepted=accepted, indeterminate=indet,
+                       within_bound=est.ci_low <= columns["bound"])
         except (ValueError, geometry.ConvergenceError) as exc:
             row["error"] = str(exc)
     return rows
@@ -516,31 +503,40 @@ def run_thm1(config: ExperimentConfig):
         tau = min(float(a.endowment.min()) for a in econ.agents)
         if tau <= 0:
             raise ValueError("the tail bound needs strictly positive endowments (tau > 0)")
-
-        def decide(Z):
-            return int(np.count_nonzero(economy.individual_improvement_event(econ, f, Z, eps))), 0
-
-        def columns(est, indet):
-            bound = bounds.bound_thm1(eps, tau, config.radius, law.dim, law.kappa)
-            return {"tau": tau, "kappa": law.kappa, **_estimate_columns(est, bound)}
-
         # the screen takes every agent's supergradient and utility once before
         # sampling, so an act outside its agent's domain makes an error row
-        return economy.improvement_screen(econ, f, eps, law.radius), decide, columns
+        screen = economy.improvement_screen(econ, f, eps, law.radius)
+
+        def decide(Y, Z):
+            hits = np.count_nonzero(economy.individual_improvement_event(econ, f, Z, eps))
+            return len(Y), hits, 0
+
+        bound = bounds.bound_thm1(eps, tau, config.radius, law.dim, law.kappa)
+        return screen, decide, {"tau": tau, "kappa": law.kappa, "bound": bound}
 
     rows = _sweep(config, prepare, experiment="thm1")
     return rows, _series(rows, "thm1", ("p_hat", "ci_high", "bound"))
 
 
-def _membership(econ, f, law, eps):
-    """The ``(screen, decide)`` of ``thm2`` and ``cru``: aggregate membership of w + Z."""
-    w = econ.aggregate
+def _membership(econ, f, law, eps, conditioned=False):
+    """The ``(screen, decide)`` of ``thm2`` and ``cru``: aggregate membership of w + Z.
 
-    def decide(Z):
-        member, indet = economy.scitovsky_members(econ, f, w[None, :] + Z, eps)
-        return int(np.count_nonzero(member)), int(np.count_nonzero(indet))
+    ``conditioned`` keeps and accepts only the draws with a positive price move,
+    Y = z . u > 0 (u the screen's column, the price's direction), counted on Y.
+    """
+    Q, screen = economy.contour_screen(econ, f, eps, law.radius)
+    if conditioned and not Q.shape[1]:
+        raise ValueError("conditioning needs parallel supergradients at the allocation")
 
-    return economy.contour_screen(econ, f, eps, law.radius), decide
+    def keep(Y):
+        return screen(Y) & (Y[:, 0] > 0.0) if conditioned else screen(Y)
+
+    def decide(Y, Z):
+        member, indet = economy.scitovsky_members(econ, f, econ.aggregate + Z, eps)
+        accepted = np.count_nonzero(Y[:, 0] > 0.0) if conditioned else len(Y)
+        return accepted, np.count_nonzero(member), np.count_nonzero(indet)
+
+    return (Q, keep), decide
 
 
 def run_thm2(config: ExperimentConfig):
@@ -550,18 +546,11 @@ def run_thm2(config: ExperimentConfig):
     def prepare(law, eps):
         econ = build_economy(config, law.dim, no_agg=True)
         f = resolve_allocation(config, econ)
+        screen, decide = _membership(econ, f, law, eps, conditioned)
+        bound = bounds.bound_thm2(eps, config.radius, law.dim, law.kappa)
+        return screen, decide, {"kappa": law.kappa, "bound": 2.0 * bound if conditioned else bound}
 
-        def columns(est, indet):
-            bound = bounds.bound_thm2(eps, config.radius, law.dim, law.kappa)
-            if conditioned:
-                bound *= 2.0
-            return {"kappa": law.kappa, "n_accepted": est.trials, "indeterminate": indet,
-                    **_estimate_columns(est, bound)}
-
-        return (*_membership(econ, f, law, eps), columns)
-
-    rows = _sweep(config, prepare, positive_price=conditioned, experiment="thm2",
-                  conditioned=conditioned)
+    rows = _sweep(config, prepare, experiment="thm2", conditioned=conditioned)
     plot = {}
     for eps in config.eps:
         plot.update(_series([r for r in rows if r["eps"] == eps], f"thm2_eps{eps:g}",
@@ -584,12 +573,9 @@ def run_cru(config: ExperimentConfig):
         )
     improvement = 1.0 - beta * beta
 
-    def columns(est, indet):
-        return {"n_accepted": est.trials, "indeterminate": indet,
-                **_estimate_columns(est, bounds.bound_cru(beta, config.radius, d))}
-
     rows = _sweep(replace(config, dims=(d,), eps=(improvement,)),
-                  lambda law, eps: (*_membership(econ, f, law, eps), columns),
+                  lambda law, eps: (*_membership(econ, f, law, eps),
+                                    {"bound": bounds.bound_cru(beta, config.radius, d)}),
                   experiment="cru", beta=beta, improvement=improvement)
     plot_dims = sorted(set(config.dims) | {2, 8, 32, 128, 512, 4000})
     return rows, {"cru_bound_vs_d.csv": _two_column(

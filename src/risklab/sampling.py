@@ -17,7 +17,7 @@ worker waits for a cell's last block before the next cell's blocks start.
 Estimator accumulation is exact integer counting and therefore associative.
 
 A block has one layout, drawn in a fixed order from the block's generator.
-:meth:`PerturbationLaw.sample_projected_block`, which every runner draws
+:meth:`PerturbationLaw.sample_projected_block`, which every sweep draws
 through, draws a draw's coordinates in the orthonormal columns of a d x k
 matrix Q first: an (m, k) array of normals A, then m chi-square variates C
 with d - k degrees of freedom (skipped when k = d), then m radius uniforms U.
@@ -25,7 +25,7 @@ Only the rows its ``keep`` names are then completed to full draws, in row
 order, from (n_kept, d) more normals (none when k = d); when k = 0 those
 normals, scaled, are the draws.
 :meth:`PerturbationLaw.sample_projected_coordinates` gives the same kept
-draws together with every row's coordinates, for the callers that read them.
+draws with every row's exact coordinates, for ``lemma1``, which reads them.
 The plain stream of :meth:`PerturbationLaw.sample_block` is the Q = I case
 with every row kept: an (m, d) array of normals, then m radius uniforms.  No
 runner draws through it; it stays as the reference stream that tests
@@ -37,7 +37,8 @@ k = 1, ``sample_projected_block`` takes it only for the rows that ``keep``
 names at radius 0 or at R+ = r (1 + 2^-30), a bound on every radius the
 quantile returns; every other row is dropped at its exact radius too, so the
 kept rows and their draws are those that taking every row's radius gives,
-bit for bit.  The argument: s > 0 is fixed per row and rounding is
+bit for bit; every other row keeps its Y at R+, of the exact sign (that of
+A) unless U = 0.  The argument: s > 0 is fixed per row and rounding is
 monotone, so fl(R / s) does not fall as R grows, and fl(A fl(R / s)) moves
 one way with it, by the sign of A; the exact Y therefore lies between Y = 0
 and Y at R+.  ``keep`` must drop an interval of the line, so a row dropped
@@ -336,10 +337,8 @@ class PerturbationLaw:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Block ``block`` of the law's projected stream: ``(Y, Z)``, every radius taken.
 
-        ``Y`` (m, k) holds the coordinates Q^T z of every draw, and ``Z`` the
-        full draws of the rows ``keep(Y)`` names, as
-        :meth:`sample_projected_block` gives them.  For callers that read
-        every row's coordinates.
+        ``Y`` (m, k) holds the exact coordinates Q^T z of every draw and ``Z``
+        what :meth:`sample_projected_block` gives; ``lemma1`` counts every Y.
         """
         quantile = self._radius_quantile()
         gen, Y, C, U, norm = self._projected_draws(block, m, seed, Q)
@@ -356,18 +355,21 @@ class PerturbationLaw:
         Q: np.ndarray,
         keep: Callable[[np.ndarray], np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Block ``block`` of the law's projected stream: ``(rows, Z)``.
+        """Block ``block`` of the law's projected stream: ``(Y, Z)``.
 
         ``Q`` is a (dim, k) matrix with orthonormal columns, 0 <= k <= dim.
         ``keep(Y)`` takes an (m, k) array of the draws' coordinates Y = Q^T z
         and returns m booleans, each row's from that row (or its position)
-        alone.  ``rows`` holds the indices of the rows it keeps, and ``Z``
-        their full draws, in row order: their parts orthogonal to Q are
+        alone.  ``Y`` holds those coordinates, and ``Z`` the full draws of the
+        rows ``keep(Y)`` keeps, in row order: their parts orthogonal to Q are
         standard normals projected off Q and scaled to the length the
         block's chi-square variates give them.  When k = 1 the coordinates
         ``keep`` drops must form an interval of the line (the module
         docstring says why): a keep that ignores Y, a half-line screen and an
-        intersection of them all qualify.
+        intersection of them all qualify.  ``Y`` is then exact only on the
+        rows ``keep`` keeps at radius 0 or at the radius bound; the others
+        keep Y at the bound, of the exact sign unless their radius uniform is
+        0 (probability 2^-53 per draw), where the exact Y is 0.
         """
         quantile = self._radius_quantile()
         gen, A, C, U, norm = self._projected_draws(block, m, seed, Q)
@@ -384,8 +386,7 @@ class PerturbationLaw:
             scale = quantile(U)
             scale /= norm
             Y = np.multiply(A, scale[:, None], out=A)
-        rows = np.flatnonzero(keep(Y))
-        return rows, _completed_draws(gen, Q, Y, rows, C, scale)
+        return Y, _completed_draws(gen, Q, Y, np.flatnonzero(keep(Y)), C, scale)
 
 
 def _completed_draws(gen, Q, Y, rows, C, scale):

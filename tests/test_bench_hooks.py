@@ -107,9 +107,9 @@ def test_deciders_record_one_span_per_sampled_block(experiment, law, decider, th
     projected = sampling.PerturbationLaw.sample_projected_block
 
     def recorded(self, block, m, seed, Q, keep):
-        rows, Z = projected(self, block, m, seed, Q, keep)
+        Y, Z = projected(self, block, m, seed, Q, keep)
         kept.append(len(Z))
-        return rows, Z
+        return Y, Z
 
     monkeypatch.setattr(sampling.PerturbationLaw, "sample_projected_block", recorded)
     trials = 2 * sampling.BLOCK_DRAWS + 100

@@ -214,6 +214,46 @@ def test_negishi_stop_holds_at_a_skewed_two_state_economy():
     assert eq.residual <= _budget_bound(econ, eq)
 
 
+# (seed, alpha, gamma, d, agents): the 51 of 576 skewed-prior economies (seeds
+# 0-3, alpha in {0.1, 0.2, 1}, gamma in {0.5, 2, 4, 16}, d in {2, 8, 32, 512},
+# 2, 3 or 5 agents) whose Negishi weights did not converge in 1000 steps at
+# a fixed exponent gamma
+_CYCLING_NEGISHI_ECONOMIES = [
+    (0, 0.1, 4.0, 2, 5), (0, 0.1, 4.0, 8, 2), (0, 0.1, 4.0, 8, 3), (0, 0.1, 4.0, 8, 5),
+    (0, 0.1, 4.0, 32, 2), (0, 0.1, 4.0, 512, 2), (0, 0.1, 16.0, 2, 5), (0, 0.1, 16.0, 8, 2),
+    (0, 0.1, 16.0, 8, 5), (0, 0.1, 16.0, 32, 3), (0, 0.1, 16.0, 512, 3),
+    (0, 0.1, 16.0, 512, 5), (0, 0.2, 2.0, 8, 2), (0, 0.2, 4.0, 2, 2), (1, 0.1, 2.0, 2, 2),
+    (1, 0.1, 2.0, 32, 2), (1, 0.1, 4.0, 2, 3), (1, 0.1, 4.0, 8, 5), (1, 0.1, 16.0, 2, 5),
+    (1, 0.1, 16.0, 32, 2), (1, 0.1, 16.0, 32, 5), (1, 0.1, 16.0, 512, 5), (1, 0.2, 4.0, 2, 5),
+    (2, 0.1, 2.0, 32, 3), (2, 0.1, 4.0, 2, 3), (2, 0.1, 4.0, 8, 2), (2, 0.1, 4.0, 8, 3),
+    (2, 0.1, 4.0, 8, 5), (2, 0.1, 4.0, 32, 2), (2, 0.1, 4.0, 32, 5), (2, 0.1, 4.0, 512, 3),
+    (2, 0.1, 16.0, 8, 2), (2, 0.1, 16.0, 32, 5), (2, 0.2, 4.0, 2, 5), (3, 0.1, 2.0, 2, 3),
+    (3, 0.1, 2.0, 8, 5), (3, 0.1, 4.0, 2, 3), (3, 0.1, 4.0, 2, 5), (3, 0.1, 4.0, 8, 2),
+    (3, 0.1, 4.0, 8, 5), (3, 0.1, 4.0, 32, 3), (3, 0.1, 4.0, 32, 5), (3, 0.1, 16.0, 2, 5),
+    (3, 0.1, 16.0, 32, 5), (3, 0.1, 16.0, 512, 5), (3, 0.2, 2.0, 8, 3), (3, 0.2, 4.0, 2, 3),
+    (3, 0.2, 4.0, 8, 5), (3, 0.2, 16.0, 8, 3), (3, 0.2, 16.0, 512, 2), (3, 0.2, 16.0, 512, 3),
+]
+
+
+def _skewed_crra_economy(seed, alpha, gamma, d, n):
+    """n CRRA agents with Dirichlet(alpha) priors clipped at 1e-12 and U(0, 2) endowments."""
+    rng = np.random.default_rng([seed, int(10 * alpha), int(2 * gamma), d, n])
+    agents = []
+    for _ in range(n):
+        mu = np.clip(rng.dirichlet(np.full(d, alpha)), 1e-12, None)
+        agents.append(economy.Agent(CRRASEU(mu / mu.sum(), gamma), rng.uniform(0.0, 2.0, d)))
+    return economy.EconomySpec(tuple(agents))
+
+
+def test_negishi_weights_converge_for_skewed_priors_at_high_curvature():
+    # the update's exponent halves whenever the largest budget gap does not fall
+    for case in _CYCLING_NEGISHI_ECONOMIES:
+        econ = _skewed_crra_economy(*case)
+        eq = economy.tatonnement_equilibrium(econ)
+        bound = _budget_bound(econ, eq)
+        assert eq.residual <= bound and _budget_gaps(econ, eq).max() <= bound, case
+
+
 def test_equilibrium_refuses_mixed_curvatures():
     mu, w = np.array([0.6, 0.4]), np.ones(2)
     econ = economy.EconomySpec(

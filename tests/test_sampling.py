@@ -136,8 +136,12 @@ def test_projected_streams_match_golden_hashes(law, d, k):
     for block, m in ((0, sampling.BLOCK_DRAWS), (1, 17)):
         Y, Z = sampler.sample_projected_coordinates(block, m, SEED, Q, _every_third)
         assert Y.shape == (m, Q.shape[1]) and Z.shape == (len(range(0, m, 3)), d)
-        rows, Z_kept = sampler.sample_projected_block(block, m, SEED, Q, _every_third)
+        Y_kept, Z_kept = sampler.sample_projected_block(block, m, SEED, Q, _every_third)
+        rows = np.flatnonzero(_every_third(Y_kept))
         assert np.array_equal(rows, np.arange(0, m, 3)) and _bits(Z_kept) == _bits(Z)
+        assert _bits(Y_kept[rows]) == _bits(Y[rows])
+        if Q.shape[1] != 1:
+            assert _bits(Y_kept) == _bits(Y)
         for part in (Y, Z):
             digest.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
     assert digest.hexdigest() == _PROJECTED_GOLDEN[law, d, k]
@@ -410,8 +414,9 @@ def test_projected_block_completes_only_the_kept_rows():
     assert np.array_equal(Y, Y_all)
     kept = np.flatnonzero(Y[:, 0] > 0.2)
     assert 0 < len(Z) == len(kept) < 500
-    rows, _ = law.sample_projected_block(0, 500, SEED, Q, lambda Y: Y[:, 0] > 0.2)
-    assert np.array_equal(rows, kept)
+    Y_kept, _ = law.sample_projected_block(0, 500, SEED, Q, lambda Y: Y[:, 0] > 0.2)
+    assert np.array_equal(np.flatnonzero(Y_kept[:, 0] > 0.2), kept)
+    assert _bits(Y_kept) == _bits(Y)
     assert np.allclose(Z @ Q, Y[kept], rtol=0, atol=1e-14)
     assert not np.array_equal(Z, Z_all[kept])
 
@@ -479,9 +484,14 @@ def quantile_rows(monkeypatch):
 def _assert_matches_reference(law, Q, keep, quantile_rows, label, m=3000, block=1):
     Y, rows, Z = _reference_projected_block(law, block, m, SEED, Q, keep)
     del quantile_rows[:]
-    got_rows, got_Z = law.sample_projected_block(block, m, SEED, Q, keep)
-    assert np.array_equal(got_rows, rows), label
-    assert _bits(got_Z) == _bits(Z), label
+    got_Y, got_Z = law.sample_projected_block(block, m, SEED, Q, keep)
+    assert np.array_equal(np.flatnonzero(keep(got_Y)), rows), label
+    assert _bits(got_Y[rows]) == _bits(Y[rows]) and _bits(got_Z) == _bits(Z), label
+    if Q.shape[1] == 1:
+        # a row dropped at both radius ends keeps its coordinate at the bound, of the exact sign
+        assert np.array_equal(np.sign(got_Y), np.sign(Y)), label
+    else:
+        assert _bits(got_Y) == _bits(Y), label
     got_Y, got_Z = law.sample_projected_coordinates(block, m, SEED, Q, keep)
     assert _bits(got_Y) == _bits(Y) and _bits(got_Z) == _bits(Z), label
     # the sampler's own quantile call: on every row unless Q has one column
@@ -560,10 +570,43 @@ def test_thm2_rg_screens_take_the_radius_of_fewer_rows_than_they_draw(quantile_r
         law = sampling.PerturbationLaw(cfg.law, d, cfg.radius)
         Q, keep = economy.contour_screen(econ, f, eps, law.radius)
         del quantile_rows[:]
-        rows, _ = law.sample_projected_block(0, m, SEED, Q, keep)
-        assert len(rows) <= quantile_rows[0] < m, (d, eps)
+        Y, _ = law.sample_projected_block(0, m, SEED, Q, keep)
+        assert np.count_nonzero(keep(Y)) <= quantile_rows[0] < m, (d, eps)
         seen += quantile_rows[0]
     assert seen < 0.5 * m * len(cfg.dims) * len(cfg.eps)
+
+
+def test_a_conditioned_thm2_rg_sweep_takes_the_radius_of_fewer_rows_than_it_draws(
+        quantile_rows):
+    # positive-price conditioning is part of thm2's screen, so its blocks take
+    # the radius only where the screen can keep a row, not on every draw
+    cfg = replace(experiments.default_config("thm2"), law="restricted-gaussian",
+                  condition_positive_price=True)
+    rows = experiments.run_experiment(cfg).rows
+    assert all(r["error"] is None and 0 < r["n_accepted"] < r["n"] for r in rows)
+    blocks = -(-cfg.trials // sampling.BLOCK_DRAWS)
+    assert len(quantile_rows) == blocks * len(rows)
+    assert sum(quantile_rows) < 0.5 * cfg.trials * len(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_LAW_KINDS.values())), d=st.sampled_from([2, 8, 32]),
+       block=st.integers(0, 2**40), level=st.floats(-1.2, 1.2), basis=st.integers(0, 2**32 - 1))
+def test_conditioning_through_the_radius_bracket_matches_every_radius_taken(kind, d, block,
+                                                                           level, basis):
+    # a half-line screen conditioned on Y > 0: the same completed draws, bit
+    # for bit, and the same count of Y > 0 as taking every row's radius
+    r, m = 1.2, 2000
+    law = sampling.PerturbationLaw(kind, d, r)
+    Q = _random_basis(d, 1, np.random.default_rng(basis))
+
+    def keep(Y):
+        return (Y[:, 0] >= level) & (Y[:, 0] > 0.0)
+
+    Y, Z = law.sample_projected_block(block, m, SEED, Q, keep)
+    Y_all, Z_all = law.sample_projected_coordinates(block, m, SEED, Q, keep)
+    assert _bits(Z) == _bits(Z_all)
+    assert np.count_nonzero(Y[:, 0] > 0.0) == np.count_nonzero(Y_all[:, 0] > 0.0)
 
 
 @pytest.mark.parametrize("kind", sorted(_LAW_KINDS.values()))
