@@ -89,7 +89,7 @@ def bound_lemma1(delta: float, r: float, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-_PREFACTOR_CHUNK = 1 << 16
+_PREFACTOR_CHUNK = 1 << 14
 
 
 def _log_prop7_prefactor(d: np.ndarray) -> np.ndarray:
@@ -116,7 +116,7 @@ def prop7_prefactor_below_4(d_max: int = 10**6) -> bool:
 
     Compares the log prefactor with log 4, so no value is exponentiated,
     over _PREFACTOR_CHUNK dimensions at a time, so the temporaries stay at
-    512 KiB each whatever d_max is.
+    128 KiB each whatever d_max is.
     """
     log_4 = math.log(4.0)
     return all(

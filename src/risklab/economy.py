@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class Agent:
         w = np.asarray(self.endowment, dtype=float)
         if w.ndim != 1 or w.size != self.preference.dim:
             raise ValueError("endowment dimension must match the preference's state count")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
+        if not np.isfinite(w).all() or w.min() < 0:
             raise ValueError("endowment must be finite and nonnegative")
         w.flags.writeable = False
         object.__setattr__(self, "endowment", w)
@@ -94,6 +94,7 @@ class EconomySpec:
 
     agents: tuple[Agent, ...]
     no_aggregate_uncertainty: bool = False
+    aggregate: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         agents = tuple(self.agents)
@@ -103,10 +104,11 @@ class EconomySpec:
         if any(a.preference.dim != d for a in agents):
             raise ValueError("all agents must share one state space")
         object.__setattr__(self, "agents", agents)
-        if self.no_aggregate_uncertainty:
-            w = self.aggregate
-            if w.max() - w.min() > 1e-12:
-                raise ValueError("aggregate endowment is not constant across states")
+        w = np.add.reduce([a.endowment for a in agents])
+        w.flags.writeable = False
+        object.__setattr__(self, "aggregate", w)
+        if self.no_aggregate_uncertainty and w.max() - w.min() > 1e-12:
+            raise ValueError("aggregate endowment is not constant across states")
 
     @property
     def dim(self) -> int:
@@ -115,10 +117,6 @@ class EconomySpec:
     @property
     def n_agents(self) -> int:
         return len(self.agents)
-
-    @property
-    def aggregate(self) -> np.ndarray:
-        return np.sum([a.endowment for a in self.agents], axis=0)
 
     @property
     def preferences(self) -> list[Preference]:
@@ -143,9 +141,9 @@ class Allocation:
         if self.acts.shape != (econ.n_agents, econ.dim):
             raise ValueError("allocation shape does not match the economy")
         gap = np.abs(self.acts.sum(axis=0) - econ.aggregate).max()
-        if gap > FEASIBILITY_TOL:
+        if not gap <= FEASIBILITY_TOL:  # a nan gap is refused too
             raise ValueError(f"allocation misses the aggregate endowment by {gap:.3e}")
-        if nonneg and np.any(self.acts < 0):
+        if nonneg and (self.acts < 0).any():
             raise ValueError("allocation violates the nonnegativity restriction")
         return self
 

@@ -325,14 +325,14 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 def _fmt(v) -> str:
     """One CSV field: text has commas mapped to ';' and newlines to spaces."""
+    if isinstance(v, (float, np.floating)):  # the most common field, tested first
+        return f"{float(v):.17g}"
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
     return str(v).replace(",", ";").replace("\n", " ")
 
 
@@ -607,14 +607,14 @@ class AmbiguityInstance:
 
 def _ambiguity_instance(d: int, a: float, b: float) -> AmbiguityInstance:
     t = 0.5
+    w = np.full(d, t)  # both agents' endowment, read-only once an Agent holds it
     v1, h1 = preferences.cap_prior_polytope(d, 0, a, "ge")
     v2, h2 = preferences.cap_prior_polytope(d, 0, b, "le")
     agents = (
-        economy.Agent(preferences.MaxMinEU(v1, "linear", (h1,)), np.full(d, t)),
-        economy.Agent(preferences.MaxMinEU(v2, "linear", (h2,)), np.full(d, t)),
+        economy.Agent(preferences.MaxMinEU(v1, "linear", (h1,)), w),
+        economy.Agent(preferences.MaxMinEU(v2, "linear", (h2,)), w),
     )
     econ = economy.EconomySpec(agents, no_aggregate_uncertainty=True)
-    ones = np.ones(d)
     if a < b:
         # overlapping caps: agent 1 takes the positive state-0 leg and the
         # transfer ratio sits mid-band so both worst cases deteriorate
@@ -623,31 +623,27 @@ def _ambiguity_instance(d: int, a: float, b: float) -> AmbiguityInstance:
         mmid = 0.5 * (m_lo + m_hi)
         x = 0.8 * min(t, t * (d - 1) / mmid)
         ybar = mmid * x / (d - 1)
-        h = np.full(d, -ybar)
-        h[0] = x
-        f1, f2 = t * ones + h, t * ones - h
         G1 = (1.0 - a) * ybar - a * x
         G2 = b * x - (1.0 - b) * ybar
     else:
         # disjoint caps: agent 1 (who believes state 0) gives up state 0
         x = ybar = 0.2 * t
-        h = np.full(d, -ybar)
-        h[0] = x
-        f1, f2 = t * ones - h, t * ones + h
         G1, G2 = x, ybar
+    h = np.full(d, -ybar)
+    h[0] = x
+    f1, f2 = (w + h, w - h) if a < b else (w - h, w + h)
     if min(G1, G2) <= 0:
         raise ValueError("construction failed to hurt both agents")
     eps = 0.5 * min(G1, G2) / t
-    traded = economy.Allocation(np.vstack([f1, f2])).check_feasible(econ, nonneg=True)
+    traded = economy.Allocation(np.array([f1, f2])).check_feasible(econ, nonneg=True)
     return AmbiguityInstance(d, econ, traded, eps)
 
 
-def _prop3_rows(inst: AmbiguityInstance, c_values, traded_sets, dist: float,
+def _prop3_rows(inst: AmbiguityInstance, columns, rhos, traded_sets, dist: float,
                 constant_phase: bool):
-    """Emptiness rows (both rho modes) at the traded acts, plus an optional volume row."""
-    bound_columns = {f"bound_c{c:g}": bounds.bound_thm4(inst.eps, inst.d, c)
-                     for c in c_values}
-    mid_bound = bound_columns[f"bound_c{c_values[len(c_values) // 2]:g}"]
+    """The emptiness row of each ``(mode, rho)`` in ``rhos``, and the optional volume row."""
+    bound_columns = {name: bounds.bound_thm4(inst.eps, inst.d, c) for name, c in columns}
+    mid_bound = bound_columns[columns[len(columns) // 2][0]]
 
     def row(experiment, phase, vols, **fields):
         return {
@@ -660,8 +656,7 @@ def _prop3_rows(inst: AmbiguityInstance, c_values, traded_sets, dist: float,
     traded = row("prop3", "dominated", economy.belief_volume_split(traded_sets, [0]),
                  dist=dist)
     rows = []
-    for mode in ("definitional", "paper"):
-        rho_v = economy.rho(inst.econ, mode=mode)
+    for mode, rho_v in rhos:
         delta = inst.eps / rho_v
         r = {**traded, "rho_mode": mode, "rho": rho_v, "delta": delta}
         try:
@@ -705,13 +700,15 @@ def run_prop3_thm4(config: ExperimentConfig):
     insts += [_ambiguity_instance(d, config.cap_high, config.cap_low) for d in config.dims]
     traded = [economy.belief_sets(inst.econ, inst.traded) for inst in insts]
     certs = geometry.polytope_distance(traded)
+    columns = [(f"bound_c{c:g}", c) for c in config.c_values]
+    rhos = {d: [(mode, economy.rho(econ, mode=mode)) for mode in ("definitional", "paper")]
+            for d, econ in {inst.d: inst.econ for inst in insts}.items()}
     rows = []
     for k, inst in enumerate(insts):
-        rows += _prop3_rows(inst, config.c_values, traded[k], certs[k].value,
+        rows += _prop3_rows(inst, columns, rhos[inst.d], traded[k], certs[k].value,
                             k >= config.n_economies)
     const = [r for r in rows if r["phase"] == "constant"]
-    mid_c = config.c_values[len(config.c_values) // 2]
-    return rows, _series(const, "thm4", ("min_rel_vol", f"bound_c{mid_c:g}"))
+    return rows, _series(const, "thm4", ("min_rel_vol", columns[len(columns) // 2][0]))
 
 
 # -- support checks ----------------------------------------------------------
@@ -724,22 +721,22 @@ def _check_row(family, check, passed, detail=""):
 def _bm_pairs(seed: sampling.SeedSpec) -> dict:
     """The 1000 random box pairs of the ``bm`` checks, stacked by dimension.
 
-    Each pair draws its dimension d in 2..6, its bounds and lam from one
-    stream, pair after pair.  Maps d to ``(A, B, lam)``: A and B the stacks
-    of that dimension's boxes, lam their (n,) weights, pairs in draw order.
+    From one stream, pair after pair, each pair draws its dimension d in 2..6
+    and then, in one call, its two lower corners, two side draws and lam.
+    Maps d to ``(A, B, lam)``: A and B the stacks of that dimension's boxes,
+    lam their (n,) weights, pairs in draw order.
     """
     gen = sampling.generator_for_block(seed.stream(0), 0)
-    pairs = {d: [] for d in range(2, 7)}
+    drawn = {d: [] for d in range(2, 7)}
     for _ in range(1000):
-        d = int(gen.integers(2, 7))
-        lo_a = gen.random(d)
-        lo_b = gen.random(d)
-        pairs[d].append((lo_a, lo_a + 0.2 + gen.random(d), lo_b, lo_b + 0.2 + gen.random(d),
-                         0.1 + 0.8 * gen.random()))
+        d = int(gen.integers(2, 7))  # its own call: it reads Philox's 32-bit half-buffer
+        drawn[d].append(gen.random(4 * d + 1))
     stacks = {}
-    for d, drawn in pairs.items():
-        lo_a, hi_a, lo_b, hi_b, lam = (np.array(v) for v in zip(*drawn))
-        stacks[d] = geometry.Box(lo_a, hi_a), geometry.Box(lo_b, hi_b), lam
+    for d, rows in drawn.items():
+        u = np.array(rows)
+        lo_a, lo_b = u[:, :d], u[:, d:2 * d]
+        stacks[d] = (geometry.Box(lo_a, lo_a + 0.2 + u[:, 2 * d:3 * d]),
+                     geometry.Box(lo_b, lo_b + 0.2 + u[:, 3 * d:4 * d]), 0.1 + 0.8 * u[:, 4 * d])
     return stacks
 
 

@@ -106,8 +106,11 @@ class HalfSpace:
     def __post_init__(self):
         p = np.asarray(self.normal, dtype=float)
         object.__setattr__(self, "normal", p)
-        if not np.linalg.norm(p) > 0:
+        x = p.ravel()
+        if not x @ x > 0:  # ||p||^2, as np.linalg.norm sums it
             raise ValueError("half-space normal must be nonzero")
+        if not (np.isfinite(p).all() and np.isfinite(self.offset)):
+            raise ValueError("half-space normal and offset must be finite")
 
     def signed_slack(self, x: np.ndarray) -> np.ndarray:
         """u.x - c with the set written as {x : u.x >= c}, ||u|| = 1; >= 0 inside."""
@@ -127,7 +130,8 @@ class Polytope:
     halfspaces: tuple[HalfSpace, ...] = ()
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        v = np.asarray(self.vertices, dtype=float)
+        v = v if v.ndim > 1 else v.reshape(1, -1)  # a single point is one vertex
         if v.size == 0:
             raise ValueError("empty set: a polytope needs at least one vertex")
         object.__setattr__(self, "vertices", v)
@@ -180,9 +184,10 @@ def _min_norm_weights(G: np.ndarray) -> np.ndarray:
         j = np.argmin(scores, axis=1)
         corral = lam > 0
         done = (zz - scores[rows, j] <= tol) | corral[rows, j] | (zz >= prev)
-        out[live[done]] = lam[done]
         keep = ~done
-        live, gram, lam, corral, j, tol = (a[keep] for a in (live, gram, lam, corral, j, tol))
+        if done.any():
+            out[live[done]] = lam[done]
+            live, gram, lam, corral, j, tol = (a[keep] for a in (live, gram, lam, corral, j, tol))
         prev = zz[keep]
         corral[np.arange(live.size), j] = True
         minor = np.arange(live.size)
@@ -194,6 +199,8 @@ def _min_norm_weights(G: np.ndarray) -> np.ndarray:
             bad = S & (alpha <= 0)
             ok = ~bad.any(axis=1)
             lam[minor[ok]] = alpha[ok]
+            if ok.all():
+                break
             # move the others from lam towards alpha until a weight reaches zero
             S, L, alpha, bad, minor = S[~ok], L[~ok], alpha[~ok], bad[~ok], minor[~ok]
             ratio = np.divide(L, L - alpha, out=np.zeros_like(L), where=L > alpha)

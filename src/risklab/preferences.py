@@ -18,6 +18,7 @@ delta-extension emptiness test decides a pair of them exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +38,15 @@ def _as_prior(mu, strictly_positive: bool, ndim: int = 1) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != ndim or mu.shape[-1] < 2:
         raise ValueError("prior must be a vector over at least 2 states")
-    if not np.all(np.isfinite(mu)):
+    if not np.isfinite(mu).all():
         raise ValueError("prior must be finite")
-    if np.any(np.abs(mu.sum(axis=-1) - 1.0) > _PRIOR_TOL):
+    if np.abs(mu.sum(axis=-1) - 1.0).max() > _PRIOR_TOL:
         raise ValueError("prior must sum to 1 within 1e-12")
+    # mu is finite here, so its least entry decides the sign checks
     if strictly_positive:
-        if np.any(mu <= 0):
+        if mu.min() <= 0:
             raise ValueError("this preference family requires a strictly positive prior")
-    elif np.any(mu < 0):
+    elif mu.min() < 0:
         raise ValueError("prior must be nonnegative")
     mu.flags.writeable = False
     return mu
@@ -131,7 +133,8 @@ class MaxMinEU:
     prior_halfspaces: tuple = ()
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.prior_vertices, dtype=float))
+        v = np.asarray(self.prior_vertices, dtype=float)
+        v = v if v.ndim > 1 else v.reshape(1, -1)  # a single prior is one vertex
         if v.size == 0:
             raise ValueError("prior polytope needs at least one vertex")
         v = _as_prior(v, strictly_positive=False, ndim=2)
@@ -170,8 +173,13 @@ class MaxMinEU:
         f = _acts(f, self.dim)
         if f.ndim != 1:
             raise ValueError("worst_case_face takes a single act")
+        return self._face(f)[0]
+
+    def _face(self, f):
+        """(worst-case face, worst-case value) at a single act f already checked."""
         scores = self.prior_vertices @ self._index(f)
-        return self.prior_vertices[scores <= scores.min() + MEU_FACE_TOL]
+        low = scores.min()
+        return self.prior_vertices[scores <= low + MEU_FACE_TOL], low
 
 
 Preference = CRRASEU | MaxMinEU
@@ -189,18 +197,25 @@ def cap_prior_polytope(d: int, idx: int, level: float, side: str):
         raise ValueError("need d >= 2 and a valid state index")
     if not 0.0 < level < 1.0:
         raise ValueError("cap level must lie strictly between 0 and 1")
+    base, at, off = _cap_pattern(d, idx, side)
+    sign = 1.0 if side == "ge" else -1.0  # the last row of at is e_idx
+    return base + level * at + (1.0 - level) * off, geometry.HalfSpace(sign * at[-1], sign * level)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _cap_pattern(d, idx, side):
+    """Read-only 0/1 arrays whose base + level at + (1 - level) off are the cap's vertices:
+    its basis vectors in base, then each facet point level e_idx + (1 - level) e_j."""
     eye = np.eye(d)
-    facet = level * eye[idx][None, :] + (1.0 - level) * np.delete(eye, idx, axis=0)
-    normal = eye[idx]
-    if side == "ge":
-        vertices = np.vstack([eye[idx][None, :], facet])
-        halfspace = geometry.HalfSpace(normal, level)
-    elif side == "le":
-        vertices = np.vstack([np.delete(eye, idx, axis=0), facet])
-        halfspace = geometry.HalfSpace(-normal, -level)
-    else:
+    e, rest = eye[idx], np.delete(eye, idx, axis=0)
+    if side not in ("ge", "le"):
         raise ValueError("side must be 'ge' or 'le'")
-    return vertices, halfspace
+    base = np.vstack([e[None, :] if side == "ge" else rest, np.zeros((d - 1, d))])
+    at, off = np.zeros_like(base), np.zeros_like(base)
+    at[1 - d:], off[1 - d:] = e, rest
+    for a in (base, at, off):
+        a.flags.writeable = False
+    return base, at, off
 
 
 def supergradient(pref: Preference, f) -> np.ndarray | None:
@@ -261,7 +276,7 @@ def belief_set(pref: Preference, f) -> geometry.Polytope:
     linear-Bernoulli max-min family gives the hull of the worst-case face
     (all of the prior polytope at constant acts).
     """
-    f = _acts(np.asarray(f, dtype=float), pref.dim)
+    f = _acts(f, pref.dim)
     if f.ndim != 1:
         raise ValueError("belief_set takes a single act")
     if isinstance(pref, CRRASEU):
@@ -272,13 +287,12 @@ def belief_set(pref: Preference, f) -> geometry.Polytope:
             vertices = (g / g.sum())[None, :]
         return geometry.Polytope(vertices=vertices)
     if isinstance(pref, MaxMinEU):
-        face = pref.worst_case_face(f)
+        face, vmin = pref._face(f)
         if pref.bernoulli == "linear":
             halfspaces = pref.prior_halfspaces
             if halfspaces and len(face) < len(pref.prior_vertices):
                 # cut the H-rep down to the supporting face of the worst-case value
-                vmin = float(np.min(pref.prior_vertices @ f))
-                cut = geometry.HalfSpace(-f, -(vmin + MEU_FACE_TOL))
+                cut = geometry.HalfSpace(-f, -(float(vmin) + MEU_FACE_TOL))
                 halfspaces = halfspaces + (cut,)
             return geometry.Polytope(vertices=face, halfspaces=halfspaces)
         if len(face) == 1:

@@ -1380,3 +1380,112 @@ def test_belief_volume_split_faces_at_a_trade_have_no_volume():
                         for g in (f, const))
     assert (traded.vol_J, traded.vol_Jc) == (0.0, 0.0)
     assert (constant.vol_J, constant.vol_Jc) == (1 - (1 - 0.2) ** 3, (1 - 0.6) ** 3)
+
+
+# ---------------------------------------------------------------------------
+# refusals of the value types
+# ---------------------------------------------------------------------------
+
+
+def _meu(d):
+    return MaxMinEU(np.eye(d))
+
+
+_AGENT = economy.Agent(CRRASEU(np.array([0.5, 0.5])), np.ones(2))
+_PAIR = economy.EconomySpec((_AGENT, _AGENT))
+_PRIOR_SUM = "prior must sum to 1 within 1e-12"
+_PRIOR_STATES = "prior must be a vector over at least 2 states"
+_ENDOWMENT = "endowment must be finite and nonnegative"
+_ENDOWMENT_DIM = "endowment dimension must match the preference's state count"
+_CAP_INDEX = "need d >= 2 and a valid state index"
+_CAP_LEVEL = "cap level must lie strictly between 0 and 1"
+
+# (what is built, the exact message of its ValueError)
+_REFUSALS = {
+    "crra-nan": (lambda: CRRASEU(np.array([np.nan, 0.5])), "prior must be finite"),
+    "crra-inf": (lambda: CRRASEU(np.array([np.inf, 0.5])), "prior must be finite"),
+    "crra-negative": (lambda: CRRASEU(np.array([1.5, -0.5]), 0.0), "prior must be nonnegative"),
+    "crra-zero": (lambda: CRRASEU(np.array([1.0, 0.0])),
+                  "this preference family requires a strictly positive prior"),
+    "crra-sum": (lambda: CRRASEU(np.array([0.5, 0.6])), _PRIOR_SUM),
+    "crra-empty": (lambda: CRRASEU(np.array([])), _PRIOR_STATES),
+    "crra-one-state": (lambda: CRRASEU(np.array([1.0])), _PRIOR_STATES),
+    "crra-matrix": (lambda: CRRASEU(np.full((2, 2), 0.5)), _PRIOR_STATES),
+    "crra-gamma-nan": (lambda: CRRASEU(np.array([0.5, 0.5]), np.nan),
+                       "gamma must be a nonnegative real"),
+    "meu-nan": (lambda: MaxMinEU(np.array([[np.nan, 0.5, 0.5]])), "prior must be finite"),
+    "meu-inf": (lambda: MaxMinEU(np.array([[0.5, 0.5], [np.inf, 0.0]])), "prior must be finite"),
+    "meu-negative": (lambda: MaxMinEU(np.array([[1.2, -0.2]])), "prior must be nonnegative"),
+    "meu-sum": (lambda: MaxMinEU(np.array([0.5, 0.6])), _PRIOR_SUM),
+    "meu-empty": (lambda: MaxMinEU([]), "prior polytope needs at least one vertex"),
+    "meu-no-rows": (lambda: MaxMinEU(np.empty((0, 3))),
+                    "prior polytope needs at least one vertex"),
+    "meu-one-state": (lambda: MaxMinEU(np.ones((2, 1))), _PRIOR_STATES),
+    "meu-cube": (lambda: MaxMinEU(np.full((2, 2, 2), 0.5)), _PRIOR_STATES),
+    "meu-bernoulli": (lambda: MaxMinEU(np.eye(2), "cubic"), "bernoulli must be 'linear' or 'log'"),
+    "agent-nan": (lambda: economy.Agent(_meu(2), np.array([np.nan, 1.0])), _ENDOWMENT),
+    "agent-inf": (lambda: economy.Agent(_meu(2), np.array([1.0, np.inf])), _ENDOWMENT),
+    "agent-negative": (lambda: economy.Agent(_meu(2), np.array([1.0, -1e-300])), _ENDOWMENT),
+    "agent-empty": (lambda: economy.Agent(_meu(2), np.array([])), _ENDOWMENT_DIM),
+    "agent-long": (lambda: economy.Agent(_meu(2), np.ones(3)), _ENDOWMENT_DIM),
+    "agent-matrix": (lambda: economy.Agent(_meu(2), np.ones((1, 2))), _ENDOWMENT_DIM),
+    "economy-empty": (lambda: economy.EconomySpec(()), "an economy needs at least 2 agents"),
+    "economy-one": (lambda: economy.EconomySpec((_AGENT,)), "an economy needs at least 2 agents"),
+    "economy-dims": (lambda: economy.EconomySpec((_AGENT, economy.Agent(_meu(3), np.ones(3)))),
+                     "all agents must share one state space"),
+    "economy-uncertain": (
+        lambda: economy.EconomySpec((_AGENT, economy.Agent(_meu(2), np.array([1.0, 2.0]))),
+                                    no_aggregate_uncertainty=True),
+        "aggregate endowment is not constant across states"),
+    "allocation-vector": (lambda: economy.Allocation(np.ones(2)),
+                          "allocation must be an (agents, states) matrix"),
+    "allocation-shape": (lambda: economy.Allocation(np.ones((3, 2))).check_feasible(_PAIR),
+                         "allocation shape does not match the economy"),
+    "allocation-sum": (lambda: economy.Allocation(np.array([[1.2, 1.0], [1.0, 1.0]]))
+                       .check_feasible(_PAIR),
+                       "allocation misses the aggregate endowment by 2.000e-01"),
+    "allocation-inf": (lambda: economy.Allocation(np.array([[np.inf, 1.0], [1.0, 1.0]]))
+                       .check_feasible(_PAIR), "allocation misses the aggregate endowment by inf"),
+    "allocation-negative": (lambda: economy.Allocation(np.array([[3.0, 1.0], [-1.0, 1.0]]))
+                            .check_feasible(_PAIR, nonneg=True),
+                            "allocation violates the nonnegativity restriction"),
+    "polytope-empty": (lambda: geometry.Polytope([]),
+                       "empty set: a polytope needs at least one vertex"),
+    "polytope-no-rows": (lambda: geometry.Polytope(np.empty((0, 3))),
+                         "empty set: a polytope needs at least one vertex"),
+    "cap-d1": (lambda: cap_prior_polytope(1, 0, 0.5, "ge"), _CAP_INDEX),
+    "cap-index": (lambda: cap_prior_polytope(3, 3, 0.5, "ge"), _CAP_INDEX),
+    "cap-negative-index": (lambda: cap_prior_polytope(3, -1, 0.5, "le"), _CAP_INDEX),
+    "cap-nan": (lambda: cap_prior_polytope(3, 0, np.nan, "ge"), _CAP_LEVEL),
+    "cap-inf": (lambda: cap_prior_polytope(3, 0, np.inf, "le"), _CAP_LEVEL),
+    "cap-zero": (lambda: cap_prior_polytope(3, 0, 0.0, "ge"), _CAP_LEVEL),
+    "cap-one": (lambda: cap_prior_polytope(3, 0, 1.0, "le"), _CAP_LEVEL),
+    "cap-side": (lambda: cap_prior_polytope(3, 0, 0.5, "between"), "side must be 'ge' or 'le'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_value_types_refuse_bad_input_with_their_messages(case):
+    build, message = _REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_single_vertex_inputs_are_one_row_polytopes():
+    assert MaxMinEU(np.array([0.25, 0.75])).prior_vertices.shape == (1, 2)
+    assert geometry.Polytope(np.array([0.25, 0.75])).vertices.shape == (1, 2)
+
+
+def test_check_feasible_refuses_a_nan_allocation():
+    # a nan gap compares false with the tolerance; it used to pass as feasible
+    with pytest.raises(ValueError, match="misses the aggregate endowment by nan"):
+        economy.Allocation(np.array([[np.nan, 1.0], [1.0, 1.0]])).check_feasible(_PAIR)
+
+
+def test_aggregate_is_summed_once_and_read_only():
+    econ = economy.EconomySpec((_AGENT, economy.Agent(_meu(2), np.array([1.0, 2.0]))))
+    assert econ.aggregate is econ.aggregate
+    np.testing.assert_array_equal(econ.aggregate, [2.0, 3.0])
+    with pytest.raises(ValueError, match="read-only"):
+        econ.aggregate[0] = 0.0

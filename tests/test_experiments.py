@@ -1355,3 +1355,26 @@ def test_cli_condition_flag_is_thm2_only():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["thm1", "--condition-positive-price"])
 
+
+def _bm_pairs_by_scalar_calls(seed):
+    # the six-call loop the one-call-per-pair draw replaces
+    gen = sampling.generator_for_block(seed.stream(0), 0)
+    pairs = {d: [] for d in range(2, 7)}
+    for _ in range(1000):
+        d = int(gen.integers(2, 7))
+        lo_a = gen.random(d)
+        lo_b = gen.random(d)
+        pairs[d].append((lo_a, lo_a + 0.2 + gen.random(d), lo_b, lo_b + 0.2 + gen.random(d),
+                         0.1 + 0.8 * gen.random()))
+    return {d: [np.array(v) for v in zip(*drawn)] for d, drawn in pairs.items()}
+
+
+@pytest.mark.parametrize("seed", [7, 0, 2024])
+def test_bm_pairs_draw_the_bits_of_the_scalar_loop(seed):
+    stacks = experiments._bm_pairs(sampling.SeedSpec(seed))
+    want = _bm_pairs_by_scalar_calls(sampling.SeedSpec(seed))
+    assert list(stacks) == list(want)
+    for d, (A, B, lam) in stacks.items():
+        for got, ref in zip((A.lower, A.upper, B.lower, B.upper, lam), want[d]):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.ascontiguousarray(got).tobytes() == ref.tobytes(), (seed, d)

@@ -265,6 +265,22 @@ def test_batched_projection_matches_each_row_and_is_certified(case):
     assert dist[k] == pytest.approx(geometry.distance_point_to_convex(X[k], P), abs=1e-12)
 
 
+@pytest.mark.parametrize("normal,offset", [
+    ([1.0, 0.0, 0.0, 0.0], math.nan),
+    ([1.0, 0.0, 0.0, 0.0], math.inf),
+    ([-1.0, 0.0, 0.0, 0.0], -math.inf),
+    ([math.inf, 0.0, 0.0, 0.0], 0.3),
+    ([1.0, -math.inf, 0.0, 0.0], 0.3),
+])
+def test_halfspace_refuses_non_finite_values(normal, offset):
+    # a nan offset made relative_volume read the cap {mu_0 >= 0.3} at d = 4 as 1.0
+    with pytest.raises(ValueError, match="must be finite"):
+        geometry.HalfSpace(np.array(normal), offset)
+    cap = geometry.Polytope(cap_prior_polytope(4, 0, 0.3, "ge")[0],
+                            (geometry.HalfSpace(np.eye(4)[0], 0.3),))
+    assert geometry.relative_volume([cap]) == pytest.approx(0.7**3, rel=1e-15)
+
+
 def test_polytope_refuses_an_empty_vertex_list():
     for vertices in ([], np.empty((0, 3))):
         with pytest.raises(ValueError, match="at least one vertex"):

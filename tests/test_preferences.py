@@ -1,5 +1,6 @@
 """Preference families, belief sets, and joint extension emptiness."""
 
+import itertools
 import math
 
 import numpy as np
@@ -261,6 +262,30 @@ def test_cap_polytope_vertices_satisfy_halfspace():
         verts, hs = cap_prior_polytope(4, 1, 0.35, side)
         assert np.allclose(verts.sum(axis=1), 1.0)
         assert np.all(hs.signed_slack(verts) >= -1e-12)
+
+
+def _cap_by_eye(d, idx, level, side):
+    # the construction by np.eye, np.delete and np.vstack that the cached patterns replace
+    eye = np.eye(d)
+    facet = level * eye[idx][None, :] + (1.0 - level) * np.delete(eye, idx, axis=0)
+    normal = eye[idx]
+    if side == "ge":
+        return np.vstack([eye[idx][None, :], facet]), normal, level
+    return np.vstack([np.delete(eye, idx, axis=0), facet]), -normal, -level
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_cap_polytope_has_the_bits_of_its_eye_construction(d):
+    levels = [0.3, 0.6, 1 / 3, *np.random.default_rng(d).random(3)]
+    for idx, side, level in itertools.product(range(d), ("ge", "le"), levels):
+        verts, hs = cap_prior_polytope(d, idx, level, side)
+        want, normal, offset = _cap_by_eye(d, idx, level, side)
+        assert verts.shape == want.shape and verts.tobytes() == want.tobytes()
+        assert hs.normal.tobytes() == normal.tobytes() and hs.offset == offset
+        verts[:] = hs.normal[:] = 7.0  # a caller's writes reach no later cap
+    again, want = cap_prior_polytope(d, 0, 0.3, "le")[0], _cap_by_eye(d, 0, 0.3, "le")[0]
+    assert again.tobytes() == want.tobytes()
+    assert not any(a.flags.writeable for a in preferences._cap_pattern(d, 0, "ge"))
 
 
 def test_cap_polytope_validation():
